@@ -13,7 +13,7 @@ from .config import (
     gen_random_direction_separated,
 )
 from .exponents import BoundExpr, PowerProduct
-from .field import Field, FieldElement
+from .field import Field
 from .flats import (
     AffineFlat,
     LinearSubspace,
@@ -44,7 +44,6 @@ __all__ = [
     "BoundExpr",
     "Configuration",
     "Field",
-    "FieldElement",
     "GridFunction",
     "LinearSubspace",
     "PowerProduct",

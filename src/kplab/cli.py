@@ -1,7 +1,8 @@
 """Batch experiment runner: parses flat key=value experiment specs, drives
 the generators and checkers, and writes CSV/JSON reports side by side.
 
-Exit codes: 0 success, 1 spec error, 2 budget refusal, 3 internal assertion
+Exit codes: 0 success, 1 spec error (including out-of-domain parameters),
+2 work refusal (the --budget estimate or a library size guard), 3 internal
 failure.
 """
 
@@ -53,6 +54,19 @@ _SCHEMAS: Dict[str, tuple] = {
 
 _INT_KEYS = {"n", "k", "r", "prime", "num_directions", "seed", "kmax", "slack"}
 _RATIONAL_KEYS = {"density", "p_exp", "q_exp"}
+
+# Per-kind domain of the dimensions (n, k, r): what the generators and
+# checkers of that kind accept.
+_DIMENSIONS: Dict[str, tuple] = {
+    "grassmann-census": ("0 <= k <= n", lambda n, k, r: 0 <= k <= n),
+    "degenerate": ("1 <= r < k <= n-1", lambda n, k, r: 1 <= r < k <= n - 1),
+    "nk-set": ("1 <= k <= n-1", lambda n, k, r: 1 <= k <= n - 1),
+    "incidence-bound": ("2 <= k <= n-2", lambda n, k, r: 2 <= k <= n - 2),
+    "two-ends": ("1 <= r <= k <= n", lambda n, k, r: 1 <= r <= k <= n),
+    "refinement-chain": ("1 <= k <= n", lambda n, k, r: 1 <= k <= n),
+    "simplex-bounds": ("1 <= k <= n", lambda n, k, r: 1 <= k <= n),
+    "maximal-ratio": ("0 <= k <= n", lambda n, k, r: 0 <= k <= n),
+}
 
 
 class SpecError(ValueError):
@@ -143,7 +157,31 @@ def parse_spec(text: str) -> ExperimentSpec:
             Field(params["prime"])
         except NotPrimeError as exc:
             raise SpecError(f"invalid prime: {exc}") from exc
+    _check_domain(kind, params)
     return ExperimentSpec(kind, params, out)
+
+
+def _check_domain(kind: str, params: Dict[str, object]) -> None:
+    """Reject out-of-domain values before any work starts."""
+    if kind in _DIMENSIONS:
+        n, k, r = params["n"], params["k"], params.get("r")
+        text, ok = _DIMENSIONS[kind]
+        if not ok(n, k, r):
+            got = f"n={n}, k={k}" + (f", r={r}" if r is not None else "")
+            raise SpecError(f"{kind} needs {text}, got {got}")
+    if "num_directions" in params:
+        total = gaussian_binomial(params["n"], params["k"], params["prime"])
+        if not 0 <= params["num_directions"] <= total:
+            raise SpecError(f"num_directions must lie in [0, {total}], the size of G(n,k)")
+    if params.get("translate", "zero") not in ("zero", "random"):
+        raise SpecError(f"translate must be 'zero' or 'random', got {params['translate']!r}")
+    if "density" in params and not 0 < params["density"] <= 1:
+        raise SpecError(f"density must lie in (0, 1], got {params['density']}")
+    for key in ("p_exp", "q_exp"):
+        if key in params and params[key] < 1:
+            raise SpecError(f"{key} must be >= 1, got {params[key]}")
+    if params.get("seeds") == []:
+        raise SpecError("empty seed list")
 
 
 def estimate_work(spec: ExperimentSpec) -> int:
@@ -487,7 +525,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--threads", type=int, default=0, help="worker hint (results are identical for any value)")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="work guard in estimated operations")
     parser.add_argument("--json", action="store_true", dest="json_only", help="print rows as JSON to stdout")
-    parser.add_argument("--seed", type=int, default=None, help="override seed parameter")
+    parser.add_argument("--seed", type=int, default=None, help="run this one seed instead of the spec's seed or seeds")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run an experiment spec file")
@@ -508,25 +546,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "selftest":
             return _selftest()
         if args.command == "census":
-            spec = ExperimentSpec(
-                "grassmann-census", {"n": args.n, "k": args.k, "prime": args.p}
-            )
+            spec = parse_spec(f"experiment=grassmann-census n={args.n} k={args.k} prime={args.p}")
         elif args.command == "verify-exponents":
-            spec = ExperimentSpec("exponent-identities", {"kmax": args.kmax})
+            spec = parse_spec(f"experiment=exponent-identities kmax={args.kmax}")
         else:
             try:
                 spec = parse_spec(args.specfile.read_text())
             except OSError as exc:
                 print(f"spec error: {exc}", file=sys.stderr)
                 return 1
-        if args.seed is not None and "seed" in _SCHEMAS[spec.kind][0] | _SCHEMAS[spec.kind][1]:
-            spec.params["seed"] = args.seed
+        if args.seed is not None:
+            allowed = _SCHEMAS[spec.kind][0] | _SCHEMAS[spec.kind][1]
+            if "seeds" in allowed:
+                spec.params["seeds"] = [args.seed]
+            elif "seed" in allowed:
+                spec.params["seed"] = args.seed
         rows = run_experiment(spec, budget=args.budget)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 1
-    except BudgetError as exc:
-        print(f"budget refusal: {exc}", file=sys.stderr)
+    except (BudgetError, incidence.SizeGuardError, simplex.SizeError) as exc:
+        print(f"refused: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - reported as internal failure
         print(f"internal failure: {exc}", file=sys.stderr)

@@ -151,9 +151,6 @@ class BoundExpr:
     def evaluate(self, num_points: int, num_flats: int, p: int) -> PowerProduct:
         return PowerProduct([(num_points, self.a), (num_flats, self.b), (p, self.c)])
 
-    def as_tuple(self) -> Tuple[Rational, Rational, Rational]:
-        return (self.a, self.b, self.c)
-
 
 def convex_combine(b1: BoundExpr, b2: BoundExpr, t: Rational) -> BoundExpr:
     t = Fraction(t)

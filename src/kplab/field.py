@@ -2,14 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterator
-
 MAX_PRIME = 2**16
 _INVERSE_CACHE_LIMIT = 2**10
-
-
-class FieldMismatchError(ValueError):
-    """Mixing elements of different prime fields."""
 
 
 class NotPrimeError(ValueError):
@@ -30,9 +24,8 @@ def _is_prime(p: int) -> bool:
 class Field:
     """The prime field GF(p).  Immutable; arithmetic works on plain residues.
 
-    Most of the library stores field elements as bare ints in [0, p) and
-    routes arithmetic through a Field instance; the FieldElement wrapper
-    below exists for code that wants operator syntax and mix-checking.
+    The library stores field elements as bare ints in [0, p) and routes
+    arithmetic through a Field instance.
     """
 
     __slots__ = ("p", "_inverses")
@@ -73,9 +66,6 @@ class Field:
             return self._inverses[a]
         return pow(a, -1, self.p)
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.p, self)
-
     def elements(self) -> range:
         """Residues 0, 1, ..., p-1 in ascending order."""
         return range(self.p)
@@ -89,84 +79,3 @@ class Field:
     def __repr__(self):
         return f"Field({self.p})"
 
-
-class FieldElement:
-    """A fully reduced residue tied to its field."""
-
-    __slots__ = ("value", "field")
-
-    def __init__(self, value: int, field: Field):
-        object.__setattr__(self, "value", value % field.p)
-        object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"cannot mix GF({self.field.p}) and GF({other.field.p})"
-                )
-            return other
-        if isinstance(other, int):
-            return FieldElement(other, self.field)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value + other.value, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value - other.value, self.field)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value * other.value, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.value == other.value and self.field == other.field
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.field.p))
-
-    def __repr__(self):
-        return f"GF({self.field.p})<{self.value}>"
-
-
-def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def field_inverse(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
-def enumerate_field(field: Field) -> Iterator[FieldElement]:
-    for v in field.elements():
-        yield FieldElement(v, field)

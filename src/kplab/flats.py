@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .field import Field
 from .linalg import RrefBasis, Vector, in_span, null_space, reduce_vector, rref, solve_affine_system
+
+W = TypeVar("W")
 
 
 @dataclass(frozen=True)
@@ -124,8 +126,23 @@ def enumerate_points(flat: AffineFlat, field: Field) -> Iterator[Vector]:
 
 
 def membership(point: Vector, flat: AffineFlat, field: Field) -> bool:
-    diff = tuple(field.sub(a, b) for a, b in zip(point, flat.representative))
-    return in_span(diff, flat.direction.basis, field)
+    """Whether the point lies on the flat: its coset key under the flat's
+    direction equals the flat's representative.  Exact because make_flat is
+    the only constructor of AffineFlat and always canonicalises."""
+    return reduce_vector(point, flat.direction.basis, field) == flat.representative
+
+
+def coset_sums(
+    weighted: Iterable[Tuple[Vector, W]], direction: LinearSubspace, field: Field
+) -> Dict[Vector, W]:
+    """Total weight per coset of `direction`, keyed by the coset's canonical
+    representative (the key make_flat and membership use); cosets holding
+    no point are absent."""
+    sums: Dict[Vector, W] = {}
+    for point, weight in weighted:
+        rep = reduce_vector(point, direction.basis, field)
+        sums[rep] = sums.get(rep, 0) + weight
+    return sums
 
 
 def flat_equations(flat: AffineFlat, field: Field) -> List[Tuple[Vector, int]]:

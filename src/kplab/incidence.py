@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .config import Configuration
 from .exponents import PowerProduct, main_term_exponents
-from .flats import AffineFlat, affine_hull, enumerate_points, membership
-from .linalg import Vector, reduce_vector
+from .flats import AffineFlat, LinearSubspace, affine_hull, coset_sums, enumerate_points, membership
+from .linalg import Vector
 from .reports import CountReport
 
 TUPLE_WORK_GUARD = 5_000_000
@@ -38,14 +38,13 @@ class SizeGuardError(RuntimeError):
 
 @dataclass
 class IncidenceIndex:
-    """Both marginals of the incidence relation plus the exact total."""
+    """Both marginals of the incidence relation, the exact total, and the
+    sorted incident points of every flat."""
 
     per_flat: Dict[AffineFlat, int]
     per_point: Dict[Vector, Tuple[AffineFlat, ...]]
     total: int
-
-    def flat_points(self, flat: AffineFlat) -> int:
-        return self.per_flat.get(flat, 0)
+    points: Dict[AffineFlat, Tuple[Vector, ...]]
 
 
 def incidence_count(config: Configuration) -> IncidenceIndex:
@@ -57,19 +56,20 @@ def incidence_count(config: Configuration) -> IncidenceIndex:
     """
     fld = config.field
     flat_size = fld.p ** config.k
-    per_flat: Dict[AffineFlat, int] = {}
+    points: Dict[AffineFlat, Tuple[Vector, ...]] = {}
     per_point: Dict[Vector, List[AffineFlat]] = defaultdict(list)
-    total = 0
     for flat in config.flats:
         if flat_size <= len(config.points):
             hits = [pt for pt in enumerate_points(flat, fld) if pt in config.points]
         else:
             hits = [pt for pt in config.points if membership(pt, flat, fld)]
-        per_flat[flat] = len(hits)
-        total += len(hits)
+        points[flat] = tuple(sorted(hits))
         for pt in hits:
             per_point[pt].append(flat)
-    return IncidenceIndex(per_flat, {pt: tuple(fl) for pt, fl in per_point.items()}, total)
+    per_flat = {flat: len(pts) for flat, pts in points.items()}
+    return IncidenceIndex(
+        per_flat, {pt: tuple(fl) for pt, fl in per_point.items()}, sum(per_flat.values()), points
+    )
 
 
 def cs_holder_count(
@@ -115,8 +115,7 @@ def jr_decompose(
     strata = [0] * (r + 1)
     hull_dim_cache: Dict[Tuple[Vector, ...], int] = {}
     for flat in config.flats:
-        pts = sorted(pt for pt in config.points if pt in index.per_point and flat in index.per_point[pt])
-        for tup in itertools.product(pts, repeat=r + 1):
+        for tup in itertools.product(index.points[flat], repeat=r + 1):
             key = tuple(sorted(set(tup)))
             dim = hull_dim_cache.get(key)
             if dim is None:
@@ -246,10 +245,8 @@ def check_max_ic(
     # the point counts over all cosets of its direction.
     sup_sum = 0
     for flat in config.flats:
-        coset_counts = Counter()
-        for pt in config.points:
-            coset_counts[reduce_vector(pt, flat.direction.basis, fld)] += 1
-        sup_sum += max(coset_counts.values(), default=0)
+        counts = coset_sums(((pt, 1) for pt in config.points), flat.direction, fld)
+        sup_sum += max(counts.values(), default=0)
     chain_holds = index.total <= sup_sum
     if index.total == 0 or not config.points or not config.flats:
         return MaxIcReport(None, chain_holds, sup_sum, index.total)
@@ -347,23 +344,22 @@ def build_refinement_chain(config: Configuration) -> RefinementChainReport:
     num_flats = refined.num_flats
     spine_threshold = Fraction(i_tilde, 10 * num_flats * p)
 
-    flat_points: Dict[AffineFlat, List[Vector]] = {}
-    for flat in refined.flats:
-        flat_points[flat] = sorted(
-            pt for pt, fl in index.per_point.items() if flat in fl
+    holder_tuple_count = sum(index.per_flat[flat] ** k for flat in refined.flats)
+    if holder_tuple_count > TUPLE_WORK_GUARD:
+        raise SizeGuardError(
+            f"{holder_tuple_count} spanning tuples exceeds guard {TUPLE_WORK_GUARD}"
         )
-    work = sum(len(pts) ** k for pts in flat_points.values())
-    if work > TUPLE_WORK_GUARD:
-        raise SizeGuardError(f"{work} spanning tuples exceeds guard {TUPLE_WORK_GUARD}")
 
     ik_prime = 0
     ik = 0
     groups: Dict[Tuple[Vector, ...], List[AffineFlat]] = defaultdict(list)
     hulls: Dict[Tuple[Vector, ...], AffineFlat] = {}
     hull_cache: Dict[Tuple[Vector, ...], Tuple[int, AffineFlat]] = {}
-    spine_count_cache: Dict[AffineFlat, int] = {}
     for flat in refined.flats:
-        pts = flat_points[flat]
+        pts = index.points[flat]
+        # A spine spanned by points of this flat lies in it, so its points of
+        # P are among the flat's own: bin those once per spine direction.
+        spine_bins: Dict[LinearSubspace, Dict[Vector, int]] = {}
         for tup in itertools.product(pts, repeat=k):
             key = tuple(sorted(set(tup)))
             cached = hull_cache.get(key)
@@ -374,11 +370,11 @@ def build_refinement_chain(config: Configuration) -> RefinementChainReport:
             if dim != k - 1:
                 continue
             ik_prime += 1
-            spine = spine_count_cache.get(hull)
-            if spine is None:
-                spine = sum(1 for q in config.points if membership(q, hull, fld))
-                spine_count_cache[hull] = spine
-            if spine >= spine_threshold:
+            bins = spine_bins.get(hull.direction)
+            if bins is None:
+                bins = coset_sums(((q, 1) for q in pts), hull.direction, fld)
+                spine_bins[hull.direction] = bins
+            if bins.get(hull.representative, 0) >= spine_threshold:
                 ik += 1
                 groups[tup].append(flat)
                 hulls[tup] = hull
@@ -389,16 +385,7 @@ def build_refinement_chain(config: Configuration) -> RefinementChainReport:
     # Extended pairs and the f(pi_0, x) tallies in one pass.
     vkp = 0
     f_values: Dict[Tuple[AffineFlat, Vector], int] = Counter()
-    membership_cache: Dict[Tuple[Vector, AffineFlat], bool] = {}
-
-    def on_flat(pt: Vector, flat: AffineFlat) -> bool:
-        key = (pt, flat)
-        hit = membership_cache.get(key)
-        if hit is None:
-            hit = membership(pt, flat, fld)
-            membership_cache[key] = hit
-        return hit
-
+    point_sets = {flat: frozenset(index.points[flat]) for flat in refined.flats}
     for tup, flats_for_tup in groups.items():
         hull = hulls[tup]
         m = len(flats_for_tup)
@@ -406,14 +393,14 @@ def build_refinement_chain(config: Configuration) -> RefinementChainReport:
             continue
         for pi in flats_for_tup:
             ext_points = [
-                q for q in flat_points[pi] if not membership(q, hull, fld)
+                q for q in index.points[pi] if not membership(q, hull, fld)
             ]
             vkp += len(ext_points) * (m - 1)
             for x in ext_points:
                 for pi0 in flats_for_tup:
                     if pi0 == pi:
                         continue
-                    if not on_flat(x, pi0):
+                    if x not in point_sets[pi0]:
                         f_values[(pi0, x)] += 1
 
     # Dyadic pigeonhole on f over eligible pairs.
@@ -438,7 +425,6 @@ def build_refinement_chain(config: Configuration) -> RefinementChainReport:
         Fraction(vk * i_tilde, num_flats * d_size) if d_size and vk else None
     )
 
-    holder_tuple_count = sum(index.per_flat[f] ** k for f in refined.flats)
     holder_lower_holds = (
         holder_tuple_count * num_flats ** (k - 1) >= i_tilde**k
     )

@@ -20,13 +20,14 @@ from .exponents import PowerProduct
 from .field import Field
 from .flats import (
     LinearSubspace,
+    coset_sums,
     enumerate_coset_representatives,
     enumerate_grassmannian,
     enumerate_points,
     gaussian_binomial,
     make_flat,
 )
-from .linalg import Vector, reduce_vector
+from .linalg import Vector
 
 
 @dataclass(frozen=True)
@@ -74,14 +75,10 @@ def apply_maximal(f: GridFunction, n: int, k: int) -> Dict[LinearSubspace, Fract
     representative and the per-direction max is taken over the bins.
     """
     fld = f.field
-    out: Dict[LinearSubspace, Fraction] = {}
-    for pi in enumerate_grassmannian(n, k, fld):
-        sums: Dict[Vector, Fraction] = {}
-        for pt, v in f.values:
-            rep = reduce_vector(pt, pi.basis, fld)
-            sums[rep] = sums.get(rep, Fraction(0)) + v
-        out[pi] = max(sums.values(), default=Fraction(0))
-    return out
+    return {
+        pi: max(coset_sums(f.values, pi, fld).values(), default=Fraction(0))
+        for pi in enumerate_grassmannian(n, k, fld)
+    }
 
 
 def apply_maximal_bruteforce(f: GridFunction, n: int, k: int) -> Dict[LinearSubspace, Fraction]:

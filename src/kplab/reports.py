@@ -22,15 +22,3 @@ class CountReport:
     verdicts: Dict[str, object] = field(default_factory=dict)
     notes: Dict[str, object] = field(default_factory=dict)
 
-    def flatten(self) -> Dict[str, object]:
-        row: Dict[str, object] = {"experiment": self.experiment}
-        for prefix, mapping in (
-            ("", self.params),
-            ("", self.counts),
-            ("ratio_", self.ratios),
-            ("verdict_", self.verdicts),
-            ("note_", self.notes),
-        ):
-            for key, value in mapping.items():
-                row[f"{prefix}{key}"] = value
-        return row

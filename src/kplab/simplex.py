@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Set, Tuple
 
@@ -31,10 +30,6 @@ class SizeError(RuntimeError):
     pass
 
 
-def _hull_flat(points: Tuple[Vector, ...], fld) -> Tuple[int, AffineFlat]:
-    return affine_hull(points, fld)
-
-
 def count_simplices(
     config: Configuration,
     flats: Optional[Tuple[AffineFlat, ...]] = None,
@@ -44,9 +39,9 @@ def count_simplices(
     facet hulls all belong to the flat family.
 
     Fast path: pivot on each flat as a face.  For every spanning (k+1)-subset
-    of its points whose hull is the flat itself, each apex completing a
-    simplex is found through the remaining facet checks; every simplex is
-    discovered once per face, so the tally divides by k+2 exactly.
+    of its points whose hull is the flat itself, each apex off the face
+    completing a simplex is found through the remaining facet checks; every
+    simplex is discovered once per face, so the tally divides by k+2 exactly.
     """
     fld = config.field
     k = config.k
@@ -55,30 +50,27 @@ def count_simplices(
         return 0
     if index is None:
         index = incidence_count(config)
-    flat_points: Dict[AffineFlat, list] = {}
-    for pt, incident in index.per_point.items():
-        for flat in incident:
-            if flat in family:
-                flat_points.setdefault(flat, []).append(pt)
+    points = sorted(config.points)
     hull_cache: Dict[Tuple[Vector, ...], Tuple[int, AffineFlat]] = {}
 
-    def hull(points: Tuple[Vector, ...]) -> Tuple[int, AffineFlat]:
-        cached = hull_cache.get(points)
+    def hull(vertices: Tuple[Vector, ...]) -> Tuple[int, AffineFlat]:
+        cached = hull_cache.get(vertices)
         if cached is None:
-            cached = _hull_flat(points, fld)
-            hull_cache[points] = cached
+            cached = affine_hull(vertices, fld)
+            hull_cache[vertices] = cached
         return cached
 
     face_incidences = 0
-    for face, pts in flat_points.items():
-        pts = sorted(pts)
+    for face, pts in index.points.items():
+        if face not in family:
+            continue
+        on_face = set(pts)
+        apexes = [q for q in points if q not in on_face]
         for base in itertools.combinations(pts, k + 1):
             dim, base_hull = hull(base)
             if dim != k or base_hull != face:
                 continue
-            for apex in sorted(config.points):
-                if apex in base or membership(apex, face, fld):
-                    continue
+            for apex in apexes:
                 if _completes_simplex(base, apex, family, hull):
                     face_incidences += 1
     assert face_incidences % (k + 2) == 0
@@ -189,13 +181,7 @@ def _chain_conditions(vertices, flat_set, intersections, k, l, fld) -> bool:
 def v_k_del(chain: RefinementChainReport) -> int:
     """Number of distinct ordered plane pairs admitting a shared spanning
     spine tuple."""
-    pairs: Set[Tuple[AffineFlat, AffineFlat]] = set()
-    for group in chain.spine_groups.values():
-        if len(group) < 2:
-            continue
-        for a, b in itertools.permutations(group, 2):
-            pairs.add((a, b))
-    return len(pairs)
+    return len(_deleted_pairs(chain))
 
 
 def _deleted_pairs(chain: RefinementChainReport) -> Set[Tuple[AffineFlat, AffineFlat]]:

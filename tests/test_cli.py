@@ -122,6 +122,32 @@ class TestMainEntryPoint:
         spec.write_text("experiment=grassmann-census n=4 k=2 prime=9\n")
         assert cli.main(["run", str(spec)]) == 1
 
+    @pytest.mark.parametrize(
+        "text,code",
+        [
+            ("experiment=degenerate n=2 k=3 r=1 prime=3", 1),
+            ("experiment=nk-set n=3 k=1 prime=3 translate=bogus", 1),
+            ("experiment=incidence-bound n=4 k=2 prime=3 num_directions=4 density=0", 1),
+            ("experiment=maximal-ratio n=3 k=1 prime=3 p_exp=0 q_exp=2", 1),
+            ("experiment=two-ends n=3 k=1 r=1 prime=3 num_directions=4 density=1/2 seeds=5..1", 1),
+            # The budget estimate passes; the 5 M tuple guard of jr_decompose refuses.
+            ("experiment=two-ends n=4 k=2 r=2 prime=7 num_directions=300 density=1", 2),
+        ],
+        ids=["k_above_n", "bogus_translate", "zero_density", "p_exp_below_1", "empty_seeds", "tuple_guard"],
+    )
+    def test_domain_and_guard_exit_codes(self, tmp_path, text, code):
+        spec = tmp_path / "s.spec"
+        spec.write_text(text + "\n")
+        assert cli.main(["run", str(spec)]) == code
+
+    def test_seed_flag_replaces_seed_list(self, tmp_path, capsys):
+        spec = tmp_path / "s.spec"
+        spec.write_text(
+            "experiment=two-ends n=3 k=1 r=1 prime=3 num_directions=4 density=1/2 seeds=1..3\n"
+        )
+        assert cli.main(["--seed", "9", "--json", "run", str(spec)]) == 0
+        assert [row["seed"] for row in json.loads(capsys.readouterr().out)] == [9]
+
     def test_budget_exits_2(self, tmp_path):
         spec = tmp_path / "census.spec"
         spec.write_text("experiment=grassmann-census n=4 k=2 prime=3\n")

@@ -1,13 +1,6 @@
 import pytest
 
-from kplab.field import (
-    Field,
-    FieldMismatchError,
-    NotPrimeError,
-    enumerate_field,
-    field_arith,
-    field_inverse,
-)
+from kplab.field import Field, NotPrimeError
 
 
 def test_arithmetic_pinned_values():
@@ -52,27 +45,3 @@ def test_field_is_immutable():
     with pytest.raises(AttributeError):
         fld.p = 5
 
-
-def test_element_operators():
-    fld = Field(7)
-    a, b = fld.element(3), fld.element(5)
-    assert (a + b).value == 1
-    assert (a - b).value == 5
-    assert (a * b).value == 1
-    assert (-a).value == 4
-    assert (a / b).value == (a * b.inverse()).value
-    assert a + 4 == fld.element(0)
-
-
-def test_element_mix_rejected():
-    with pytest.raises(FieldMismatchError):
-        Field(3).element(1) + Field(5).element(1)
-
-
-def test_module_level_helpers():
-    fld = Field(5)
-    a, b = fld.element(2), fld.element(3)
-    assert field_arith(a, b, "add").value == 0
-    assert field_arith(a, b, "mul").value == 1
-    assert field_inverse(a).value == 3
-    assert [e.value for e in enumerate_field(fld)] == [0, 1, 2, 3, 4]

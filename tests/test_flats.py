@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from conftest import random_vectors
 from kplab.field import Field
 from kplab.flats import (
     affine_hull,
@@ -16,6 +18,7 @@ from kplab.flats import (
     span_of,
     zero_subspace,
 )
+from kplab.linalg import in_span
 
 
 def line(fld, n, direction, point):
@@ -90,6 +93,26 @@ def test_membership():
     assert membership(diag.representative, diag, f3)
     assert membership((2, 2), diag, f3)
     assert not membership((1, 2), diag, f3)
+
+
+def test_membership_matches_span_definition():
+    # membership compares coset keys; the textbook definition is
+    # "x - rep lies in the direction's span".
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(200):
+        p, n = rng.choice((2, 3, 5)), rng.randrange(1, 5)
+        fld = Field(p)
+        k = rng.randrange(n + 1)
+        direction = span_of(random_vectors(n, p, k, rng), n, fld)
+        flat = make_flat(direction, random_vectors(n, p, 1, rng)[0], fld)
+        on_flat = list(enumerate_points(flat, fld))
+        for x in random_vectors(n, p, 3, rng) + [rng.choice(on_flat)]:
+            diff = tuple(fld.sub(a, b) for a, b in zip(x, flat.representative))
+            expected = in_span(diff, direction.basis, fld)
+            assert membership(x, flat, fld) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_make_flat_canonicalizes_representative():

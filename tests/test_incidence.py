@@ -7,7 +7,13 @@ from conftest import random_corpus
 from kplab.config import Configuration, gen_degenerate
 from kplab.exponents import PowerProduct
 from kplab.field import Field
-from kplab.flats import enumerate_points, make_flat, span_of
+from kplab.flats import (
+    enumerate_coset_representatives,
+    enumerate_points,
+    make_flat,
+    membership,
+    span_of,
+)
 from kplab.incidence import (
     EmptyRefinementError,
     PreconditionError,
@@ -44,10 +50,20 @@ class TestIncidenceCount:
         assert index.per_flat[cfg.flats[0]] == 0
 
     def test_marginals_agree(self, f3):
-        for _, cfg in random_corpus(4, 2, 3, 10):
-            index = incidence_count(cfg)
-            assert index.total == sum(index.per_flat.values())
-            assert index.total == sum(len(fl) for fl in index.per_point.values())
+        # Density 1/2 gives |P| >= p^k (enumerate side); density 1/16 gives
+        # |P| < p^k (probe side).  Both must store every flat's points.
+        sides = set()
+        for density in (Fraction(1, 2), Fraction(1, 16)):
+            for _, cfg in random_corpus(4, 2, 3, 10, density=density):
+                index = incidence_count(cfg)
+                sides.add(len(cfg.points) >= 3**2)
+                assert index.total == sum(index.per_flat.values())
+                assert index.total == sum(len(fl) for fl in index.per_point.values())
+                for flat in cfg.flats:
+                    on = tuple(sorted(pt for pt in cfg.points if membership(pt, flat, f3)))
+                    assert index.points[flat] == on
+                    assert index.per_flat[flat] == len(on)
+        assert sides == {True, False}
 
 
 class TestCsHolder:
@@ -170,7 +186,19 @@ class TestCheckMaxIc:
 
     def test_chain_inequality_on_corpus(self):
         for _, cfg in random_corpus(4, 2, 3, 20):
-            assert check_max_ic(cfg, Fraction(2), Fraction(4)).chain_holds
+            report = check_max_ic(cfg, Fraction(2), Fraction(4))
+            assert report.chain_holds
+            # sup_sum against point counts over every coset, enumerated.
+            fld = cfg.field
+            explicit = sum(
+                max(
+                    sum(pt in cfg.points for pt in enumerate_points(make_flat(flat.direction, rep, fld), fld))
+                    for rep in enumerate_coset_representatives(flat.direction, fld)
+                )
+                for flat in cfg.flats
+            )
+            assert explicit > 0
+            assert report.sup_sum == explicit
 
     def test_degenerate_endpoint_finite(self, f3):
         report = check_max_ic(gen_degenerate(4, 2, 1, f3), Fraction(2), Fraction(4))
