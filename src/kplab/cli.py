@@ -9,13 +9,14 @@ failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from . import exponents, incidence, maximal, simplex
 from .config import gen_degenerate, gen_nk_set, gen_random_config
@@ -24,49 +25,10 @@ from .flats import enumerate_grassmannian, gaussian_binomial
 
 DEFAULT_BUDGET = 50_000_000
 
-EXPERIMENT_KINDS = (
-    "grassmann-census",
-    "degenerate",
-    "nk-set",
-    "incidence-bound",
-    "two-ends",
-    "refinement-chain",
-    "simplex-bounds",
-    "maximal-ratio",
-    "exponent-identities",
-)
-
-# Per-kind parameter schema: (required, optional).
-_SCHEMAS: Dict[str, tuple] = {
-    "grassmann-census": ({"n", "k", "prime"}, set()),
-    "degenerate": ({"n", "k", "r", "prime"}, set()),
-    "nk-set": ({"n", "k", "prime"}, {"translate", "seeds", "slack"}),
-    "incidence-bound": (
-        {"n", "k", "prime", "num_directions", "density"},
-        {"seeds", "p_exp", "q_exp"},
-    ),
-    "two-ends": ({"n", "k", "r", "prime", "num_directions", "density"}, {"seeds"}),
-    "refinement-chain": ({"n", "k", "prime", "num_directions", "density"}, {"seeds"}),
-    "simplex-bounds": ({"n", "k", "prime", "num_directions", "density"}, {"seeds"}),
-    "maximal-ratio": ({"n", "k", "prime", "p_exp", "q_exp"}, {"seed"}),
-    "exponent-identities": ({"kmax"}, set()),
-}
-
 _INT_KEYS = {"n", "k", "r", "prime", "num_directions", "seed", "kmax", "slack"}
 _RATIONAL_KEYS = {"density", "p_exp", "q_exp"}
 
-# Per-kind domain of the dimensions (n, k, r): what the generators and
-# checkers of that kind accept.
-_DIMENSIONS: Dict[str, tuple] = {
-    "grassmann-census": ("0 <= k <= n", lambda n, k, r: 0 <= k <= n),
-    "degenerate": ("1 <= r < k <= n-1", lambda n, k, r: 1 <= r < k <= n - 1),
-    "nk-set": ("1 <= k <= n-1", lambda n, k, r: 1 <= k <= n - 1),
-    "incidence-bound": ("2 <= k <= n-2", lambda n, k, r: 2 <= k <= n - 2),
-    "two-ends": ("1 <= r <= k <= n", lambda n, k, r: 1 <= r <= k <= n),
-    "refinement-chain": ("1 <= k <= n", lambda n, k, r: 1 <= k <= n),
-    "simplex-bounds": ("1 <= k <= n", lambda n, k, r: 1 <= k <= n),
-    "maximal-ratio": ("0 <= k <= n", lambda n, k, r: 0 <= k <= n),
-}
+_PREFIX_KEYS = ("n", "k", "r", "prime")
 
 
 class SpecError(ValueError):
@@ -85,22 +47,6 @@ class ExperimentSpec:
     kind: str
     params: Dict[str, object]
     out: Optional[str] = None
-
-    def render(self) -> str:
-        lines = [f"experiment={self.kind}"]
-        for key in sorted(self.params):
-            lines.append(f"{key}={_render_value(self.params[key])}")
-        if self.out:
-            lines.append(f"out={self.out}")
-        return "\n".join(lines) + "\n"
-
-
-def _render_value(value) -> str:
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (list, tuple)):
-        return ",".join(str(v) for v in value)
-    return str(value)
 
 
 def _parse_seeds(text: str) -> List[int]:
@@ -128,12 +74,11 @@ def parse_spec(text: str) -> ExperimentSpec:
     if "experiment" not in pairs:
         raise SpecError("missing mandatory key 'experiment'")
     kind = pairs.pop("experiment")
-    if kind not in _SCHEMAS:
-        raise SpecError(f"unknown experiment {kind!r}; known: {', '.join(EXPERIMENT_KINDS)}")
+    if kind not in KINDS:
+        raise SpecError(f"unknown experiment {kind!r}; known: {', '.join(KINDS)}")
     out = pairs.pop("out", None)
-    required, optional = _SCHEMAS[kind]
-    allowed = required | optional
-    unknown = set(pairs) - allowed
+    required, optional = KINDS[kind].required, KINDS[kind].optional
+    unknown = set(pairs) - required - optional
     if unknown:
         raise SpecError(f"unknown keys for {kind}: {', '.join(sorted(unknown))}")
     missing = required - set(pairs)
@@ -163,12 +108,9 @@ def parse_spec(text: str) -> ExperimentSpec:
 
 def _check_domain(kind: str, params: Dict[str, object]) -> None:
     """Reject out-of-domain values before any work starts."""
-    if kind in _DIMENSIONS:
-        n, k, r = params["n"], params["k"], params.get("r")
-        text, ok = _DIMENSIONS[kind]
-        if not ok(n, k, r):
-            got = f"n={n}, k={k}" + (f", r={r}" if r is not None else "")
-            raise SpecError(f"{kind} needs {text}, got {got}")
+    if not KINDS[kind].in_domain(**params):
+        got = ", ".join(f"{key}={params[key]}" for key in ("n", "k", "r", "kmax", "slack") if key in params)
+        raise SpecError(f"{kind} needs {KINDS[kind].domain}, got {got}")
     if "num_directions" in params:
         total = gaussian_binomial(params["n"], params["k"], params["prime"])
         if not 0 <= params["num_directions"] <= total:
@@ -200,90 +142,25 @@ def estimate_work(spec: ExperimentSpec) -> int:
     per_seed = num_flats * p**k + p**n
     if spec.kind in ("refinement-chain", "simplex-bounds"):
         per_seed += num_flats * p ** (k * k)
+    if spec.kind == "two-ends":
+        # jr_decompose walks the (r+1)-tuples of each flat's at most p^k points.
+        per_seed += num_flats * p ** (k * (params["r"] + 1))
     if spec.kind == "maximal-ratio":
         per_seed = gaussian_binomial(n, k, p) * p**n * 10
     return per_seed * num_seeds
 
 
 def run_experiment(spec: ExperimentSpec, budget: int = DEFAULT_BUDGET) -> List[Dict[str, object]]:
+    """The spec's rows: "experiment", the spec's n, k, r and prime, then (for
+    the seeded corpus kinds) "seed", then the kind's own columns."""
     estimate = estimate_work(spec)
     if estimate > budget:
         raise BudgetError(estimate, budget)
-    handler = _HANDLERS[spec.kind]
-    return handler(spec.params)
-
-
-def _run_grassmann_census(params) -> List[Dict[str, object]]:
-    n, k, p = params["n"], params["k"], params["prime"]
-    fld = Field(p)
-    enumerated = sum(1 for _ in enumerate_grassmannian(n, k, fld))
-    formula = gaussian_binomial(n, k, p)
-    return [
-        {
-            "experiment": "grassmann-census",
-            "n": n,
-            "k": k,
-            "prime": p,
-            "enumerated": enumerated,
-            "formula": formula,
-            "verdict_match": enumerated == formula,
-        }
-    ]
-
-
-def _run_degenerate(params) -> List[Dict[str, object]]:
-    n, k, r, p = params["n"], params["k"], params["r"], params["prime"]
-    fld = Field(p)
-    cfg = gen_degenerate(n, k, r, fld)
-    index = incidence.incidence_count(cfg)
-    row = {
-        "experiment": "degenerate",
-        "n": n,
-        "k": k,
-        "r": r,
-        "prime": p,
-        "num_points": len(cfg.points),
-        "num_flats": len(cfg.flats),
-        "incidences": index.total,
-        "verdict_worst_case": index.total == len(cfg.points) * len(cfg.flats),
-        "expected_flats": gaussian_binomial(n - r, k - r, p),
-        "asymptotic_flats": p ** ((k - r) * (n - k)),
-    }
-    if 2 <= k <= n - 2:
-        report = incidence.check_main_bound(cfg)
-        row["ratio_main_bound"] = _sig(report.ratios["main_bound"])
-        row["dominant_term"] = report.notes["dominant_term"]
-    return [row]
-
-
-def _run_nk_set(params) -> List[Dict[str, object]]:
-    n, k, p = params["n"], params["k"], params["prime"]
-    translate = params.get("translate", "random")
-    seeds = params.get("seeds", [0])
-    slack = params.get("slack", 8)
-    fld = Field(p)
-    exponent = Fraction(k * n + k + 1, k + 1)
-    rows = []
-    for seed in seeds:
-        e = gen_nk_set(n, k, fld, translate_rule=translate, seed=seed)
-        size = len(e)
-        # |E| >= p^exponent / slack, cross-multiplied over integers.
-        holds = (slack * size) ** exponent.denominator >= p**exponent.numerator
-        rows.append(
-            {
-                "experiment": "nk-set",
-                "n": n,
-                "k": k,
-                "prime": p,
-                "translate": translate,
-                "seed": seed,
-                "set_size": size,
-                "bound_exponent": f"{exponent.numerator}/{exponent.denominator}",
-                "slack": slack,
-                "verdict_lower_bound": holds,
-            }
-        )
-    return rows
+    params, kind = spec.params, KINDS[spec.kind]
+    prefix = {"experiment": spec.kind, **{key: params[key] for key in _PREFIX_KEYS if key in params}}
+    if "num_directions" in kind.required:
+        return [{**prefix, "seed": seed, **kind.rows(params, cfg)} for seed, cfg in _corpus(params)]
+    return [{**prefix, **columns} for columns in kind.rows(params)]
 
 
 def _corpus(params):
@@ -295,169 +172,175 @@ def _corpus(params):
         )
 
 
-def _run_incidence_bound(params) -> List[Dict[str, object]]:
-    rows = []
-    for seed, cfg in _corpus(params):
-        report = incidence.check_main_bound(cfg)
-        row = {
-            "experiment": "incidence-bound",
-            "n": cfg.n,
-            "k": cfg.k,
-            "prime": cfg.field.p,
-            "seed": seed,
-        }
-        row.update(report.counts)
-        row["ratio_main_bound"] = _sig(report.ratios["main_bound"])
-        row["dominant_term"] = report.notes.get("dominant_term")
-        if "p_exp" in params and "q_exp" in params:
-            mic = incidence.check_max_ic(cfg, params["p_exp"], params["q_exp"])
-            row["ratio_max_ic"] = _sig(mic.ratio_float)
-            row["verdict_sup_chain"] = mic.chain_holds
-        rows.append(row)
-    return rows
-
-
-def _run_two_ends(params) -> List[Dict[str, object]]:
-    r = params["r"]
-    rows = []
-    for seed, cfg in _corpus(params):
-        index = incidence.incidence_count(cfg)
-        decomp = incidence.jr_decompose(cfg, r, index)
-        row = {
-            "experiment": "two-ends",
-            "n": cfg.n,
-            "k": cfg.k,
-            "r": r,
-            "prime": cfg.field.p,
-            "seed": seed,
-            "incidences": index.total,
-            "jr_total": decomp.total,
-            "verdict_partition": sum(decomp.strata) == decomp.total,
-            "verdict_stratum0": decomp.strata[0] == index.total,
-        }
-        for j, count in enumerate(decomp.strata):
-            row[f"stratum_{j}"] = count
-        rows.append(row)
-    return rows
-
-
-def _run_refinement_chain(params) -> List[Dict[str, object]]:
-    rows = []
-    for seed, cfg in _corpus(params):
-        base = {
-            "experiment": "refinement-chain",
-            "n": cfg.n,
-            "k": cfg.k,
-            "prime": cfg.field.p,
-            "seed": seed,
-        }
-        index = incidence.incidence_count(cfg)
-        if index.total == 0:
-            base["incidences"] = 0
-            rows.append(base)
-            continue
-        chain = incidence.build_refinement_chain(cfg)
-        base.update(
-            {
-                "incidences": index.total,
-                "refined_incidences": chain.refined.refined_total,
-                "refined_flats": chain.refined.num_flats,
-                "ik_prime": chain.ik_prime,
-                "ik": chain.ik,
-                "vk_prime": chain.vk_prime,
-                "vk": chain.vk,
-                "vkp": chain.vkp,
-                "d_size": chain.d_size,
-                "verdict_holder_lower": chain.holder_lower_holds,
-                "verdict_cs_lower": chain.cs_lower_holds,
-            }
-        )
-        rows.append(base)
-    return rows
-
-
-def _run_simplex_bounds(params) -> List[Dict[str, object]]:
-    rows = []
-    for seed, cfg in _corpus(params):
-        report = simplex.simplex_bound_report(cfg)
-        row = {
-            "experiment": "simplex-bounds",
-            "n": cfg.n,
-            "k": cfg.k,
-            "prime": cfg.field.p,
-            "seed": seed,
-        }
-        row.update(report.counts)
-        for name, value in report.ratios.items():
-            row[f"ratio_{name}"] = _sig(value)
-        for name, value in report.verdicts.items():
-            row[f"verdict_{name}"] = value
-        row.update(report.notes)
-        rows.append(row)
-    return rows
-
-
-def _run_maximal_ratio(params) -> List[Dict[str, object]]:
+def _census_rows(params) -> List[Dict[str, object]]:
     n, k, p = params["n"], params["k"], params["prime"]
+    enumerated = sum(1 for _ in enumerate_grassmannian(n, k, Field(p)))
+    formula = gaussian_binomial(n, k, p)
+    return [{"enumerated": enumerated, "formula": formula, "verdict_match": enumerated == formula}]
+
+
+def _main_bound_columns(report) -> Dict[str, object]:
+    return {
+        "ratio_main_bound": _sig(report.ratios["main_bound"]),
+        "dominant_term": report.notes["dominant_term"],
+    }
+
+
+def _degenerate_rows(params) -> List[Dict[str, object]]:
+    n, k, r, p = params["n"], params["k"], params["r"], params["prime"]
+    cfg = gen_degenerate(n, k, r, Field(p))
+    index = incidence.incidence_count(cfg)
+    row = {
+        "num_points": len(cfg.points),
+        "num_flats": len(cfg.flats),
+        "incidences": index.total,
+        "verdict_worst_case": index.total == len(cfg.points) * len(cfg.flats),
+        "expected_flats": gaussian_binomial(n - r, k - r, p),
+        "asymptotic_flats": p ** ((k - r) * (n - k)),
+    }
+    if 2 <= k <= n - 2:
+        row.update(_main_bound_columns(incidence.check_main_bound(cfg)))
+    return [row]
+
+
+def _nk_set_rows(params) -> List[Dict[str, object]]:
+    n, k, p = params["n"], params["k"], params["prime"]
+    translate = params.get("translate", "random")
+    slack = params.get("slack", 8)
     fld = Field(p)
+    exponent = Fraction(k * n + k + 1, k + 1)
+    rows = []
+    for seed in params.get("seeds", [0]):
+        size = len(gen_nk_set(n, k, fld, translate_rule=translate, seed=seed))
+        rows.append(
+            {
+                "translate": translate,
+                "seed": seed,
+                "set_size": size,
+                "bound_exponent": _num_den(exponent),
+                "slack": slack,
+                # |E| >= p^exponent / slack, cross-multiplied over integers.
+                "verdict_lower_bound": (slack * size) ** exponent.denominator >= p**exponent.numerator,
+            }
+        )
+    return rows
+
+
+def _incidence_bound_row(params, cfg) -> Dict[str, object]:
+    report = incidence.check_main_bound(cfg)
+    row = {**report.counts, **_main_bound_columns(report)}
+    if "p_exp" in params and "q_exp" in params:
+        mic = incidence.check_max_ic(cfg, params["p_exp"], params["q_exp"])
+        row["ratio_max_ic"] = _sig(mic.ratio_float)
+        row["verdict_sup_chain"] = mic.chain_holds
+    return row
+
+
+def _two_ends_row(params, cfg) -> Dict[str, object]:
+    index = incidence.incidence_count(cfg)
+    decomp = incidence.jr_decompose(cfg, params["r"], index)
+    return {
+        "incidences": index.total,
+        "jr_total": decomp.total,
+        "verdict_partition": sum(decomp.strata) == decomp.total,
+        "verdict_stratum0": decomp.strata[0] == index.total,
+        **{f"stratum_{j}": count for j, count in enumerate(decomp.strata)},
+    }
+
+
+def _refinement_chain_row(params, cfg) -> Dict[str, object]:
+    index = incidence.incidence_count(cfg)
+    if index.total == 0:
+        return {"incidences": 0}
+    chain = incidence.build_refinement_chain(cfg)
+    return {
+        "incidences": index.total,
+        "refined_incidences": chain.refined.refined_total,
+        "refined_flats": chain.refined.num_flats,
+        **{name: getattr(chain, name) for name in ("ik_prime", "ik", "vk_prime", "vk", "vkp", "d_size")},
+        "verdict_holder_lower": chain.holder_lower_holds,
+        "verdict_cs_lower": chain.cs_lower_holds,
+    }
+
+
+def _simplex_bounds_row(params, cfg) -> Dict[str, object]:
+    report = simplex.simplex_bound_report(cfg)
+    return {
+        **report.counts,
+        **{f"ratio_{name}": _sig(value) for name, value in report.ratios.items()},
+        **{f"verdict_{name}": value for name, value in report.verdicts.items()},
+        **report.notes,
+    }
+
+
+def _maximal_ratio_rows(params) -> List[Dict[str, object]]:
     result = maximal.empirical_norm_search(
-        n, k, fld, params["p_exp"], params["q_exp"], seed=params.get("seed", 0)
+        params["n"], params["k"], Field(params["prime"]), params["p_exp"], params["q_exp"],
+        seed=params.get("seed", 0),
     )
+    return [
+        {
+            "p_exp": _num_den(params["p_exp"]),
+            "q_exp": _num_den(params["q_exp"]),
+            "candidate": name,
+            "ratio": _sig(result.all_ratios[name]),
+            "verdict_best": name == result.best_name,
+        }
+        for name in sorted(result.all_ratios)
+    ]
+
+
+def _exponent_identity_rows(params) -> List[Dict[str, object]]:
     rows = []
-    for name in sorted(result.all_ratios):
-        rows.append(
-            {
-                "experiment": "maximal-ratio",
-                "n": n,
-                "k": k,
-                "prime": p,
-                "p_exp": _render_value(params["p_exp"]),
-                "q_exp": _render_value(params["q_exp"]),
-                "candidate": name,
-                "ratio": _sig(result.all_ratios[name]),
-                "verdict_best": name == result.best_name,
-            }
+    for k in range(2, params["kmax"] + 1):
+        rows.append({"k": k, "r": "", "verdict_main_identity": exponents.verify_identity_main(k), "chain_variant": ""})
+        rows.extend(
+            {"k": k, "r": r, "verdict_main_identity": "", "chain_variant": exponents.verify_identity_chain(k, r).value}
+            for r in range(1, k - 1)
         )
     return rows
 
 
-def _run_exponent_identities(params) -> List[Dict[str, object]]:
-    kmax = params["kmax"]
-    rows = []
-    for k in range(2, kmax + 1):
-        rows.append(
-            {
-                "experiment": "exponent-identities",
-                "k": k,
-                "r": "",
-                "verdict_main_identity": exponents.verify_identity_main(k),
-                "chain_variant": "",
-            }
-        )
-        for r in range(1, k - 1):
-            rows.append(
-                {
-                    "experiment": "exponent-identities",
-                    "k": k,
-                    "r": r,
-                    "verdict_main_identity": "",
-                    "chain_variant": exponents.verify_identity_chain(k, r).value,
-                }
-            )
-    return rows
+class Kind(NamedTuple):
+    """One experiment kind.  `in_domain` takes the spec's parameters as
+    keywords; `domain` states it for the error message.  A kind that needs
+    `num_directions` is a corpus kind: its `rows(params, cfg)` gives the
+    columns of one seed's configuration.  Any other kind's `rows(params)`
+    gives a list of column dicts."""
+
+    required: set
+    optional: set
+    domain: str
+    in_domain: Callable[..., bool]
+    rows: Callable
 
 
-_HANDLERS = {
-    "grassmann-census": _run_grassmann_census,
-    "degenerate": _run_degenerate,
-    "nk-set": _run_nk_set,
-    "incidence-bound": _run_incidence_bound,
-    "two-ends": _run_two_ends,
-    "refinement-chain": _run_refinement_chain,
-    "simplex-bounds": _run_simplex_bounds,
-    "maximal-ratio": _run_maximal_ratio,
-    "exponent-identities": _run_exponent_identities,
+_CORPUS_KEYS = {"n", "k", "prime", "num_directions", "density"}
+
+KINDS: Dict[str, Kind] = {
+    "grassmann-census": Kind({"n", "k", "prime"}, set(), "0 <= k <= n",
+                             lambda n, k, **_: 0 <= k <= n, _census_rows),
+    "degenerate": Kind({"n", "k", "r", "prime"}, set(), "1 <= r < k <= n-1",
+                       lambda n, k, r, **_: 1 <= r < k <= n - 1, _degenerate_rows),
+    "nk-set": Kind({"n", "k", "prime"}, {"translate", "seeds", "slack"}, "1 <= k <= n-1 and slack >= 1",
+                   lambda n, k, slack=8, **_: 1 <= k <= n - 1 and slack >= 1, _nk_set_rows),
+    "incidence-bound": Kind(_CORPUS_KEYS, {"seeds", "p_exp", "q_exp"}, "2 <= k <= n-2",
+                            lambda n, k, **_: 2 <= k <= n - 2, _incidence_bound_row),
+    "two-ends": Kind(_CORPUS_KEYS | {"r"}, {"seeds"}, "1 <= r <= k <= n",
+                     lambda n, k, r, **_: 1 <= r <= k <= n, _two_ends_row),
+    "refinement-chain": Kind(_CORPUS_KEYS, {"seeds"}, "1 <= k <= n",
+                             lambda n, k, **_: 1 <= k <= n, _refinement_chain_row),
+    "simplex-bounds": Kind(_CORPUS_KEYS, {"seeds"}, "1 <= k <= n",
+                           lambda n, k, **_: 1 <= k <= n, _simplex_bounds_row),
+    "maximal-ratio": Kind({"n", "k", "prime", "p_exp", "q_exp"}, {"seed"}, "0 <= k <= n",
+                          lambda n, k, **_: 0 <= k <= n, _maximal_ratio_rows),
+    "exponent-identities": Kind({"kmax"}, set(), "kmax >= 2",
+                                lambda kmax, **_: kmax >= 2, _exponent_identity_rows),
 }
+
+
+def _num_den(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _sig(value: Optional[float], digits: int = 6) -> Optional[float]:
@@ -471,24 +354,18 @@ def _sig(value: Optional[float], digits: int = 6) -> Optional[float]:
 
 
 def write_csv(rows: Sequence[Dict[str, object]], path: Path) -> None:
-    columns: List[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    lines = [f"# generated {datetime.now(timezone.utc).isoformat()}"]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_csv_cell(row.get(col)) for col in columns))
-    path.write_text("\n".join(lines) + "\n")
+    columns = list(dict.fromkeys(key for row in rows for key in row))
+    with path.open("w", newline="") as fh:
+        fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_csv_cell(row.get(col)) for col in columns] for row in rows)
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
+def _csv_cell(value):
     if isinstance(value, bool):
         return "true" if value else "false"
-    return str(value)
+    return value
 
 
 def write_json(rows: Sequence[Dict[str, object]], path: Path) -> None:
@@ -556,10 +433,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"spec error: {exc}", file=sys.stderr)
                 return 1
         if args.seed is not None:
-            allowed = _SCHEMAS[spec.kind][0] | _SCHEMAS[spec.kind][1]
-            if "seeds" in allowed:
+            optional = KINDS[spec.kind].optional
+            if "seeds" in optional:
                 spec.params["seeds"] = [args.seed]
-            elif "seed" in allowed:
+            elif "seed" in optional:
                 spec.params["seed"] = args.seed
         rows = run_experiment(spec, budget=args.budget)
     except SpecError as exc:

@@ -269,9 +269,7 @@ def check_main_bound(config: Configuration) -> CountReport:
         raise PreconditionError(f"need 2 <= k <= n-2, got n={n}, k={k}")
     if not config.direction_separated:
         raise PreconditionError("configuration is not direction separated")
-    report = CountReport(
-        "main-bound", params={"n": n, "k": k, "p": p}
-    )
+    report = CountReport()
     index = incidence_count(config)
     report.counts.update(
         {

@@ -15,8 +15,6 @@ class CountReport:
     the pass/fail decisions, each computed by exact integer arithmetic.
     """
 
-    experiment: str
-    params: Dict[str, object] = field(default_factory=dict)
     counts: Dict[str, int] = field(default_factory=dict)
     ratios: Dict[str, Optional[float]] = field(default_factory=dict)
     verdicts: Dict[str, object] = field(default_factory=dict)

@@ -220,8 +220,8 @@ def simplex_bound_report(config: Configuration) -> CountReport:
     """Exact |S_k|, |V_k|, |I~|, |Pi~| and the three bound expressions: the
     deleted-spine upper bound, the inductive lower bound and the
     independence heuristic.  Ratios are reported, never asserted."""
-    n, k, p = config.n, config.k, config.field.p
-    report = CountReport("simplex-bounds", params={"n": n, "k": k, "p": p})
+    k, p = config.k, config.field.p
+    report = CountReport()
     if not config.direction_separated:
         raise ValueError("configuration is not direction separated")
     index = incidence_count(config)

@@ -103,6 +103,69 @@ class TestRunExperiment:
         with pytest.raises(cli.BudgetError):
             cli.run_experiment(spec, budget=1)
 
+    def test_two_ends_estimate_counts_tuples(self):
+        # jr_decompose counts 35 294 700 (r+1)-tuples on this spec.
+        spec = cli.parse_spec(
+            "experiment=two-ends n=4 k=2 r=2 prime=7 num_directions=300 density=1"
+        )
+        assert cli.estimate_work(spec) >= 35_294_700
+
+    @pytest.mark.parametrize(
+        "text,columns",
+        [
+            (
+                "experiment=grassmann-census n=3 k=1 prime=2",
+                "n k prime enumerated formula verdict_match",
+            ),
+            (
+                "experiment=degenerate n=4 k=2 r=1 prime=3",
+                "n k r prime num_points num_flats incidences verdict_worst_case expected_flats "
+                "asymptotic_flats ratio_main_bound dominant_term",
+            ),
+            (
+                "experiment=nk-set n=3 k=1 prime=3",
+                "n k prime translate seed set_size bound_exponent slack verdict_lower_bound",
+            ),
+            (
+                "experiment=incidence-bound n=4 k=2 prime=3 num_directions=4 density=1/2 "
+                "p_exp=11/6 q_exp=22/5",
+                "n k prime seed num_points num_flats incidences refined_incidences refined_flats "
+                "bucket_level ratio_main_bound dominant_term ratio_max_ic verdict_sup_chain",
+            ),
+            (
+                "experiment=two-ends n=3 k=1 r=1 prime=3 num_directions=4 density=1/2",
+                "n k r prime seed incidences jr_total verdict_partition verdict_stratum0 "
+                "stratum_0 stratum_1",
+            ),
+            (
+                "experiment=refinement-chain n=3 k=1 prime=3 num_directions=4 density=1/2",
+                "n k prime seed incidences refined_incidences refined_flats ik_prime ik vk_prime "
+                "vk vkp d_size verdict_holder_lower verdict_cs_lower",
+            ),
+            (
+                "experiment=simplex-bounds n=3 k=2 prime=3 num_directions=6 density=1/2",
+                "n k prime seed num_points num_flats incidences simplices simplices_ordered vk "
+                "vk_del refined_incidences refined_flats ratio_upper ratio_lower ratio_heuristic "
+                "verdict_spine_deletion_lower lambda_max_flats",
+            ),
+            (
+                "experiment=maximal-ratio n=3 k=1 prime=3 p_exp=3/2 q_exp=3",
+                "n k prime p_exp q_exp candidate ratio verdict_best",
+            ),
+            (
+                "experiment=exponent-identities kmax=3",
+                "k r verdict_main_identity chain_variant",
+            ),
+        ],
+        ids=[
+            "grassmann-census", "degenerate", "nk-set", "incidence-bound", "two-ends",
+            "refinement-chain", "simplex-bounds", "maximal-ratio", "exponent-identities",
+        ],
+    )
+    def test_column_layout(self, text, columns):
+        rows = cli.run_experiment(cli.parse_spec(text))
+        assert list(rows[0]) == ["experiment"] + columns.split()
+
 
 class TestMainEntryPoint:
     def test_census_subcommand(self, capsys):
@@ -132,8 +195,13 @@ class TestMainEntryPoint:
             ("experiment=two-ends n=3 k=1 r=1 prime=3 num_directions=4 density=1/2 seeds=5..1", 1),
             # The budget estimate passes; the 5 M tuple guard of jr_decompose refuses.
             ("experiment=two-ends n=4 k=2 r=2 prime=7 num_directions=300 density=1", 2),
+            ("experiment=exponent-identities kmax=1", 1),
+            ("experiment=nk-set n=3 k=1 prime=3 slack=0", 1),
         ],
-        ids=["k_above_n", "bogus_translate", "zero_density", "p_exp_below_1", "empty_seeds", "tuple_guard"],
+        ids=[
+            "k_above_n", "bogus_translate", "zero_density", "p_exp_below_1", "empty_seeds", "tuple_guard",
+            "kmax_below_2", "zero_slack",
+        ],
     )
     def test_domain_and_guard_exit_codes(self, tmp_path, text, code):
         spec = tmp_path / "s.spec"
@@ -155,6 +223,9 @@ class TestMainEntryPoint:
 
     def test_verify_exponents(self, capsys):
         assert cli.main(["verify-exponents", "--kmax", "8"]) == 0
+
+    def test_verify_exponents_kmax_below_2_exits_1(self, capsys):
+        assert cli.main(["verify-exponents", "--kmax", "1"]) == 1
 
     def test_selftest(self, capsys):
         assert cli.main(["selftest"]) == 0
