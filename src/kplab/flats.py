@@ -3,16 +3,30 @@
 Subspaces carry a canonical RREF basis, flats carry a canonical coset
 representative (zero in every pivot coordinate of the direction), so
 equality and hashing are structural throughout.
+
+Which coset of a direction holds a point is answered by one packed integer
+key, the digits a_i . x mod p of the annihilator rows a_i of the direction
+(`coset_key`, `membership` and `coset_sums`).  The rows, and a flat's own
+key, are kept on the instance the first time they are needed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .field import Field
-from .linalg import RrefBasis, Vector, in_span, null_space, reduce_vector, rref, solve_affine_system
+from .linalg import (
+    RrefBasis,
+    Vector,
+    in_span,
+    null_space_rows,
+    reduce_vector,
+    rref,
+    solve_affine_system,
+)
 
 W = TypeVar("W")
 
@@ -116,46 +130,75 @@ def enumerate_points(flat: AffineFlat, field: Field) -> Iterator[Vector]:
     if not rows:
         yield rep
         return
-    n = flat.ambient
+    p = field.p
     for coeffs in itertools.product(field.elements(), repeat=len(rows)):
         point = list(rep)
         for c, row in zip(coeffs, rows):
             if c:
-                point = [field.add(x, field.mul(c, y)) for x, y in zip(point, row)]
+                point = [(x + c * y) % p for x, y in zip(point, row)]
         yield tuple(point)
+
+
+def _packed_key(point: Vector, rows: Tuple[Vector, ...], p: int) -> int:
+    """The coset key of `point`: the residues a . x mod p of the annihilator
+    rows a, read as the base-p digits of one int.  Two points share a key
+    exactly when their difference lies in the direction."""
+    key = 0
+    for row in rows:
+        key = key * p + sum(map(mul, row, point)) % p
+    return key
+
+
+def _annihilator(direction: LinearSubspace, field: Field) -> Tuple[Vector, ...]:
+    """Independent rows of the functionals vanishing on `direction`, computed
+    once per subspace instance (which, unlike its basis, fixes the ambient n)."""
+    cached = direction.__dict__.get("_annihilator")
+    if cached is None or cached[0] != field.p:
+        cached = (field.p, null_space_rows(direction.basis, direction.ambient, field))
+        object.__setattr__(direction, "_annihilator", cached)
+    return cached[1]
+
+
+def coset_key(point: Vector, direction: LinearSubspace, field: Field) -> int:
+    """The key of the coset of `direction` holding `point`, as `coset_sums`
+    keys it."""
+    return _packed_key(point, _annihilator(direction, field), field.p)
 
 
 def membership(point: Vector, flat: AffineFlat, field: Field) -> bool:
     """Whether the point lies on the flat: its coset key under the flat's
-    direction equals the flat's representative.  Exact because make_flat is
-    the only constructor of AffineFlat and always canonicalises."""
-    return reduce_vector(point, flat.direction.basis, field) == flat.representative
+    direction equals the flat's own, which is computed once per flat."""
+    cached = flat.__dict__.get("_key")
+    if cached is None or cached[0] != field.p:
+        rows = _annihilator(flat.direction, field)
+        cached = (field.p, rows, _packed_key(flat.representative, rows, field.p))
+        object.__setattr__(flat, "_key", cached)
+    p, rows, key = cached
+    return _packed_key(point, rows, p) == key
 
 
 def coset_sums(
     weighted: Iterable[Tuple[Vector, W]], direction: LinearSubspace, field: Field
-) -> Dict[Vector, W]:
-    """Total weight per coset of `direction`, keyed by the coset's canonical
-    representative (the key make_flat and membership use); cosets holding
-    no point are absent."""
-    sums: Dict[Vector, W] = {}
+) -> Dict[int, W]:
+    """Total weight per coset of `direction`, keyed by the coset's packed
+    integer key (the key `membership` and `coset_key` use); cosets holding no
+    point are absent."""
+    p = field.p
+    rows = _annihilator(direction, field)
+    sums: Dict[int, W] = {}
     for point, weight in weighted:
-        rep = reduce_vector(point, direction.basis, field)
-        sums[rep] = sums.get(rep, 0) + weight
+        key = _packed_key(point, rows, p)
+        sums[key] = sums.get(key, 0) + weight
     return sums
 
 
 def flat_equations(flat: AffineFlat, field: Field) -> List[Tuple[Vector, int]]:
     """The n - dim linear equations c . x = c . rep cutting out the flat."""
-    n = flat.ambient
-    functionals = null_space(flat.direction.basis, n, field)
-    eqs = []
-    for c in functionals.rows:
-        rhs = 0
-        for ci, xi in zip(c, flat.representative):
-            rhs = field.add(rhs, field.mul(ci, xi))
-        eqs.append((c, rhs))
-    return eqs
+    p = field.p
+    return [
+        (c, sum(map(mul, c, flat.representative)) % p)
+        for c in _annihilator(flat.direction, field)
+    ]
 
 
 def intersect_flats(flats: Sequence[AffineFlat], field: Field) -> Optional[AffineFlat]:
@@ -180,9 +223,8 @@ def affine_hull(points: Sequence[Vector], field: Field) -> Tuple[int, AffineFlat
     if not points:
         raise ValueError("affine hull of empty point set")
     base = points[0]
-    diffs = [
-        tuple(field.sub(a, b) for a, b in zip(q, base)) for q in points[1:]
-    ]
+    p = field.p
+    diffs = [tuple((a - b) % p for a, b in zip(q, base)) for q in points[1:]]
     direction = span_of(diffs, len(base), field)
     return direction.dim, make_flat(direction, base, field)
 

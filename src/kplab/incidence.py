@@ -17,7 +17,15 @@ from typing import Dict, List, Optional, Tuple
 
 from .config import Configuration
 from .exponents import PowerProduct, main_term_exponents
-from .flats import AffineFlat, LinearSubspace, affine_hull, coset_sums, enumerate_points, membership
+from .flats import (
+    AffineFlat,
+    LinearSubspace,
+    affine_hull,
+    coset_key,
+    coset_sums,
+    enumerate_points,
+    membership,
+)
 from .linalg import Vector
 from .reports import CountReport
 
@@ -357,7 +365,9 @@ def build_refinement_chain(config: Configuration) -> RefinementChainReport:
         pts = index.points[flat]
         # A spine spanned by points of this flat lies in it, so its points of
         # P are among the flat's own: bin those once per spine direction.
-        spine_bins: Dict[LinearSubspace, Dict[Vector, int]] = {}
+        # Spines of one direction are keyed through the subspace instance the
+        # bins were made with, so only that instance keeps annihilator rows.
+        spine_bins: Dict[LinearSubspace, Tuple[LinearSubspace, Dict[int, int]]] = {}
         for tup in itertools.product(pts, repeat=k):
             key = tuple(sorted(set(tup)))
             cached = hull_cache.get(key)
@@ -368,11 +378,12 @@ def build_refinement_chain(config: Configuration) -> RefinementChainReport:
             if dim != k - 1:
                 continue
             ik_prime += 1
-            bins = spine_bins.get(hull.direction)
-            if bins is None:
-                bins = coset_sums(((q, 1) for q in pts), hull.direction, fld)
-                spine_bins[hull.direction] = bins
-            if bins.get(hull.representative, 0) >= spine_threshold:
+            entry = spine_bins.get(hull.direction)
+            if entry is None:
+                entry = (hull.direction, coset_sums(((q, 1) for q in pts), hull.direction, fld))
+                spine_bins[hull.direction] = entry
+            direction, bins = entry
+            if bins.get(coset_key(hull.representative, direction, fld), 0) >= spine_threshold:
                 ik += 1
                 groups[tup].append(flat)
                 hulls[tup] = hull

@@ -34,6 +34,7 @@ def _eliminate(rows: list[list[int]], field: Field) -> Tuple[list[list[int]], li
     if not rows:
         return [], []
     n = len(rows[0])
+    p = field.p
     pivots: list[int] = []
     rank = 0
     for col in range(n):
@@ -46,11 +47,11 @@ def _eliminate(rows: list[list[int]], field: Field) -> Tuple[list[list[int]], li
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
         inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, x) for x in rows[rank]]
+        pivot = rows[rank] = [inv * x % p for x in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][col] != 0:
                 factor = rows[i][col]
-                rows[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(rows[i], rows[rank])]
+                rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], pivot)]
         pivots.append(col)
         rank += 1
     return rows[:rank], pivots
@@ -75,16 +76,37 @@ def reduce_vector(v: Vector, basis: RrefBasis, field: Field) -> Vector:
     The result has a zero in each pivot column; it is the zero vector iff v
     lies in the span of the basis.
     """
-    out = list(v)
+    p = field.p
+    out = v
     for row, piv in zip(basis.rows, basis.pivots):
         coeff = out[piv]
         if coeff != 0:
-            out = [field.sub(x, field.mul(coeff, y)) for x, y in zip(out, row)]
+            out = [(x - coeff * y) % p for x, y in zip(out, row)]
     return tuple(out)
 
 
 def in_span(v: Vector, basis: RrefBasis, field: Field) -> bool:
     return all(x == 0 for x in reduce_vector(v, basis, field))
+
+
+def null_space_rows(basis: RrefBasis, n: int, field: Field) -> Tuple[Vector, ...]:
+    """Independent rows spanning {c in F^n : B c = 0} for the row space B,
+    one per free column j: 1 at j and -B[i][j] at the pivot of row i.
+
+    Deterministic per basis but not in RREF; null_space canonicalises them.
+    """
+    p = field.p
+    pivot_set = set(basis.pivots)
+    rows: list[Vector] = []
+    for j in range(n):
+        if j in pivot_set:
+            continue
+        vec = [0] * n
+        vec[j] = 1
+        for row, piv in zip(basis.rows, basis.pivots):
+            vec[piv] = -row[j] % p
+        rows.append(tuple(vec))
+    return tuple(rows)
 
 
 def null_space(basis: RrefBasis, n: int, field: Field) -> RrefBasis:
@@ -93,17 +115,7 @@ def null_space(basis: RrefBasis, n: int, field: Field) -> RrefBasis:
     Applying this to a subspace basis yields the linear functionals cutting
     out the subspace, which is how flats turn into equation systems.
     """
-    pivot_set = set(basis.pivots)
-    free_cols = [j for j in range(n) if j not in pivot_set]
-    rows: list[Vector] = []
-    for j in free_cols:
-        vec = [0] * n
-        vec[j] = 1
-        for row, piv in zip(basis.rows, basis.pivots):
-            vec[piv] = field.neg(row[j])
-        rows.append(tuple(vec))
-    # Rows are already independent; run rref to get the canonical form.
-    return rref(rows, field)
+    return rref(null_space_rows(basis, n, field), field)
 
 
 def solve_affine_system(

@@ -71,12 +71,15 @@ def apply_maximal(f: GridFunction, n: int, k: int) -> Dict[LinearSubspace, Fract
     """For each direction, the maximum coset sum of f.
 
     The sup over all translates x + pi equals the max over the p^{n-k}
-    cosets of pi, so each nonzero point is binned by its canonical coset
-    representative and the per-direction max is taken over the bins.
+    cosets of pi, so each nonzero point is binned by its coset key and the
+    per-direction max is taken over the bins.  The values are scaled once by
+    the lcm of their denominators, so the bins sum plain ints.
     """
     fld = f.field
+    scale = math.lcm(*(v.denominator for _, v in f.values))
+    scaled = [(pt, v.numerator * (scale // v.denominator)) for pt, v in f.values]
     return {
-        pi: max(coset_sums(f.values, pi, fld).values(), default=Fraction(0))
+        pi: Fraction(max(coset_sums(scaled, pi, fld).values(), default=0), scale)
         for pi in enumerate_grassmannian(n, k, fld)
     }
 

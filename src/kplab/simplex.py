@@ -196,20 +196,19 @@ def lambda_flat_counts(config: Configuration, chain: RefinementChainReport) -> T
     """For each deleted-spine plane pair, the number of family flats lying
     inside the (k+1)-dimensional span of the pair."""
     fld = config.field
+    p = fld.p
     counts = []
     for pi0, pi in sorted(
         _deleted_pairs(chain),
         key=lambda pr: (pr[0].representative, pr[0].direction.basis.rows,
                         pr[1].representative, pr[1].direction.basis.rows),
     ):
-        diff = tuple(fld.sub(a, b) for a, b in zip(pi.representative, pi0.representative))
+        diff = tuple((a - b) % p for a, b in zip(pi.representative, pi0.representative))
         rows = pi0.direction.basis.rows + pi.direction.basis.rows + (diff,)
         span = span_of(rows, config.n, fld)
         inside = 0
         for flat in chain.refined.flats:
-            rep_diff = tuple(
-                fld.sub(a, b) for a, b in zip(flat.representative, pi0.representative)
-            )
+            rep_diff = tuple((a - b) % p for a, b in zip(flat.representative, pi0.representative))
             if span.contains(rep_diff, fld) and span.contains_subspace(flat.direction, fld):
                 inside += 1
         counts.append(inside)

@@ -7,6 +7,8 @@ from conftest import random_vectors
 from kplab.field import Field
 from kplab.flats import (
     affine_hull,
+    coset_key,
+    coset_sums,
     enumerate_coset_representatives,
     enumerate_grassmannian,
     enumerate_points,
@@ -18,7 +20,7 @@ from kplab.flats import (
     span_of,
     zero_subspace,
 )
-from kplab.linalg import in_span
+from kplab.linalg import in_span, reduce_vector
 
 
 def line(fld, n, direction, point):
@@ -113,6 +115,45 @@ def test_membership_matches_span_definition():
             assert membership(x, flat, fld) == expected
             outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_packed_key_matches_canonical_representative(p):
+    # The packed key of x (what coset_sums bins by) must separate cosets
+    # exactly as the canonical representative reduce_vector(x) does, for
+    # every k, including 0 (one coset per point) and n (a single coset); a
+    # subspace's basis alone does not fix its ambient n at k = 0.
+    fld = Field(p)
+    rng = random.Random(p)
+    for n in range(1, 5):
+        for k in range(n + 1):
+            direction = zero_subspace(n)
+            while direction.dim != k:
+                direction = span_of(random_vectors(n, p, k, rng), n, fld)
+
+            def key(x):
+                (only,) = coset_sums([(x, 1)], direction, fld)
+                return only
+
+            seen = set()
+            for _ in range(40):
+                x = random_vectors(n, p, 1, rng)[0]
+                if rng.random() < 0.5:
+                    # y in the coset of x: add a random element of the direction.
+                    y = x
+                    for row in direction.basis.rows:
+                        c = rng.randrange(p)
+                        y = tuple((a + c * b) % p for a, b in zip(y, row))
+                else:
+                    y = random_vectors(n, p, 1, rng)[0]
+                same = reduce_vector(x, direction.basis, fld) == reduce_vector(y, direction.basis, fld)
+                assert (key(x) == key(y)) == same
+                assert 0 <= key(x) < p ** (n - k)
+                assert key(x) == coset_key(x, direction, fld)
+                assert membership(y, make_flat(direction, x, fld), fld) == same
+                seen.add(same)
+            if k < n:
+                assert seen == {True, False}
 
 
 def test_make_flat_canonicalizes_representative():

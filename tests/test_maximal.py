@@ -58,6 +58,35 @@ def test_oracle_equivalence_small():
         assert apply_maximal(f, 2, 1) == apply_maximal_bruteforce(f, 2, 1)
 
 
+@pytest.mark.parametrize("n, k, p", [(2, 1, 5), (3, 1, 3), (3, 2, 3)])
+def test_oracle_equivalence_mixed_denominators(n, k, p):
+    # apply_maximal sums ints scaled by the lcm of the denominators; the
+    # oracle sums the Fractions themselves.
+    import itertools
+    import random
+
+    fld = Field(p)
+    rng = random.Random(n * 100 + k * 10 + p)
+    palette = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 12), Fraction(1), Fraction(9, 4)]
+    for _ in range(4):
+        values = {
+            pt: rng.choice(palette)
+            for pt in itertools.product(range(p), repeat=n)
+            if rng.random() < 0.6
+        }
+        f = GridFunction.from_dict(fld, n, values)
+        tf = apply_maximal(f, n, k)
+        assert tf == apply_maximal_bruteforce(f, n, k)
+        assert len({v.denominator for v in tf.values()}) > 1
+
+
+def test_mixed_denominators_sum_exactly(f3):
+    pi = span_of([(1, 0)], 2, f3)
+    values = {(0, 1): Fraction(1, 3), (2, 1): Fraction(2, 7), (1, 2): Fraction(5, 12)}
+    f = GridFunction.from_dict(f3, 2, values)
+    assert apply_maximal(f, 2, 1)[pi] == Fraction(13, 21)
+
+
 def test_negative_values_rejected(f3):
     with pytest.raises(ValueError):
         GridFunction.from_dict(f3, 2, {(0, 0): Fraction(-1)})
