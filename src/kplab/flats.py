@@ -7,7 +7,8 @@ equality and hashing are structural throughout.
 Which coset of a direction holds a point is answered by one packed integer
 key, the digits a_i . x mod p of the annihilator rows a_i of the direction
 (`coset_key`, `membership` and `coset_sums`).  The rows, and a flat's own
-key, are kept on the instance the first time they are needed.
+key, are kept on the instance the first time they are needed, and so is
+the hash of every subspace and flat.
 """
 
 from __future__ import annotations
@@ -38,6 +39,14 @@ class LinearSubspace:
     ambient: int
     basis: RrefBasis
 
+    def __hash__(self) -> int:
+        # The dataclass hash of the fields, kept on the instance.
+        kept = self.__dict__
+        value = kept.get("_hash")
+        if value is None:
+            value = kept["_hash"] = hash((self.ambient, self.basis))
+        return value
+
     @property
     def dim(self) -> int:
         return self.basis.rank
@@ -55,6 +64,14 @@ class AffineFlat:
 
     direction: LinearSubspace
     representative: Vector
+
+    def __hash__(self) -> int:
+        # The dataclass hash of the fields, kept on the instance.
+        kept = self.__dict__
+        value = kept.get("_hash")
+        if value is None:
+            value = kept["_hash"] = hash((self.direction, self.representative))
+        return value
 
     @property
     def ambient(self) -> int:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Set, Tuple
 
 from .config import Configuration
-from .flats import AffineFlat, affine_hull, membership, span_of
+from .flats import AffineFlat, affine_hull, make_flat, membership, span_of
 from .incidence import (
     IncidenceIndex,
     RefinementChainReport,
@@ -38,53 +38,57 @@ def count_simplices(
     """Unordered count of (k+2)-point sets spanning dimension k+1 whose k+2
     facet hulls all belong to the flat family.
 
+    The family must be a subset of `config.flats` (the default is all of
+    them): faces and their points come from the incidence index of the
+    configuration, so a family flat outside it raises ValueError.
+
     Fast path: pivot on each flat as a face.  For every spanning (k+1)-subset
-    of its points whose hull is the flat itself, each apex off the face
-    completing a simplex is found through the remaining facet checks; every
-    simplex is discovered once per face, so the tally divides by k+2 exactly.
+    of its points whose hull is the flat itself, the apexes completing a
+    simplex are read off the index: omitting base vertex i leaves k points,
+    and the apexes are the points off the face lying, for every i, on a
+    family flat through those k points.  Such a flat is the facet itself (the
+    apex and the k points span a k-flat inside it), so no facet hull is
+    computed.  Every simplex is discovered once per face, so the tally
+    divides by k+2 exactly.
     """
     fld = config.field
     k = config.k
     family = set(flats if flats is not None else config.flats)
+    if not family.issubset(config.flats):
+        raise ValueError("simplex family holds flats outside config.flats")
     if not family or len(config.points) < k + 2:
         return 0
     if index is None:
         index = incidence_count(config)
-    points = sorted(config.points)
-    hull_cache: Dict[Tuple[Vector, ...], Tuple[int, AffineFlat]] = {}
+    on_point = {pt: family.intersection(fl) for pt, fl in index.per_point.items()}
+    # Points of P on the family flats through a k-subset of a base; the
+    # face's own points are removed per face.
+    around_cache: Dict[Tuple[Vector, ...], Set[Vector]] = {}
 
-    def hull(vertices: Tuple[Vector, ...]) -> Tuple[int, AffineFlat]:
-        cached = hull_cache.get(vertices)
+    def around(rest: Tuple[Vector, ...]) -> Set[Vector]:
+        cached = around_cache.get(rest)
         if cached is None:
-            cached = affine_hull(vertices, fld)
-            hull_cache[vertices] = cached
+            through = family.intersection(*(on_point[q] for q in rest))
+            cached = set().union(*(index.points[f] for f in through))
+            around_cache[rest] = cached
         return cached
 
     face_incidences = 0
     for face, pts in index.points.items():
         if face not in family:
             continue
-        on_face = set(pts)
-        apexes = [q for q in points if q not in on_face]
         for base in itertools.combinations(pts, k + 1):
-            dim, base_hull = hull(base)
+            dim, base_hull = affine_hull(base, fld)
             if dim != k or base_hull != face:
                 continue
-            for apex in apexes:
-                if _completes_simplex(base, apex, family, hull):
-                    face_incidences += 1
+            apexes = around(base[1:]).difference(pts)
+            for omit in range(1, k + 1):
+                if not apexes:
+                    break
+                apexes &= around(base[:omit] + base[omit + 1 :])
+            face_incidences += len(apexes)
     assert face_incidences % (k + 2) == 0
     return face_incidences // (k + 2)
-
-
-def _completes_simplex(base, apex, family, hull) -> bool:
-    k = len(base) - 1
-    for omit in range(len(base)):
-        facet_vertices = tuple(sorted(base[:omit] + base[omit + 1 :] + (apex,)))
-        dim, facet = hull(facet_vertices)
-        if dim != k or facet not in family:
-            return False
-    return True
 
 
 def count_simplices_bruteforce(
@@ -197,6 +201,9 @@ def lambda_flat_counts(config: Configuration, chain: RefinementChainReport) -> T
     inside the (k+1)-dimensional span of the pair."""
     fld = config.field
     p = fld.p
+    # Many pairs share one span (for n = k+1 every pair spans F^n), so the
+    # count is kept per canonical span flat.
+    inside_by_span: Dict[AffineFlat, int] = {}
     counts = []
     for pi0, pi in sorted(
         _deleted_pairs(chain),
@@ -206,11 +213,15 @@ def lambda_flat_counts(config: Configuration, chain: RefinementChainReport) -> T
         diff = tuple((a - b) % p for a, b in zip(pi.representative, pi0.representative))
         rows = pi0.direction.basis.rows + pi.direction.basis.rows + (diff,)
         span = span_of(rows, config.n, fld)
-        inside = 0
-        for flat in chain.refined.flats:
-            rep_diff = tuple((a - b) % p for a, b in zip(flat.representative, pi0.representative))
-            if span.contains(rep_diff, fld) and span.contains_subspace(flat.direction, fld):
-                inside += 1
+        span_flat = make_flat(span, pi0.representative, fld)
+        inside = inside_by_span.get(span_flat)
+        if inside is None:
+            inside = 0
+            for flat in chain.refined.flats:
+                rep_diff = tuple((a - b) % p for a, b in zip(flat.representative, pi0.representative))
+                if span.contains(rep_diff, fld) and span.contains_subspace(flat.direction, fld):
+                    inside += 1
+            inside_by_span[span_flat] = inside
         counts.append(inside)
     return tuple(counts)
 

@@ -162,6 +162,36 @@ def test_make_flat_canonicalizes_representative():
     assert line(f3, 2, (1, 1), (1, 2)) == line(f3, 2, (1, 1), (2, 0))
 
 
+def test_equal_flats_hash_equal():
+    f5 = Field(5)
+    a = make_flat(span_of([(1, 2, 0), (0, 1, 1)], 3, f5), (1, 1, 1), f5)
+    b = make_flat(span_of([(1, 3, 1), (2, 2, 3)], 3, f5), (2, 4, 2), f5)
+    assert a == b and a is not b
+    assert hash(a) == hash(b) and hash(a.direction) == hash(b.direction)
+    # The kept hash is the dataclass hash of the fields, so set and dict
+    # orders are those of structural hashing.
+    assert hash(a) == hash(a) == hash((a.direction, a.representative))
+    assert hash(a.direction) == hash((a.direction.ambient, a.direction.basis))
+    assert len({a, b}) == 1
+
+
+def test_pickle_round_trip_keeps_equality_and_hash():
+    import pickle
+
+    f3 = Field(3)
+    flat = line(f3, 3, (1, 2, 0), (0, 1, 2))
+    fresh = line(f3, 3, (2, 1, 0), (1, 0, 2))
+    hash(flat)  # keep the hashes and the coset key on the instances
+    membership((0, 1, 2), flat, f3)
+    for obj, twin in ((flat, fresh), (flat.direction, fresh.direction)):
+        copy = pickle.loads(pickle.dumps(obj))
+        assert copy == obj == twin
+        assert hash(copy) == hash(obj) == hash(twin)
+        assert copy in {twin}
+    copy = pickle.loads(pickle.dumps(flat))
+    assert membership((0, 1, 2), copy, f3) and not membership((0, 0, 1), copy, f3)
+
+
 class TestIntersection:
     def test_flat_with_itself(self):
         f3 = Field(3)

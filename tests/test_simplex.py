@@ -1,8 +1,9 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from conftest import random_corpus
+from conftest import planted_simplex_config, random_corpus
 from kplab.config import Configuration, gen_degenerate, gen_random_config
 from kplab.field import Field
 from kplab.flats import (
@@ -12,13 +13,16 @@ from kplab.flats import (
     intersect_flats,
     make_flat,
     membership,
+    span_of,
 )
-from kplab.incidence import build_refinement_chain
+from kplab.incidence import build_refinement_chain, refine_dyadic
 from kplab.simplex import (
     SizeError,
+    _deleted_pairs,
     count_chains,
     count_simplices,
     count_simplices_bruteforce,
+    lambda_flat_counts,
     simplex_bound_report,
     v_k_del,
 )
@@ -72,6 +76,71 @@ def test_oracle_equivalence_k_eq_n_minus_1():
     for seed in range(5):
         cfg = gen_random_config(3, 2, 4, Fraction(1, 4), Field(3), seed)
         assert count_simplices(cfg) == count_simplices_bruteforce(cfg)
+
+
+@pytest.mark.parametrize(
+    "n,k,p,extra_flats,extra_points", [(3, 1, 5, 8, 12), (3, 2, 3, 6, 10), (4, 2, 3, 8, 14)]
+)
+def test_oracle_equivalence_planted(n, k, p, extra_flats, extra_points):
+    # Random corpora almost never hold a simplex, so this oracle check runs on
+    # configurations with one planted, against the full and the refined family.
+    counts = []
+    for seed in range(10):
+        cfg = planted_simplex_config(n, k, p, seed, extra_flats, extra_points)
+        full = count_simplices(cfg)
+        assert full == count_simplices_bruteforce(cfg) >= 1
+        family = refine_dyadic(cfg).flats
+        refined = count_simplices(cfg, flats=family)
+        assert refined == count_simplices_bruteforce(cfg, flats=family)
+        counts += [full, refined]
+    assert sum(c > 0 for c in counts) > len(counts) // 2
+    assert max(counts) > 1
+
+
+def test_family_outside_config_flats_rejected(f3):
+    # Faces come from the incidence index of config.flats, so a family flat
+    # outside them could never be a face.
+    cfg = all_lines_config(3)
+    fewer = Configuration(f3, 2, 1, cfg.points, cfg.flats[:6])
+    with pytest.raises(ValueError):
+        count_simplices(fewer, flats=cfg.flats)
+    assert count_simplices(fewer, flats=cfg.flats[:3]) == count_simplices_bruteforce(
+        fewer, flats=cfg.flats[:3]
+    )
+
+
+def _lambda_recount(config, chain):
+    """lambda_flat_counts without the per-span memo: one span and one scan of
+    the refined flats per deleted pair."""
+    fld = config.field
+    counts = []
+    for pi0, pi in sorted(
+        _deleted_pairs(chain),
+        key=lambda pr: (pr[0].representative, pr[0].direction.basis.rows,
+                        pr[1].representative, pr[1].direction.basis.rows),
+    ):
+        diff = tuple(fld.sub(a, b) for a, b in zip(pi.representative, pi0.representative))
+        span = span_of(pi0.direction.basis.rows + pi.direction.basis.rows + (diff,), config.n, fld)
+        counts.append(
+            sum(
+                span.contains(tuple(fld.sub(a, b) for a, b in zip(f.representative, pi0.representative)), fld)
+                and span.contains_subspace(f.direction, fld)
+                for f in chain.refined.flats
+            )
+        )
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (4, 2)])
+def test_lambda_flat_counts_match_recount(n, k):
+    varied = 0
+    for seed in range(8):
+        cfg = gen_random_config(n, k, 20, Fraction(1, 2), Field(3), seed)
+        chain = build_refinement_chain(cfg)
+        lam = lambda_flat_counts(cfg, chain)
+        assert lam == _lambda_recount(cfg, chain)
+        varied += len(set(lam)) > 1
+    assert varied >= 2
 
 
 def test_bruteforce_size_guard():
