@@ -459,3 +459,87 @@ def build_refinement_chain(config: Configuration) -> RefinementChainReport:
         spine_hulls=hulls,
         d_pairs=d_pairs,
     )
+
+
+CHAIN_ORACLE_POINT_GUARD = 64
+
+
+def build_refinement_chain_bruteforce(config: Configuration) -> Dict[str, object]:
+    """Independent oracle for the counted stages of `build_refinement_chain`,
+    straight from the definitions: the points of a flat or a spine are found
+    by scanning P with `LinearSubspace.contains` on differences, spanning
+    tuples are ordered `itertools.product` k-tuples, and no incidence index
+    or coset key is used.  Returns ik_prime, ik, vk_prime, vk, vkp, d_size,
+    d_bucket_level and d_threshold by name."""
+    if len(config.points) > CHAIN_ORACLE_POINT_GUARD:
+        raise SizeGuardError(
+            f"chain oracle limited to {CHAIN_ORACLE_POINT_GUARD} points, "
+            f"got {len(config.points)}"
+        )
+    fld = config.field
+    k, p = config.k, fld.p
+    points = sorted(config.points)
+
+    def on(x: Vector, flat: AffineFlat) -> bool:
+        diff = tuple((a - b) % p for a, b in zip(x, flat.representative))
+        return flat.direction.contains(diff, fld)
+
+    incident = {flat: [x for x in points if on(x, flat)] for flat in config.flats}
+    level_mass: Dict[int, int] = Counter()
+    for pts in incident.values():
+        if pts:
+            level_mass[len(pts).bit_length() - 1] += len(pts)
+    if not level_mass:
+        raise EmptyRefinementError("refinement chain of an incidence-free configuration")
+    level = max(level_mass, key=lambda lvl: (level_mass[lvl], lvl))
+    refined = [
+        flat for flat in config.flats
+        if incident[flat] and len(incident[flat]).bit_length() - 1 == level
+    ]
+    i_tilde, num_flats = level_mass[level], len(refined)
+    spine_threshold = Fraction(i_tilde, 10 * num_flats * p)
+
+    ik_prime = ik = 0
+    groups: Dict[Tuple[Vector, ...], List[AffineFlat]] = defaultdict(list)
+    spines: Dict[Tuple[Vector, ...], AffineFlat] = {}
+    for flat in refined:
+        for tup in itertools.product(incident[flat], repeat=k):
+            dim, spine = affine_hull(tup, fld)
+            if dim != k - 1:
+                continue
+            ik_prime += 1
+            if sum(on(x, spine) for x in points) >= spine_threshold:
+                ik += 1
+                groups[tup].append(flat)
+                spines[tup] = spine
+    vk_prime = sum(len(g) ** 2 for g in groups.values())
+    vk = sum(len(g) * (len(g) - 1) for g in groups.values())
+
+    vkp = 0
+    f_values: Dict[Tuple[AffineFlat, Vector], int] = Counter()
+    for tup, group in groups.items():
+        for pi in group:
+            ext_points = [x for x in incident[pi] if not on(x, spines[tup])]
+            vkp += len(ext_points) * (len(group) - 1)
+            for x in ext_points:
+                for pi0 in group:
+                    if pi0 != pi and not on(x, pi0):
+                        f_values[(pi0, x)] += 1
+
+    d_mass: Dict[int, int] = Counter()
+    d_members: Dict[int, int] = Counter()
+    for f in f_values.values():
+        d_mass[f.bit_length() - 1] += f
+        d_members[f.bit_length() - 1] += 1
+    d_level = max(d_mass, key=lambda lvl: (d_mass[lvl], lvl)) if d_mass else -1
+    d_size = d_members[d_level]
+    return {
+        "ik_prime": ik_prime,
+        "ik": ik,
+        "vk_prime": vk_prime,
+        "vk": vk,
+        "vkp": vkp,
+        "d_size": d_size,
+        "d_bucket_level": d_level,
+        "d_threshold": Fraction(vk * i_tilde, num_flats * d_size) if d_size and vk else None,
+    }

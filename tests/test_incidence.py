@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_corpus
-from kplab.config import Configuration, gen_degenerate
+from conftest import planted_simplex_config, random_corpus
+from kplab.config import Configuration, gen_degenerate, gen_random_config
 from kplab.exponents import PowerProduct
 from kplab.field import Field
 from kplab.flats import (
@@ -17,7 +17,9 @@ from kplab.flats import (
 from kplab.incidence import (
     EmptyRefinementError,
     PreconditionError,
+    SizeGuardError,
     build_refinement_chain,
+    build_refinement_chain_bruteforce,
     check_main_bound,
     check_max_ic,
     cs_holder_count,
@@ -260,3 +262,34 @@ class TestRefinementChain:
         cfg = single_flat_config(f3, 4, 2, with_points=False)
         with pytest.raises(EmptyRefinementError):
             build_refinement_chain(cfg)
+
+
+CHAIN_FIELDS = ("ik_prime", "ik", "vk_prime", "vk", "vkp", "d_size", "d_bucket_level", "d_threshold")
+
+
+@pytest.mark.parametrize(
+    "n,k,p,extra_flats,extra_points",
+    [(4, 1, 3, 8, 14), (4, 2, 3, 8, 14), (3, 2, 3, 6, 10), (3, 2, 5, 8, 14), (4, 3, 2, 6, 6)],
+)
+def test_chain_oracle_equivalence(n, k, p, extra_flats, extra_points):
+    configs = [cfg for _, cfg in random_corpus(n, k, p, 6)]
+    configs += [planted_simplex_config(n, k, p, seed, extra_flats, extra_points) for seed in range(4)]
+    if 1 < k < n:
+        configs.append(gen_degenerate(n, k, 1, Field(p)))
+    nonzero = 0
+    for cfg in configs:
+        if incidence_count(cfg).total == 0:
+            with pytest.raises(EmptyRefinementError):
+                build_refinement_chain_bruteforce(cfg)
+            continue
+        chain = build_refinement_chain(cfg)
+        brute = build_refinement_chain_bruteforce(cfg)
+        assert {name: getattr(chain, name) for name in CHAIN_FIELDS} == brute
+        nonzero += brute["vkp"] > 0 and brute["d_size"] > 0
+    assert nonzero >= len(configs) // 2
+
+
+def test_chain_oracle_point_guard(f5):
+    cfg = gen_random_config(3, 2, 4, Fraction(1), f5, 0)
+    with pytest.raises(SizeGuardError):
+        build_refinement_chain_bruteforce(cfg)
