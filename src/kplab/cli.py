@@ -252,7 +252,7 @@ def _refinement_chain_row(params, cfg) -> Dict[str, object]:
     index = incidence.incidence_count(cfg)
     if index.total == 0:
         return {"incidences": 0}
-    chain = incidence.build_refinement_chain(cfg)
+    chain = incidence.build_refinement_chain(cfg, index)
     return {
         "incidences": index.total,
         "refined_incidences": chain.refined.refined_total,
@@ -391,6 +391,14 @@ def _selftest() -> int:
         fast = simplex.count_simplices(cfg)
         brute = simplex.count_simplices_bruteforce(cfg)
         check(f"simplex oracle seed {seed}", fast == brute)
+    for seed in range(3):
+        cfg = gen_random_config(3, 2, 8, Fraction(1, 2), Field(3), seed)
+        chain = incidence.build_refinement_chain(cfg)
+        brute = incidence.build_refinement_chain_bruteforce(cfg)
+        check(
+            f"refinement chain oracle seed {seed}",
+            all(getattr(chain, name) == value for name, value in brute.items()),
+        )
     cfg = gen_degenerate(4, 2, 1, Field(3))
     index = incidence.incidence_count(cfg)
     check("degenerate worst case (4,2,1,3)", index.total == 39 == len(cfg.points) * len(cfg.flats))

@@ -246,6 +246,15 @@ def affine_hull(points: Sequence[Vector], field: Field) -> Tuple[int, AffineFlat
     return direction.dim, make_flat(direction, base, field)
 
 
+def local_coordinates(points: Iterable[Vector], flat: AffineFlat) -> Dict[Vector, Vector]:
+    """Each point on the flat mapped to its coordinates in F^k: its entries in
+    the pivot columns of the direction.  The representative is zero there,
+    so a point is the representative plus these entries times the basis
+    rows, and the map is an affine bijection of the flat onto F^k."""
+    pivots = flat.direction.basis.pivots
+    return {x: tuple(x[j] for j in pivots) for x in points}
+
+
 def is_direction_separated(flats: Sequence[AffineFlat]) -> bool:
     directions = {f.direction for f in flats}
     return len(directions) == len(flats)

@@ -10,23 +10,24 @@ verdict ever touches floating point.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .config import Configuration
 from .exponents import PowerProduct, main_term_exponents
 from .flats import (
     AffineFlat,
-    LinearSubspace,
     affine_hull,
-    coset_key,
     coset_sums,
     enumerate_points,
+    local_coordinates,
     membership,
 )
-from .linalg import Vector
+from .linalg import Vector, null_space_rows, rref
 from .reports import CountReport
 
 TUPLE_WORK_GUARD = 5_000_000
@@ -315,7 +316,9 @@ def check_main_bound(config: Configuration) -> CountReport:
 @dataclass
 class RefinementChainReport:
     """Exact cardinalities of every stage of the refinement chain, plus the
-    materialized spine groups the simplex bounds feed on."""
+    spine groups the simplex bounds feed on: each spanning k-subset of a
+    refined flat's points (a sorted tuple) that passes the spine filter, with
+    the refined flats holding it."""
 
     refined: RefinedConfig
     spine_threshold: Fraction
@@ -332,17 +335,33 @@ class RefinementChainReport:
     discard_allowance: Fraction
     cs_lower_holds: bool
     spine_groups: Dict[Tuple[Vector, ...], Tuple[AffineFlat, ...]]
-    spine_hulls: Dict[Tuple[Vector, ...], AffineFlat]
-    d_pairs: Tuple[Tuple[AffineFlat, Vector], ...]
 
 
-def build_refinement_chain(config: Configuration) -> RefinementChainReport:
+def build_refinement_chain(
+    config: Configuration, index: Optional[IncidenceIndex] = None
+) -> RefinementChainReport:
     """Materialize the chain spanning-tuples -> spine-filtered tuples ->
     plane pairs -> extended pairs -> pigeonholed plane-point family, with
-    every stage counted exactly."""
+    every stage counted exactly.
+
+    The counts are of ordered k-tuples, but spines are enumerated unordered:
+    a spanning k-tuple has k distinct points, and its k! orders share one
+    hull, one spine group and one set of tallies, so each k-subset of a
+    flat's sorted points is visited once and its counts, the f(pi_0, x)
+    values included, are scaled by k! (before the dyadic bucketing of f).
+
+    Spines are found face-locally: in the flat's local coordinates
+    (`local_coordinates`) a spine is a hyperplane of F^k, so k points span
+    one exactly when their k-1 local differences have rank k-1, and the one
+    normal nu of those differences keys the flat's spine bins (its points
+    binned by nu . x mod p).  Every point of P on a spine lies on the flat,
+    so the bin of the spine counts exactly the points of P on it.  The
+    incidence index is built unless the caller passes it.
+    `build_refinement_chain_bruteforce` is the independent oracle."""
     fld = config.field
     k, p = config.k, fld.p
-    index = incidence_count(config)
+    if index is None:
+        index = incidence_count(config)
     if index.total == 0:
         raise EmptyRefinementError("refinement chain of an incidence-free configuration")
     refined = refine_dyadic(config, index)
@@ -356,80 +375,70 @@ def build_refinement_chain(config: Configuration) -> RefinementChainReport:
             f"{holder_tuple_count} spanning tuples exceeds guard {TUPLE_WORK_GUARD}"
         )
 
-    ik_prime = 0
-    ik = 0
+    orders = math.factorial(k)
+    spanning = 0
     groups: Dict[Tuple[Vector, ...], List[AffineFlat]] = defaultdict(list)
-    hulls: Dict[Tuple[Vector, ...], AffineFlat] = {}
-    hull_cache: Dict[Tuple[Vector, ...], Tuple[int, AffineFlat]] = {}
+    # Points of P on the spine of each kept k-subset.
+    on_spine: Dict[Tuple[Vector, ...], int] = {}
     for flat in refined.flats:
         pts = index.points[flat]
-        # A spine spanned by points of this flat lies in it, so its points of
-        # P are among the flat's own: bin those once per spine direction.
-        # Spines of one direction are keyed through the subspace instance the
-        # bins were made with, so only that instance keeps annihilator rows.
-        spine_bins: Dict[LinearSubspace, Tuple[LinearSubspace, Dict[int, int]]] = {}
-        for tup in itertools.product(pts, repeat=k):
-            key = tuple(sorted(set(tup)))
-            cached = hull_cache.get(key)
-            if cached is None:
-                cached = affine_hull(key, fld)
-                hull_cache[key] = cached
-            dim, hull = cached
-            if dim != k - 1:
+        local = local_coordinates(pts, flat)
+        spine_bins: Dict[Vector, Counter] = {}
+        for subset in itertools.combinations(pts, k):
+            origin = local[subset[0]]
+            diffs = [tuple((a - b) % p for a, b in zip(local[q], origin)) for q in subset[1:]]
+            basis = rref(diffs, fld)
+            if basis.rank != k - 1:
                 continue
-            ik_prime += 1
-            entry = spine_bins.get(hull.direction)
-            if entry is None:
-                entry = (hull.direction, coset_sums(((q, 1) for q in pts), hull.direction, fld))
-                spine_bins[hull.direction] = entry
-            direction, bins = entry
-            if bins.get(coset_key(hull.representative, direction, fld), 0) >= spine_threshold:
-                ik += 1
-                groups[tup].append(flat)
-                hulls[tup] = hull
+            spanning += 1
+            normal = null_space_rows(basis, k, fld)[0]
+            bins = spine_bins.get(normal)
+            if bins is None:
+                bins = spine_bins[normal] = Counter(
+                    sum(map(mul, normal, y)) % p for y in local.values()
+                )
+            count = bins[sum(map(mul, normal, origin)) % p]
+            if count >= spine_threshold:
+                groups[subset].append(flat)
+                on_spine[subset] = count
 
-    vk_prime = sum(len(g) ** 2 for g in groups.values())
-    vk = sum(len(g) * (len(g) - 1) for g in groups.values())
+    ik_prime = orders * spanning
+    ik = orders * sum(len(g) for g in groups.values())
+    vk_prime = orders * sum(len(g) ** 2 for g in groups.values())
+    vk = orders * sum(len(g) * (len(g) - 1) for g in groups.values())
 
-    # Extended pairs and the f(pi_0, x) tallies in one pass.
+    # Extended pairs and the f(pi_0, x) tallies in one pass.  A point of pi
+    # off pi_0 is off the spine inside pi_0, so it is an extended point.
     vkp = 0
     f_values: Dict[Tuple[AffineFlat, Vector], int] = Counter()
     point_sets = {flat: frozenset(index.points[flat]) for flat in refined.flats}
-    for tup, flats_for_tup in groups.items():
-        hull = hulls[tup]
-        m = len(flats_for_tup)
+    for subset, group in groups.items():
+        m = len(group)
         if m < 2:
             continue
-        for pi in flats_for_tup:
-            ext_points = [
-                q for q in index.points[pi] if not membership(q, hull, fld)
-            ]
-            vkp += len(ext_points) * (m - 1)
-            for x in ext_points:
-                for pi0 in flats_for_tup:
-                    if pi0 == pi:
-                        continue
-                    if x not in point_sets[pi0]:
+        vkp += (m - 1) * sum(index.per_flat[pi] - on_spine[subset] for pi in group)
+        for pi in group:
+            for pi0 in group:
+                if pi0 is pi:
+                    continue
+                off = point_sets[pi0]
+                for x in index.points[pi]:
+                    if x not in off:
                         f_values[(pi0, x)] += 1
 
-    # Dyadic pigeonhole on f over eligible pairs.
-    d_pairs: Tuple[Tuple[AffineFlat, Vector], ...] = ()
+    # Dyadic pigeonhole on the ordered f values over eligible pairs.
+    d_size = 0
     d_level = -1
     if f_values:
-        bucket_members: Dict[int, List[Tuple[AffineFlat, Vector]]] = defaultdict(list)
+        bucket_size: Dict[int, int] = Counter()
         bucket_mass: Dict[int, int] = Counter()
-        for pair, f in f_values.items():
+        for f in f_values.values():
+            f *= orders
             level = f.bit_length() - 1
-            bucket_members[level].append(pair)
+            bucket_size[level] += 1
             bucket_mass[level] += f
         d_level = max(bucket_mass, key=lambda lvl: (bucket_mass[lvl], lvl))
-        d_pairs = tuple(
-            sorted(
-                bucket_members[d_level],
-                key=lambda pr: (pr[1], pr[0].representative, pr[0].direction.basis.rows),
-            )
-        )
-    d_size = len(d_pairs)
+        d_size = bucket_size[d_level]
     d_threshold = (
         Fraction(vk * i_tilde, num_flats * d_size) if d_size and vk else None
     )
@@ -447,7 +456,7 @@ def build_refinement_chain(config: Configuration) -> RefinementChainReport:
         ik=ik,
         vk_prime=vk_prime,
         vk=vk,
-        vkp=vkp,
+        vkp=orders * vkp,
         d_size=d_size,
         d_bucket_level=d_level,
         d_threshold=d_threshold,
@@ -456,8 +465,6 @@ def build_refinement_chain(config: Configuration) -> RefinementChainReport:
         discard_allowance=discard_allowance,
         cs_lower_holds=cs_lower_holds,
         spine_groups={t: tuple(g) for t, g in groups.items()},
-        spine_hulls=hulls,
-        d_pairs=d_pairs,
     )
 
 

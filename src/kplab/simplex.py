@@ -12,14 +12,21 @@ from fractions import Fraction
 from typing import Dict, Optional, Set, Tuple
 
 from .config import Configuration
-from .flats import AffineFlat, affine_hull, make_flat, membership, span_of
+from .flats import (
+    AffineFlat,
+    affine_hull,
+    local_coordinates,
+    make_flat,
+    membership,
+    span_of,
+)
 from .incidence import (
     IncidenceIndex,
     RefinementChainReport,
     build_refinement_chain,
     incidence_count,
 )
-from .linalg import Vector
+from .linalg import Vector, rref
 from .reports import CountReport
 
 BRUTE_FORCE_POINT_GUARD = 40
@@ -42,17 +49,19 @@ def count_simplices(
     them): faces and their points come from the incidence index of the
     configuration, so a family flat outside it raises ValueError.
 
-    Fast path: pivot on each flat as a face.  For every spanning (k+1)-subset
-    of its points whose hull is the flat itself, the apexes completing a
-    simplex are read off the index: omitting base vertex i leaves k points,
-    and the apexes are the points off the face lying, for every i, on a
-    family flat through those k points.  Such a flat is the facet itself (the
-    apex and the k points span a k-flat inside it), so no facet hull is
-    computed.  Every simplex is discovered once per face, so the tally
-    divides by k+2 exactly.
+    Fast path: pivot on each flat as a face.  A (k+1)-subset of its points
+    spans the face exactly when its k differences, in the face's local
+    coordinates (`local_coordinates`), have rank k; no hull is built.  For
+    every such base the apexes completing a simplex are read off the index:
+    omitting base vertex i leaves k points, and the apexes are the points off
+    the face lying, for every i, on a family flat through those k points.
+    Such a flat is the facet itself (the apex and the k points span a k-flat
+    inside it), so no facet hull is computed.  Every simplex is discovered
+    once per face, so the tally divides by k+2 exactly.
+    `count_simplices_bruteforce` is the independent oracle.
     """
     fld = config.field
-    k = config.k
+    k, p = config.k, fld.p
     family = set(flats if flats is not None else config.flats)
     if not family.issubset(config.flats):
         raise ValueError("simplex family holds flats outside config.flats")
@@ -77,9 +86,11 @@ def count_simplices(
     for face, pts in index.points.items():
         if face not in family:
             continue
+        local = local_coordinates(pts, face)
         for base in itertools.combinations(pts, k + 1):
-            dim, base_hull = affine_hull(base, fld)
-            if dim != k or base_hull != face:
+            origin = local[base[0]]
+            diffs = [tuple((a - b) % p for a, b in zip(local[q], origin)) for q in base[1:]]
+            if rref(diffs, fld).rank != k:
                 continue
             apexes = around(base[1:]).difference(pts)
             for omit in range(1, k + 1):
@@ -94,7 +105,10 @@ def count_simplices(
 def count_simplices_bruteforce(
     config: Configuration, flats: Optional[Tuple[AffineFlat, ...]] = None
 ) -> int:
-    """Independent oracle: iterate all (k+2)-subsets of P directly."""
+    """Independent oracle: iterate all (k+2)-subsets of P directly, with no
+    incidence index.  Whether the hull of a (k+1)-subset is a k-flat of the
+    family is decided once per subset, and a (k+2)-subset's own span is
+    tested only when all k+2 of its facets pass."""
     if len(config.points) > BRUTE_FORCE_POINT_GUARD:
         raise SizeError(
             f"brute force limited to {BRUTE_FORCE_POINT_GUARD} points, "
@@ -105,19 +119,19 @@ def count_simplices_bruteforce(
     family = set(flats if flats is not None else config.flats)
     if not family:
         return 0
+    facet_ok: Dict[Tuple[Vector, ...], bool] = {}
+
+    def is_facet(vertices: Tuple[Vector, ...]) -> bool:
+        ok = facet_ok.get(vertices)
+        if ok is None:
+            dim, hull = affine_hull(vertices, fld)
+            ok = facet_ok[vertices] = dim == k and hull in family
+        return ok
+
     count = 0
     for vertices in itertools.combinations(sorted(config.points), k + 2):
-        dim, _ = affine_hull(vertices, fld)
-        if dim != k + 1:
-            continue
-        ok = True
-        for i in range(k + 2):
-            fdim, facet = affine_hull(vertices[:i] + vertices[i + 1 :], fld)
-            if fdim != k or facet not in family:
-                ok = False
-                break
-        if ok:
-            count += 1
+        if all(is_facet(vertices[:i] + vertices[i + 1 :]) for i in range(k + 2)):
+            count += affine_hull(vertices, fld)[0] == k + 1
     return count
 
 
@@ -243,7 +257,7 @@ def simplex_bound_report(config: Configuration) -> CountReport:
     if index.total == 0:
         report.ratios.update({"upper": None, "lower": None, "heuristic": None})
         return report
-    chain = build_refinement_chain(config)
+    chain = build_refinement_chain(config, index)
     refined = chain.refined
     simplices = count_simplices(config, flats=refined.flats, index=index)
     ordered = simplices * math.factorial(k + 2)

@@ -110,6 +110,26 @@ class TestRunExperiment:
         )
         assert cli.estimate_work(spec) >= 35_294_700
 
+    @pytest.mark.parametrize("kind", ["simplex-bounds", "refinement-chain"])
+    def test_one_incidence_index_per_row(self, monkeypatch, kind):
+        from kplab import incidence, simplex
+
+        calls = []
+        original = incidence.incidence_count
+
+        def counted(config):
+            calls.append(config)
+            return original(config)
+
+        monkeypatch.setattr(incidence, "incidence_count", counted)
+        monkeypatch.setattr(simplex, "incidence_count", counted)
+        spec = cli.parse_spec(
+            f"experiment={kind} n=3 k=2 prime=3 num_directions=6 density=1/2 seeds=0..3"
+        )
+        rows = cli.run_experiment(spec)
+        assert all(row["incidences"] > 0 for row in rows)
+        assert len(calls) == len(rows) == 4
+
     @pytest.mark.parametrize(
         "text,columns",
         [

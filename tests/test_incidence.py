@@ -252,7 +252,9 @@ class TestRefinementChain:
             chain = build_refinement_chain(cfg)
             assert 0 <= chain.ik <= chain.ik_prime
             assert chain.vk <= chain.vk_prime
-            assert chain.vk_prime == chain.vk + sum(
+            # Spine groups are keyed by unordered k-subsets; each stands for
+            # its k! orders in the ordered counts.
+            assert chain.vk_prime == chain.vk + math.factorial(cfg.k) * sum(
                 len(g) for g in chain.spine_groups.values()
             )
             assert chain.holder_lower_holds
