@@ -35,7 +35,7 @@ class SpecError(ValueError):
     pass
 
 
-class BudgetError(RuntimeError):
+class BudgetError(incidence.SizeGuardError):
     def __init__(self, estimate: int, budget: int):
         super().__init__(f"estimated work {estimate} exceeds budget {budget}")
         self.estimate = estimate
@@ -199,7 +199,7 @@ def _degenerate_rows(params) -> List[Dict[str, object]]:
         "asymptotic_flats": p ** ((k - r) * (n - k)),
     }
     if 2 <= k <= n - 2:
-        row.update(_main_bound_columns(incidence.check_main_bound(cfg)))
+        row.update(_main_bound_columns(incidence.check_main_bound(cfg, index)))
     return [row]
 
 
@@ -227,10 +227,11 @@ def _nk_set_rows(params) -> List[Dict[str, object]]:
 
 
 def _incidence_bound_row(params, cfg) -> Dict[str, object]:
-    report = incidence.check_main_bound(cfg)
+    index = incidence.incidence_count(cfg)
+    report = incidence.check_main_bound(cfg, index)
     row = {**report.counts, **_main_bound_columns(report)}
     if "p_exp" in params and "q_exp" in params:
-        mic = incidence.check_max_ic(cfg, params["p_exp"], params["q_exp"])
+        mic = incidence.check_max_ic(cfg, index, params["p_exp"], params["q_exp"])
         row["ratio_max_ic"] = _sig(mic.ratio_float)
         row["verdict_sup_chain"] = mic.chain_holds
     return row
@@ -264,7 +265,7 @@ def _refinement_chain_row(params, cfg) -> Dict[str, object]:
 
 
 def _simplex_bounds_row(params, cfg) -> Dict[str, object]:
-    report = simplex.simplex_bound_report(cfg)
+    report = simplex.simplex_bound_report(cfg, incidence.incidence_count(cfg))
     return {
         **report.counts,
         **{f"ratio_{name}": _sig(value) for name, value in report.ratios.items()},
@@ -388,12 +389,12 @@ def _selftest() -> int:
     check("exponent identities k<=12", all(exponents.verify_identity_main(k) for k in range(2, 13)))
     for seed in range(5):
         cfg = gen_random_config(3, 1, 4, Fraction(1, 3), Field(3), seed)
-        fast = simplex.count_simplices(cfg)
+        fast = simplex.count_simplices(cfg, incidence.incidence_count(cfg))
         brute = simplex.count_simplices_bruteforce(cfg)
         check(f"simplex oracle seed {seed}", fast == brute)
     for seed in range(3):
         cfg = gen_random_config(3, 2, 8, Fraction(1, 2), Field(3), seed)
-        chain = incidence.build_refinement_chain(cfg)
+        chain = incidence.build_refinement_chain(cfg, incidence.incidence_count(cfg))
         brute = incidence.build_refinement_chain_bruteforce(cfg)
         check(
             f"refinement chain oracle seed {seed}",
@@ -450,7 +451,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 1
-    except (BudgetError, incidence.SizeGuardError, simplex.SizeError) as exc:
+    except incidence.SizeGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - reported as internal failure

@@ -42,7 +42,8 @@ class PreconditionError(ValueError):
 
 
 class SizeGuardError(RuntimeError):
-    """Exact tuple enumeration would exceed the work guard."""
+    """Work refused before it starts: a size guard of the library or the
+    CLI's work budget would be exceeded."""
 
 
 @dataclass
@@ -57,7 +58,9 @@ class IncidenceIndex:
 
 
 def incidence_count(config: Configuration) -> IncidenceIndex:
-    """Exact |I(P, Pi)| with per-flat and per-point marginals.
+    """Exact |I(P, Pi)| with per-flat and per-point marginals.  Every counter
+    that reads incidences takes this index as an argument, so a caller
+    builds it once per configuration.
 
     Each flat is counted by enumerating its p^k points and probing the point
     set, unless the point set is smaller, in which case points are probed
@@ -81,16 +84,12 @@ def incidence_count(config: Configuration) -> IncidenceIndex:
     )
 
 
-def cs_holder_count(
-    config: Configuration, m: int, index: Optional[IncidenceIndex] = None
-) -> int:
+def cs_holder_count(config: Configuration, m: int, index: IncidenceIndex) -> int:
     """Sum over flats of |P ∩ pi|^m: the count of ordered m-tuples of
     incident points per flat.  Asserts the exact Hoelder lower bound
     sum * |Pi|^{m-1} >= |I|^m (Cauchy-Schwarz at m = 2)."""
     if m < 1:
         raise PreconditionError(f"need m >= 1, got {m}")
-    if index is None:
-        index = incidence_count(config)
     count = sum(c**m for c in index.per_flat.values())
     num_flats = len(config.flats)
     if num_flats > 0:
@@ -107,16 +106,12 @@ class JrDecomposition:
     strata: Tuple[int, ...]  # index j = hull dimension, j = 0..r
 
 
-def jr_decompose(
-    config: Configuration, r: int, index: Optional[IncidenceIndex] = None
-) -> JrDecomposition:
+def jr_decompose(config: Configuration, r: int, index: IncidenceIndex) -> JrDecomposition:
     """Classify every incident (r+1)-tuple per flat by the dimension of its
     affine hull.  Exact partition: the strata sum to sum_pi c^{r+1}, and
     stratum 0 (constant tuples) equals |I|."""
     if not 1 <= r <= config.k:
         raise PreconditionError(f"need 1 <= r <= k={config.k}, got r={r}")
-    if index is None:
-        index = incidence_count(config)
     fld = config.field
     work = sum(c ** (r + 1) for c in index.per_flat.values())
     if work > TUPLE_WORK_GUARD:
@@ -140,8 +135,6 @@ def jr_decompose(
 class RefinedConfig:
     """The dyadic bucket of flats carrying the largest share of incidences."""
 
-    parent: Configuration
-    index: IncidenceIndex
     flats: Tuple[AffineFlat, ...]
     bucket_level: int
     refined_total: int
@@ -151,13 +144,9 @@ class RefinedConfig:
         return len(self.flats)
 
 
-def refine_dyadic(
-    config: Configuration, index: Optional[IncidenceIndex] = None
-) -> RefinedConfig:
+def refine_dyadic(config: Configuration, index: IncidenceIndex) -> RefinedConfig:
     """Bucket nonempty flats by floor(log2 |P ∩ pi|) and keep the bucket
     maximizing its incidence contribution, ties toward the larger level."""
-    if index is None:
-        index = incidence_count(config)
     if index.total == 0:
         raise EmptyRefinementError("no incidences to refine")
     buckets: Dict[int, List[AffineFlat]] = defaultdict(list)
@@ -171,7 +160,7 @@ def refine_dyadic(
         contributions[level] += c
     best_level = max(contributions, key=lambda lvl: (contributions[lvl], lvl))
     chosen = tuple(buckets[best_level])
-    return RefinedConfig(config, index, chosen, best_level, contributions[best_level])
+    return RefinedConfig(chosen, best_level, contributions[best_level])
 
 
 def _fraction_product(value: Fraction) -> PowerProduct:
@@ -191,10 +180,7 @@ class HypothesisVerdict:
 
 
 def hypothesis_check(
-    config: Configuration,
-    which: str,
-    margin: Fraction = Fraction(10),
-    refined: Optional[RefinedConfig] = None,
+    config: Configuration, index: IncidenceIndex, which: str, margin: Fraction = Fraction(10)
 ) -> HypothesisVerdict:
     """Quantitative non-degeneracy check: H1 compares |I~| against
     |P| |Pi~|^{(k-1)/k}, H2 against |Pi~| |F|^{k-1}; ">>" is read as
@@ -204,11 +190,9 @@ def hypothesis_check(
         raise PreconditionError("margin must be positive")
     if which not in ("H1", "H2"):
         raise PreconditionError(f"unknown hypothesis {which!r}")
-    if refined is None:
-        index = incidence_count(config)
-        if index.total == 0:
-            return HypothesisVerdict(which, PowerProduct([(0, Fraction(1))]), margin, False)
-        refined = refine_dyadic(config, index)
+    if index.total == 0:
+        return HypothesisVerdict(which, PowerProduct([(0, Fraction(1))]), margin, False)
+    refined = refine_dyadic(config, index)
     k, p = config.k, config.field.p
     if which == "H1":
         rhs = PowerProduct(
@@ -239,7 +223,7 @@ class MaxIcReport:
 
 
 def check_max_ic(
-    config: Configuration, p_exp: Fraction, q_exp: Fraction
+    config: Configuration, index: IncidenceIndex, p_exp: Fraction, q_exp: Fraction
 ) -> MaxIcReport:
     """Compare |I| with |P|^{1/p} |Pi|^{1/q'} |F|^{k(n-k)/q} exactly, and
     verify |I| <= sum over directions of the sup coset count."""
@@ -249,7 +233,6 @@ def check_max_ic(
     if not config.direction_separated:
         raise PreconditionError("configuration is not direction separated")
     fld = config.field
-    index = incidence_count(config)
     # Per-direction sup over cosets: each flat's count is at most the sup of
     # the point counts over all cosets of its direction.
     sup_sum = 0
@@ -270,7 +253,7 @@ def check_max_ic(
     return MaxIcReport(PowerProduct.integer(index.total) / rhs, chain_holds, sup_sum, index.total)
 
 
-def check_main_bound(config: Configuration) -> CountReport:
+def check_main_bound(config: Configuration, index: IncidenceIndex) -> CountReport:
     """Evaluate the three-term main incidence bound on the dyadic refinement
     of the configuration and report |I~| / RHS with the dominant term."""
     n, k, p = config.n, config.k, config.field.p
@@ -279,7 +262,6 @@ def check_main_bound(config: Configuration) -> CountReport:
     if not config.direction_separated:
         raise PreconditionError("configuration is not direction separated")
     report = CountReport()
-    index = incidence_count(config)
     report.counts.update(
         {
             "num_points": len(config.points),
@@ -321,7 +303,6 @@ class RefinementChainReport:
     the refined flats holding it."""
 
     refined: RefinedConfig
-    spine_threshold: Fraction
     ik_prime: int
     ik: int
     vk_prime: int
@@ -330,16 +311,12 @@ class RefinementChainReport:
     d_size: int
     d_bucket_level: int
     d_threshold: Optional[Fraction]
-    holder_tuple_count: int
     holder_lower_holds: bool
-    discard_allowance: Fraction
     cs_lower_holds: bool
     spine_groups: Dict[Tuple[Vector, ...], Tuple[AffineFlat, ...]]
 
 
-def build_refinement_chain(
-    config: Configuration, index: Optional[IncidenceIndex] = None
-) -> RefinementChainReport:
+def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> RefinementChainReport:
     """Materialize the chain spanning-tuples -> spine-filtered tuples ->
     plane pairs -> extended pairs -> pigeonholed plane-point family, with
     every stage counted exactly.
@@ -355,13 +332,10 @@ def build_refinement_chain(
     one exactly when their k-1 local differences have rank k-1, and the one
     normal nu of those differences keys the flat's spine bins (its points
     binned by nu . x mod p).  Every point of P on a spine lies on the flat,
-    so the bin of the spine counts exactly the points of P on it.  The
-    incidence index is built unless the caller passes it.
+    so the bin of the spine counts exactly the points of P on it.
     `build_refinement_chain_bruteforce` is the independent oracle."""
     fld = config.field
     k, p = config.k, fld.p
-    if index is None:
-        index = incidence_count(config)
     if index.total == 0:
         raise EmptyRefinementError("refinement chain of an incidence-free configuration")
     refined = refine_dyadic(config, index)
@@ -446,12 +420,10 @@ def build_refinement_chain(
     holder_lower_holds = (
         holder_tuple_count * num_flats ** (k - 1) >= i_tilde**k
     )
-    discard_allowance = Fraction(i_tilde**k, 10**k * num_flats ** (k - 1))
     cs_lower_holds = vk_prime * len(config.points) ** k >= ik**2
 
     return RefinementChainReport(
         refined=refined,
-        spine_threshold=spine_threshold,
         ik_prime=ik_prime,
         ik=ik,
         vk_prime=vk_prime,
@@ -460,9 +432,7 @@ def build_refinement_chain(
         d_size=d_size,
         d_bucket_level=d_level,
         d_threshold=d_threshold,
-        holder_tuple_count=holder_tuple_count,
         holder_lower_holds=holder_lower_holds,
-        discard_allowance=discard_allowance,
         cs_lower_holds=cs_lower_holds,
         spine_groups={t: tuple(g) for t, g in groups.items()},
     )

@@ -23,8 +23,8 @@ from .flats import (
 from .incidence import (
     IncidenceIndex,
     RefinementChainReport,
+    SizeGuardError,
     build_refinement_chain,
-    incidence_count,
 )
 from .linalg import Vector, rref
 from .reports import CountReport
@@ -33,21 +33,17 @@ BRUTE_FORCE_POINT_GUARD = 40
 CHAIN_POINT_GUARD = 20
 
 
-class SizeError(RuntimeError):
-    pass
-
-
 def count_simplices(
     config: Configuration,
+    index: IncidenceIndex,
     flats: Optional[Tuple[AffineFlat, ...]] = None,
-    index: Optional[IncidenceIndex] = None,
 ) -> int:
     """Unordered count of (k+2)-point sets spanning dimension k+1 whose k+2
     facet hulls all belong to the flat family.
 
     The family must be a subset of `config.flats` (the default is all of
-    them): faces and their points come from the incidence index of the
-    configuration, so a family flat outside it raises ValueError.
+    them): faces and their points come from `index`, the incidence index of
+    the configuration, so a family flat outside it raises ValueError.
 
     Fast path: pivot on each flat as a face.  A (k+1)-subset of its points
     spans the face exactly when its k differences, in the face's local
@@ -67,8 +63,6 @@ def count_simplices(
         raise ValueError("simplex family holds flats outside config.flats")
     if not family or len(config.points) < k + 2:
         return 0
-    if index is None:
-        index = incidence_count(config)
     on_point = {pt: family.intersection(fl) for pt, fl in index.per_point.items()}
     # Points of P on the family flats through a k-subset of a base; the
     # face's own points are removed per face.
@@ -110,7 +104,7 @@ def count_simplices_bruteforce(
     family is decided once per subset, and a (k+2)-subset's own span is
     tested only when all k+2 of its facets pass."""
     if len(config.points) > BRUTE_FORCE_POINT_GUARD:
-        raise SizeError(
+        raise SizeGuardError(
             f"brute force limited to {BRUTE_FORCE_POINT_GUARD} points, "
             f"got {len(config.points)}"
         )
@@ -144,7 +138,7 @@ def count_chains(config: Configuration, l: int) -> int:
     if not 2 <= l <= k + 1:
         raise ValueError(f"need 2 <= l <= k+1={k + 1}, got l={l}")
     if len(config.points) > CHAIN_POINT_GUARD:
-        raise SizeError(
+        raise SizeGuardError(
             f"chain counting limited to {CHAIN_POINT_GUARD} points, "
             f"got {len(config.points)}"
         )
@@ -240,7 +234,7 @@ def lambda_flat_counts(config: Configuration, chain: RefinementChainReport) -> T
     return tuple(counts)
 
 
-def simplex_bound_report(config: Configuration) -> CountReport:
+def simplex_bound_report(config: Configuration, index: IncidenceIndex) -> CountReport:
     """Exact |S_k|, |V_k|, |I~|, |Pi~| and the three bound expressions: the
     deleted-spine upper bound, the inductive lower bound and the
     independence heuristic.  Ratios are reported, never asserted."""
@@ -248,7 +242,6 @@ def simplex_bound_report(config: Configuration) -> CountReport:
     report = CountReport()
     if not config.direction_separated:
         raise ValueError("configuration is not direction separated")
-    index = incidence_count(config)
     num_points = len(config.points)
     num_flats = len(config.flats)
     report.counts.update(
@@ -259,7 +252,7 @@ def simplex_bound_report(config: Configuration) -> CountReport:
         return report
     chain = build_refinement_chain(config, index)
     refined = chain.refined
-    simplices = count_simplices(config, flats=refined.flats, index=index)
+    simplices = count_simplices(config, index, refined.flats)
     ordered = simplices * math.factorial(k + 2)
     deleted = v_k_del(chain)
     i_tilde, m_flats = refined.refined_total, refined.num_flats

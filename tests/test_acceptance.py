@@ -106,7 +106,7 @@ def test_criterion_05_simplex_oracle_equivalence():
             if len(cfg.points) > 20:
                 continue
             checked += 1
-            if count_simplices(cfg) != count_simplices_bruteforce(cfg):
+            if count_simplices(cfg, incidence_count(cfg)) != count_simplices_bruteforce(cfg):
                 mismatches.append((n, k, p, seed - 1))
     # The 4-point plane over F_2 with all six lines has exactly 4 triangles.
     f2 = Field(2)
@@ -116,7 +116,7 @@ def test_criterion_05_simplex_oracle_equivalence():
         for rep in enumerate_coset_representatives(pi, f2)
     )
     plane = Configuration(f2, 2, 1, frozenset(itertools.product(range(2), repeat=2)), flats)
-    triangle_ok = count_simplices(plane) == 4
+    triangle_ok = count_simplices(plane, incidence_count(plane)) == 4
     report(
         5,
         "simplex oracle equivalence",
@@ -193,7 +193,7 @@ def test_criterion_09_main_bound_desk_check():
         configs = [cfg for _, cfg in random_corpus(4, 2, p, 30)]
         configs.append(gen_degenerate(4, 2, 1, fld))
         for cfg in configs:
-            ratio = check_main_bound(cfg).ratios["main_bound"]
+            ratio = check_main_bound(cfg, incidence_count(cfg)).ratios["main_bound"]
             if ratio is None:
                 continue
             ratios.append(ratio)

@@ -1,9 +1,54 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 from kplab import cli
+
+# One small spec per experiment kind and the SHA-256 of its rows rendered as
+# the `.json` mirror renders them.  The incidence-bound seeds include one with
+# no incidences, and the simplex-bounds seeds both zero and nonzero simplex
+# counts.
+PINNED_ROWS = {
+    "grassmann-census": (
+        "experiment=grassmann-census n=4 k=2 prime=3",
+        "db633dfbd60a511d238f9d3564882db20e2ff413a0b997cb3ef2d842c59879d9",
+    ),
+    "degenerate": (
+        "experiment=degenerate n=4 k=2 r=1 prime=3",
+        "1dfd90dc247f7aa8b51b356fbf55f23512f479b2983508c00b77ea993afc0347",
+    ),
+    "nk-set": (
+        "experiment=nk-set n=3 k=1 prime=3 seeds=0..2",
+        "448cd1e1c9461e2293227d8d1a7f251bba7fab3531e1711d506bf875506a8851",
+    ),
+    "incidence-bound": (
+        "experiment=incidence-bound n=4 k=2 prime=3 num_directions=6 density=1/9 "
+        "p_exp=11/6 q_exp=22/5 seeds=0..5",
+        "dafaa71ebc5e3eabe3e317513c41b03cdc5e37614539ef45b9563c35c14517cd",
+    ),
+    "two-ends": (
+        "experiment=two-ends n=4 k=2 r=2 prime=3 num_directions=6 density=1/2 seeds=0..3",
+        "e495797d52771a1fa1de6753003946c2329d2fadc852c31e5989d856fe4d5835",
+    ),
+    "refinement-chain": (
+        "experiment=refinement-chain n=3 k=2 prime=3 num_directions=6 density=1/2 seeds=0..3",
+        "411ea6825c7ad1c0ef84c0b391c9ea714a923ad5b822bd82543c7778e18bdf9d",
+    ),
+    "simplex-bounds": (
+        "experiment=simplex-bounds n=3 k=2 prime=3 num_directions=13 density=2/3 seeds=0..5",
+        "3e305ab437a78ccc0d422da041de4d42c169923332f455eec3821f25c34c85e0",
+    ),
+    "maximal-ratio": (
+        "experiment=maximal-ratio n=3 k=1 prime=3 p_exp=3/2 q_exp=3",
+        "9c7b20224a6c1a2ee37b665db045a875f8fef3a43a2cd37a433d55b3fffe58cc",
+    ),
+    "exponent-identities": (
+        "experiment=exponent-identities kmax=6",
+        "9dbb5433f980c2529c11384f8b5909c65d0f94be4b7bc61e1cc7454d3311984d",
+    ),
+}
 
 
 class TestParseSpec:
@@ -110,9 +155,23 @@ class TestRunExperiment:
         )
         assert cli.estimate_work(spec) >= 35_294_700
 
-    @pytest.mark.parametrize("kind", ["simplex-bounds", "refinement-chain"])
-    def test_one_incidence_index_per_row(self, monkeypatch, kind):
-        from kplab import incidence, simplex
+    @pytest.mark.parametrize(
+        "text,num_rows",
+        [
+            ("experiment=degenerate n=4 k=2 r=1 prime=3", 1),
+            (
+                "experiment=incidence-bound n=4 k=2 prime=3 num_directions=6 density=1/2 "
+                "p_exp=11/6 q_exp=22/5 seeds=0..3",
+                4,
+            ),
+            ("experiment=two-ends n=3 k=2 r=1 prime=3 num_directions=6 density=1/2 seeds=0..3", 4),
+            ("experiment=refinement-chain n=3 k=2 prime=3 num_directions=6 density=1/2 seeds=0..3", 4),
+            ("experiment=simplex-bounds n=3 k=2 prime=3 num_directions=6 density=1/2 seeds=0..3", 4),
+        ],
+        ids=["degenerate", "incidence-bound", "two-ends", "refinement-chain", "simplex-bounds"],
+    )
+    def test_one_incidence_index_per_row(self, monkeypatch, text, num_rows):
+        from kplab import incidence
 
         calls = []
         original = incidence.incidence_count
@@ -122,13 +181,9 @@ class TestRunExperiment:
             return original(config)
 
         monkeypatch.setattr(incidence, "incidence_count", counted)
-        monkeypatch.setattr(simplex, "incidence_count", counted)
-        spec = cli.parse_spec(
-            f"experiment={kind} n=3 k=2 prime=3 num_directions=6 density=1/2 seeds=0..3"
-        )
-        rows = cli.run_experiment(spec)
+        rows = cli.run_experiment(cli.parse_spec(text))
         assert all(row["incidences"] > 0 for row in rows)
-        assert len(calls) == len(rows) == 4
+        assert len(calls) == len(rows) == num_rows
 
     @pytest.mark.parametrize(
         "text,columns",
@@ -185,6 +240,12 @@ class TestRunExperiment:
     def test_column_layout(self, text, columns):
         rows = cli.run_experiment(cli.parse_spec(text))
         assert list(rows[0]) == ["experiment"] + columns.split()
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_ROWS))
+    def test_rows_match_pinned_digest(self, kind):
+        text, digest = PINNED_ROWS[kind]
+        rows = cli.run_experiment(cli.parse_spec(text))
+        assert hashlib.sha256(json.dumps(rows, indent=2, default=str).encode()).hexdigest() == digest
 
 
 class TestMainEntryPoint:

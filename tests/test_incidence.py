@@ -71,34 +71,37 @@ class TestIncidenceCount:
 class TestCsHolder:
     def test_m1_is_incidence_count(self, f3):
         cfg = gen_degenerate(4, 2, 1, f3)
-        assert cs_holder_count(cfg, 1) == incidence_count(cfg).total
+        index = incidence_count(cfg)
+        assert cs_holder_count(cfg, 1, index) == index.total
 
     def test_single_flat_equality(self, f3):
         cfg = single_flat_config(f3, 3, 1)
-        c = incidence_count(cfg).total
-        assert cs_holder_count(cfg, 2) == c * c
+        index = incidence_count(cfg)
+        assert cs_holder_count(cfg, 2, index) == index.total**2
 
     def test_degenerate_tight(self, f3):
         # Uniform per-flat counts make Cauchy-Schwarz an equality:
         # 13 * 3^2 = 117 = 39^2 / 13.
         cfg = gen_degenerate(4, 2, 1, f3)
-        assert cs_holder_count(cfg, 2) == 117
+        assert cs_holder_count(cfg, 2, incidence_count(cfg)) == 117
 
     def test_invalid_m(self, f3):
+        cfg = gen_degenerate(4, 2, 1, f3)
         with pytest.raises(PreconditionError):
-            cs_holder_count(gen_degenerate(4, 2, 1, f3), 0)
+            cs_holder_count(cfg, 0, incidence_count(cfg))
 
 
 class TestJrDecompose:
     def test_degenerate_pinned(self, f3):
-        decomp = jr_decompose(gen_degenerate(4, 2, 1, f3), 1)
+        cfg = gen_degenerate(4, 2, 1, f3)
+        decomp = jr_decompose(cfg, 1, incidence_count(cfg))
         assert decomp.total == 117
         assert decomp.strata == (39, 78)
 
     def test_single_point_all_constant(self, f3):
         cfg = single_flat_config(f3, 3, 1)
         cfg = cfg.with_points(frozenset([next(iter(sorted(cfg.points)))]))
-        decomp = jr_decompose(cfg, 1)
+        decomp = jr_decompose(cfg, 1, incidence_count(cfg))
         assert decomp.total == 1
         assert decomp.strata == (1, 0)
 
@@ -111,14 +114,15 @@ class TestJrDecompose:
                 assert decomp.strata[0] == index.total
 
     def test_invalid_r(self, f3):
+        cfg = gen_degenerate(4, 2, 1, f3)
         with pytest.raises(PreconditionError):
-            jr_decompose(gen_degenerate(4, 2, 1, f3), 3)
+            jr_decompose(cfg, 3, incidence_count(cfg))
 
 
 class TestRefineDyadic:
     def test_uniform_counts_keep_everything(self, f3):
         cfg = gen_degenerate(4, 2, 1, f3)
-        refined = refine_dyadic(cfg)
+        refined = refine_dyadic(cfg, incidence_count(cfg))
         assert set(refined.flats) == set(cfg.flats)
         assert refined.refined_total == 39
 
@@ -130,7 +134,7 @@ class TestRefineDyadic:
         l3 = make_flat(span_of([(0, 1)], 2, fld), (10, 0), fld)
         points = frozenset([(i, 0) for i in range(8)] + [(9, 1), (10, 2)])
         cfg = Configuration(fld, 2, 1, points, (l1, l2, l3))
-        refined = refine_dyadic(cfg)
+        refined = refine_dyadic(cfg, incidence_count(cfg))
         assert refined.bucket_level == 3
         assert refined.flats == (l1,)
         assert refined.refined_total == 8
@@ -154,7 +158,8 @@ class TestRefineDyadic:
 
 class TestHypothesisCheck:
     def test_degenerate_h2_ratio_one_fails_margin(self, f3):
-        verdict = hypothesis_check(gen_degenerate(4, 2, 1, f3), "H2")
+        cfg = gen_degenerate(4, 2, 1, f3)
+        verdict = hypothesis_check(cfg, incidence_count(cfg), "H2")
         assert verdict.ratio == PowerProduct.integer(1)
         assert not verdict.holds
 
@@ -167,28 +172,29 @@ class TestHypothesisCheck:
                 flats.append(make_flat(pi, rep, f3))
         points = frozenset((x, y) for x in range(3) for y in range(3))
         cfg = Configuration(f3, 2, 1, points, tuple(flats))
-        verdict = hypothesis_check(cfg, "H2")
+        verdict = hypothesis_check(cfg, incidence_count(cfg), "H2")
         assert verdict.ratio == PowerProduct.integer(3)
 
     def test_empty_points_fail(self, f3):
         cfg = single_flat_config(f3, 3, 1, with_points=False)
-        assert not hypothesis_check(cfg, "H1").holds
+        assert not hypothesis_check(cfg, incidence_count(cfg), "H1").holds
 
     def test_unknown_hypothesis(self, f3):
+        cfg = gen_degenerate(4, 2, 1, f3)
         with pytest.raises(PreconditionError):
-            hypothesis_check(gen_degenerate(4, 2, 1, f3), "H3")
+            hypothesis_check(cfg, incidence_count(cfg), "H3")
 
 
 class TestCheckMaxIc:
     def test_single_flat_ratio(self, f3):
         n, k = 3, 1
         cfg = single_flat_config(f3, n, k)
-        report = check_max_ic(cfg, Fraction(1), Fraction(1))
+        report = check_max_ic(cfg, incidence_count(cfg), Fraction(1), Fraction(1))
         assert report.ratio == PowerProduct([(3, Fraction(-k * (n - k)))])
 
     def test_chain_inequality_on_corpus(self):
         for _, cfg in random_corpus(4, 2, 3, 20):
-            report = check_max_ic(cfg, Fraction(2), Fraction(4))
+            report = check_max_ic(cfg, incidence_count(cfg), Fraction(2), Fraction(4))
             assert report.chain_holds
             # sup_sum against point counts over every coset, enumerated.
             fld = cfg.field
@@ -203,7 +209,8 @@ class TestCheckMaxIc:
             assert report.sup_sum == explicit
 
     def test_degenerate_endpoint_finite(self, f3):
-        report = check_max_ic(gen_degenerate(4, 2, 1, f3), Fraction(2), Fraction(4))
+        cfg = gen_degenerate(4, 2, 1, f3)
+        report = check_max_ic(cfg, incidence_count(cfg), Fraction(2), Fraction(4))
         assert report.ratio_float is not None and report.ratio_float > 0
 
     def test_requires_direction_separated(self, f3):
@@ -211,30 +218,33 @@ class TestCheckMaxIc:
         other = make_flat(span_of([(1, 0)], 2, f3), (0, 1), f3)
         cfg = Configuration(f3, 2, 1, frozenset([(0, 0)]), (flat, other))
         with pytest.raises(PreconditionError):
-            check_max_ic(cfg, Fraction(2), Fraction(2))
+            check_max_ic(cfg, incidence_count(cfg), Fraction(2), Fraction(2))
 
 
 class TestCheckMainBound:
     @pytest.mark.parametrize("n,k,p", [(4, 2, 3), (4, 2, 5), (5, 2, 3), (5, 3, 3)])
     def test_degenerate_ratio_near_one(self, n, k, p):
-        report = check_main_bound(gen_degenerate(n, k, 1, Field(p)))
+        cfg = gen_degenerate(n, k, 1, Field(p))
+        report = check_main_bound(cfg, incidence_count(cfg))
         assert report.notes["dominant_term"] == "Pi_F"
         assert Fraction(1, 4) <= Fraction(report.ratios["main_bound"]) <= 4
 
     def test_empty_points_absent(self, f3):
         cfg = single_flat_config(f3, 4, 2, with_points=False)
-        report = check_main_bound(cfg)
+        report = check_main_bound(cfg, incidence_count(cfg))
         assert report.ratios["main_bound"] is None
         assert report.notes["dominant_term"] == "absent"
 
     def test_k_range_enforced(self, f3):
+        cfg = single_flat_config(f3, 3, 1)
         with pytest.raises(PreconditionError):
-            check_main_bound(single_flat_config(f3, 3, 1))
+            check_main_bound(cfg, incidence_count(cfg))
 
 
 class TestRefinementChain:
     def test_degenerate_pinned_counts(self, f3):
-        chain = build_refinement_chain(gen_degenerate(4, 2, 1, f3))
+        cfg = gen_degenerate(4, 2, 1, f3)
+        chain = build_refinement_chain(cfg, incidence_count(cfg))
         # Ordered distinct collinear pairs: 3*2 per plane over 13 planes.
         assert chain.ik_prime == 78
         assert chain.ik == 78
@@ -249,7 +259,7 @@ class TestRefinementChain:
             index = incidence_count(cfg)
             if index.total == 0:
                 continue
-            chain = build_refinement_chain(cfg)
+            chain = build_refinement_chain(cfg, index)
             assert 0 <= chain.ik <= chain.ik_prime
             assert chain.vk <= chain.vk_prime
             # Spine groups are keyed by unordered k-subsets; each stands for
@@ -263,7 +273,7 @@ class TestRefinementChain:
     def test_empty_configuration_rejected(self, f3):
         cfg = single_flat_config(f3, 4, 2, with_points=False)
         with pytest.raises(EmptyRefinementError):
-            build_refinement_chain(cfg)
+            build_refinement_chain(cfg, incidence_count(cfg))
 
 
 CHAIN_FIELDS = ("ik_prime", "ik", "vk_prime", "vk", "vkp", "d_size", "d_bucket_level", "d_threshold")
@@ -280,11 +290,12 @@ def test_chain_oracle_equivalence(n, k, p, extra_flats, extra_points):
         configs.append(gen_degenerate(n, k, 1, Field(p)))
     nonzero = 0
     for cfg in configs:
-        if incidence_count(cfg).total == 0:
+        index = incidence_count(cfg)
+        if index.total == 0:
             with pytest.raises(EmptyRefinementError):
                 build_refinement_chain_bruteforce(cfg)
             continue
-        chain = build_refinement_chain(cfg)
+        chain = build_refinement_chain(cfg, index)
         brute = build_refinement_chain_bruteforce(cfg)
         assert {name: getattr(chain, name) for name in CHAIN_FIELDS} == brute
         nonzero += brute["vkp"] > 0 and brute["d_size"] > 0

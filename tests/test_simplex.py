@@ -15,9 +15,13 @@ from kplab.flats import (
     membership,
     span_of,
 )
-from kplab.incidence import build_refinement_chain, refine_dyadic
+from kplab.incidence import (
+    SizeGuardError,
+    build_refinement_chain,
+    incidence_count,
+    refine_dyadic,
+)
 from kplab.simplex import (
-    SizeError,
     _deleted_pairs,
     count_chains,
     count_simplices,
@@ -41,22 +45,23 @@ def all_lines_config(p):
 def test_f2_plane_has_four_triangles():
     cfg = all_lines_config(2)
     assert len(cfg.flats) == 6
-    assert count_simplices(cfg) == 4
+    assert count_simplices(cfg, incidence_count(cfg)) == 4
     assert count_simplices_bruteforce(cfg) == 4
 
 
 def test_empty_family_and_tiny_point_sets(f3):
     cfg = all_lines_config(3)
-    assert count_simplices(cfg.with_points(frozenset()), flats=cfg.flats) == 0
-    two = frozenset([(0, 0), (1, 1)])
-    assert count_simplices(cfg.with_points(two)) == 0
+    no_points = cfg.with_points(frozenset())
+    assert count_simplices(no_points, incidence_count(no_points), cfg.flats) == 0
+    two = cfg.with_points(frozenset([(0, 0), (1, 1)]))
+    assert count_simplices(two, incidence_count(two)) == 0
     empty_family = Configuration(f3, 2, 1, cfg.points, ())
-    assert count_simplices(empty_family) == 0
+    assert count_simplices(empty_family, incidence_count(empty_family)) == 0
 
 
 def test_degenerate_has_no_simplices(f3):
     cfg = gen_degenerate(4, 2, 1, f3)
-    assert count_simplices(cfg) == 0
+    assert count_simplices(cfg, incidence_count(cfg)) == 0
 
 
 @pytest.mark.parametrize("n,k,p", [(3, 1, 2), (3, 1, 3), (4, 2, 3)])
@@ -67,7 +72,7 @@ def test_oracle_equivalence(n, k, p):
         cfg = gen_random_config(n, k, 6, Fraction(1, 3), Field(p), seed)
         if len(cfg.points) > 40:
             continue
-        assert count_simplices(cfg) == count_simplices_bruteforce(cfg)
+        assert count_simplices(cfg, incidence_count(cfg)) == count_simplices_bruteforce(cfg)
 
 
 def test_oracle_equivalence_k_eq_n_minus_1():
@@ -75,7 +80,7 @@ def test_oracle_equivalence_k_eq_n_minus_1():
 
     for seed in range(5):
         cfg = gen_random_config(3, 2, 4, Fraction(1, 4), Field(3), seed)
-        assert count_simplices(cfg) == count_simplices_bruteforce(cfg)
+        assert count_simplices(cfg, incidence_count(cfg)) == count_simplices_bruteforce(cfg)
 
 
 @pytest.mark.parametrize(
@@ -87,10 +92,11 @@ def test_oracle_equivalence_planted(n, k, p, extra_flats, extra_points):
     counts = []
     for seed in range(10):
         cfg = planted_simplex_config(n, k, p, seed, extra_flats, extra_points)
-        full = count_simplices(cfg)
+        index = incidence_count(cfg)
+        full = count_simplices(cfg, index)
         assert full == count_simplices_bruteforce(cfg) >= 1
-        family = refine_dyadic(cfg).flats
-        refined = count_simplices(cfg, flats=family)
+        family = refine_dyadic(cfg, index).flats
+        refined = count_simplices(cfg, index, family)
         assert refined == count_simplices_bruteforce(cfg, flats=family)
         counts += [full, refined]
     assert sum(c > 0 for c in counts) > len(counts) // 2
@@ -102,9 +108,10 @@ def test_family_outside_config_flats_rejected(f3):
     # outside them could never be a face.
     cfg = all_lines_config(3)
     fewer = Configuration(f3, 2, 1, cfg.points, cfg.flats[:6])
+    index = incidence_count(fewer)
     with pytest.raises(ValueError):
-        count_simplices(fewer, flats=cfg.flats)
-    assert count_simplices(fewer, flats=cfg.flats[:3]) == count_simplices_bruteforce(
+        count_simplices(fewer, index, cfg.flats)
+    assert count_simplices(fewer, index, cfg.flats[:3]) == count_simplices_bruteforce(
         fewer, flats=cfg.flats[:3]
     )
 
@@ -136,7 +143,7 @@ def test_lambda_flat_counts_match_recount(n, k):
     varied = 0
     for seed in range(8):
         cfg = gen_random_config(n, k, 20, Fraction(1, 2), Field(3), seed)
-        chain = build_refinement_chain(cfg)
+        chain = build_refinement_chain(cfg, incidence_count(cfg))
         lam = lambda_flat_counts(cfg, chain)
         assert lam == _lambda_recount(cfg, chain)
         varied += len(set(lam)) > 1
@@ -145,7 +152,7 @@ def test_lambda_flat_counts_match_recount(n, k):
 
 def test_bruteforce_size_guard():
     cfg = all_lines_config(7)
-    with pytest.raises(SizeError):
+    with pytest.raises(SizeGuardError):
         count_simplices_bruteforce(cfg)
 
 
@@ -197,7 +204,8 @@ class TestChains:
 
 class TestSpineDeletion:
     def test_degenerate_pinned(self, f3):
-        chain = build_refinement_chain(gen_degenerate(4, 2, 1, f3))
+        cfg = gen_degenerate(4, 2, 1, f3)
+        chain = build_refinement_chain(cfg, incidence_count(cfg))
         assert v_k_del(chain) == 13 * 12
 
     def test_single_flat_zero(self, f3):
@@ -205,13 +213,14 @@ class TestSpineDeletion:
 
         cfg = gen_degenerate(4, 2, 1, f3)
         single = Configuration(f3, 4, 2, cfg.points, cfg.flats[:1])
-        chain = build_refinement_chain(single)
+        chain = build_refinement_chain(single, incidence_count(single))
         assert v_k_del(chain) == 0
 
 
 class TestBoundReport:
     def test_degenerate_rich_case(self, f3):
-        report = simplex_bound_report(gen_degenerate(4, 2, 1, f3))
+        cfg = gen_degenerate(4, 2, 1, f3)
+        report = simplex_bound_report(cfg, incidence_count(cfg))
         assert report.counts["simplices"] == 0
         assert report.counts["vk"] == 936
         assert report.ratios["lower"] is None
@@ -220,11 +229,11 @@ class TestBoundReport:
 
     def test_empty_incidences(self, f3):
         cfg = gen_degenerate(4, 2, 1, f3).with_points(frozenset())
-        report = simplex_bound_report(cfg)
+        report = simplex_bound_report(cfg, incidence_count(cfg))
         assert report.counts["incidences"] == 0
         assert report.ratios["upper"] is None
 
     def test_random_corpus_runs(self):
         for _, cfg in random_corpus(3, 1, 3, 5):
-            report = simplex_bound_report(cfg)
+            report = simplex_bound_report(cfg, incidence_count(cfg))
             assert report.counts["num_flats"] == len(cfg.flats)
