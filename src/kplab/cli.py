@@ -143,7 +143,8 @@ def estimate_work(spec: ExperimentSpec) -> int:
     if spec.kind in ("refinement-chain", "simplex-bounds"):
         per_seed += num_flats * p ** (k * k)
     if spec.kind == "two-ends":
-        # jr_decompose walks the (r+1)-tuples of each flat's at most p^k points.
+        # Bounds the ordered (r+1)-tuples of each flat's at most p^k points,
+        # the count jr_decompose's tuple guard checks; no walk visits them.
         per_seed += num_flats * p ** (k * (params["r"] + 1))
     if spec.kind == "maximal-ratio":
         per_seed = gaussian_binomial(n, k, p) * p**n * 10
@@ -400,6 +401,17 @@ def _selftest() -> int:
             f"refinement chain oracle seed {seed}",
             all(getattr(chain, name) == value for name, value in brute.items()),
         )
+    for seed in range(3):
+        cfg = gen_random_config(5, 3, 8, Fraction(1, 2), Field(2), seed)
+        index = incidence.incidence_count(cfg)
+        try:
+            same = all(
+                incidence.jr_decompose(cfg, r, index) == incidence.jr_decompose_bruteforce(cfg, r)
+                for r in range(1, 4)
+            )
+        except AssertionError:  # jr_decompose's strata do not sum to its tuple count
+            same = False
+        check(f"two-ends oracle seed {seed}", same)
     cfg = gen_degenerate(4, 2, 1, Field(3))
     index = incidence.incidence_count(cfg)
     check("degenerate worst case (4,2,1,3)", index.total == 39 == len(cfg.points) * len(cfg.flats))

@@ -10,7 +10,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Iterator, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from .field import Field
 from .flats import (
@@ -22,6 +22,7 @@ from .flats import (
     is_direction_separated,
     make_flat,
     span_of,
+    unrank_grassmannian,
 )
 from .linalg import Vector
 
@@ -125,26 +126,26 @@ def gen_random_direction_separated(
     n: int, k: int, num_directions: int, fld: Field, seed: int
 ) -> Configuration:
     """num_directions distinct directions sampled without replacement, one
-    uniformly random translate each; the point set starts empty."""
+    uniformly random translate each; the point set starts empty.
+
+    The directions are the first num_directions slots of a partial
+    Fisher-Yates shuffle of G(n,k)'s enumeration order, taken in ascending
+    position.  Only the swapped slots are stored, and each pick is unranked
+    (`unrank_grassmannian`) rather than enumerated, so the work is
+    O(num_directions) and not O(|G(n,k)|)."""
     total = gaussian_binomial(n, k, fld.p)
     if num_directions > total:
         raise ConfigDomainError(
             f"requested {num_directions} directions but G({n},{k}) has {total}"
         )
     rng = random.Random(seed)
-    # Partial Fisher-Yates over the enumerated Grassmannian order.
-    indices = list(range(total))
+    swapped: Dict[int, int] = {}
     for i in range(num_directions):
         j = rng.randrange(i, total)
-        indices[i], indices[j] = indices[j], indices[i]
-    chosen = sorted(indices[:num_directions])
+        swapped[i], swapped[j] = swapped.get(j, j), swapped.get(i, i)
     flats = []
-    it = enumerate_grassmannian(n, k, fld)
-    pos = 0
-    for target in chosen:
-        while pos <= target:
-            pi = next(it)
-            pos += 1
+    for target in sorted(swapped.get(i, i) for i in range(num_directions)):
+        pi = unrank_grassmannian(n, k, fld, target)
         flats.append(make_flat(pi, _random_coset_representative(pi, fld, rng), fld))
     return Configuration(fld, n, k, frozenset(), tuple(flats))
 

@@ -111,6 +111,31 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return num // den
 
 
+def _pivot_patterns(n: int, k: int) -> Iterator[Tuple[Tuple[int, ...], List[Tuple[int, int]]]]:
+    """Each RREF pivot pattern of a k-subspace of F^n, lexicographically, with
+    the (row, column) positions of its free entries."""
+    for pivots in itertools.combinations(range(n), k):
+        pivot_set = set(pivots)
+        yield pivots, [
+            (i, j)
+            for i in range(k)
+            for j in range(pivots[i] + 1, n)
+            if j not in pivot_set
+        ]
+
+
+def _pattern_subspace(
+    n: int, pivots: Tuple[int, ...], free_positions: List[Tuple[int, int]], values: Sequence[int]
+) -> LinearSubspace:
+    """The subspace of the pivot pattern with these values in its free entries."""
+    rows = [[0] * n for _ in pivots]
+    for i, piv in enumerate(pivots):
+        rows[i][piv] = 1
+    for (i, j), v in zip(free_positions, values):
+        rows[i][j] = v
+    return LinearSubspace(n, RrefBasis(tuple(tuple(r) for r in rows), tuple(pivots)))
+
+
 def enumerate_grassmannian(n: int, k: int, field: Field) -> Iterator[LinearSubspace]:
     """All k-subspaces of F^n, each exactly once, in deterministic order.
 
@@ -122,38 +147,48 @@ def enumerate_grassmannian(n: int, k: int, field: Field) -> Iterator[LinearSubsp
     if k == 0:
         yield zero_subspace(n)
         return
-    for pivots in itertools.combinations(range(n), k):
-        pivot_set = set(pivots)
-        free_positions = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivot_set
-        ]
+    for pivots, free_positions in _pivot_patterns(n, k):
         for values in itertools.product(field.elements(), repeat=len(free_positions)):
-            rows = [[0] * n for _ in range(k)]
-            for i, piv in enumerate(pivots):
-                rows[i][piv] = 1
-            for (i, j), v in zip(free_positions, values):
-                rows[i][j] = v
-            basis = RrefBasis(tuple(tuple(r) for r in rows), tuple(pivots))
-            yield LinearSubspace(n, basis)
+            yield _pattern_subspace(n, pivots, free_positions, values)
+
+
+def unrank_grassmannian(n: int, k: int, field: Field, index: int) -> LinearSubspace:
+    """The subspace at position `index` of `enumerate_grassmannian`'s order.
+
+    Each pivot pattern is a block of p^free subspaces; within it the free
+    entries are the base-p digits of the offset, the last position fastest.
+    """
+    total = gaussian_binomial(n, k, field.p)
+    if not 0 <= index < total:
+        raise IndexError(f"index {index} outside G({n},{k}) of size {total}")
+    if k == 0:
+        return zero_subspace(n)
+    p = field.p
+    for pivots, free_positions in _pivot_patterns(n, k):
+        block = p ** len(free_positions)
+        if index < block:
+            break
+        index -= block
+    values = [0] * len(free_positions)
+    for pos in reversed(range(len(values))):
+        index, values[pos] = divmod(index, p)
+    return _pattern_subspace(n, pivots, free_positions, values)
 
 
 def enumerate_points(flat: AffineFlat, field: Field) -> Iterator[Vector]:
-    """All p^dim points of the flat, deterministically."""
-    rows = flat.direction.basis.rows
-    rep = flat.representative
-    if not rows:
-        yield rep
-        return
+    """All p^dim points of the flat, deterministically: the representative
+    plus every combination of the basis rows, the first coefficient varying
+    slowest.  Built by sums, adding every multiple of each row (last to
+    first) to the points built so far."""
     p = field.p
-    for coeffs in itertools.product(field.elements(), repeat=len(rows)):
-        point = list(rep)
-        for c, row in zip(coeffs, rows):
-            if c:
-                point = [(x + c * y) % p for x, y in zip(point, row)]
-        yield tuple(point)
+    points = [flat.representative]
+    for row in reversed(flat.direction.basis.rows):
+        shifted = list(points)
+        for c in range(1, p):
+            shift = [c * y for y in row]
+            shifted += [tuple([(a + b) % p for a, b in zip(x, shift)]) for x in points]
+        points = shifted
+    yield from points
 
 
 def _packed_key(point: Vector, rows: Tuple[Vector, ...], p: int) -> int:

@@ -106,29 +106,88 @@ class JrDecomposition:
     strata: Tuple[int, ...]  # index j = hull dimension, j = 0..r
 
 
+def _onto(slots: int, size: int) -> int:
+    """Number of maps from `slots` slots onto a set of `size` points,
+    size! S(slots, size), by inclusion-exclusion."""
+    return sum(
+        (-1) ** i * math.comb(size, i) * (size - i) ** slots for i in range(size + 1)
+    )
+
+
 def jr_decompose(config: Configuration, r: int, index: IncidenceIndex) -> JrDecomposition:
     """Classify every incident (r+1)-tuple per flat by the dimension of its
     affine hull.  Exact partition: the strata sum to sum_pi c^{r+1}, and
-    stratum 0 (constant tuples) equals |I|."""
+    stratum 0 (constant tuples) equals |I|.
+
+    Tuples are counted by their point sets: an ordered (r+1)-tuple whose
+    points form an s-subset is one of the onto(s) = s! S(r+1, s) maps from
+    r+1 slots onto it, and all of them share the subset's hull.  A single
+    point is a 0-flat and two distinct points span a line, so strata 0 and 1
+    get c and C(c,2) onto(2) per flat of c points; each s-subset with
+    3 <= s <= r+1 adds onto(s) to the stratum of the rank of its local
+    differences (`local_coordinates`).  The identity
+    sum_s C(c,s) onto(s) = c^{r+1} makes the final total a real check.
+    `jr_decompose_bruteforce` is the independent oracle."""
     if not 1 <= r <= config.k:
         raise PreconditionError(f"need 1 <= r <= k={config.k}, got r={r}")
     fld = config.field
+    p = fld.p
     work = sum(c ** (r + 1) for c in index.per_flat.values())
     if work > TUPLE_WORK_GUARD:
         raise SizeGuardError(f"{work} tuples exceeds guard {TUPLE_WORK_GUARD}")
+    onto = [_onto(r + 1, s) for s in range(r + 2)]
     strata = [0] * (r + 1)
-    hull_dim_cache: Dict[Tuple[Vector, ...], int] = {}
     for flat in config.flats:
-        for tup in itertools.product(index.points[flat], repeat=r + 1):
-            key = tuple(sorted(set(tup)))
-            dim = hull_dim_cache.get(key)
-            if dim is None:
-                dim = affine_hull(key, fld)[0]
-                hull_dim_cache[key] = dim
-            strata[dim] += 1
+        pts = index.points[flat]
+        c = len(pts)
+        strata[0] += c
+        strata[1] += math.comb(c, 2) * onto[2]
+        if c < 3 or r < 2:
+            continue
+        local = local_coordinates(pts, flat)
+        for s in range(3, r + 2):
+            for subset in itertools.combinations(pts, s):
+                origin = local[subset[0]]
+                diffs = [tuple((a - b) % p for a, b in zip(local[q], origin)) for q in subset[1:]]
+                strata[rref(diffs, fld).rank] += onto[s]
     total = sum(strata)
     assert total == work
     return JrDecomposition(r, total, tuple(strata))
+
+
+JR_ORACLE_POINT_GUARD = 64
+
+
+def jr_decompose_bruteforce(config: Configuration, r: int) -> JrDecomposition:
+    """Independent oracle for `jr_decompose`, straight from the definition:
+    each flat's points are found by scanning P with `LinearSubspace.contains`
+    on differences, and every ordered (r+1)-tuple of them from
+    `itertools.product` is classified by `affine_hull`.  No incidence index
+    is read."""
+    if not 1 <= r <= config.k:
+        raise PreconditionError(f"need 1 <= r <= k={config.k}, got r={r}")
+    if len(config.points) > JR_ORACLE_POINT_GUARD:
+        raise SizeGuardError(
+            f"two-ends oracle limited to {JR_ORACLE_POINT_GUARD} points, "
+            f"got {len(config.points)}"
+        )
+    fld = config.field
+    p = fld.p
+    points = sorted(config.points)
+    strata = [0] * (r + 1)
+    hull_dim_cache: Dict[Tuple[Vector, ...], int] = {}
+    for flat in config.flats:
+        incident = [
+            x for x in points
+            if flat.direction.contains(tuple((a - b) % p for a, b in zip(x, flat.representative)), fld)
+        ]
+        for tup in itertools.product(incident, repeat=r + 1):
+            key = tuple(sorted(set(tup)))
+            dim = hull_dim_cache.get(key)
+            if dim is None:
+                dim = hull_dim_cache[key] = affine_hull(key, fld)[0]
+            strata[dim] += 1
+    return JrDecomposition(r, sum(strata), tuple(strata))
 
 
 @dataclass

@@ -32,6 +32,11 @@ PINNED_ROWS = {
         "experiment=two-ends n=4 k=2 r=2 prime=3 num_directions=6 density=1/2 seeds=0..3",
         "e495797d52771a1fa1de6753003946c2329d2fadc852c31e5989d856fe4d5835",
     ),
+    # Strata 2 and 3 are nonzero on every seed, so 4-point subsets reach the rows.
+    "two-ends r=3": (
+        "experiment=two-ends n=5 k=3 r=3 prime=2 num_directions=8 density=1/2 seeds=0..2",
+        "af60f7c63030e790e161746b951962fccf3fe5deab4503227b72a828bfff3043",
+    ),
     "refinement-chain": (
         "experiment=refinement-chain n=3 k=2 prime=3 num_directions=6 density=1/2 seeds=0..3",
         "411ea6825c7ad1c0ef84c0b391c9ea714a923ad5b822bd82543c7778e18bdf9d",

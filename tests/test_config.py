@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from kplab.config import (
     gen_random_direction_separated,
 )
 from kplab.field import Field
-from kplab.flats import gaussian_binomial
+from kplab.flats import enumerate_grassmannian, gaussian_binomial, make_flat
 from kplab.incidence import incidence_count
 
 
@@ -85,6 +86,34 @@ class TestRandomDirectionSeparated:
     def test_too_many_rejected(self, f3):
         with pytest.raises(ConfigDomainError):
             gen_random_direction_separated(2, 1, 5, f3, seed=0)
+
+
+def walk_direction_separated(n, k, num_directions, fld, seed):
+    """The reference sampler: a partial Fisher-Yates over the full index
+    list, then a walk of the enumerated Grassmannian up to each sorted pick."""
+    rng = random.Random(seed)
+    total = gaussian_binomial(n, k, fld.p)
+    indices = list(range(total))
+    for i in range(num_directions):
+        j = rng.randrange(i, total)
+        indices[i], indices[j] = indices[j], indices[i]
+    chosen = set(indices[:num_directions])
+    flats = []
+    for pos, pi in enumerate(enumerate_grassmannian(n, k, fld)):
+        if pos in chosen:
+            rep = tuple(
+                0 if j in pi.basis.pivots else rng.randrange(fld.p) for j in range(n)
+            )
+            flats.append(make_flat(pi, rep, fld))
+    return tuple(flats)
+
+
+@pytest.mark.parametrize("num_directions", [0, 1, 200, gaussian_binomial(4, 2, 7)])
+@pytest.mark.parametrize("seed", range(5))
+def test_sampler_matches_list_walk(seed, num_directions):
+    f7 = Field(7)
+    cfg = gen_random_direction_separated(4, 2, num_directions, f7, seed)
+    assert cfg.flats == walk_direction_separated(4, 2, num_directions, f7, seed)
 
 
 class TestPointCloud:

@@ -18,6 +18,7 @@ from kplab.flats import (
     make_flat,
     membership,
     span_of,
+    unrank_grassmannian,
     zero_subspace,
 )
 from kplab.linalg import in_span, reduce_vector
@@ -78,6 +79,40 @@ class TestGrassmannianEnumeration:
         first = [s.basis.rows for s in enumerate_grassmannian(3, 1, fld)]
         second = [s.basis.rows for s in enumerate_grassmannian(3, 1, fld)]
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "n,k,p", [(2, 1, 5), (3, 1, 3), (3, 2, 7), (4, 0, 3), (4, 2, 5), (4, 4, 2), (5, 2, 3)]
+)
+def test_unrank_matches_enumeration(n, k, p):
+    fld = Field(p)
+    enumerated = list(enumerate_grassmannian(n, k, fld))
+    assert [unrank_grassmannian(n, k, fld, i) for i in range(len(enumerated))] == enumerated
+    with pytest.raises(IndexError):
+        unrank_grassmannian(n, k, fld, len(enumerated))
+    with pytest.raises(IndexError):
+        unrank_grassmannian(n, k, fld, -1)
+
+
+@pytest.mark.parametrize("n,k,p", [(4, 2, 7), (3, 1, 3), (5, 3, 2), (3, 3, 3)])
+def test_enumerate_points_product_order(n, k, p):
+    # The reference order: the representative plus sum c_i row_i over
+    # `itertools.product` coefficients, the first coefficient slowest.
+    fld = Field(p)
+    rng = random.Random(n * 100 + k * 10 + p)
+    for dim in range(n + 1):
+        directions = list(enumerate_grassmannian(n, dim, fld))
+        for direction in rng.sample(directions, min(3, len(directions))):
+            flat = make_flat(direction, tuple(rng.randrange(p) for _ in range(n)), fld)
+            rows = direction.basis.rows
+            expected = [
+                tuple(
+                    (x + sum(c * row[j] for c, row in zip(coeffs, rows))) % p
+                    for j, x in enumerate(flat.representative)
+                )
+                for coeffs in itertools.product(range(p), repeat=len(rows))
+            ]
+            assert list(enumerate_points(flat, fld)) == expected
 
 
 def test_enumerate_points_sizes():

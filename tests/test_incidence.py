@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import kplab.incidence
 from conftest import planted_simplex_config, random_corpus
 from kplab.config import Configuration, gen_degenerate, gen_random_config
 from kplab.exponents import PowerProduct
@@ -26,6 +27,7 @@ from kplab.incidence import (
     hypothesis_check,
     incidence_count,
     jr_decompose,
+    jr_decompose_bruteforce,
     refine_dyadic,
 )
 
@@ -306,3 +308,34 @@ def test_chain_oracle_point_guard(f5):
     cfg = gen_random_config(3, 2, 4, Fraction(1), f5, 0)
     with pytest.raises(SizeGuardError):
         build_refinement_chain_bruteforce(cfg)
+
+
+@pytest.mark.parametrize("n,k,p", [(3, 1, 3), (4, 2, 3), (4, 3, 2), (5, 3, 2)])
+def test_jr_oracle_equivalence(n, k, p):
+    configs = [cfg for _, cfg in random_corpus(n, k, p, 6)]
+    configs += [gen_degenerate(n, k, d, Field(p)) for d in range(1, k)]
+    high_r = nonzero_stratum2 = 0
+    for cfg in configs:
+        index = incidence_count(cfg)
+        for r in range(1, k + 1):
+            decomp = jr_decompose(cfg, r, index)
+            assert decomp == jr_decompose_bruteforce(cfg, r)
+            if r >= 2:
+                high_r += 1
+                nonzero_stratum2 += decomp.strata[2] > 0
+    assert nonzero_stratum2 * 2 >= high_r
+
+
+def test_jr_decompose_makes_no_hull_call(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("affine_hull called")
+
+    monkeypatch.setattr(kplab.incidence, "affine_hull", forbidden)
+    for _, cfg in random_corpus(5, 3, 2, 2):
+        jr_decompose(cfg, 3, incidence_count(cfg))
+
+
+def test_jr_oracle_point_guard(f5):
+    cfg = gen_random_config(3, 2, 4, Fraction(1), f5, 0)
+    with pytest.raises(SizeGuardError):
+        jr_decompose_bruteforce(cfg, 1)
