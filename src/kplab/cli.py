@@ -1,9 +1,9 @@
 """Batch experiment runner: parses flat key=value experiment specs, drives
 the generators and checkers, and writes CSV/JSON reports side by side.
 
-Exit codes: 0 success, 1 spec error (including out-of-domain parameters),
-2 work refusal (the --budget estimate or a library size guard), 3 internal
-failure.
+Exit codes: 0 success, 1 spec error (out-of-domain parameters, an unreadable
+spec or an unwritable output), 2 work refusal (the --budget estimate, made
+before anything is generated), 3 internal failure.
 """
 
 from __future__ import annotations
@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
@@ -24,6 +26,7 @@ from .field import Field, NotPrimeError
 from .flats import enumerate_grassmannian, gaussian_binomial
 
 DEFAULT_BUDGET = 50_000_000
+RANK_TEST_COST = 10  # work units per rank test; one 2x2 rref takes about 9 us on a 2-CPU host
 
 _INT_KEYS = {"n", "k", "r", "prime", "num_directions", "seed", "kmax", "slack"}
 _RATIONAL_KEYS = {"density", "p_exp", "q_exp"}
@@ -36,10 +39,7 @@ class SpecError(ValueError):
 
 
 class BudgetError(incidence.SizeGuardError):
-    def __init__(self, estimate: int, budget: int):
-        super().__init__(f"estimated work {estimate} exceeds budget {budget}")
-        self.estimate = estimate
-        self.budget = budget
+    pass
 
 
 @dataclass
@@ -122,33 +122,16 @@ def _check_domain(kind: str, params: Dict[str, object]) -> None:
     for key in ("p_exp", "q_exp"):
         if key in params and params[key] < 1:
             raise SpecError(f"{key} must be >= 1, got {params[key]}")
+    if ("p_exp" in params) != ("q_exp" in params):
+        raise SpecError("p_exp and q_exp must be given together")
     if params.get("seeds") == []:
         raise SpecError("empty seed list")
 
 
 def estimate_work(spec: ExperimentSpec) -> int:
-    """Rough operation-count estimate used by the budget guard."""
-    params = spec.params
-    if spec.kind == "exponent-identities":
-        return int(params["kmax"]) ** 2
-    if spec.kind == "grassmann-census":
-        p, n, k = params["prime"], params["n"], params["k"]
-        return gaussian_binomial(n, k, p) * n * n
-    p = params.get("prime", 2)
-    n = params.get("n", 2)
-    k = params.get("k", 1)
-    num_flats = params.get("num_directions", gaussian_binomial(n, k, p))
-    num_seeds = len(params.get("seeds", [0]))
-    per_seed = num_flats * p**k + p**n
-    if spec.kind in ("refinement-chain", "simplex-bounds"):
-        per_seed += num_flats * p ** (k * k)
-    if spec.kind == "two-ends":
-        # Bounds the ordered (r+1)-tuples of each flat's at most p^k points,
-        # the count jr_decompose's tuple guard checks; no walk visits them.
-        per_seed += num_flats * p ** (k * (params["r"] + 1))
-    if spec.kind == "maximal-ratio":
-        per_seed = gaussian_binomial(n, k, p) * p**n * 10
-    return per_seed * num_seeds
+    """Estimated work units of a spec, the budget's one measure: its kind's
+    per-seed `work` times the number of seeds."""
+    return KINDS[spec.kind].work(**spec.params) * len(spec.params.get("seeds", [0]))
 
 
 def run_experiment(spec: ExperimentSpec, budget: int = DEFAULT_BUDGET) -> List[Dict[str, object]]:
@@ -156,7 +139,7 @@ def run_experiment(spec: ExperimentSpec, budget: int = DEFAULT_BUDGET) -> List[D
     the seeded corpus kinds) "seed", then the kind's own columns."""
     estimate = estimate_work(spec)
     if estimate > budget:
-        raise BudgetError(estimate, budget)
+        raise BudgetError(f"estimated work {estimate} exceeds budget {budget}")
     params, kind = spec.params, KINDS[spec.kind]
     prefix = {"experiment": spec.kind, **{key: params[key] for key in _PREFIX_KEYS if key in params}}
     if "num_directions" in kind.required:
@@ -231,7 +214,7 @@ def _incidence_bound_row(params, cfg) -> Dict[str, object]:
     index = incidence.incidence_count(cfg)
     report = incidence.check_main_bound(cfg, index)
     row = {**report.counts, **_main_bound_columns(report)}
-    if "p_exp" in params and "q_exp" in params:
+    if "p_exp" in params:
         mic = incidence.check_max_ic(cfg, index, params["p_exp"], params["q_exp"])
         row["ratio_max_ic"] = _sig(mic.ratio_float)
         row["verdict_sup_chain"] = mic.chain_holds
@@ -304,40 +287,67 @@ def _exponent_identity_rows(params) -> List[Dict[str, object]]:
 
 
 class Kind(NamedTuple):
-    """One experiment kind.  `in_domain` takes the spec's parameters as
-    keywords; `domain` states it for the error message.  A kind that needs
-    `num_directions` is a corpus kind: its `rows(params, cfg)` gives the
-    columns of one seed's configuration.  Any other kind's `rows(params)`
-    gives a list of column dicts."""
+    """One experiment kind.  `in_domain` and `work` (units per seed) take the
+    spec's parameters as keywords; `domain` states the domain for errors.  A
+    corpus kind (one needing `num_directions`) gives one seed's columns by
+    `rows(params, cfg)`; any other kind a list of column dicts by `rows(params)`."""
 
     required: set
     optional: set
     domain: str
     in_domain: Callable[..., bool]
+    work: Callable[..., int]
     rows: Callable
 
 
 _CORPUS_KEYS = {"n", "k", "prime", "num_directions", "density"}
 
+
+def _corpus_work(subset_sizes: Callable[..., Sequence[int]], chain: bool,
+                 n, k, prime, num_directions, density, **params) -> int:
+    """Per-seed work units of a corpus kind: p^n to generate, p^k per flat to
+    count incidences, RANK_TEST_COST per rank test of an s-subset of a flat's
+    points, s in `subset_sizes` (jr_decompose 3..r+1, the chain k,
+    count_simplices k+1), and with `chain` one per step of the chain's
+    extended-pair tally (c per flat pair per kept k-subset they share).  A flat
+    holds c ~ Bin(p^k, d) points, so E[C(c, s)] = C(p^k, s) d^s.  Two sampled
+    directions meet in dimension k-1 with probability p [k 1]_p [n-k 1]_p /
+    (|G(n,k)|-1), their flats then with p^(k+1-n), sharing C(p^(k-1), k) d^k k-subsets."""
+    tests = sum(math.comb(prime**k, s) * density**s for s in subset_sizes(k=k, **params))
+    total = prime**n + num_directions * (prime**k + RANK_TEST_COST * tests)
+    if chain and num_directions > 1:
+        meets = prime * gaussian_binomial(k, 1, prime) * gaussian_binomial(n - k, 1, prime)
+        pairs = Fraction(num_directions * (num_directions - 1) * meets, gaussian_binomial(n, k, prime) - 1)
+        total += pairs * math.comb(prime ** (k - 1), k) * density ** (k + 1) * Fraction(prime) ** (2 * k + 1 - n)
+    return math.ceil(total)
+
+
+def _points_and_flats_work(n, k, prime, **_) -> int:
+    return gaussian_binomial(n, k, prime) * prime**k + prime**n
+
+
 KINDS: Dict[str, Kind] = {
-    "grassmann-census": Kind({"n", "k", "prime"}, set(), "0 <= k <= n",
-                             lambda n, k, **_: 0 <= k <= n, _census_rows),
+    "grassmann-census": Kind({"n", "k", "prime"}, set(), "0 <= k <= n", lambda n, k, **_: 0 <= k <= n,
+                             lambda n, k, prime, **_: gaussian_binomial(n, k, prime) * n * n, _census_rows),
     "degenerate": Kind({"n", "k", "r", "prime"}, set(), "1 <= r < k <= n-1",
-                       lambda n, k, r, **_: 1 <= r < k <= n - 1, _degenerate_rows),
+                       lambda n, k, r, **_: 1 <= r < k <= n - 1, _points_and_flats_work, _degenerate_rows),
     "nk-set": Kind({"n", "k", "prime"}, {"translate", "seeds", "slack"}, "1 <= k <= n-1 and slack >= 1",
-                   lambda n, k, slack=8, **_: 1 <= k <= n - 1 and slack >= 1, _nk_set_rows),
+                   lambda n, k, slack=8, **_: 1 <= k <= n - 1 and slack >= 1, _points_and_flats_work, _nk_set_rows),
     "incidence-bound": Kind(_CORPUS_KEYS, {"seeds", "p_exp", "q_exp"}, "2 <= k <= n-2",
-                            lambda n, k, **_: 2 <= k <= n - 2, _incidence_bound_row),
-    "two-ends": Kind(_CORPUS_KEYS | {"r"}, {"seeds"}, "1 <= r <= k <= n",
-                     lambda n, k, r, **_: 1 <= r <= k <= n, _two_ends_row),
-    "refinement-chain": Kind(_CORPUS_KEYS, {"seeds"}, "1 <= k <= n",
-                             lambda n, k, **_: 1 <= k <= n, _refinement_chain_row),
-    "simplex-bounds": Kind(_CORPUS_KEYS, {"seeds"}, "1 <= k <= n",
-                           lambda n, k, **_: 1 <= k <= n, _simplex_bounds_row),
+                            lambda n, k, **_: 2 <= k <= n - 2, partial(_corpus_work, lambda **_: (), False),
+                            _incidence_bound_row),
+    "two-ends": Kind(_CORPUS_KEYS | {"r"}, {"seeds"}, "1 <= r <= k <= n", lambda n, k, r, **_: 1 <= r <= k <= n,
+                     partial(_corpus_work, lambda r, **_: range(3, r + 2), False), _two_ends_row),
+    "refinement-chain": Kind(_CORPUS_KEYS, {"seeds"}, "1 <= k <= n", lambda n, k, **_: 1 <= k <= n,
+                             partial(_corpus_work, lambda k, **_: (k,), True), _refinement_chain_row),
+    "simplex-bounds": Kind(_CORPUS_KEYS, {"seeds"}, "1 <= k <= n", lambda n, k, **_: 1 <= k <= n,
+                           partial(_corpus_work, lambda k, **_: (k, k + 1), True), _simplex_bounds_row),
     "maximal-ratio": Kind({"n", "k", "prime", "p_exp", "q_exp"}, {"seed"}, "0 <= k <= n",
-                          lambda n, k, **_: 0 <= k <= n, _maximal_ratio_rows),
-    "exponent-identities": Kind({"kmax"}, set(), "kmax >= 2",
-                                lambda kmax, **_: kmax >= 2, _exponent_identity_rows),
+                          lambda n, k, **_: 0 <= k <= n,
+                          lambda n, k, prime, **_: gaussian_binomial(n, k, prime) * prime**n * 10,
+                          _maximal_ratio_rows),
+    "exponent-identities": Kind({"kmax"}, set(), "kmax >= 2", lambda kmax, **_: kmax >= 2, lambda kmax, **_: kmax**2,
+                                _exponent_identity_rows),
 }
 
 
@@ -448,11 +458,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "verify-exponents":
             spec = parse_spec(f"experiment=exponent-identities kmax={args.kmax}")
         else:
-            try:
-                spec = parse_spec(args.specfile.read_text())
-            except OSError as exc:
-                print(f"spec error: {exc}", file=sys.stderr)
-                return 1
+            spec = parse_spec(args.specfile.read_text())
         if args.seed is not None:
             optional = KINDS[spec.kind].optional
             if "seeds" in optional:
@@ -460,8 +466,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             elif "seed" in optional:
                 spec.params["seed"] = args.seed
         rows = run_experiment(spec, budget=args.budget)
+        if args.json_only:
+            print(json.dumps(rows, indent=2, default=str))
+        if spec.out:
+            out_path = Path(spec.out)
+            write_csv(rows, out_path)
+            write_json(rows, out_path.with_suffix(".json"))
+        elif not args.json_only:
+            for row in rows:
+                print(row)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
         return 1
     except incidence.SizeGuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
@@ -469,16 +487,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # noqa: BLE001 - reported as internal failure
         print(f"internal failure: {exc}", file=sys.stderr)
         return 3
-
-    if args.json_only:
-        print(json.dumps(rows, indent=2, default=str))
-    if spec.out:
-        out_path = Path(spec.out)
-        write_csv(rows, out_path)
-        write_json(rows, out_path.with_suffix(".json"))
-    elif not args.json_only:
-        for row in rows:
-            print(row)
     return 0
 
 

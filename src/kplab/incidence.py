@@ -30,8 +30,6 @@ from .flats import (
 from .linalg import Vector, null_space_rows, rref
 from .reports import CountReport
 
-TUPLE_WORK_GUARD = 5_000_000
-
 
 class EmptyRefinementError(ValueError):
     """Dyadic refinement of a configuration with no incidences."""
@@ -42,8 +40,8 @@ class PreconditionError(ValueError):
 
 
 class SizeGuardError(RuntimeError):
-    """Work refused before it starts: a size guard of the library or the
-    CLI's work budget would be exceeded."""
+    """Work refused before it starts: a brute-force oracle's point limit or
+    the CLI's work budget would be exceeded."""
 
 
 @dataclass
@@ -133,8 +131,6 @@ def jr_decompose(config: Configuration, r: int, index: IncidenceIndex) -> JrDeco
     fld = config.field
     p = fld.p
     work = sum(c ** (r + 1) for c in index.per_flat.values())
-    if work > TUPLE_WORK_GUARD:
-        raise SizeGuardError(f"{work} tuples exceeds guard {TUPLE_WORK_GUARD}")
     onto = [_onto(r + 1, s) for s in range(r + 2)]
     strata = [0] * (r + 1)
     for flat in config.flats:
@@ -403,10 +399,6 @@ def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> Refi
     spine_threshold = Fraction(i_tilde, 10 * num_flats * p)
 
     holder_tuple_count = sum(index.per_flat[flat] ** k for flat in refined.flats)
-    if holder_tuple_count > TUPLE_WORK_GUARD:
-        raise SizeGuardError(
-            f"{holder_tuple_count} spanning tuples exceeds guard {TUPLE_WORK_GUARD}"
-        )
 
     orders = math.factorial(k)
     spanning = 0

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,50 @@ class TestRunExperiment:
         assert cli.estimate_work(spec) >= 35_294_700
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            "experiment=two-ends n=4 k=2 r=2 prime=7 num_directions=200 density=1/4 seeds=0..19",
+            "experiment=two-ends n=4 k=2 r=2 prime=5 num_directions=20 density=1/2 seeds=0..19",
+        ],
+        ids=["p7_density_quarter", "p5_density_half"],
+    )
+    def test_two_ends_estimate_charges_rank_tests(self, text):
+        # The estimate charges the expected number of subsets that
+        # jr_decompose rank-tests; the mean over 20 seeds lies within 10 %.
+        from kplab.incidence import incidence_count
+
+        spec = cli.parse_spec(text)
+        n, k, p, r = (spec.params[key] for key in ("n", "k", "prime", "r"))
+        flats_and_points = p**n + spec.params["num_directions"] * p**k
+        seeds = spec.params["seeds"]
+        charged = (cli.estimate_work(spec) / len(seeds) - flats_and_points) / cli.RANK_TEST_COST
+        measured = [
+            sum(math.comb(c, s) for c in incidence_count(cfg).per_flat.values() for s in range(3, r + 2))
+            for _, cfg in cli._corpus(spec.params)
+        ]
+        assert abs(sum(measured) / len(measured) - charged) <= charged / 10
+
+    def test_chain_estimate_charges_extended_pair_tally(self):
+        # With n = k+1 any two planes of distinct directions meet in a line,
+        # and at density 1 every pair of points on it is a kept spine, so the
+        # charged tally steps are exact on every seed.
+        from kplab.incidence import build_refinement_chain, incidence_count
+
+        spec = cli.parse_spec(
+            "experiment=refinement-chain n=3 k=2 prime=3 num_directions=13 density=1 seeds=0..2"
+        )
+        untallied = 27 + 13 * (9 + cli.RANK_TEST_COST * math.comb(9, 2))
+        for _, cfg in cli._corpus(spec.params):
+            index = incidence_count(cfg)
+            groups = build_refinement_chain(cfg, index).spine_groups.values()
+            steps = sum((len(g) - 1) * sum(index.per_flat[pi] for pi in g) for g in groups)
+            assert steps == cli.estimate_work(spec) / 3 - untallied
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_ROWS))
+    def test_pinned_specs_within_default_budget(self, kind):
+        assert cli.estimate_work(cli.parse_spec(PINNED_ROWS[kind][0])) < cli.DEFAULT_BUDGET
+
+    @pytest.mark.parametrize(
         "text,num_rows",
         [
             ("experiment=degenerate n=4 k=2 r=1 prime=3", 1),
@@ -279,14 +324,16 @@ class TestMainEntryPoint:
             ("experiment=incidence-bound n=4 k=2 prime=3 num_directions=4 density=0", 1),
             ("experiment=maximal-ratio n=3 k=1 prime=3 p_exp=0 q_exp=2", 1),
             ("experiment=two-ends n=3 k=1 r=1 prime=3 num_directions=4 density=1/2 seeds=5..1", 1),
-            # The budget estimate passes; the 5 M tuple guard of jr_decompose refuses.
+            # The budget estimate charges its 5.5 M rank tests and refuses it.
             ("experiment=two-ends n=4 k=2 r=2 prime=7 num_directions=300 density=1", 2),
             ("experiment=exponent-identities kmax=1", 1),
             ("experiment=nk-set n=3 k=1 prime=3 slack=0", 1),
+            ("experiment=incidence-bound n=4 k=2 prime=3 num_directions=4 density=1/2 p_exp=11/6", 1),
+            ("experiment=incidence-bound n=4 k=2 prime=3 num_directions=4 density=1/2 q_exp=22/5", 1),
         ],
         ids=[
             "k_above_n", "bogus_translate", "zero_density", "p_exp_below_1", "empty_seeds", "tuple_guard",
-            "kmax_below_2", "zero_slack",
+            "kmax_below_2", "zero_slack", "p_exp_without_q_exp", "q_exp_without_p_exp",
         ],
     )
     def test_domain_and_guard_exit_codes(self, tmp_path, text, code):
@@ -306,6 +353,33 @@ class TestMainEntryPoint:
         spec = tmp_path / "census.spec"
         spec.write_text("experiment=grassmann-census n=4 k=2 prime=3\n")
         assert cli.main(["--budget", "1", "run", str(spec)]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "experiment=two-ends n=4 k=2 r=2 prime=7 num_directions=300 density=1",
+            # 3.35 M spanning tests and about 188 M extended-pair tally steps.
+            "experiment=refinement-chain n=4 k=2 prime=7 num_directions=2850 density=1",
+        ],
+        ids=["tuple_guard", "holder_guard"],
+    )
+    def test_budget_refuses_before_generating(self, tmp_path, monkeypatch, capsys, text):
+        def generate(*args):
+            raise AssertionError("configuration generated")
+
+        monkeypatch.setattr(cli, "gen_random_config", generate)
+        spec = tmp_path / "s.spec"
+        spec.write_text(text + "\n")
+        assert cli.main(["run", str(spec)]) == 2
+        assert "exceeds budget" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        spec = tmp_path / "s.spec"
+        spec.write_text(f"experiment=grassmann-census n=3 k=1 prime=3 out={out}\n")
+        assert cli.main(["run", str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert str(out) in err and len(err.splitlines()) == 1
 
     def test_verify_exponents(self, capsys):
         assert cli.main(["verify-exponents", "--kmax", "8"]) == 0

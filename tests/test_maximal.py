@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -181,3 +182,36 @@ class TestSearch:
         family = default_candidates(4, 2, f3, seed=0)
         assert "constant" in family and "point" in family
         assert any(name.startswith("flat_dim_") for name in family)
+
+
+@pytest.mark.parametrize(
+    "n,k,p,r,p_exp,q_exp",
+    [
+        (4, 2, 7, 1, Fraction(11, 6), Fraction(22, 5)),
+        (4, 2, 7, 2, Fraction(11, 6), Fraction(22, 5)),
+        *((5, 2, 3, r, Fraction(13, 6), Fraction(39, 7)) for r in range(1, 5)),
+    ],
+)
+def test_flat_indicator_closed_form(n, k, p, r, p_exp, q_exp):
+    # For f = 1_V with V an r-flat, Tf(pi) = p^dim(V cap pi), and
+    # p^((r-j)(k-j)) [r j]_p [n-r k-j]_p directions pi meet V in dimension j.
+    # These sizes are far beyond apply_maximal_bruteforce.
+    fld = Field(p)
+    basis = [tuple(int(i == j) for i in range(n)) for j in range(r)]
+    v = span_of(basis, n, fld)
+    f = GridFunction.indicator(fld, n, enumerate_points(make_flat(v, (0,) * n, fld), fld))
+    tf = apply_maximal(f, n, k)
+    for pi, value in tf.items():
+        meet = r + k - span_of(v.basis.rows + pi.basis.rows, n, fld).dim
+        assert value == p**meet
+    histogram = {
+        p**j: p ** ((r - j) * (k - j)) * gaussian_binomial(r, j, p) * gaussian_binomial(n - r, k - j, p)
+        for j in range(max(0, r + k - n), min(r, k) + 1)
+    }
+    assert sum(histogram.values()) == gaussian_binomial(n, k, p)
+    assert Counter(tf.values()) == histogram
+    q = float(q_exp)
+    lq = (p ** (-k * (n - k)) * sum(count * value**q for value, count in histogram.items())) ** (1 / q)
+    assert math.isclose(lq_norm_grassmann(tf, q_exp, n, k, fld), lq, rel_tol=1e-12)
+    ratio = lq / p ** (r / float(p_exp))
+    assert math.isclose(operator_ratio(f, p_exp, q_exp, n, k), ratio, rel_tol=1e-12)
