@@ -16,6 +16,7 @@ from .field import Field
 from .flats import (
     AffineFlat,
     LinearSubspace,
+    _at_free_columns,
     enumerate_grassmannian,
     enumerate_points,
     gaussian_binomial,
@@ -42,6 +43,10 @@ class Configuration:
     flats: Tuple[AffineFlat, ...]
 
     def __post_init__(self):
+        residues = frozenset(self.field.elements())
+        for pt in self.points:
+            if type(pt) is not tuple or len(pt) != self.n or not residues.issuperset(pt):
+                raise ConfigDomainError(f"point {pt!r} is not in F_{self.field.p}^{self.n}")
         if len(set(self.flats)) != len(self.flats):
             raise ConfigDomainError("duplicate flats in configuration")
         for f in self.flats:
@@ -85,13 +90,8 @@ def gen_degenerate(n: int, k: int, r: int, fld: Field) -> Configuration:
 def _random_coset_representative(
     direction: LinearSubspace, fld: Field, rng: random.Random
 ) -> Vector:
-    n = direction.ambient
-    pivot_set = set(direction.basis.pivots)
-    rep = [0] * n
-    for j in range(n):
-        if j not in pivot_set:
-            rep[j] = rng.randrange(fld.p)
-    return tuple(rep)
+    free = direction.ambient - direction.dim
+    return _at_free_columns(direction, [rng.randrange(fld.p) for _ in range(free)])
 
 
 def gen_nk_set(

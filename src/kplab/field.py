@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 MAX_PRIME = 2**16
-_INVERSE_CACHE_LIMIT = 2**10
 
 
 class NotPrimeError(ValueError):
@@ -28,7 +27,7 @@ class Field:
     arithmetic through a Field instance.
     """
 
-    __slots__ = ("p", "_inverses")
+    __slots__ = ("p",)
 
     def __init__(self, p: int):
         if not 2 <= p <= MAX_PRIME:
@@ -36,7 +35,6 @@ class Field:
         if not _is_prime(p):
             raise NotPrimeError(f"modulus {p} is not prime")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_inverses", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
@@ -50,20 +48,10 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero in GF(p)")
-        if self.p <= _INVERSE_CACHE_LIMIT:
-            if self._inverses is None:
-                table = [0] * self.p
-                for x in range(1, self.p):
-                    table[x] = pow(x, -1, self.p)
-                object.__setattr__(self, "_inverses", tuple(table))
-            return self._inverses[a]
         return pow(a, -1, self.p)
 
     def elements(self) -> range:

@@ -4,11 +4,15 @@ Subspaces carry a canonical RREF basis, flats carry a canonical coset
 representative (zero in every pivot coordinate of the direction), so
 equality and hashing are structural throughout.
 
-Which coset of a direction holds a point is answered by one packed integer
-key, the digits a_i . x mod p of the annihilator rows a_i of the direction
-(`coset_key`, `membership` and `coset_sums`).  The rows, and a flat's own
-key, are kept on the instance the first time they are needed, and so is
-the hash of every subspace and flat.
+Which coset of a direction holds a point is answered by one map, the packed
+integer key: the digits a_j . x mod p of the annihilator rows a_j of the
+direction, one row per free column j.  `coset_key`, `membership`,
+`coset_sums` and `LinearSubspace.contains` read it, and `make_flat` writes
+its digits into the free columns of the canonical representative (they are
+the entries that eliminating the pivots by the basis rows leaves there).
+The rows are kept on the subspace instance the first time they are needed,
+a flat's own key is kept on it when `make_flat` builds it, and the hash of
+every subspace and flat is kept the first time it is asked for.
 """
 
 from __future__ import annotations
@@ -19,15 +23,7 @@ from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from .field import Field
-from .linalg import (
-    RrefBasis,
-    Vector,
-    in_span,
-    null_space_rows,
-    reduce_vector,
-    rref,
-    solve_affine_system,
-)
+from .linalg import RrefBasis, Vector, null_space_rows, rref, solve_affine_system
 
 W = TypeVar("W")
 
@@ -52,7 +48,8 @@ class LinearSubspace:
         return self.basis.rank
 
     def contains(self, v: Vector, field: Field) -> bool:
-        return in_span(v, self.basis, field)
+        """Whether v lies in the subspace: its coset key is the zero coset's."""
+        return coset_key(v, self, field) == 0
 
     def contains_subspace(self, other: "LinearSubspace", field: Field) -> bool:
         return all(self.contains(row, field) for row in other.basis.rows)
@@ -60,7 +57,7 @@ class LinearSubspace:
 
 @dataclass(frozen=True)
 class AffineFlat:
-    """A coset representative + direction subspace; representative canonical."""
+    """Direction + canonical coset representative; `make_flat` builds it and keeps its key."""
 
     direction: LinearSubspace
     representative: Vector
@@ -93,10 +90,34 @@ def zero_subspace(n: int) -> LinearSubspace:
     return LinearSubspace(n, RrefBasis((), ()))
 
 
+def difference_basis(points: Sequence[Vector], field: Field) -> RrefBasis:
+    """RREF basis of the differences of the points from the first one: the
+    direction of their affine span, its rank the span's dimension."""
+    base, p = points[0], field.p
+    return rref([tuple([(a - b) % p for a, b in zip(q, base)]) for q in points[1:]], field)
+
+
+def _at_free_columns(direction: LinearSubspace, values: Iterable[int]) -> Vector:
+    """The vector with `values` in the free (non-pivot) columns of the
+    direction, ascending, and zero in its pivot columns."""
+    pivots = direction.basis.pivots
+    values = iter(values)
+    return tuple([0 if j in pivots else next(values) for j in range(direction.ambient)])
+
+
 def make_flat(direction: LinearSubspace, point: Vector, field: Field) -> AffineFlat:
-    """Canonical affine flat through `point` with the given direction."""
-    rep = reduce_vector(point, direction.basis, field)
-    return AffineFlat(direction, rep)
+    """Canonical affine flat through `point` with the given direction: the
+    digits of the point's coset key in the free columns, zero at the pivots.
+    The key is kept on the flat for `membership`."""
+    p = field.p
+    rows = _annihilator(direction, field)
+    digits = [sum(map(mul, row, point)) % p for row in rows]
+    flat = AffineFlat(direction, _at_free_columns(direction, digits))
+    key = 0
+    for digit in digits:
+        key = key * p + digit
+    object.__setattr__(flat, "_key", (p, rows, key))
+    return flat
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -219,13 +240,10 @@ def coset_key(point: Vector, direction: LinearSubspace, field: Field) -> int:
 
 def membership(point: Vector, flat: AffineFlat, field: Field) -> bool:
     """Whether the point lies on the flat: its coset key under the flat's
-    direction equals the flat's own, which is computed once per flat."""
-    cached = flat.__dict__.get("_key")
-    if cached is None or cached[0] != field.p:
-        rows = _annihilator(flat.direction, field)
-        cached = (field.p, rows, _packed_key(flat.representative, rows, field.p))
-        object.__setattr__(flat, "_key", cached)
-    p, rows, key = cached
+    direction equals the flat's own, kept by `make_flat`."""
+    p, rows, key = flat.__dict__["_key"]
+    if p != field.p:
+        raise ValueError(f"flat built over GF({p}) tested over GF({field.p})")
     return _packed_key(point, rows, p) == key
 
 
@@ -274,11 +292,11 @@ def affine_hull(points: Sequence[Vector], field: Field) -> Tuple[int, AffineFlat
     """Dimension and canonical flat of the affine span of the points."""
     if not points:
         raise ValueError("affine hull of empty point set")
-    base = points[0]
-    p = field.p
-    diffs = [tuple((a - b) % p for a, b in zip(q, base)) for q in points[1:]]
-    direction = span_of(diffs, len(base), field)
-    return direction.dim, make_flat(direction, base, field)
+    n = len(points[0])
+    if any(len(q) != n for q in points):
+        raise ValueError("ambient dimension mismatch")
+    direction = LinearSubspace(n, difference_basis(points, field))
+    return direction.dim, make_flat(direction, points[0], field)
 
 
 def local_coordinates(points: Iterable[Vector], flat: AffineFlat) -> Dict[Vector, Vector]:
@@ -297,11 +315,6 @@ def is_direction_separated(flats: Sequence[AffineFlat]) -> bool:
 
 def enumerate_coset_representatives(direction: LinearSubspace, field: Field) -> Iterator[Vector]:
     """Canonical representatives of all p^(n-k) cosets of the subspace."""
-    n = direction.ambient
-    pivot_set = set(direction.basis.pivots)
-    free_cols = [j for j in range(n) if j not in pivot_set]
-    for values in itertools.product(field.elements(), repeat=len(free_cols)):
-        rep = [0] * n
-        for j, v in zip(free_cols, values):
-            rep[j] = v
-        yield tuple(rep)
+    free = direction.ambient - direction.dim
+    for values in itertools.product(field.elements(), repeat=free):
+        yield _at_free_columns(direction, values)

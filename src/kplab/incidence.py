@@ -14,20 +14,22 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .config import Configuration
 from .exponents import PowerProduct, main_term_exponents
 from .flats import (
     AffineFlat,
+    LinearSubspace,
     affine_hull,
+    coset_key,
     coset_sums,
+    difference_basis,
     enumerate_points,
     local_coordinates,
     membership,
 )
-from .linalg import Vector, null_space_rows, rref
+from .linalg import Vector, in_span
 from .reports import CountReport
 
 
@@ -129,7 +131,6 @@ def jr_decompose(config: Configuration, r: int, index: IncidenceIndex) -> JrDeco
     if not 1 <= r <= config.k:
         raise PreconditionError(f"need 1 <= r <= k={config.k}, got r={r}")
     fld = config.field
-    p = fld.p
     work = sum(c ** (r + 1) for c in index.per_flat.values())
     onto = [_onto(r + 1, s) for s in range(r + 2)]
     strata = [0] * (r + 1)
@@ -143,9 +144,7 @@ def jr_decompose(config: Configuration, r: int, index: IncidenceIndex) -> JrDeco
         local = local_coordinates(pts, flat)
         for s in range(3, r + 2):
             for subset in itertools.combinations(pts, s):
-                origin = local[subset[0]]
-                diffs = [tuple((a - b) % p for a, b in zip(local[q], origin)) for q in subset[1:]]
-                strata[rref(diffs, fld).rank] += onto[s]
+                strata[difference_basis([local[q] for q in subset], fld).rank] += onto[s]
     total = sum(strata)
     assert total == work
     return JrDecomposition(r, total, tuple(strata))
@@ -156,10 +155,10 @@ JR_ORACLE_POINT_GUARD = 64
 
 def jr_decompose_bruteforce(config: Configuration, r: int) -> JrDecomposition:
     """Independent oracle for `jr_decompose`, straight from the definition:
-    each flat's points are found by scanning P with `LinearSubspace.contains`
-    on differences, and every ordered (r+1)-tuple of them from
+    each flat's points are found by scanning P with `linalg.in_span` on
+    differences, and every ordered (r+1)-tuple of them from
     `itertools.product` is classified by `affine_hull`.  No incidence index
-    is read."""
+    or coset key is read."""
     if not 1 <= r <= config.k:
         raise PreconditionError(f"need 1 <= r <= k={config.k}, got r={r}")
     if len(config.points) > JR_ORACLE_POINT_GUARD:
@@ -175,7 +174,8 @@ def jr_decompose_bruteforce(config: Configuration, r: int) -> JrDecomposition:
     for flat in config.flats:
         incident = [
             x for x in points
-            if flat.direction.contains(tuple((a - b) % p for a, b in zip(x, flat.representative)), fld)
+            if in_span(tuple((a - b) % p for a, b in zip(x, flat.representative)),
+                       flat.direction.basis, fld)
         ]
         for tup in itertools.product(incident, repeat=r + 1):
             key = tuple(sorted(set(tup)))
@@ -384,10 +384,12 @@ def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> Refi
 
     Spines are found face-locally: in the flat's local coordinates
     (`local_coordinates`) a spine is a hyperplane of F^k, so k points span
-    one exactly when their k-1 local differences have rank k-1, and the one
-    normal nu of those differences keys the flat's spine bins (its points
-    binned by nu . x mod p).  Every point of P on a spine lies on the flat,
-    so the bin of the spine counts exactly the points of P on it.
+    one exactly when their k-1 local differences (`difference_basis`) have
+    rank k-1.  That basis is the spine's local direction, and the flat's
+    points binned by their coset key under it (`coset_sums`) are its spine
+    bins, one per parallel class; the spine's bin is the `coset_key` of its
+    first point.  Every point of P on a spine lies on the flat, so the bin
+    of the spine counts exactly the points of P on it.
     `build_refinement_chain_bruteforce` is the independent oracle."""
     fld = config.field
     k, p = config.k, fld.p
@@ -408,21 +410,21 @@ def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> Refi
     for flat in refined.flats:
         pts = index.points[flat]
         local = local_coordinates(pts, flat)
-        spine_bins: Dict[Vector, Counter] = {}
+        spine_bins: Dict[Tuple[Vector, ...], Tuple[LinearSubspace, Dict[int, int]]] = {}
         for subset in itertools.combinations(pts, k):
-            origin = local[subset[0]]
-            diffs = [tuple((a - b) % p for a, b in zip(local[q], origin)) for q in subset[1:]]
-            basis = rref(diffs, fld)
+            corners = [local[q] for q in subset]
+            basis = difference_basis(corners, fld)
             if basis.rank != k - 1:
                 continue
             spanning += 1
-            normal = null_space_rows(basis, k, fld)[0]
-            bins = spine_bins.get(normal)
-            if bins is None:
-                bins = spine_bins[normal] = Counter(
-                    sum(map(mul, normal, y)) % p for y in local.values()
+            entry = spine_bins.get(basis.rows)
+            if entry is None:
+                spine = LinearSubspace(k, basis)
+                entry = spine_bins[basis.rows] = (
+                    spine, coset_sums(((y, 1) for y in local.values()), spine, fld)
                 )
-            count = bins[sum(map(mul, normal, origin)) % p]
+            spine, bins = entry
+            count = bins[coset_key(corners[0], spine, fld)]
             if count >= spine_threshold:
                 groups[subset].append(flat)
                 on_spine[subset] = count
@@ -495,7 +497,7 @@ CHAIN_ORACLE_POINT_GUARD = 64
 def build_refinement_chain_bruteforce(config: Configuration) -> Dict[str, object]:
     """Independent oracle for the counted stages of `build_refinement_chain`,
     straight from the definitions: the points of a flat or a spine are found
-    by scanning P with `LinearSubspace.contains` on differences, spanning
+    by scanning P with `linalg.in_span` on differences, spanning
     tuples are ordered `itertools.product` k-tuples, and no incidence index
     or coset key is used.  Returns ik_prime, ik, vk_prime, vk, vkp, d_size,
     d_bucket_level and d_threshold by name."""
@@ -510,7 +512,7 @@ def build_refinement_chain_bruteforce(config: Configuration) -> Dict[str, object
 
     def on(x: Vector, flat: AffineFlat) -> bool:
         diff = tuple((a - b) % p for a, b in zip(x, flat.representative))
-        return flat.direction.contains(diff, fld)
+        return in_span(diff, flat.direction.basis, fld)
 
     incident = {flat: [x for x in points if on(x, flat)] for flat in config.flats}
     level_mass: Dict[int, int] = Counter()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
-from .config import gen_degenerate
+from .config import enumerate_space, gen_degenerate
 from .exponents import PowerProduct
 from .field import Field
 from .flats import (
@@ -26,6 +26,7 @@ from .flats import (
     enumerate_points,
     gaussian_binomial,
     make_flat,
+    span_of,
 )
 from .linalg import Vector
 
@@ -55,10 +56,7 @@ class GridFunction:
 
     @classmethod
     def constant(cls, field: Field, n: int, value: Fraction = Fraction(1)) -> "GridFunction":
-        import itertools
-
-        pts = itertools.product(field.elements(), repeat=n)
-        return cls.from_dict(field, n, {pt: Fraction(value) for pt in pts})
+        return cls.from_dict(field, n, {pt: Fraction(value) for pt in enumerate_space(n, field)})
 
     def is_zero(self) -> bool:
         return not self.values
@@ -75,6 +73,8 @@ def apply_maximal(f: GridFunction, n: int, k: int) -> Dict[LinearSubspace, Fract
     per-direction max is taken over the bins.  The values are scaled once by
     the lcm of their denominators, so the bins sum plain ints.
     """
+    if n != f.n:
+        raise ValueError(f"grid function lives on F^{f.n}, not F^{n}")
     fld = f.field
     scale = math.lcm(*(v.denominator for _, v in f.values))
     scaled = [(pt, v.numerator * (scale // v.denominator)) for pt, v in f.values]
@@ -86,6 +86,8 @@ def apply_maximal(f: GridFunction, n: int, k: int) -> Dict[LinearSubspace, Fract
 
 def apply_maximal_bruteforce(f: GridFunction, n: int, k: int) -> Dict[LinearSubspace, Fraction]:
     """Tiny-instance oracle summing over every coset's points explicitly."""
+    if n != f.n:
+        raise ValueError(f"grid function lives on F^{f.n}, not F^{n}")
     fld = f.field
     values = f.as_dict()
     out: Dict[LinearSubspace, Fraction] = {}
@@ -174,8 +176,6 @@ def default_candidates(
 ) -> Dict[str, GridFunction]:
     """Built-in witness family: constant, point spike, r-flat indicators,
     random dyadic-density sets, degenerate-configuration points."""
-    import itertools
-
     rng = random.Random(seed)
     fld = field
     out: Dict[str, GridFunction] = {}
@@ -184,15 +184,13 @@ def default_candidates(
     out["point"] = GridFunction.indicator(fld, n, [origin])
     for r in range(1, k + 1):
         basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(r)]
-        from .flats import span_of
-
         flat = make_flat(span_of(basis, n, fld), origin, fld)
         out[f"flat_dim_{r}"] = GridFunction.indicator(fld, n, enumerate_points(flat, fld))
     for exponent in (1, 2, 3):
         density = Fraction(1, 2**exponent)
         pts = [
             pt
-            for pt in itertools.product(fld.elements(), repeat=n)
+            for pt in enumerate_space(n, fld)
             if rng.randrange(density.denominator) < density.numerator
         ]
         if pts:

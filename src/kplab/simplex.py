@@ -15,6 +15,8 @@ from .config import Configuration
 from .flats import (
     AffineFlat,
     affine_hull,
+    difference_basis,
+    intersect_flats,
     local_coordinates,
     make_flat,
     membership,
@@ -26,7 +28,7 @@ from .incidence import (
     SizeGuardError,
     build_refinement_chain,
 )
-from .linalg import Vector, rref
+from .linalg import Vector
 from .reports import CountReport
 
 BRUTE_FORCE_POINT_GUARD = 40
@@ -57,7 +59,7 @@ def count_simplices(
     `count_simplices_bruteforce` is the independent oracle.
     """
     fld = config.field
-    k, p = config.k, fld.p
+    k = config.k
     family = set(flats if flats is not None else config.flats)
     if not family.issubset(config.flats):
         raise ValueError("simplex family holds flats outside config.flats")
@@ -82,9 +84,7 @@ def count_simplices(
             continue
         local = local_coordinates(pts, face)
         for base in itertools.combinations(pts, k + 1):
-            origin = local[base[0]]
-            diffs = [tuple((a - b) % p for a, b in zip(local[q], origin)) for q in base[1:]]
-            if rref(diffs, fld).rank != k:
+            if difference_basis([local[q] for q in base], fld).rank != k:
                 continue
             apexes = around(base[1:]).difference(pts)
             for omit in range(1, k + 1):
@@ -143,8 +143,6 @@ def count_chains(config: Configuration, l: int) -> int:
             f"got {len(config.points)}"
         )
     fld = config.field
-    from .flats import intersect_flats
-
     # Unordered flat subsets whose intersection lattice has the right
     # dimensions; the point/flat conditions are ordering-invariant, so the
     # ordered count is the unordered count times (k+2)! * l!.
@@ -224,11 +222,11 @@ def lambda_flat_counts(config: Configuration, chain: RefinementChainReport) -> T
         span_flat = make_flat(span, pi0.representative, fld)
         inside = inside_by_span.get(span_flat)
         if inside is None:
-            inside = 0
-            for flat in chain.refined.flats:
-                rep_diff = tuple((a - b) % p for a, b in zip(flat.representative, pi0.representative))
-                if span.contains(rep_diff, fld) and span.contains_subspace(flat.direction, fld):
-                    inside += 1
+            inside = sum(
+                membership(flat.representative, span_flat, fld)
+                and span.contains_subspace(flat.direction, fld)
+                for flat in chain.refined.flats
+            )
             inside_by_span[span_flat] = inside
         counts.append(inside)
     return tuple(counts)

@@ -146,6 +146,17 @@ def test_configuration_rejects_duplicates_and_mismatches(f3):
         Configuration(f3, 3, 2, frozenset(), cfg.flats)
 
 
+@pytest.mark.parametrize("point", [(0, 0, 0), (0, 0, 3, 0), (0, -1, 0, 0)])
+def test_configuration_rejects_points_outside_space(f3, point):
+    # A 3-tuple, or an entry outside range(3), in F_3^4.  A short tuple
+    # would add incidences on the probe side of incidence_count.
+    cfg = gen_random_config(4, 2, 30, Fraction(1, 27), f3, seed=0)
+    with pytest.raises(ConfigDomainError):
+        Configuration(f3, 4, 2, frozenset(cfg.points) | {point}, cfg.flats)
+    with pytest.raises(ConfigDomainError):
+        cfg.with_points(list(cfg.points) + [point])
+
+
 def test_gen_random_config_deterministic(f3):
     a = gen_random_config(4, 2, 6, Fraction(1, 2), f3, seed=3)
     b = gen_random_config(4, 2, 6, Fraction(1, 2), f3, seed=3)

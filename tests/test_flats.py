@@ -157,7 +157,10 @@ def test_packed_key_matches_canonical_representative(p):
     # The packed key of x (what coset_sums bins by) must separate cosets
     # exactly as the canonical representative reduce_vector(x) does, for
     # every k, including 0 (one coset per point) and n (a single coset); a
-    # subspace's basis alone does not fix its ambient n at k = 0.
+    # subspace's basis alone does not fix its ambient n at k = 0.  The
+    # representative make_flat builds from the key's digits is that same
+    # reduce_vector(x), and LinearSubspace.contains (key zero) agrees with
+    # in_span.
     fld = Field(p)
     rng = random.Random(p)
     for n in range(1, 5):
@@ -186,6 +189,11 @@ def test_packed_key_matches_canonical_representative(p):
                 assert 0 <= key(x) < p ** (n - k)
                 assert key(x) == coset_key(x, direction, fld)
                 assert membership(y, make_flat(direction, x, fld), fld) == same
+                assert make_flat(direction, x, fld).representative == reduce_vector(
+                    x, direction.basis, fld
+                )
+                diff = tuple((a - b) % p for a, b in zip(y, x))
+                assert direction.contains(diff, fld) == in_span(diff, direction.basis, fld) == same
                 seen.add(same)
             if k < n:
                 assert seen == {True, False}
@@ -278,6 +286,11 @@ class TestAffineHull:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             affine_hull([], Field(2))
+
+    @pytest.mark.parametrize("points", [[(0, 0, 0), (1, 1)], [(0, 0), (1, 1, 1)]])
+    def test_mixed_ambient_rejected(self, points):
+        with pytest.raises(ValueError):
+            affine_hull(points, Field(2))
 
 
 def test_direction_separated():

@@ -43,6 +43,19 @@ def test_subspace_indicator_peaks_at_own_direction(f3):
     assert max(tf.values()) == 9
 
 
+def test_ambient_mismatch_rejected(f3):
+    # f lives on F_3^3.  With n = 4 the key's dot products would stop at the
+    # points' three entries and report a max of 2, so both paths refuse it,
+    # and operator_ratio inherits the check.
+    f = GridFunction.indicator(f3, 3, [(0, 0, 0), (1, 1, 1)])
+    for apply in (apply_maximal, apply_maximal_bruteforce):
+        with pytest.raises(ValueError):
+            apply(f, 4, 2)
+    with pytest.raises(ValueError):
+        operator_ratio(f, 2, 2, 4, 2)
+    assert max(apply_maximal(f, 3, 2).values()) == 2
+
+
 def test_oracle_equivalence_small():
     import random
 
