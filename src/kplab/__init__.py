@@ -21,7 +21,6 @@ from .flats import (
     enumerate_grassmannian,
     enumerate_points,
     gaussian_binomial,
-    intersect_flats,
     make_flat,
 )
 from .incidence import (
@@ -66,7 +65,6 @@ __all__ = [
     "gen_random_direction_separated",
     "hypothesis_check",
     "incidence_count",
-    "intersect_flats",
     "jr_decompose",
     "make_flat",
     "refine_dyadic",

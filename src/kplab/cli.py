@@ -309,16 +309,20 @@ def _corpus_work(subset_sizes: Callable[..., Sequence[int]], chain: bool,
     count incidences, RANK_TEST_COST per rank test of an s-subset of a flat's
     points, s in `subset_sizes` (jr_decompose 3..r+1, the chain k,
     count_simplices k+1), and with `chain` one per step of the chain's
-    extended-pair tally (c per flat pair per kept k-subset they share).  A flat
-    holds c ~ Bin(p^k, d) points, so E[C(c, s)] = C(p^k, s) d^s.  Two sampled
-    directions meet in dimension k-1 with probability p [k 1]_p [n-k 1]_p /
-    (|G(n,k)|-1), their flats then with p^(k+1-n), sharing C(p^(k-1), k) d^k k-subsets."""
+    extended-pair tally (|P ∩ pi| per ordered flat pair (pi, pi_0) sharing a
+    kept k-subset).  A flat holds c ~ Bin(p^k, d) points, so
+    E[C(c, s)] = C(p^k, s) d^s.  Two sampled directions meet in dimension
+    k-1 with probability p [k 1]_p [n-k 1]_p / (|G(n,k)|-1), their flats then
+    with p^(k+1-n), and two meeting flats share a kept k-subset with
+    probability at most min(1, C(p^(k-1), k) d^k), their expected number of
+    shared k-subsets; at density 1 it is exactly 1."""
     tests = sum(math.comb(prime**k, s) * density**s for s in subset_sizes(k=k, **params))
     total = prime**n + num_directions * (prime**k + RANK_TEST_COST * tests)
     if chain and num_directions > 1:
         meets = prime * gaussian_binomial(k, 1, prime) * gaussian_binomial(n - k, 1, prime)
         pairs = Fraction(num_directions * (num_directions - 1) * meets, gaussian_binomial(n, k, prime) - 1)
-        total += pairs * math.comb(prime ** (k - 1), k) * density ** (k + 1) * Fraction(prime) ** (2 * k + 1 - n)
+        sharing = min(1, math.comb(prime ** (k - 1), k) * density**k)
+        total += pairs * Fraction(prime) ** (k + 1 - n) * sharing * prime**k * density
     return math.ceil(total)
 
 

@@ -7,9 +7,11 @@ equality and hashing are structural throughout.
 Which coset of a direction holds a point is answered by one map, the packed
 integer key: the digits a_j . x mod p of the annihilator rows a_j of the
 direction, one row per free column j.  `coset_key`, `membership`,
-`coset_sums` and `LinearSubspace.contains` read it, and `make_flat` writes
+`coset_sums` and `LinearSubspace.contains` read it, `make_flat` writes
 its digits into the free columns of the canonical representative (they are
-the entries that eliminating the pivots by the basis rows leaves there).
+the entries that eliminating the pivots by the basis rows leaves there), and
+`through_key` reads the digits of a direction vector to name the (k+1)-flat
+it spans with a k-flat (`flats_through`).
 The rows are kept on the subspace instance the first time they are needed,
 a flat's own key is kept on it when `make_flat` builds it, and the hash of
 every subspace and flat is kept the first time it is asked for.
@@ -17,13 +19,14 @@ every subspace and flat is kept the first time it is asked for.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import mul
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, TypeVar
 
 from .field import Field
-from .linalg import RrefBasis, Vector, null_space_rows, rref, solve_affine_system
+from .linalg import RrefBasis, Vector, normalized, null_space_rows, rref
 
 W = TypeVar("W")
 
@@ -132,21 +135,35 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return num // den
 
 
-def _pivot_patterns(n: int, k: int) -> Iterator[Tuple[Tuple[int, ...], List[Tuple[int, int]]]]:
+def _pivot_patterns(n: int, k: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]]:
     """Each RREF pivot pattern of a k-subspace of F^n, lexicographically, with
     the (row, column) positions of its free entries."""
     for pivots in itertools.combinations(range(n), k):
         pivot_set = set(pivots)
-        yield pivots, [
+        yield pivots, tuple(
             (i, j)
             for i in range(k)
             for j in range(pivots[i] + 1, n)
             if j not in pivot_set
-        ]
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def _pattern_blocks(
+    n: int, k: int, p: int
+) -> Tuple[int, Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...], int], ...]]:
+    """|G(n,k)| over GF(p) and its pivot patterns in enumeration order, each
+    with its free positions and its block size p^free; computed once per
+    (n, k, p) for `unrank_grassmannian`."""
+    total = gaussian_binomial(n, k, p)
+    return total, tuple(
+        (pivots, free_positions, p ** len(free_positions))
+        for pivots, free_positions in _pivot_patterns(n, k)
+    )
 
 
 def _pattern_subspace(
-    n: int, pivots: Tuple[int, ...], free_positions: List[Tuple[int, int]], values: Sequence[int]
+    n: int, pivots: Tuple[int, ...], free_positions: Sequence[Tuple[int, int]], values: Sequence[int]
 ) -> LinearSubspace:
     """The subspace of the pivot pattern with these values in its free entries."""
     rows = [[0] * n for _ in pivots]
@@ -179,20 +196,16 @@ def unrank_grassmannian(n: int, k: int, field: Field, index: int) -> LinearSubsp
     Each pivot pattern is a block of p^free subspaces; within it the free
     entries are the base-p digits of the offset, the last position fastest.
     """
-    total = gaussian_binomial(n, k, field.p)
+    total, blocks = _pattern_blocks(n, k, field.p)
     if not 0 <= index < total:
         raise IndexError(f"index {index} outside G({n},{k}) of size {total}")
-    if k == 0:
-        return zero_subspace(n)
-    p = field.p
-    for pivots, free_positions in _pivot_patterns(n, k):
-        block = p ** len(free_positions)
+    for pivots, free_positions, block in blocks:
         if index < block:
             break
         index -= block
     values = [0] * len(free_positions)
     for pos in reversed(range(len(values))):
-        index, values[pos] = divmod(index, p)
+        index, values[pos] = divmod(index, field.p)
     return _pattern_subspace(n, pivots, free_positions, values)
 
 
@@ -262,30 +275,30 @@ def coset_sums(
     return sums
 
 
-def flat_equations(flat: AffineFlat, field: Field) -> List[Tuple[Vector, int]]:
-    """The n - dim linear equations c . x = c . rep cutting out the flat."""
+def flats_through(flat: AffineFlat, field: Field) -> Dict[Vector, AffineFlat]:
+    """The (p^(n-k)-1)/(p-1) flats of dimension k+1 containing the k-flat,
+    keyed by the normalized nonzero u in F^(n-k) (first nonzero entry 1):
+    the span of the flat and the vector with u in the free columns of its
+    direction.  Annihilator row j has a 1 at free column j and zeros at the
+    other free columns, so that vector's annihilator image is u, and any
+    vector off the direction extends it to the flat keyed by `through_key`."""
+    p, n, free = field.p, flat.ambient, flat.ambient - flat.dim
+    rows = flat.direction.basis.rows
+    spans = {}
+    for lead in range(free):
+        for tail in itertools.product(range(p), repeat=free - lead - 1):
+            u = (0,) * lead + (1,) + tail
+            extension = _at_free_columns(flat.direction, u)
+            spans[u] = make_flat(span_of(rows + (extension,), n, field), flat.representative, field)
+    return spans
+
+
+def through_key(flat: AffineFlat, v: Vector, field: Field) -> Optional[Vector]:
+    """The key in `flats_through(flat)` of the flat spanned by the flat and
+    the direction v: v's normalized image a . v mod p under the annihilator
+    rows a (the digits of its coset key); None when v lies in the direction."""
     p = field.p
-    return [
-        (c, sum(map(mul, c, flat.representative)) % p)
-        for c in _annihilator(flat.direction, field)
-    ]
-
-
-def intersect_flats(flats: Sequence[AffineFlat], field: Field) -> Optional[AffineFlat]:
-    """Common solution set of the flats, canonicalized; None if empty."""
-    if not flats:
-        raise ValueError("empty flat list")
-    n = flats[0].ambient
-    if any(f.ambient != n for f in flats):
-        raise ValueError("ambient dimension mismatch")
-    equations: List[Tuple[Vector, int]] = []
-    for f in flats:
-        equations.extend(flat_equations(f, field))
-    solution = solve_affine_system(equations, n, field)
-    if solution is None:
-        return None
-    particular, direction_basis = solution
-    return make_flat(LinearSubspace(n, direction_basis), particular, field)
+    return normalized([sum(map(mul, row, v)) for row in _annihilator(flat.direction, field)], p)
 
 
 def affine_hull(points: Sequence[Vector], field: Field) -> Tuple[int, AffineFlat]:

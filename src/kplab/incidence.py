@@ -14,22 +14,21 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .config import Configuration
 from .exponents import PowerProduct, main_term_exponents
 from .flats import (
     AffineFlat,
-    LinearSubspace,
     affine_hull,
-    coset_key,
     coset_sums,
     difference_basis,
     enumerate_points,
     local_coordinates,
     membership,
 )
-from .linalg import Vector, in_span
+from .linalg import Vector, hyperplane, in_span
 from .reports import CountReport
 
 
@@ -355,7 +354,10 @@ class RefinementChainReport:
     """Exact cardinalities of every stage of the refinement chain, plus the
     spine groups the simplex bounds feed on: each spanning k-subset of a
     refined flat's points (a sorted tuple) that passes the spine filter, with
-    the refined flats holding it."""
+    the positions in `refined.flats` of the flats holding it.
+    `shared_pairs` counts, for each pair of positions a < b, the kept
+    k-subsets the two flats share; its pairs, in both orders, are the
+    deleted-spine plane pairs."""
 
     refined: RefinedConfig
     ik_prime: int
@@ -368,7 +370,8 @@ class RefinementChainReport:
     d_threshold: Optional[Fraction]
     holder_lower_holds: bool
     cs_lower_holds: bool
-    spine_groups: Dict[Tuple[Vector, ...], Tuple[AffineFlat, ...]]
+    spine_groups: Dict[Tuple[Vector, ...], List[int]]
+    shared_pairs: Dict[Tuple[int, int], int]
 
 
 def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> RefinementChainReport:
@@ -384,13 +387,18 @@ def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> Refi
 
     Spines are found face-locally: in the flat's local coordinates
     (`local_coordinates`) a spine is a hyperplane of F^k, so k points span
-    one exactly when their k-1 local differences (`difference_basis`) have
-    rank k-1.  That basis is the spine's local direction, and the flat's
-    points binned by their coset key under it (`coset_sums`) are its spine
-    bins, one per parallel class; the spine's bin is the `coset_key` of its
-    first point.  Every point of P on a spine lies on the flat, so the bin
-    of the spine counts exactly the points of P on it.
-    `build_refinement_chain_bruteforce` is the independent oracle."""
+    one exactly when the normal l of their k-1 local differences (signed
+    minors, `linalg.hyperplane`) is nonzero.  The normal keys the spine's
+    parallel class, and the flat's points binned by l . y mod p are its
+    spine bins; the spine's bin is l . y of its points.  Every point of P on
+    a spine lies on the flat, so the bin of the spine counts exactly the
+    points of P on it, and the spine is kept when that count times
+    10 |Pi~| p reaches |I~|, compared as integers.
+
+    The extended pairs are tallied per shared flat pair: a pair of refined
+    flats sharing s kept k-subsets adds s to f(pi_0, x) for every x of pi
+    off pi_0, walked once per ordered pair, and f is bucketed one pi_0 at a
+    time.  `build_refinement_chain_bruteforce` is the independent oracle."""
     fld = config.field
     k, p = config.k, fld.p
     if index.total == 0:
@@ -398,35 +406,33 @@ def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> Refi
     refined = refine_dyadic(config, index)
     i_tilde = refined.refined_total
     num_flats = refined.num_flats
-    spine_threshold = Fraction(i_tilde, 10 * num_flats * p)
+    # A spine with `count` points is kept when count >= i_tilde / scale.
+    scale = 10 * num_flats * p
 
     holder_tuple_count = sum(index.per_flat[flat] ** k for flat in refined.flats)
 
     orders = math.factorial(k)
     spanning = 0
-    groups: Dict[Tuple[Vector, ...], List[AffineFlat]] = defaultdict(list)
-    # Points of P on the spine of each kept k-subset.
+    # Positions in refined.flats of the flats keeping each k-subset, and the
+    # points of P on its spine.
+    groups: Dict[Tuple[Vector, ...], List[int]] = defaultdict(list)
     on_spine: Dict[Tuple[Vector, ...], int] = {}
-    for flat in refined.flats:
+    for position, flat in enumerate(refined.flats):
         pts = index.points[flat]
-        local = local_coordinates(pts, flat)
-        spine_bins: Dict[Tuple[Vector, ...], Tuple[LinearSubspace, Dict[int, int]]] = {}
-        for subset in itertools.combinations(pts, k):
-            corners = [local[q] for q in subset]
-            basis = difference_basis(corners, fld)
-            if basis.rank != k - 1:
+        local = list(local_coordinates(pts, flat).values())
+        spine_bins: Dict[Vector, Dict[int, int]] = {}
+        for subset, corners in zip(itertools.combinations(pts, k), itertools.combinations(local, k)):
+            spine = hyperplane(corners, p)
+            if spine is None:
                 continue
             spanning += 1
-            entry = spine_bins.get(basis.rows)
-            if entry is None:
-                spine = LinearSubspace(k, basis)
-                entry = spine_bins[basis.rows] = (
-                    spine, coset_sums(((y, 1) for y in local.values()), spine, fld)
-                )
-            spine, bins = entry
-            count = bins[coset_key(corners[0], spine, fld)]
-            if count >= spine_threshold:
-                groups[subset].append(flat)
+            normal, level = spine
+            bins = spine_bins.get(normal)
+            if bins is None:
+                bins = spine_bins[normal] = Counter([sum(map(mul, normal, y)) % p for y in local])
+            count = bins[level]
+            if count * scale >= i_tilde:
+                groups[subset].append(position)
                 on_spine[subset] = count
 
     ik_prime = orders * spanning
@@ -434,36 +440,39 @@ def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> Refi
     vk_prime = orders * sum(len(g) ** 2 for g in groups.values())
     vk = orders * sum(len(g) * (len(g) - 1) for g in groups.values())
 
-    # Extended pairs and the f(pi_0, x) tallies in one pass.  A point of pi
-    # off pi_0 is off the spine inside pi_0, so it is an extended point.
+    # Extended pairs: a point of pi off pi_0 is off the spine inside pi_0.
+    counts = [index.per_flat[flat] for flat in refined.flats]
     vkp = 0
-    f_values: Dict[Tuple[AffineFlat, Vector], int] = Counter()
-    point_sets = {flat: frozenset(index.points[flat]) for flat in refined.flats}
+    shared: Dict[Tuple[int, int], int] = Counter()
     for subset, group in groups.items():
-        m = len(group)
-        if m < 2:
-            continue
-        vkp += (m - 1) * sum(index.per_flat[pi] - on_spine[subset] for pi in group)
-        for pi in group:
-            for pi0 in group:
-                if pi0 is pi:
-                    continue
-                off = point_sets[pi0]
-                for x in index.points[pi]:
-                    if x not in off:
-                        f_values[(pi0, x)] += 1
+        if len(group) > 1:
+            vkp += (len(group) - 1) * sum(counts[a] - on_spine[subset] for a in group)
+            shared.update(itertools.combinations(group, 2))
 
-    # Dyadic pigeonhole on the ordered f values over eligible pairs.
-    d_size = 0
-    d_level = -1
-    if f_values:
-        bucket_size: Dict[int, int] = Counter()
-        bucket_mass: Dict[int, int] = Counter()
+    # f(pi_0, x) = sum of s(pi, pi_0) over the flats pi through x sharing a
+    # kept subset with pi_0, for x off pi_0; each pi_0's f values are bucketed
+    # dyadically (scaled by k!) before the next pi_0's are tallied.
+    partners: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
+    for (a, b), s in shared.items():
+        partners[a].append((b, s))
+        partners[b].append((a, s))
+    point_sets = [frozenset(index.points[flat]) for flat in refined.flats]
+    bucket_size: Dict[int, int] = Counter()
+    bucket_mass: Dict[int, int] = Counter()
+    for pi0, around in partners.items():
+        f_values: Dict[Vector, int] = {}
+        off = point_sets[pi0]
+        for pi, s in around:
+            for x in point_sets[pi].difference(off):
+                f_values[x] = f_values.get(x, 0) + s
         for f in f_values.values():
             f *= orders
             level = f.bit_length() - 1
             bucket_size[level] += 1
             bucket_mass[level] += f
+    d_size = 0
+    d_level = -1
+    if bucket_mass:
         d_level = max(bucket_mass, key=lambda lvl: (bucket_mass[lvl], lvl))
         d_size = bucket_size[d_level]
     d_threshold = (
@@ -487,7 +496,8 @@ def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> Refi
         d_threshold=d_threshold,
         holder_lower_holds=holder_lower_holds,
         cs_lower_holds=cs_lower_holds,
-        spine_groups={t: tuple(g) for t, g in groups.items()},
+        spine_groups=dict(groups),
+        shared_pairs=shared,
     )
 
 

@@ -1,5 +1,5 @@
-"""Dense linear algebra over GF(p): reduced row echelon form, null spaces,
-affine linear-system solving.
+"""Dense linear algebra over GF(p): reduced row echelon form, annihilator
+rows, and the exact rank test of vectors in F^k by signed minors.
 
 Vectors are plain tuples of ints in [0, p); the field is passed alongside.
 RREF output is canonical: two generating sets with equal span produce
@@ -9,6 +9,7 @@ compared structurally everywhere else in the library.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -93,7 +94,7 @@ def null_space_rows(basis: RrefBasis, n: int, field: Field) -> Tuple[Vector, ...
     """Independent rows spanning {c in F^n : B c = 0} for the row space B,
     one per free column j: 1 at j and -B[i][j] at the pivot of row i.
 
-    Deterministic per basis but not in RREF; null_space canonicalises them.
+    Deterministic per basis but not in RREF.
     """
     p = field.p
     pivot_set = set(basis.pivots)
@@ -109,32 +110,46 @@ def null_space_rows(basis: RrefBasis, n: int, field: Field) -> Tuple[Vector, ...
     return tuple(rows)
 
 
-def null_space(basis: RrefBasis, n: int, field: Field) -> RrefBasis:
-    """Canonical basis of {c in F^n : B c = 0} for the row space B.
-
-    Applying this to a subspace basis yields the linear functionals cutting
-    out the subspace, which is how flats turn into equation systems.
-    """
-    return rref(null_space_rows(basis, n, field), field)
-
-
-def solve_affine_system(
-    equations: Sequence[Tuple[Vector, int]], n: int, field: Field
-) -> Optional[Tuple[Vector, RrefBasis]]:
-    """Solve the stacked system {c . x = d} exactly.
-
-    Returns (particular solution with free coordinates set to 0, null-space
-    basis of the homogeneous part), or None if the system is inconsistent.
-    An empty equation list describes all of F^n.
-    """
-    aug = [list(c) + [d % field.p] for c, d in equations]
-    reduced, pivots = _eliminate(aug, field)
-    if n in pivots:
-        return None
-    coeff_basis = RrefBasis(
-        tuple(tuple(r[:n]) for r in reduced), tuple(pivots)
+def _det(rows: Sequence[Vector]) -> int:
+    """Integer determinant of a small square matrix, by Laplace expansion
+    along the first row (the callers' matrices are at most (k-1) x (k-1))."""
+    if len(rows) < 2:
+        return rows[0][0] if rows else 1
+    first, rest = rows[0], rows[1:]
+    return sum(
+        (-1) ** j * a * _det([r[:j] + r[j + 1 :] for r in rest])
+        for j, a in enumerate(first)
+        if a
     )
-    particular = [0] * n
-    for row, piv in zip(reduced, pivots):
-        particular[piv] = row[n]
-    return tuple(particular), null_space(coeff_basis, n, field)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def hyperplane(points: Tuple[Vector, ...], p: int) -> Optional[Tuple[Vector, int]]:
+    """The affine hyperplane of F^k through k points, as (l, c) with
+    {y : l . y = c mod p} the hyperplane, or None when the points span less.
+
+    l is the normal of the k-1 differences from the first point: the signed
+    (k-1)-minors (-1)^j det(M without column j) of their matrix M, scaled so
+    the first nonzero entry is 1.  It is nonzero exactly when the
+    differences are independent, and then it is the one functional (up to
+    scale) vanishing on their span.  By Laplace expansion along a further
+    difference d, det(M; d) = +-l . d times a unit, so k+1 points span F^k
+    exactly when the hyperplane of the first k exists and the last is off
+    it.  Inputs recur across flats (at most p^(k*k) distinct ones), so
+    results are kept."""
+    first = points[0]
+    diffs = [tuple([(a - b) % p for a, b in zip(q, first)]) for q in points[1:]]
+    minors = [(-1) ** j * _det([v[:j] + v[j + 1 :] for v in diffs]) for j in range(len(first))]
+    normal = normalized(minors, p)
+    if normal is None:
+        return None
+    return normal, sum([a * b for a, b in zip(normal, first)]) % p
+
+
+def normalized(v: Sequence[int], p: int) -> Optional[Vector]:
+    """v mod p scaled so its first nonzero entry is 1; None for zero."""
+    for lead in v:
+        if lead % p:
+            inv = pow(lead, -1, p)
+            return tuple([x * inv % p for x in v])
+    return None

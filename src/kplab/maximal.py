@@ -9,6 +9,7 @@ the exponent identities that matter are checked with PowerProduct.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -33,11 +34,27 @@ from .linalg import Vector
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Nonnegative rational-valued function on F^n, sparse (absent = 0)."""
+    """Nonnegative rational-valued function on F^n, sparse (absent = 0).
+    Every point must be a length-n tuple of residues in range(p)."""
 
     field: Field
     n: int
     values: Tuple[Tuple[Vector, Fraction], ...]
+
+    def __post_init__(self):
+        # Whole-set checks first, so valid input costs no per-point calls.
+        residues = frozenset(self.field.elements())
+        points = [pt for pt, _ in self.values]
+        if not (
+            set(map(type, points)) <= {tuple}
+            and set(map(len, points)) <= {self.n}
+            and residues.issuperset(itertools.chain.from_iterable(points))
+        ):
+            pt = next(
+                pt for pt in points
+                if type(pt) is not tuple or len(pt) != self.n or not residues.issuperset(pt)
+            )
+            raise ValueError(f"point {pt!r} is not in F_{self.field.p}^{self.n}")
 
     @classmethod
     def from_dict(cls, field: Field, n: int, values: Dict[Vector, Fraction]) -> "GridFunction":

@@ -1,38 +1,30 @@
-"""Exact counting of (k+1)-simplices, (k,l)-chains and the deleted-spine
-plane pairs, plus the evaluation of the simplex upper/lower bound
-expressions.  A brute-force simplex counter is kept permanently as the
-oracle for the fast path.
+"""Exact counting of (k+1)-simplices and the deleted-spine plane pairs,
+plus the evaluation of the simplex upper/lower bound expressions.  A
+brute-force simplex counter is kept permanently as the oracle for the fast
+path.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Dict, Optional, Set, Tuple
+from operator import mul
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from .config import Configuration
-from .flats import (
-    AffineFlat,
-    affine_hull,
-    difference_basis,
-    intersect_flats,
-    local_coordinates,
-    make_flat,
-    membership,
-    span_of,
-)
+from .flats import AffineFlat, affine_hull, flats_through, local_coordinates, through_key
 from .incidence import (
     IncidenceIndex,
     RefinementChainReport,
     SizeGuardError,
     build_refinement_chain,
 )
-from .linalg import Vector
+from .linalg import Vector, hyperplane
 from .reports import CountReport
 
 BRUTE_FORCE_POINT_GUARD = 40
-CHAIN_POINT_GUARD = 20
 
 
 def count_simplices(
@@ -48,9 +40,13 @@ def count_simplices(
     the configuration, so a family flat outside it raises ValueError.
 
     Fast path: pivot on each flat as a face.  A (k+1)-subset of its points
-    spans the face exactly when its k differences, in the face's local
-    coordinates (`local_coordinates`), have rank k; no hull is built.  For
-    every such base the apexes completing a simplex are read off the index:
+    spans the face exactly when the k x k determinant of its k differences
+    from the first point, in the face's local coordinates
+    (`local_coordinates`), is nonzero mod p (ad - bc for k = 2).  It is read
+    as l . d, with l the normal of the first k-1 differences and d the last:
+    the base spans when its last point is off the hyperplane of its first k
+    (`linalg.hyperplane`, shared by every base with that head).  For every
+    such base the apexes completing a simplex are read off the index:
     omitting base vertex i leaves k points, and the apexes are the points off
     the face lying, for every i, on a family flat through those k points.
     Such a flat is the facet itself (the apex and the k points span a k-flat
@@ -58,7 +54,7 @@ def count_simplices(
     once per face, so the tally divides by k+2 exactly.
     `count_simplices_bruteforce` is the independent oracle.
     """
-    fld = config.field
+    p = config.field.p
     k = config.k
     family = set(flats if flats is not None else config.flats)
     if not family.issubset(config.flats):
@@ -67,14 +63,17 @@ def count_simplices(
         return 0
     on_point = {pt: family.intersection(fl) for pt, fl in index.per_point.items()}
     # Points of P on the family flats through a k-subset of a base; the
-    # face's own points are removed per face.
-    around_cache: Dict[Tuple[Vector, ...], Set[Vector]] = {}
+    # face's own points are removed per face.  A k-subset on one family
+    # flat, the face, has no apex, so it keeps the empty set.
+    around_cache: Dict[Tuple[Vector, ...], FrozenSet[Vector]] = {}
 
-    def around(rest: Tuple[Vector, ...]) -> Set[Vector]:
+    def around(rest: Tuple[Vector, ...]) -> FrozenSet[Vector]:
         cached = around_cache.get(rest)
         if cached is None:
             through = family.intersection(*(on_point[q] for q in rest))
-            cached = set().union(*(index.points[f] for f in through))
+            cached = frozenset()
+            if len(through) > 1:
+                cached = cached.union(*(index.points[f] for f in through))
             around_cache[rest] = cached
         return cached
 
@@ -82,16 +81,33 @@ def count_simplices(
     for face, pts in index.points.items():
         if face not in family:
             continue
-        local = local_coordinates(pts, face)
-        for base in itertools.combinations(pts, k + 1):
-            if difference_basis([local[q] for q in base], fld).rank != k:
+        local = list(local_coordinates(pts, face).values())
+        heads = zip(
+            itertools.combinations(range(len(pts)), k),
+            itertools.combinations(pts, k),
+            itertools.combinations(local, k),
+        )
+        for head, head_pts, corners in heads:
+            # The k-subset omitting the base's last vertex is the head itself.
+            shared = around(head_pts)
+            if not shared:
                 continue
-            apexes = around(base[1:]).difference(pts)
-            for omit in range(1, k + 1):
-                if not apexes:
-                    break
-                apexes &= around(base[:omit] + base[omit + 1 :])
-            face_incidences += len(apexes)
+            plane = hyperplane(corners, p)
+            if plane is None:
+                continue
+            normal, level = plane
+            for last in range(head[-1] + 1, len(pts)):
+                if sum(map(mul, normal, local[last])) % p == level:
+                    continue
+                apexes = shared
+                for omit in range(k):
+                    apexes = apexes.intersection(
+                        around(head_pts[:omit] + head_pts[omit + 1 :] + (pts[last],))
+                    )
+                    if not apexes:
+                        break
+                else:
+                    face_incidences += len(apexes.difference(pts))
     assert face_incidences % (k + 2) == 0
     return face_incidences // (k + 2)
 
@@ -129,106 +145,47 @@ def count_simplices_bruteforce(
     return count
 
 
-def count_chains(config: Configuration, l: int) -> int:
-    """Number of (k,l)-chains, ordered in both the point tuple and the flat
-    tuple: (k+2) points spanning dimension k+1 and l flats whose every
-    m-fold intersection has dimension k-m+1 and is affinely spanned by the
-    chain points lying on it."""
-    k = config.k
-    if not 2 <= l <= k + 1:
-        raise ValueError(f"need 2 <= l <= k+1={k + 1}, got l={l}")
-    if len(config.points) > CHAIN_POINT_GUARD:
-        raise SizeGuardError(
-            f"chain counting limited to {CHAIN_POINT_GUARD} points, "
-            f"got {len(config.points)}"
-        )
-    fld = config.field
-    # Unordered flat subsets whose intersection lattice has the right
-    # dimensions; the point/flat conditions are ordering-invariant, so the
-    # ordered count is the unordered count times (k+2)! * l!.
-    valid_pairs = 0
-    spanning_sets = [
-        vertices
-        for vertices in itertools.combinations(sorted(config.points), k + 2)
-        if affine_hull(vertices, fld)[0] == k + 1
-    ]
-    if not spanning_sets:
-        return 0
-    for flat_set in itertools.combinations(config.flats, l):
-        intersections: Dict[Tuple[int, ...], Optional[AffineFlat]] = {}
-        lattice_ok = True
-        for m in range(2, l + 1):
-            for subset in itertools.combinations(range(l), m):
-                inter = intersect_flats([flat_set[i] for i in subset], fld)
-                if inter is None or inter.dim != k - m + 1:
-                    lattice_ok = False
-                    break
-                intersections[subset] = inter
-            if not lattice_ok:
-                break
-        if not lattice_ok:
-            continue
-        for vertices in spanning_sets:
-            if _chain_conditions(vertices, flat_set, intersections, k, l, fld):
-                valid_pairs += 1
-    return valid_pairs * math.factorial(k + 2) * math.factorial(l)
-
-
-def _chain_conditions(vertices, flat_set, intersections, k, l, fld) -> bool:
-    # m = 1: each flat must be spanned by k+1 of the chain points.
-    for flat in flat_set:
-        on = tuple(v for v in vertices if membership(v, flat, fld))
-        if len(on) < k + 1 or affine_hull(on, fld) != (k, flat):
-            return False
-    for subset, inter in intersections.items():
-        m = len(subset)
-        on = tuple(v for v in vertices if membership(v, inter, fld))
-        if len(on) < k - m + 2 or affine_hull(on, fld) != (k - m + 1, inter):
-            return False
-    return True
-
-
 def v_k_del(chain: RefinementChainReport) -> int:
     """Number of distinct ordered plane pairs admitting a shared spanning
     spine tuple."""
-    return len(_deleted_pairs(chain))
+    return 2 * len(chain.shared_pairs)
 
 
 def _deleted_pairs(chain: RefinementChainReport) -> Set[Tuple[AffineFlat, AffineFlat]]:
+    flats = chain.refined.flats
     pairs: Set[Tuple[AffineFlat, AffineFlat]] = set()
-    for group in chain.spine_groups.values():
-        for a, b in itertools.permutations(group, 2):
-            pairs.add((a, b))
+    for a, b in chain.shared_pairs:
+        pairs.add((flats[a], flats[b]))
+        pairs.add((flats[b], flats[a]))
     return pairs
 
 
 def lambda_flat_counts(config: Configuration, chain: RefinementChainReport) -> Tuple[int, ...]:
-    """For each deleted-spine plane pair, the number of family flats lying
-    inside the (k+1)-dimensional span of the pair."""
+    """For each deleted-spine plane pair (pi_0, pi), in the order of their
+    representatives and direction bases, the number of refined flats lying
+    inside the (k+1)-dimensional span of the pair.
+
+    The pair shares a spine, so its span is the (k+1)-flat through pi_0
+    extended by any row of pi's direction off pi_0's (`through_key`).  Each
+    refined flat lies in (p^(n-k)-1)/(p-1) such flats (`flats_through`);
+    they are built once per refined flat and counted, so a (k+1)-flat's
+    count is the number of refined flats it was built from, read per pair
+    from that table."""
     fld = config.field
-    p = fld.p
-    # Many pairs share one span (for n = k+1 every pair spans F^n), so the
-    # count is kept per canonical span flat.
-    inside_by_span: Dict[AffineFlat, int] = {}
+    flats = chain.refined.flats
+    through = [flats_through(flat, fld) for flat in flats]
+    inside: Dict[AffineFlat, int] = Counter(span for spans in through for span in spans.values())
+    position = {flat: a for a, flat in enumerate(flats)}
     counts = []
     for pi0, pi in sorted(
         _deleted_pairs(chain),
         key=lambda pr: (pr[0].representative, pr[0].direction.basis.rows,
                         pr[1].representative, pr[1].direction.basis.rows),
     ):
-        diff = tuple((a - b) % p for a, b in zip(pi.representative, pi0.representative))
-        rows = pi0.direction.basis.rows + pi.direction.basis.rows + (diff,)
-        span = span_of(rows, config.n, fld)
-        span_flat = make_flat(span, pi0.representative, fld)
-        inside = inside_by_span.get(span_flat)
-        if inside is None:
-            inside = sum(
-                membership(flat.representative, span_flat, fld)
-                and span.contains_subspace(flat.direction, fld)
-                for flat in chain.refined.flats
-            )
-            inside_by_span[span_flat] = inside
-        counts.append(inside)
+        key = next(
+            u for u in (through_key(pi0, row, fld) for row in pi.direction.basis.rows) if u
+        )
+        counts.append(inside[through[position[pi0]][key]])
     return tuple(counts)
 
 

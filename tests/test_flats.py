@@ -13,7 +13,6 @@ from kplab.flats import (
     enumerate_grassmannian,
     enumerate_points,
     gaussian_binomial,
-    intersect_flats,
     is_direction_separated,
     make_flat,
     membership,
@@ -233,40 +232,6 @@ def test_pickle_round_trip_keeps_equality_and_hash():
         assert copy in {twin}
     copy = pickle.loads(pickle.dumps(flat))
     assert membership((0, 1, 2), copy, f3) and not membership((0, 0, 1), copy, f3)
-
-
-class TestIntersection:
-    def test_flat_with_itself(self):
-        f3 = Field(3)
-        diag = line(f3, 2, (1, 1), (0, 0))
-        assert intersect_flats([diag], f3) == diag
-
-    def test_parallel_lines_disjoint(self):
-        f3 = Field(3)
-        a = line(f3, 2, (1, 0), (0, 0))
-        b = line(f3, 2, (1, 0), (0, 1))
-        assert intersect_flats([a, b], f3) is None
-
-    def test_coordinate_planes_meet_in_axis(self):
-        f3 = Field(3)
-        z0 = make_flat(span_of([(1, 0, 0), (0, 1, 0)], 3, f3), (0, 0, 0), f3)
-        y0 = make_flat(span_of([(1, 0, 0), (0, 0, 1)], 3, f3), (0, 0, 0), f3)
-        meet = intersect_flats([z0, y0], f3)
-        assert meet is not None and meet.dim == 1
-        assert set(enumerate_points(meet, f3)) == {(0, 0, 0), (1, 0, 0), (2, 0, 0)}
-
-    def test_matches_pointwise_intersection(self):
-        fld = Field(3)
-        flats = [
-            line(fld, 2, (1, 1), (0, 1)),
-            line(fld, 2, (0, 1), (1, 0)),
-            line(fld, 2, (1, 2), (0, 0)),
-        ]
-        for a, b in itertools.combinations(flats, 2):
-            expected = set(enumerate_points(a, fld)) & set(enumerate_points(b, fld))
-            meet = intersect_flats([a, b], fld)
-            got = set(enumerate_points(meet, fld)) if meet else set()
-            assert got == expected
 
 
 class TestAffineHull:

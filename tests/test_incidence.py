@@ -256,6 +256,20 @@ class TestRefinementChain:
         assert chain.vkp == 0
         assert chain.d_size == 0
 
+    def test_spine_kept_at_equal_threshold(self):
+        # The whole plane F_23^2 as the one refined flat, holding 460 =
+        # 10 * |Pi~| * p * 2 points with exactly two on the line y = 0: that
+        # spine's count times 10 |Pi~| p equals |I~|, and it is kept, so every
+        # spanning pair is.
+        fld = Field(23)
+        cfg = single_flat_config(fld, 2, 2)
+        dropped = {(x, 0) for x in range(2, 23)} | {(x, y) for x in range(23) for y in (1, 2)}
+        dropped |= {(0, 3), (1, 3)}
+        cfg = cfg.with_points(cfg.points - dropped)
+        assert len(cfg.points) == 460
+        chain = build_refinement_chain(cfg, incidence_count(cfg))
+        assert chain.ik == chain.ik_prime == 2 * math.comb(460, 2)
+
     def test_invariants_on_corpus(self):
         for _, cfg in random_corpus(4, 2, 3, 15):
             index = incidence_count(cfg)

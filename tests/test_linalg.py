@@ -1,6 +1,8 @@
-"""Row reduction, spans and affine systems; the canonicity shuffle test is
-the load-bearing one, since everything downstream hashes RREF output."""
+"""Row reduction, spans, annihilator rows and the signed-minor rank test;
+the canonicity shuffle test is the load-bearing one, since everything
+downstream hashes RREF output."""
 
+import itertools
 import random
 
 import pytest
@@ -8,11 +10,12 @@ import pytest
 from conftest import random_vectors
 from kplab.field import Field
 from kplab.linalg import (
+    hyperplane,
     in_span,
-    null_space,
+    normalized,
+    null_space_rows,
     reduce_vector,
     rref,
-    solve_affine_system,
 )
 
 
@@ -70,9 +73,9 @@ def test_reduce_vector_zero_iff_in_span():
 def test_null_space_is_orthogonal_complement():
     fld = Field(7)
     basis = rref([(1, 2, 3, 4), (0, 0, 1, 1)], fld)
-    ns = null_space(basis, 4, fld)
-    assert ns.rank == 4 - basis.rank
-    for c in ns.rows:
+    ns = null_space_rows(basis, 4, fld)
+    assert rref(ns, fld).rank == len(ns) == 4 - basis.rank
+    for c in ns:
         for row in basis.rows:
             dot = 0
             for ci, xi in zip(c, row):
@@ -80,26 +83,39 @@ def test_null_space_is_orthogonal_complement():
             assert dot == 0
 
 
-def test_solve_affine_system_consistent():
-    fld = Field(3)
-    # x + y = 1, y + z = 2 in F_3^3: a line.
-    solution = solve_affine_system([((1, 1, 0), 1), ((0, 1, 1), 2)], 3, fld)
-    assert solution is not None
-    particular, homogeneous = solution
-    for c, d in [((1, 1, 0), 1), ((0, 1, 1), 2)]:
-        dot = 0
-        for ci, xi in zip(c, particular):
-            dot = fld.add(dot, fld.mul(ci, xi))
-        assert dot == d
-    assert homogeneous.rank == 1
+@pytest.mark.parametrize("k,p", [(k, p) for k in (1, 2, 3) for p in (2, 3, 5)])
+def test_hyperplane_against_rref(k, p):
+    # Every k-1 vectors v_i of F^k, as the points 0, v_1, ..., v_{k-1}: the
+    # hyperplane exists exactly when the vectors' RREF rank is k-1, and then
+    # its normal leads with 1 and vanishes on their RREF basis rows, so on
+    # all p^(k-1) points of their span.  A nonzero functional vanishes on
+    # exactly p^(k-1) points, so its kernel is that span, and with any k-th
+    # vector v the k vectors have rank k exactly when l . v != 0.  Where
+    # p^(k*k) is small enough, that rank is also asked of `rref` directly.
+    # The points moved by t give the same normal at level l . t.
+    fld = Field(p)
+    space = list(itertools.product(range(p), repeat=k))
+    origin, shift = (0,) * k, (1,) * k
+    direct = p ** (k * k) <= 3**9
+    for head in itertools.product(space, repeat=k - 1):
+        basis = rref(head, fld)
+        plane = hyperplane((origin,) + head, p)
+        assert (plane is not None) == (basis.rank == k - 1)
+        moved = hyperplane(tuple(tuple((a + 1) % p for a in x) for x in (origin,) + head), p)
+        if plane is not None:
+            normal, level = plane
+            assert level == 0 and normal == normalized(normal, p)
+            assert all(sum(a * b for a, b in zip(normal, row)) % p == 0 for row in basis.rows)
+            assert moved == (normal, sum(shift[j] * normal[j] for j in range(k)) % p)
+        else:
+            assert moved is None
+        if direct:
+            for v in space:
+                spans = plane is not None and sum(a * b for a, b in zip(plane[0], v)) % p != 0
+                assert spans == (rref(head + (v,), fld).rank == k)
 
 
-def test_solve_affine_system_inconsistent():
-    fld = Field(3)
-    assert solve_affine_system([((1, 0), 0), ((1, 0), 1)], 2, fld) is None
-
-
-def test_solve_affine_system_empty_describes_everything():
-    particular, homogeneous = solve_affine_system([], 2, Field(2))
-    assert particular == (0, 0)
-    assert homogeneous.rank == 2
+def test_normalized():
+    assert normalized((0, 3, 1), 5) == (0, 1, 2)
+    assert normalized((0, 5, 10), 5) is None
+    assert normalized((), 3) is None

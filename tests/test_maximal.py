@@ -56,6 +56,17 @@ def test_ambient_mismatch_rejected(f3):
     assert max(apply_maximal(f, 3, 2).values()) == 2
 
 
+def test_points_outside_space_rejected(f3):
+    # Kept, {(0,0,2), (0,0,5), (0,0)} gave apply_maximal a max of 3 where the
+    # oracle gave 1: the key read 5 as 2 and (0,0) as a shorter dot product.
+    with pytest.raises(ValueError):
+        GridFunction.indicator(f3, 3, [(0, 0, 2), (0, 0, 5), (0, 0)])
+    for point in [(0, 0, 5), (0, 0), (0, 0, -1)]:
+        with pytest.raises(ValueError):
+            GridFunction.from_dict(f3, 3, {(0, 0, 2): Fraction(1), point: Fraction(1, 2)})
+    assert max(apply_maximal(GridFunction.indicator(f3, 3, [(0, 0, 2)]), 3, 1).values()) == 1
+
+
 def test_oracle_equivalence_small():
     import random
 
