@@ -1,5 +1,6 @@
 """Dense linear algebra over GF(p): reduced row echelon form, annihilator
-rows, and the exact rank test of vectors in F^k by signed minors.
+rows, affine linear-system solving, and the exact rank test of vectors in
+F^k by signed minors.
 
 Vectors are plain tuples of ints in [0, p); the field is passed alongside.
 RREF output is canonical: two generating sets with equal span produce
@@ -108,6 +109,28 @@ def null_space_rows(basis: RrefBasis, n: int, field: Field) -> Tuple[Vector, ...
             vec[piv] = -row[j] % p
         rows.append(tuple(vec))
     return tuple(rows)
+
+
+def solve_affine_system(
+    equations: Sequence[Tuple[Vector, int]], n: int, field: Field
+) -> Optional[Tuple[Vector, RrefBasis]]:
+    """Solve the stacked system {c . x = d} exactly.
+
+    Returns (particular solution with free coordinates set to 0, canonical
+    basis of the homogeneous solutions), or None if the system is
+    inconsistent. An empty equation list describes all of F^n.
+    """
+    aug = [list(c) + [d % field.p] for c, d in equations]
+    reduced, pivots = _eliminate(aug, field)
+    if n in pivots:
+        return None
+    coeff_basis = RrefBasis(
+        tuple(tuple(r[:n]) for r in reduced), tuple(pivots)
+    )
+    particular = [0] * n
+    for row, piv in zip(reduced, pivots):
+        particular[piv] = row[n]
+    return tuple(particular), rref(null_space_rows(coeff_basis, n, field), field)
 
 
 def _det(rows: Sequence[Vector]) -> int:

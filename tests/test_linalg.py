@@ -1,6 +1,6 @@
-"""Row reduction, spans, annihilator rows and the signed-minor rank test;
-the canonicity shuffle test is the load-bearing one, since everything
-downstream hashes RREF output."""
+"""Row reduction, spans, annihilator rows, affine solving and the
+signed-minor rank test; the canonicity shuffle test is the load-bearing one,
+since everything downstream hashes RREF output."""
 
 import itertools
 import random
@@ -16,6 +16,7 @@ from kplab.linalg import (
     null_space_rows,
     reduce_vector,
     rref,
+    solve_affine_system,
 )
 
 
@@ -81,6 +82,31 @@ def test_null_space_is_orthogonal_complement():
             for ci, xi in zip(c, row):
                 dot = fld.add(dot, fld.mul(ci, xi))
             assert dot == 0
+
+
+def test_solve_affine_system_consistent():
+    fld = Field(3)
+    # x + y = 1, y + z = 2 in F_3^3: a line.
+    solution = solve_affine_system([((1, 1, 0), 1), ((0, 1, 1), 2)], 3, fld)
+    assert solution is not None
+    particular, homogeneous = solution
+    for c, d in [((1, 1, 0), 1), ((0, 1, 1), 2)]:
+        dot = 0
+        for ci, xi in zip(c, particular):
+            dot = fld.add(dot, fld.mul(ci, xi))
+        assert dot == d
+    assert homogeneous.rank == 1
+
+
+def test_solve_affine_system_inconsistent():
+    fld = Field(3)
+    assert solve_affine_system([((1, 0), 0), ((1, 0), 1)], 2, fld) is None
+
+
+def test_solve_affine_system_empty_describes_everything():
+    particular, homogeneous = solve_affine_system([], 2, Field(2))
+    assert particular == (0, 0)
+    assert homogeneous.rank == 2
 
 
 @pytest.mark.parametrize("k,p", [(k, p) for k in (1, 2, 3) for p in (2, 3, 5)])
