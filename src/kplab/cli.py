@@ -303,26 +303,34 @@ class Kind(NamedTuple):
 _CORPUS_KEYS = {"n", "k", "prime", "num_directions", "density"}
 
 
-def _corpus_work(subset_sizes: Callable[..., Sequence[int]], chain: bool,
+def _corpus_work(subset_sizes: Callable[..., Sequence[int]], walks: int,
                  n, k, prime, num_directions, density, **params) -> int:
     """Per-seed work units of a corpus kind: p^n to generate, p^k per flat to
     count incidences, RANK_TEST_COST per rank test of an s-subset of a flat's
     points, s in `subset_sizes` (jr_decompose 3..r+1, the chain k,
-    count_simplices k+1), and with `chain` one per step of the chain's
-    extended-pair tally (|P ∩ pi| per ordered flat pair (pi, pi_0) sharing a
-    kept k-subset).  A flat holds c ~ Bin(p^k, d) points, so
-    E[C(c, s)] = C(p^k, s) d^s.  Two sampled directions meet in dimension
-    k-1 with probability p [k 1]_p [n-k 1]_p / (|G(n,k)|-1), their flats then
-    with p^(k+1-n), and two meeting flats share a kept k-subset with
-    probability at most min(1, C(p^(k-1), k) d^k), their expected number of
-    shared k-subsets; at density 1 it is exactly 1."""
+    count_simplices k+1), one per step of each of `walks` walks over the
+    points flats share (`incidence.common_points`: the chain walks once,
+    count_simplices once more), and, with a walk, one per step of the
+    chain's extended-pair tally (|P ∩ pi| per ordered flat pair
+    (pi, pi_0) sharing a kept k-subset).  A flat holds c ~ Bin(p^k, d)
+    points, so E[C(c, s)] = C(p^k, s) d^s.  A common-point walk takes
+    sum over x in P of deg(x)^2 steps, deg(x) ~ Bin(N, q) the flats through
+    x with q = p^(k-n): d p^n (N q (1-q) + N^2 q^2) in expectation over all
+    N flats, a bound for any sub-family.  Two sampled directions meet in
+    dimension k-1 with probability p [k 1]_p [n-k 1]_p / (|G(n,k)|-1), their
+    flats then with p^(k+1-n), and two meeting flats share a kept k-subset
+    with probability at most min(1, C(p^(k-1), k) d^k), their expected
+    number of shared k-subsets; at density 1 it is exactly 1."""
     tests = sum(math.comb(prime**k, s) * density**s for s in subset_sizes(k=k, **params))
     total = prime**n + num_directions * (prime**k + RANK_TEST_COST * tests)
-    if chain and num_directions > 1:
-        meets = prime * gaussian_binomial(k, 1, prime) * gaussian_binomial(n - k, 1, prime)
-        pairs = Fraction(num_directions * (num_directions - 1) * meets, gaussian_binomial(n, k, prime) - 1)
-        sharing = min(1, math.comb(prime ** (k - 1), k) * density**k)
-        total += pairs * Fraction(prime) ** (k + 1 - n) * sharing * prime**k * density
+    if walks:
+        q = Fraction(prime**k, prime**n)
+        total += walks * density * prime**n * (num_directions * q * (1 - q) + (num_directions * q) ** 2)
+        if num_directions > 1:
+            meets = prime * gaussian_binomial(k, 1, prime) * gaussian_binomial(n - k, 1, prime)
+            pairs = Fraction(num_directions * (num_directions - 1) * meets, gaussian_binomial(n, k, prime) - 1)
+            sharing = min(1, math.comb(prime ** (k - 1), k) * density**k)
+            total += pairs * Fraction(prime) ** (k + 1 - n) * sharing * prime**k * density
     return math.ceil(total)
 
 
@@ -338,14 +346,14 @@ KINDS: Dict[str, Kind] = {
     "nk-set": Kind({"n", "k", "prime"}, {"translate", "seeds", "slack"}, "1 <= k <= n-1 and slack >= 1",
                    lambda n, k, slack=8, **_: 1 <= k <= n - 1 and slack >= 1, _points_and_flats_work, _nk_set_rows),
     "incidence-bound": Kind(_CORPUS_KEYS, {"seeds", "p_exp", "q_exp"}, "2 <= k <= n-2",
-                            lambda n, k, **_: 2 <= k <= n - 2, partial(_corpus_work, lambda **_: (), False),
+                            lambda n, k, **_: 2 <= k <= n - 2, partial(_corpus_work, lambda **_: (), 0),
                             _incidence_bound_row),
     "two-ends": Kind(_CORPUS_KEYS | {"r"}, {"seeds"}, "1 <= r <= k <= n", lambda n, k, r, **_: 1 <= r <= k <= n,
-                     partial(_corpus_work, lambda r, **_: range(3, r + 2), False), _two_ends_row),
+                     partial(_corpus_work, lambda r, **_: range(3, r + 2), 0), _two_ends_row),
     "refinement-chain": Kind(_CORPUS_KEYS, {"seeds"}, "1 <= k <= n", lambda n, k, **_: 1 <= k <= n,
-                             partial(_corpus_work, lambda k, **_: (k,), True), _refinement_chain_row),
+                             partial(_corpus_work, lambda k, **_: (k,), 1), _refinement_chain_row),
     "simplex-bounds": Kind(_CORPUS_KEYS, {"seeds"}, "1 <= k <= n", lambda n, k, **_: 1 <= k <= n,
-                           partial(_corpus_work, lambda k, **_: (k, k + 1), True), _simplex_bounds_row),
+                           partial(_corpus_work, lambda k, **_: (k, k + 1), 2), _simplex_bounds_row),
     "maximal-ratio": Kind({"n", "k", "prime", "p_exp", "q_exp"}, {"seed"}, "0 <= k <= n",
                           lambda n, k, **_: 0 <= k <= n,
                           lambda n, k, prime, **_: gaussian_binomial(n, k, prime) * prime**n * 10,
@@ -407,14 +415,23 @@ def _selftest() -> int:
         fast = simplex.count_simplices(cfg, incidence.incidence_count(cfg))
         brute = simplex.count_simplices_bruteforce(cfg)
         check(f"simplex oracle seed {seed}", fast == brute)
-    for seed in range(3):
-        cfg = gen_random_config(3, 2, 8, Fraction(1, 2), Field(3), seed)
-        chain = incidence.build_refinement_chain(cfg, incidence.incidence_count(cfg))
-        brute = incidence.build_refinement_chain_bruteforce(cfg)
-        check(
-            f"refinement chain oracle seed {seed}",
-            all(getattr(chain, name) == value for name, value in brute.items()),
-        )
+    # In F_3^4 (all 130 planes, at most 26 points) most pairs of planes meet
+    # in a single point, so the counters skip partners sharing fewer than k
+    # points, which never happens in F_3^3.
+    for n, num_directions, density in ((3, 8, Fraction(1, 2)), (4, 130, Fraction(1, 3))):
+        for seed in range(3):
+            cfg = gen_random_config(n, 2, num_directions, density, Field(3), seed)
+            index = incidence.incidence_count(cfg)
+            chain = incidence.build_refinement_chain(cfg, index)
+            brute = incidence.build_refinement_chain_bruteforce(cfg)
+            check(
+                f"refinement chain oracle ({n},2,3) seed {seed}",
+                all(getattr(chain, name) == value for name, value in brute.items()),
+            )
+            check(
+                f"simplex oracle ({n},2,3) seed {seed}",
+                simplex.count_simplices(cfg, index) == simplex.count_simplices_bruteforce(cfg),
+            )
     for seed in range(3):
         cfg = gen_random_config(5, 3, 8, Fraction(1, 2), Field(2), seed)
         index = incidence.incidence_count(cfg)

@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .config import Configuration
 from .exponents import PowerProduct, main_term_exponents
@@ -349,14 +349,36 @@ def check_main_bound(config: Configuration, index: IncidenceIndex) -> CountRepor
     return report
 
 
+def common_points(
+    flats: Sequence[AffineFlat], index: IncidenceIndex
+) -> Iterator[Dict[int, List[Vector]]]:
+    """For each flat of the family, in order, the points of P it shares with
+    each other family flat it meets in P, keyed by that flat's position in
+    `flats` and listed in the flat's sorted point order.
+
+    Each flat's table is built when its turn comes, so one lives at a time.
+    The walk visits every family flat through every point of each flat: the
+    sum over x in P of deg(x)^2 steps, deg(x) the family flats through x.
+    The family must be a subset of the flats `index` was built from."""
+    through: Dict[Vector, List[int]] = defaultdict(list)
+    for b, flat in enumerate(flats):
+        for x in index.points[flat]:
+            through[x].append(b)
+    for a, flat in enumerate(flats):
+        shared: Dict[int, List[Vector]] = defaultdict(list)
+        for x in index.points[flat]:
+            for b in through[x]:
+                if b != a:
+                    shared[b].append(x)
+        yield shared
+
+
 @dataclass
 class RefinementChainReport:
-    """Exact cardinalities of every stage of the refinement chain, plus the
-    spine groups the simplex bounds feed on: each spanning k-subset of a
-    refined flat's points (a sorted tuple) that passes the spine filter, with
-    the positions in `refined.flats` of the flats holding it.
-    `shared_pairs` counts, for each pair of positions a < b, the kept
-    k-subsets the two flats share; its pairs, in both orders, are the
+    """Exact cardinalities of every stage of the refinement chain.
+    `shared_pairs` counts, for each pair of positions a < b in
+    `refined.flats`, the kept spanning k-subsets the two flats share (pairs
+    sharing none are absent); its pairs, in both orders, are the
     deleted-spine plane pairs."""
 
     refined: RefinedConfig
@@ -370,20 +392,20 @@ class RefinementChainReport:
     d_threshold: Optional[Fraction]
     holder_lower_holds: bool
     cs_lower_holds: bool
-    spine_groups: Dict[Tuple[Vector, ...], List[int]]
     shared_pairs: Dict[Tuple[int, int], int]
 
 
 def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> RefinementChainReport:
     """Materialize the chain spanning-tuples -> spine-filtered tuples ->
     plane pairs -> extended pairs -> pigeonholed plane-point family, with
-    every stage counted exactly.
+    every stage counted exactly, in one pass over the refined flats that
+    keeps only that flat's state.
 
     The counts are of ordered k-tuples, but spines are enumerated unordered:
     a spanning k-tuple has k distinct points, and its k! orders share one
-    hull, one spine group and one set of tallies, so each k-subset of a
-    flat's sorted points is visited once and its counts, the f(pi_0, x)
-    values included, are scaled by k! (before the dyadic bucketing of f).
+    hull and one set of tallies, so each k-subset of a flat's sorted points
+    is visited once and its counts, the f(pi_0, x) values included, are
+    scaled by k! (before the dyadic bucketing of f).
 
     Spines are found face-locally: in the flat's local coordinates
     (`local_coordinates`) a spine is a hyperplane of F^k, so k points span
@@ -395,10 +417,15 @@ def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> Refi
     points of P on it, and the spine is kept when that count times
     10 |Pi~| p reaches |I~|, compared as integers.
 
-    The extended pairs are tallied per shared flat pair: a pair of refined
-    flats sharing s kept k-subsets adds s to f(pi_0, x) for every x of pi
-    off pi_0, walked once per ordered pair, and f is bucketed one pi_0 at a
-    time.  `build_refinement_chain_bruteforce` is the independent oracle."""
+    Pairs are read from the points each refined flat shares with the others
+    (`common_points`).  Two distinct k-flats sharing k spanning points meet
+    in exactly the (k-1)-flat L they span, so L is the spine of every
+    k-subset the two share and its c points of P are their common points.
+    A partner with c >= k and c 10 |Pi~| p >= |I~| thus shares the s
+    spanning k-subsets of the common points, all kept; each ordered pair
+    adds s to vk and s (|P ∩ pi_a| - c) to vkp, and s to f(pi_a, x) for
+    every x of the partner off pi_a, and f is bucketed one pi_a at a time.
+    `build_refinement_chain_bruteforce` is the independent oracle."""
     fld = config.field
     k, p = config.k, fld.p
     if index.total == 0:
@@ -412,16 +439,15 @@ def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> Refi
     holder_tuple_count = sum(index.per_flat[flat] ** k for flat in refined.flats)
 
     orders = math.factorial(k)
-    spanning = 0
-    # Positions in refined.flats of the flats keeping each k-subset, and the
-    # points of P on its spine.
-    groups: Dict[Tuple[Vector, ...], List[int]] = defaultdict(list)
-    on_spine: Dict[Tuple[Vector, ...], int] = {}
-    for position, flat in enumerate(refined.flats):
+    spanning = kept = vk = vkp = 0
+    shared: Dict[Tuple[int, int], int] = {}
+    bucket_size: Dict[int, int] = Counter()
+    bucket_mass: Dict[int, int] = Counter()
+    for a, (flat, partners) in enumerate(zip(refined.flats, common_points(refined.flats, index))):
         pts = index.points[flat]
-        local = list(local_coordinates(pts, flat).values())
+        local = local_coordinates(pts, flat)
         spine_bins: Dict[Vector, Dict[int, int]] = {}
-        for subset, corners in zip(itertools.combinations(pts, k), itertools.combinations(local, k)):
+        for corners in itertools.combinations(local.values(), k):
             spine = hyperplane(corners, p)
             if spine is None:
                 continue
@@ -429,52 +455,38 @@ def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> Refi
             normal, level = spine
             bins = spine_bins.get(normal)
             if bins is None:
-                bins = spine_bins[normal] = Counter([sum(map(mul, normal, y)) % p for y in local])
-            count = bins[level]
-            if count * scale >= i_tilde:
-                groups[subset].append(position)
-                on_spine[subset] = count
+                bins = spine_bins[normal] = Counter([sum(map(mul, normal, y)) % p for y in local.values()])
+            kept += bins[level] * scale >= i_tilde
 
-    ik_prime = orders * spanning
-    ik = orders * sum(len(g) for g in groups.values())
-    vk_prime = orders * sum(len(g) ** 2 for g in groups.values())
-    vk = orders * sum(len(g) * (len(g) - 1) for g in groups.values())
-
-    # Extended pairs: a point of pi off pi_0 is off the spine inside pi_0.
-    counts = [index.per_flat[flat] for flat in refined.flats]
-    vkp = 0
-    shared: Dict[Tuple[int, int], int] = Counter()
-    for subset, group in groups.items():
-        if len(group) > 1:
-            vkp += (len(group) - 1) * sum(counts[a] - on_spine[subset] for a in group)
-            shared.update(itertools.combinations(group, 2))
-
-    # f(pi_0, x) = sum of s(pi, pi_0) over the flats pi through x sharing a
-    # kept subset with pi_0, for x off pi_0; each pi_0's f values are bucketed
-    # dyadically (scaled by k!) before the next pi_0's are tallied.
-    partners: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
-    for (a, b), s in shared.items():
-        partners[a].append((b, s))
-        partners[b].append((a, s))
-    point_sets = [frozenset(index.points[flat]) for flat in refined.flats]
-    bucket_size: Dict[int, int] = Counter()
-    bucket_mass: Dict[int, int] = Counter()
-    for pi0, around in partners.items():
+        # f(pi_a, x) = sum of s over the partners through x, for x off pi_a.
+        off = frozenset(pts)
         f_values: Dict[Vector, int] = {}
-        off = point_sets[pi0]
-        for pi, s in around:
-            for x in point_sets[pi].difference(off):
-                f_values[x] = f_values.get(x, 0) + s
+        for b, common in partners.items():
+            c = len(common)
+            if c < k or c * scale < i_tilde:
+                continue
+            corners = [local[x] for x in common]
+            s = sum(hyperplane(sub, p) is not None for sub in itertools.combinations(corners, k))
+            if not s:
+                continue
+            vk += s
+            vkp += s * (len(pts) - c)
+            if a < b:
+                shared[(a, b)] = s
+            for x in index.points[refined.flats[b]]:
+                if x not in off:
+                    f_values[x] = f_values.get(x, 0) + s
         for f in f_values.values():
             f *= orders
             level = f.bit_length() - 1
             bucket_size[level] += 1
             bucket_mass[level] += f
-    d_size = 0
-    d_level = -1
-    if bucket_mass:
-        d_level = max(bucket_mass, key=lambda lvl: (bucket_mass[lvl], lvl))
-        d_size = bucket_size[d_level]
+
+    ik_prime = orders * spanning
+    ik = orders * kept
+    vk *= orders
+    d_level = max(bucket_mass, key=lambda lvl: (bucket_mass[lvl], lvl), default=-1)
+    d_size = bucket_size[d_level]
     d_threshold = (
         Fraction(vk * i_tilde, num_flats * d_size) if d_size and vk else None
     )
@@ -482,6 +494,8 @@ def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> Refi
     holder_lower_holds = (
         holder_tuple_count * num_flats ** (k - 1) >= i_tilde**k
     )
+    # Each kept k-subset on g refined flats adds g^2 = g + g(g-1) orders.
+    vk_prime = ik + vk
     cs_lower_holds = vk_prime * len(config.points) ** k >= ik**2
 
     return RefinementChainReport(
@@ -496,7 +510,6 @@ def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> Refi
         d_threshold=d_threshold,
         holder_lower_holds=holder_lower_holds,
         cs_lower_holds=cs_lower_holds,
-        spine_groups=dict(groups),
         shared_pairs=shared,
     )
 

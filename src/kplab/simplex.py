@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from operator import mul
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from .config import Configuration
 from .flats import AffineFlat, affine_hull, flats_through, local_coordinates, through_key
@@ -20,6 +20,7 @@ from .incidence import (
     RefinementChainReport,
     SizeGuardError,
     build_refinement_chain,
+    common_points,
 )
 from .linalg import Vector, hyperplane
 from .reports import CountReport
@@ -46,41 +47,42 @@ def count_simplices(
     as l . d, with l the normal of the first k-1 differences and d the last:
     the base spans when its last point is off the hyperplane of its first k
     (`linalg.hyperplane`, shared by every base with that head).  For every
-    such base the apexes completing a simplex are read off the index:
-    omitting base vertex i leaves k points, and the apexes are the points off
-    the face lying, for every i, on a family flat through those k points.
-    Such a flat is the facet itself (the apex and the k points span a k-flat
-    inside it), so no facet hull is computed.  Every simplex is discovered
-    once per face, so the tally divides by k+2 exactly.
+    such base, omitting base vertex i leaves k spanning points, and the
+    apexes completing a simplex are the points off the face lying, for
+    every i, on a family flat through those k points.  Such a flat is the
+    facet itself (the apex and the k points span a k-flat inside it), so no
+    facet hull is computed.  Another family flat holds k spanning points of
+    the face exactly when it meets the face in the (k-1)-flat they span, and
+    then the points of P on that (k-1)-flat are the two flats' common points
+    (`common_points`).  So each face maps every k-subset of the points it
+    shares with another family flat to the points of the flats sharing
+    them, a table kept for that face only; a head found in no such table
+    has no apex.  Every simplex is discovered once per face, so the tally
+    divides by k+2 exactly.
     `count_simplices_bruteforce` is the independent oracle.
     """
     p = config.field.p
     k = config.k
-    family = set(flats if flats is not None else config.flats)
-    if not family.issubset(config.flats):
+    family = tuple(dict.fromkeys(flats if flats is not None else config.flats))
+    if not set(family).issubset(config.flats):
         raise ValueError("simplex family holds flats outside config.flats")
     if not family or len(config.points) < k + 2:
         return 0
-    on_point = {pt: family.intersection(fl) for pt, fl in index.per_point.items()}
-    # Points of P on the family flats through a k-subset of a base; the
-    # face's own points are removed per face.  A k-subset on one family
-    # flat, the face, has no apex, so it keeps the empty set.
-    around_cache: Dict[Tuple[Vector, ...], FrozenSet[Vector]] = {}
-
-    def around(rest: Tuple[Vector, ...]) -> FrozenSet[Vector]:
-        cached = around_cache.get(rest)
-        if cached is None:
-            through = family.intersection(*(on_point[q] for q in rest))
-            cached = frozenset()
-            if len(through) > 1:
-                cached = cached.union(*(index.points[f] for f in through))
-            around_cache[rest] = cached
-        return cached
 
     face_incidences = 0
-    for face, pts in index.points.items():
-        if face not in family:
+    for face, partners in zip(family, common_points(family, index)):
+        # Partners meeting the face in the same (k-1)-flat share the same
+        # common points; their points are pooled once per common tuple.
+        pooled: Dict[Tuple[Vector, ...], Set[Vector]] = defaultdict(set)
+        for b, common in partners.items():
+            if len(common) >= k:
+                pooled[tuple(common)].update(index.points[family[b]])
+        around = {
+            rest: points for common, points in pooled.items() for rest in itertools.combinations(common, k)
+        }
+        if not around:
             continue
+        pts = index.points[face]
         local = list(local_coordinates(pts, face).values())
         heads = zip(
             itertools.combinations(range(len(pts)), k),
@@ -89,8 +91,8 @@ def count_simplices(
         )
         for head, head_pts, corners in heads:
             # The k-subset omitting the base's last vertex is the head itself.
-            shared = around(head_pts)
-            if not shared:
+            shared = around.get(head_pts)
+            if shared is None:
                 continue
             plane = hyperplane(corners, p)
             if plane is None:
@@ -102,7 +104,7 @@ def count_simplices(
                 apexes = shared
                 for omit in range(k):
                     apexes = apexes.intersection(
-                        around(head_pts[:omit] + head_pts[omit + 1 :] + (pts[last],))
+                        around.get(head_pts[:omit] + head_pts[omit + 1 :] + (pts[last],), ())
                     )
                     if not apexes:
                         break
@@ -151,19 +153,10 @@ def v_k_del(chain: RefinementChainReport) -> int:
     return 2 * len(chain.shared_pairs)
 
 
-def _deleted_pairs(chain: RefinementChainReport) -> Set[Tuple[AffineFlat, AffineFlat]]:
-    flats = chain.refined.flats
-    pairs: Set[Tuple[AffineFlat, AffineFlat]] = set()
-    for a, b in chain.shared_pairs:
-        pairs.add((flats[a], flats[b]))
-        pairs.add((flats[b], flats[a]))
-    return pairs
-
-
 def lambda_flat_counts(config: Configuration, chain: RefinementChainReport) -> Tuple[int, ...]:
-    """For each deleted-spine plane pair (pi_0, pi), in the order of their
-    representatives and direction bases, the number of refined flats lying
-    inside the (k+1)-dimensional span of the pair.
+    """For each deleted-spine plane pair (pi_0, pi), once per unordered pair
+    in the order of `chain.shared_pairs` (the span is symmetric), the number
+    of refined flats lying inside the (k+1)-dimensional span of the pair.
 
     The pair shares a spine, so its span is the (k+1)-flat through pi_0
     extended by any row of pi's direction off pi_0's (`through_key`).  Each
@@ -175,17 +168,12 @@ def lambda_flat_counts(config: Configuration, chain: RefinementChainReport) -> T
     flats = chain.refined.flats
     through = [flats_through(flat, fld) for flat in flats]
     inside: Dict[AffineFlat, int] = Counter(span for spans in through for span in spans.values())
-    position = {flat: a for a, flat in enumerate(flats)}
     counts = []
-    for pi0, pi in sorted(
-        _deleted_pairs(chain),
-        key=lambda pr: (pr[0].representative, pr[0].direction.basis.rows,
-                        pr[1].representative, pr[1].direction.basis.rows),
-    ):
+    for a, b in chain.shared_pairs:
         key = next(
-            u for u in (through_key(pi0, row, fld) for row in pi.direction.basis.rows) if u
+            u for u in (through_key(flats[a], row, fld) for row in flats[b].direction.basis.rows) if u
         )
-        counts.append(inside[through[position[pi0]][key]])
+        counts.append(inside[through[a][key]])
     return tuple(counts)
 
 

@@ -196,13 +196,42 @@ class TestRunExperiment:
         spec = cli.parse_spec(
             "experiment=refinement-chain n=3 k=2 prime=3 num_directions=13 density=1 seeds=0..2"
         )
-        untallied = 27 + 13 * (9 + cli.RANK_TEST_COST * math.comb(9, 2))
+        # The common-point walk is charged 27 (13 q (1-q) + (13 q)^2) = 585
+        # steps, q = 1/3.
+        untallied = 27 + 13 * (9 + cli.RANK_TEST_COST * math.comb(9, 2)) + 585
         for _, cfg in cli._corpus(spec.params):
             index = incidence_count(cfg)
             chain = build_refinement_chain(cfg, index)
-            pairs = {pair for g in chain.spine_groups.values() for pair in itertools.permutations(g, 2)}
+            pairs = [*chain.shared_pairs, *((b, a) for a, b in chain.shared_pairs)]
             steps = sum(index.per_flat[chain.refined.flats[pi]] for pi, _ in pairs)
             assert steps == cli.estimate_work(spec) / 3 - untallied
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "experiment=refinement-chain n=4 k=2 prime=3 num_directions=20 density=1/2 seeds=0..19",
+            "experiment=refinement-chain n=4 k=1 prime=3 num_directions=40 density=1/2 seeds=0..19",
+            "experiment=refinement-chain n=4 k=2 prime=5 num_directions=200 density=1/4 seeds=0..9",
+        ],
+        ids=["4-2-3", "4-1-3", "4-2-5"],
+    )
+    def test_walk_charge_bounds_common_points(self, text):
+        # One common-point walk is charged the expected sum over x in P of
+        # deg(x)^2 over all flats: their mean lies within 10 % of it, and
+        # the refined family's walk, over a sub-family, within the charge.
+        from kplab.incidence import incidence_count, refine_dyadic
+
+        spec = cli.parse_spec(text)
+        params = {key: value for key, value in spec.params.items() if key != "seeds"}
+        charged = cli._corpus_work(lambda **_: (), 2, **params) - cli._corpus_work(lambda **_: (), 1, **params)
+        all_flats, refined = [], []
+        for _, cfg in cli._corpus(spec.params):
+            index = incidence_count(cfg)
+            family = set(refine_dyadic(cfg, index).flats)
+            all_flats.append(sum(len(fl) ** 2 for fl in index.per_point.values()))
+            refined.append(sum(sum(f in family for f in fl) ** 2 for fl in index.per_point.values()))
+        assert abs(sum(all_flats) / len(all_flats) - charged) <= charged / 10
+        assert sum(refined) / len(refined) <= charged
 
     @pytest.mark.parametrize("kind", sorted(PINNED_ROWS))
     def test_pinned_specs_within_default_budget(self, kind):

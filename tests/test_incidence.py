@@ -23,6 +23,7 @@ from kplab.incidence import (
     build_refinement_chain_bruteforce,
     check_main_bound,
     check_max_ic,
+    common_points,
     cs_holder_count,
     hypothesis_check,
     incidence_count,
@@ -257,18 +258,24 @@ class TestRefinementChain:
         assert chain.d_size == 0
 
     def test_spine_kept_at_equal_threshold(self):
-        # The whole plane F_23^2 as the one refined flat, holding 460 =
-        # 10 * |Pi~| * p * 2 points with exactly two on the line y = 0: that
-        # spine's count times 10 |Pi~| p equals |I~|, and it is kept, so every
-        # spanning pair is.
+        # The planes z = 0 and y = 0 of F_23^3 as the two refined flats, each
+        # holding 460 points with exactly two, (0,0,0) and (1,0,0), on their
+        # common line.  |I~| = 920 = 2 * 10 * |Pi~| * p, so a spine through
+        # two points is kept at equality: every spanning pair is kept, and
+        # the two planes share one kept pair, in 2! orders each way.
         fld = Field(23)
-        cfg = single_flat_config(fld, 2, 2)
-        dropped = {(x, 0) for x in range(2, 23)} | {(x, y) for x in range(23) for y in (1, 2)}
-        dropped |= {(0, 3), (1, 3)}
-        cfg = cfg.with_points(cfg.points - dropped)
-        assert len(cfg.points) == 460
+        kept = {(x, y) for x in range(23) for y in range(23)}
+        kept -= {(x, 0) for x in range(2, 23)} | {(x, y) for x in range(23) for y in (1, 2)}
+        kept -= {(0, 3), (1, 3)}
+        assert len(kept) == 460
+        axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        flats = tuple(make_flat(span_of([axes[0], axes[j]], 3, fld), (0, 0, 0), fld) for j in (1, 2))
+        points = frozenset((x, y, 0) for x, y in kept) | frozenset((x, 0, z) for x, z in kept)
+        cfg = Configuration(fld, 3, 2, points, flats)
         chain = build_refinement_chain(cfg, incidence_count(cfg))
-        assert chain.ik == chain.ik_prime == 2 * math.comb(460, 2)
+        assert chain.ik == chain.ik_prime == 2 * 2 * math.comb(460, 2)
+        assert chain.vk == 4
+        assert chain.shared_pairs == {(0, 1): 1}
 
     def test_invariants_on_corpus(self):
         for _, cfg in random_corpus(4, 2, 3, 15):
@@ -278,11 +285,8 @@ class TestRefinementChain:
             chain = build_refinement_chain(cfg, index)
             assert 0 <= chain.ik <= chain.ik_prime
             assert chain.vk <= chain.vk_prime
-            # Spine groups are keyed by unordered k-subsets; each stands for
-            # its k! orders in the ordered counts.
-            assert chain.vk_prime == chain.vk + math.factorial(cfg.k) * sum(
-                len(g) for g in chain.spine_groups.values()
-            )
+            # A kept k-subset on g refined flats adds g^2 = g + g(g-1) orders.
+            assert chain.vk_prime == chain.vk + chain.ik
             assert chain.holder_lower_holds
             assert chain.cs_lower_holds
 
@@ -290,6 +294,28 @@ class TestRefinementChain:
         cfg = single_flat_config(f3, 4, 2, with_points=False)
         with pytest.raises(EmptyRefinementError):
             build_refinement_chain(cfg, incidence_count(cfg))
+
+
+@pytest.mark.parametrize("n,k,p", [(4, 2, 3), (4, 1, 3), (3, 2, 3), (4, 3, 2)])
+def test_common_points_match_pointwise_intersection(n, k, p):
+    proper = 0
+    for _, cfg in random_corpus(n, k, p, 8):
+        index = incidence_count(cfg)
+        if index.total == 0:
+            continue
+        refined = refine_dyadic(cfg, index).flats
+        proper += len(refined) < len(cfg.flats)
+        for family in (cfg.flats, refined):
+            tables = list(common_points(family, index))
+            assert len(tables) == len(family)
+            for a, shared in enumerate(tables):
+                expected = {}
+                for b, other in enumerate(family):
+                    common = set(index.points[family[a]]) & set(index.points[other])
+                    if b != a and common:
+                        expected[b] = [x for x in index.points[family[a]] if x in common]
+                assert shared == expected
+    assert proper >= 2
 
 
 CHAIN_FIELDS = ("ik_prime", "ik", "vk_prime", "vk", "vkp", "d_size", "d_bucket_level", "d_threshold")

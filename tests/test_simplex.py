@@ -19,7 +19,6 @@ from kplab.incidence import (
     refine_dyadic,
 )
 from kplab.simplex import (
-    _deleted_pairs,
     count_simplices,
     count_simplices_bruteforce,
     lambda_flat_counts,
@@ -114,21 +113,19 @@ def test_family_outside_config_flats_rejected(f3):
 
 def _lambda_recount(config, chain):
     """lambda_flat_counts without the per-span memo: one span and one scan of
-    the refined flats per deleted pair."""
+    the refined flats per deleted pair, once per unordered pair."""
     fld = config.field
+    flats = chain.refined.flats
     counts = []
-    for pi0, pi in sorted(
-        _deleted_pairs(chain),
-        key=lambda pr: (pr[0].representative, pr[0].direction.basis.rows,
-                        pr[1].representative, pr[1].direction.basis.rows),
-    ):
-        diff = tuple(fld.sub(a, b) for a, b in zip(pi.representative, pi0.representative))
+    for a, b in chain.shared_pairs:
+        pi0, pi = flats[a], flats[b]
+        diff = tuple(fld.sub(x, y) for x, y in zip(pi.representative, pi0.representative))
         span = span_of(pi0.direction.basis.rows + pi.direction.basis.rows + (diff,), config.n, fld)
         counts.append(
             sum(
-                span.contains(tuple(fld.sub(a, b) for a, b in zip(f.representative, pi0.representative)), fld)
+                span.contains(tuple(fld.sub(x, y) for x, y in zip(f.representative, pi0.representative)), fld)
                 and span.contains_subspace(f.direction, fld)
-                for f in chain.refined.flats
+                for f in flats
             )
         )
     return tuple(counts)
