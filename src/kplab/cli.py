@@ -21,12 +21,18 @@ from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from . import exponents, incidence, maximal, simplex
-from .config import gen_degenerate, gen_nk_set, gen_random_config
+from .config import gen_degenerate, gen_nk_set, gen_point_cloud, gen_random_config
 from .field import Field, NotPrimeError
-from .flats import enumerate_grassmannian, gaussian_binomial
+from .flats import CosetKeys, coset_key, enumerate_grassmannian, gaussian_binomial
 
 DEFAULT_BUDGET = 50_000_000
 RANK_TEST_COST = 10  # work units per rank test; one 2x2 rref takes about 9 us on a 2-CPU host
+# A maximal-ratio step (one list-comprehension step or one binned point)
+# takes about 0.1 us on a 2-CPU host, and a direction's own work (its
+# subspace, its annihilator, a Counter and a Fraction per witness) up to
+# about 150 us, so at 5 steps a unit the estimate is 1.3-2x the run.
+MAXIMAL_STEPS_PER_UNIT = 5
+MAXIMAL_DIRECTION_STEPS = 1500
 
 _INT_KEYS = {"n", "k", "r", "prime", "num_directions", "seed", "kmax", "slack"}
 _RATIONAL_KEYS = {"density", "p_exp", "q_exp"}
@@ -334,6 +340,17 @@ def _corpus_work(subset_sizes: Callable[..., Sequence[int]], walks: int,
     return math.ceil(total)
 
 
+def _maximal_work(n, k, prime, **_) -> int:
+    """Work units of `maximal-ratio`: for each direction of G(n,k), one step
+    per annihilator row and prefix of F^n (the constant witness's support
+    holds all p + p^2 + ... + p^n of them), one per binned point (the default
+    family bins about 2 p^n) and MAXIMAL_DIRECTION_STEPS for the direction
+    itself, MAXIMAL_STEPS_PER_UNIT steps a unit."""
+    prefixes = sum(prime**i for i in range(1, n + 1))
+    steps = (n - k) * prefixes + 2 * prime**n + MAXIMAL_DIRECTION_STEPS
+    return gaussian_binomial(n, k, prime) * steps // MAXIMAL_STEPS_PER_UNIT
+
+
 def _points_and_flats_work(n, k, prime, **_) -> int:
     return gaussian_binomial(n, k, prime) * prime**k + prime**n
 
@@ -356,8 +373,7 @@ KINDS: Dict[str, Kind] = {
                            partial(_corpus_work, lambda k, **_: (k, k + 1), 2), _simplex_bounds_row),
     "maximal-ratio": Kind({"n", "k", "prime", "p_exp", "q_exp"}, {"seed"}, "0 <= k <= n",
                           lambda n, k, **_: 0 <= k <= n,
-                          lambda n, k, prime, **_: gaussian_binomial(n, k, prime) * prime**n * 10,
-                          _maximal_ratio_rows),
+                          _maximal_work, _maximal_ratio_rows),
     "exponent-identities": Kind({"kmax"}, set(), "kmax >= 2", lambda kmax, **_: kmax >= 2, lambda kmax, **_: kmax**2,
                                 _exponent_identity_rows),
 }
@@ -446,6 +462,26 @@ def _selftest() -> int:
     cfg = gen_degenerate(4, 2, 1, Field(3))
     index = incidence.incidence_count(cfg)
     check("degenerate worst case (4,2,1,3)", index.total == 39 == len(cfg.points) * len(cfg.flats))
+    fld = Field(3)
+    kernel = CosetKeys(gen_point_cloud(4, fld, Fraction(1, 3), 0), fld)
+    check(
+        "coset keys oracle G(4,2) p=3",
+        all(
+            kernel.keys(pi) == [coset_key(x, pi, fld) for x in kernel.points]
+            for pi in enumerate_grassmannian(4, 2, fld)
+        ),
+    )
+    # The default witnesses, one function of mixed denominators and one
+    # constant 3/2 on a point cloud.
+    family = list(maximal.default_candidates(3, 1, fld, 0).values())
+    cloud = sorted(gen_point_cloud(3, fld, Fraction(1, 2), 1))
+    weights = {x: Fraction(1 + i % 3, 1 + i % 4) for i, x in enumerate(cloud)}
+    family.append(maximal.GridFunction.from_dict(fld, 3, weights))
+    family.append(maximal.GridFunction.from_dict(fld, 3, dict.fromkeys(cloud, Fraction(3, 2))))
+    check(
+        "maximal family oracle (3,1,3)",
+        maximal.apply_maximal_many(family, 3, 1) == [maximal.apply_maximal_bruteforce(f, 3, 1) for f in family],
+    )
     return 3 if failures else 0
 
 

@@ -6,8 +6,9 @@ equality and hashing are structural throughout.
 
 Which coset of a direction holds a point is answered by one map, the packed
 integer key: the digits a_j . x mod p of the annihilator rows a_j of the
-direction, one row per free column j.  `coset_key`, `membership`,
-`coset_sums` and `LinearSubspace.contains` read it, `make_flat` writes
+direction, one row per free column j.  `coset_key`, `membership` and
+`LinearSubspace.contains` read it for one point, `CosetKeys` for a fixed
+point set under any direction at once (by shared prefixes), `make_flat` writes
 its digits into the free columns of the canonical representative (they are
 the entries that eliminating the pivots by the basis rows leaves there), and
 `through_key` reads the digits of a direction vector to name the (k+1)-flat
@@ -23,12 +24,10 @@ import functools
 import itertools
 from dataclasses import dataclass
 from operator import mul
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .field import Field
 from .linalg import RrefBasis, Vector, normalized, null_space_rows, rref
-
-W = TypeVar("W")
 
 
 @dataclass(frozen=True)
@@ -246,8 +245,8 @@ def _annihilator(direction: LinearSubspace, field: Field) -> Tuple[Vector, ...]:
 
 
 def coset_key(point: Vector, direction: LinearSubspace, field: Field) -> int:
-    """The key of the coset of `direction` holding `point`, as `coset_sums`
-    keys it."""
+    """The key of the coset of `direction` holding `point`, as `CosetKeys`
+    gives it for a point set."""
     return _packed_key(point, _annihilator(direction, field), field.p)
 
 
@@ -260,19 +259,74 @@ def membership(point: Vector, flat: AffineFlat, field: Field) -> bool:
     return _packed_key(point, rows, p) == key
 
 
-def coset_sums(
-    weighted: Iterable[Tuple[Vector, W]], direction: LinearSubspace, field: Field
-) -> Dict[int, W]:
-    """Total weight per coset of `direction`, keyed by the coset's packed
-    integer key (the key `membership` and `coset_key` use); cosets holding no
-    point are absent."""
-    p = field.p
-    rows = _annihilator(direction, field)
-    sums: Dict[int, W] = {}
-    for point, weight in weighted:
-        key = _packed_key(point, rows, p)
-        sums[key] = sums.get(key, 0) + weight
-    return sums
+class CosetKeys:
+    """The coset keys of one fixed point set under any direction, all at once.
+
+    The points are kept sorted and distinct (`points`), with their
+    lexicographic prefixes: level i holds each distinct prefix x_0..x_i as
+    the position of its parent prefix x_0..x_(i-1) one level up and its last
+    entry x_i, so the last level holds the points themselves, in order.
+    `keys(direction)` sums each annihilator row of the direction along the
+    levels, one step per prefix, so points that share a prefix share its
+    partial sum; each row's sums are reduced mod p once, at the end, and
+    packed into the base-p key `coset_key` gives.  A level that extends each
+    prefix of the level above exactly once needs no gather, and is left out
+    when all its entries are zero.  A direction
+    costs (n-k) steps per prefix, and `levels` holds at most
+    min(n |points|, p + p^2 + ... + p^n) prefixes.
+    """
+
+    def __init__(self, points: Iterable[Vector], field: Field):
+        self.field = field
+        self.points = sorted(set(points))
+        if len(set(map(len, self.points))) > 1:
+            raise ValueError("ambient dimension mismatch")
+        self.n = len(self.points[0]) if self.points else 0
+        # (column i, parent positions or None when they are 0, 1, 2, ..., entries x_i)
+        self.levels: List[Tuple[int, Optional[List[int]], List[int]]] = []
+        at = [0] * len(self.points)  # each point's prefix position one level up
+        width = 1  # the number of prefixes one level up
+        for i in range(self.n):
+            parents: List[int] = []
+            digits: List[int] = []
+            below: List[int] = []
+            last = None
+            for q, x in zip(at, self.points):
+                node = (q, x[i])
+                if node != last:
+                    last = node
+                    parents.append(q)
+                    digits.append(x[i])
+                below.append(len(digits) - 1)
+            at = below
+            if len(digits) == width:
+                if not any(digits):
+                    continue
+                parents = None
+            self.levels.append((i, parents, digits))
+            width = len(digits)
+
+    def keys(self, direction: LinearSubspace) -> List[int]:
+        """`coset_key(x, direction)` for each x in `points`, in order."""
+        if not self.points:
+            return []
+        if direction.ambient != self.n:
+            raise ValueError(f"direction lives in F^{direction.ambient}, the points in F^{self.n}")
+        p = self.field.p
+        keys: Optional[List[int]] = None
+        for row in _annihilator(direction, self.field):
+            sums = [0]
+            for i, parents, digits in self.levels:
+                a = row[i]
+                if not a:
+                    if parents is not None:
+                        sums = [sums[q] for q in parents]
+                elif parents is None:
+                    sums = [s + a * x for s, x in zip(sums, digits)]
+                else:
+                    sums = [sums[q] + a * x for q, x in zip(parents, digits)]
+            keys = [s % p for s in sums] if keys is None else [key * p + s % p for key, s in zip(keys, sums)]
+        return [0] * len(self.points) if keys is None else keys
 
 
 def flats_through(flat: AffineFlat, field: Field) -> Dict[Vector, AffineFlat]:

@@ -21,8 +21,8 @@ from .config import Configuration
 from .exponents import PowerProduct, main_term_exponents
 from .flats import (
     AffineFlat,
+    CosetKeys,
     affine_hull,
-    coset_sums,
     difference_basis,
     enumerate_points,
     local_coordinates,
@@ -289,10 +289,10 @@ def check_max_ic(
     fld = config.field
     # Per-direction sup over cosets: each flat's count is at most the sup of
     # the point counts over all cosets of its direction.
-    sup_sum = 0
-    for flat in config.flats:
-        counts = coset_sums(((pt, 1) for pt in config.points), flat.direction, fld)
-        sup_sum += max(counts.values(), default=0)
+    kernel = CosetKeys(config.points, fld)
+    sup_sum = sum(
+        max(Counter(kernel.keys(flat.direction)).values(), default=0) for flat in config.flats
+    )
     chain_holds = index.total <= sup_sum
     if index.total == 0 or not config.points or not config.flats:
         return MaxIcReport(None, chain_holds, sup_sum, index.total)

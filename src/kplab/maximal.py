@@ -12,16 +12,17 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .config import enumerate_space, gen_degenerate
 from .exponents import PowerProduct
 from .field import Field
 from .flats import (
+    CosetKeys,
     LinearSubspace,
-    coset_sums,
     enumerate_coset_representatives,
     enumerate_grassmannian,
     enumerate_points,
@@ -82,23 +83,60 @@ class GridFunction:
         return dict(self.values)
 
 
-def apply_maximal(f: GridFunction, n: int, k: int) -> Dict[LinearSubspace, Fraction]:
-    """For each direction, the maximum coset sum of f.
+def apply_maximal_many(
+    fs: Sequence[GridFunction], n: int, k: int
+) -> List[Dict[LinearSubspace, Fraction]]:
+    """`apply_maximal` of each function, in one walk over G(n,k).
 
     The sup over all translates x + pi equals the max over the p^{n-k}
-    cosets of pi, so each nonzero point is binned by its coset key and the
-    per-direction max is taken over the bins.  The values are scaled once by
-    the lcm of their denominators, so the bins sum plain ints.
+    cosets of pi.  One `CosetKeys` over the union of the supports gives
+    every point's coset key once per direction.  Each function's values are
+    scaled by the lcm of its denominators to ints, its points are grouped by
+    value, and its coset sums are one `Counter` of keys per value class,
+    weighted by the value.
     """
-    if n != f.n:
-        raise ValueError(f"grid function lives on F^{f.n}, not F^{n}")
-    fld = f.field
-    scale = math.lcm(*(v.denominator for _, v in f.values))
-    scaled = [(pt, v.numerator * (scale // v.denominator)) for pt, v in f.values]
-    return {
-        pi: Fraction(max(coset_sums(scaled, pi, fld).values(), default=0), scale)
-        for pi in enumerate_grassmannian(n, k, fld)
-    }
+    if not fs:
+        return []
+    fld = fs[0].field
+    for f in fs:
+        if f.n != n:
+            raise ValueError(f"grid function lives on F^{f.n}, not F^{n}")
+        if f.field != fld:
+            raise ValueError(f"grid functions over {fld} and {f.field} in one family")
+    kernel = CosetKeys((pt for f in fs for pt, _ in f.values), fld)
+    position = {pt: i for i, pt in enumerate(kernel.points)}
+    scaled = []
+    for f in fs:
+        scale = math.lcm(*(v.denominator for _, v in f.values))
+        classes: Dict[int, List[int]] = {}
+        for pt, v in f.values:
+            classes.setdefault(v.numerator * (scale // v.denominator), []).append(position[pt])
+        scaled.append((scale, list(classes.items())))
+    out: List[Dict[LinearSubspace, Fraction]] = [{} for _ in fs]
+    for pi in enumerate_grassmannian(n, k, fld):
+        at = kernel.keys(pi).__getitem__
+        for tf, (scale, classes) in zip(out, scaled):
+            tf[pi] = Fraction(_coset_max(at, classes), scale)
+    return out
+
+
+def _coset_max(at: Callable[[int], int], classes: Sequence[Tuple[int, List[int]]]) -> int:
+    """The largest coset sum of value times points, over (value, point
+    positions) classes, the key of position i being at(i)."""
+    if len(classes) == 1:
+        ((value, points),) = classes
+        return value * max(Counter(map(at, points)).values())
+    sums: Dict[int, int] = {}
+    for value, points in classes:
+        for key, count in Counter(map(at, points)).items():
+            sums[key] = sums.get(key, 0) + value * count
+    return max(sums.values(), default=0)
+
+
+def apply_maximal(f: GridFunction, n: int, k: int) -> Dict[LinearSubspace, Fraction]:
+    """For each direction, the maximum coset sum of f (`apply_maximal_many`
+    of the one-function family)."""
+    return apply_maximal_many([f], n, k)[0]
 
 
 def apply_maximal_bruteforce(f: GridFunction, n: int, k: int) -> Dict[LinearSubspace, Fraction]:
@@ -160,7 +198,11 @@ def operator_ratio(f: GridFunction, p_exp, q_exp, n: int, k: int) -> float:
     """The testable lower bound ||Tf||_q / ||f||_p for one witness f."""
     if f.is_zero():
         raise ValueError("operator ratio of the zero function")
-    tf = apply_maximal(f, n, k)
+    return _ratio(f, apply_maximal(f, n, k), p_exp, q_exp, n, k)
+
+
+def _ratio(f: GridFunction, tf: Dict[LinearSubspace, Fraction], p_exp, q_exp, n: int, k: int) -> float:
+    """||Tf||_q / ||f||_p from f and its Tf."""
     return lq_norm_grassmann(tf, q_exp, n, k, f.field) / lp_norm(f, p_exp)
 
 
@@ -236,10 +278,8 @@ def empirical_norm_search(
         candidates = default_candidates(n, k, field, seed)
     if not candidates:
         raise ValueError("empty candidate family")
-    ratios = {
-        name: operator_ratio(f, p_exp, q_exp, n, k)
-        for name, f in sorted(candidates.items())
-        if not f.is_zero()
-    }
+    family = {name: f for name, f in sorted(candidates.items()) if not f.is_zero()}
+    images = apply_maximal_many(list(family.values()), n, k)
+    ratios = {name: _ratio(f, tf, p_exp, q_exp, n, k) for (name, f), tf in zip(family.items(), images)}
     best_name = max(ratios, key=lambda name: (ratios[name], name))
     return SearchResult(ratios[best_name], best_name, candidates[best_name], ratios)

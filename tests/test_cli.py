@@ -233,6 +233,15 @@ class TestRunExperiment:
         assert abs(sum(all_flats) / len(all_flats) - charged) <= charged / 10
         assert sum(refined) / len(refined) <= charged
 
+    def test_maximal_estimate_follows_prefix_walk(self):
+        # One walk over G(4,2) at p=7 runs in about 3 s (estimated 6.8 M
+        # units, 6.1 s at 0.9 us a unit); G(5,2) at p=7 has 140 050
+        # directions of 16 807 points and is refused.
+        text = "experiment=maximal-ratio n={} k=2 prime=7 p_exp=11/6 q_exp=22/5"
+        assert cli.estimate_work(cli.parse_spec(text.format(4))) <= cli.DEFAULT_BUDGET
+        with pytest.raises(cli.BudgetError):
+            cli.run_experiment(cli.parse_spec(text.format(5)))
+
     @pytest.mark.parametrize("kind", sorted(PINNED_ROWS))
     def test_pinned_specs_within_default_budget(self, kind):
         assert cli.estimate_work(cli.parse_spec(PINNED_ROWS[kind][0])) < cli.DEFAULT_BUDGET

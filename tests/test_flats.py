@@ -6,9 +6,9 @@ import pytest
 from conftest import random_vectors
 from kplab.field import Field
 from kplab.flats import (
+    CosetKeys,
     affine_hull,
     coset_key,
-    coset_sums,
     enumerate_coset_representatives,
     enumerate_grassmannian,
     enumerate_points,
@@ -153,7 +153,7 @@ def test_membership_matches_span_definition():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_packed_key_matches_canonical_representative(p):
-    # The packed key of x (what coset_sums bins by) must separate cosets
+    # The packed key of x (what CosetKeys gives) must separate cosets
     # exactly as the canonical representative reduce_vector(x) does, for
     # every k, including 0 (one coset per point) and n (a single coset); a
     # subspace's basis alone does not fix its ambient n at k = 0.  The
@@ -169,7 +169,7 @@ def test_packed_key_matches_canonical_representative(p):
                 direction = span_of(random_vectors(n, p, k, rng), n, fld)
 
             def key(x):
-                (only,) = coset_sums([(x, 1)], direction, fld)
+                (only,) = CosetKeys([x], fld).keys(direction)
                 return only
 
             seen = set()
@@ -196,6 +196,54 @@ def test_packed_key_matches_canonical_representative(p):
                 seen.add(same)
             if k < n:
                 assert seen == {True, False}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_coset_keys_match_coset_key(p):
+    # The batch kernel gives coset_key of each of its points under every
+    # direction of G(n,k), n <= 4 and every k including 0 (one coset per
+    # point) and n (one coset), on empty, one-point, duplicate-laden and
+    # full-F^n inputs, and on a coordinate line, whose all-zero levels are
+    # left out; its points are the input sorted and distinct.
+    fld = Field(p)
+    rng = random.Random(p)
+    for n in range(1, 5):
+        space = list(itertools.product(range(p), repeat=n))
+        drawn = random_vectors(n, p, 12, rng)
+        axis = [(x,) + (0,) * (n - 1) for x in range(p)]
+        inputs = [[], [space[1]], drawn + drawn[:7] + [drawn[0]] * 3, axis[::-1], space]
+        kernels = [CosetKeys(points, fld) for points in inputs]
+        for points, kernel in zip(inputs, kernels):
+            assert kernel.points == sorted(set(points))
+        for k in range(n + 1):
+            for direction in enumerate_grassmannian(n, k, fld):
+                for kernel in kernels:
+                    assert kernel.keys(direction) == [coset_key(x, direction, fld) for x in kernel.points]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_coset_keys_prefix_count_bound(p):
+    # A direction costs (n-k) steps per kept prefix: at most n per point and
+    # at most the p + p^2 + ... + p^n prefixes of F^n, which the full space
+    # reaches.
+    fld = Field(p)
+    rng = random.Random(p)
+    for n in range(1, 5):
+        bound = sum(p**i for i in range(1, n + 1))
+        space = list(itertools.product(range(p), repeat=n))
+        for size in (0, 1, 2, 5, 20, 60):
+            points = random_vectors(n, p, size, rng)
+            kept = sum(len(digits) for _, _, digits in CosetKeys(points, fld).levels)
+            assert kept <= min(n * len(set(points)), bound)
+        assert sum(len(digits) for _, _, digits in CosetKeys(space, fld).levels) == bound
+
+
+def test_coset_keys_reject_mixed_ambient():
+    f3 = Field(3)
+    with pytest.raises(ValueError):
+        CosetKeys([(0, 0), (1, 1, 1)], f3)
+    with pytest.raises(ValueError):
+        CosetKeys([(0, 0), (1, 1)], f3).keys(zero_subspace(3))
 
 
 def test_make_flat_canonicalizes_representative():

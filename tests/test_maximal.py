@@ -11,6 +11,7 @@ from kplab.maximal import (
     GridFunction,
     apply_maximal,
     apply_maximal_bruteforce,
+    apply_maximal_many,
     constant_witness_ratio_exact,
     default_candidates,
     empirical_norm_search,
@@ -103,6 +104,54 @@ def test_oracle_equivalence_mixed_denominators(n, k, p):
         tf = apply_maximal(f, n, k)
         assert tf == apply_maximal_bruteforce(f, n, k)
         assert len({v.denominator for v in tf.values()}) > 1
+
+
+@pytest.mark.parametrize("n, k, p", [(2, 1, 5), (3, 1, 3), (3, 2, 3), (3, 0, 2), (3, 3, 2)])
+def test_many_matches_oracle_per_function(n, k, p):
+    # One walk for the family: mixed denominators, a zero function, a
+    # constant, overlapping supports, one function inside another's support
+    # and one spread over two value classes.
+    import itertools
+    import random
+
+    fld = Field(p)
+    rng = random.Random(n * 100 + k * 10 + p)
+    space = list(itertools.product(range(p), repeat=n))
+    palette = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 12), Fraction(1), Fraction(9, 4)]
+    half = rng.sample(space, len(space) // 2)
+    fs = [
+        GridFunction.from_dict(fld, n, {pt: rng.choice(palette) for pt in space if rng.random() < 0.6}),
+        GridFunction.from_dict(fld, n, {}),
+        GridFunction.constant(fld, n, Fraction(3, 2)),
+        GridFunction.indicator(fld, n, half),
+        GridFunction.from_dict(fld, n, {pt: Fraction(1 + i % 2, 5) for i, pt in enumerate(half[:5])}),
+        GridFunction.indicator(fld, n, space[:3]),
+    ]
+    images = apply_maximal_many(fs, n, k)
+    assert len(images) == len(fs)
+    for f, tf in zip(fs, images):
+        assert tf == apply_maximal_bruteforce(f, n, k) == apply_maximal(f, n, k)
+    assert set(images[1].values()) == {0}
+    assert apply_maximal_many([], n, k) == []
+
+
+def test_many_rejects_mixed_families(f3, f5):
+    with pytest.raises(ValueError):
+        apply_maximal_many([GridFunction.constant(f3, 2), GridFunction.constant(f5, 2)], 2, 1)
+    with pytest.raises(ValueError):
+        apply_maximal_many([GridFunction.constant(f3, 2), GridFunction.constant(f3, 3)], 2, 1)
+    with pytest.raises(ValueError):
+        apply_maximal_many([GridFunction.constant(f3, 3), GridFunction.constant(f3, 2)], 2, 1)
+
+
+def test_search_ratios_equal_operator_ratio(f3):
+    # empirical_norm_search walks G(n,k) once for the family; each ratio is
+    # bit-identical to operator_ratio of that witness alone.
+    family = default_candidates(4, 2, f3, seed=2)
+    result = empirical_norm_search(4, 2, f3, Fraction(11, 6), Fraction(22, 5), candidates=family)
+    assert result.all_ratios == {
+        name: operator_ratio(f, Fraction(11, 6), Fraction(22, 5), 4, 2) for name, f in family.items()
+    }
 
 
 def test_mixed_denominators_sum_exactly(f3):
