@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
+import random
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -23,10 +25,23 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 from . import exponents, incidence, maximal, simplex
 from .config import gen_degenerate, gen_nk_set, gen_point_cloud, gen_random_config
 from .field import Field, NotPrimeError
-from .flats import CosetKeys, coset_key, enumerate_grassmannian, gaussian_binomial
+from .flats import (
+    CosetKeys,
+    coset_key,
+    enumerate_grassmannian,
+    enumerate_points,
+    gaussian_binomial,
+    make_flat,
+    unrank_grassmannian,
+)
 
 DEFAULT_BUDGET = 50_000_000
-RANK_TEST_COST = 10  # work units per rank test; one 2x2 rref takes about 9 us on a 2-CPU host
+# Work units per rank test.  A rank test is now a cached `linalg.hyperplane`
+# lookup, not a 2x2 rref (about 9 us on a 2-CPU host, which set this value),
+# so `_corpus_work` overshoots a refinement-chain run by about 3x; the value
+# is recalibrated with the rest of the work model once a metrics sidecar
+# measures rank tests (ROADMAP.md, "A metrics sidecar").
+RANK_TEST_COST = 10
 # A maximal-ratio step (one list-comprehension step or one binned point)
 # takes about 0.1 us on a 2-CPU host, and a direction's own work (its
 # subspace, its annihilator, a Counter and a Fraction per witness) up to
@@ -459,6 +474,23 @@ def _selftest() -> int:
         except AssertionError:  # jr_decompose's strata do not sum to its tuple count
             same = False
         check(f"two-ends oracle seed {seed}", same)
+    # Three seeded flats of each dimension 0..4 in F_7^4, each point the
+    # representative plus sum c_i row_i over `itertools.product` coefficients.
+    fld, rng, same = Field(7), random.Random(0), True
+    for dim in range(5):
+        for _ in range(3):
+            direction = unrank_grassmannian(4, dim, fld, rng.randrange(gaussian_binomial(4, dim, 7)))
+            flat = make_flat(direction, tuple(rng.randrange(7) for _ in range(4)), fld)
+            rows = direction.basis.rows
+            expected = [
+                tuple(
+                    (x + sum(c * row[j] for c, row in zip(coeffs, rows))) % 7
+                    for j, x in enumerate(flat.representative)
+                )
+                for coeffs in itertools.product(range(7), repeat=dim)
+            ]
+            same = same and list(enumerate_points(flat, fld)) == expected
+    check("flat points by definition (4,2,7)", same)
     cfg = gen_degenerate(4, 2, 1, Field(3))
     index = incidence.incidence_count(cfg)
     check("degenerate worst case (4,2,1,3)", index.total == 39 == len(cfg.points) * len(cfg.flats))

@@ -157,12 +157,9 @@ def gen_point_cloud(
     density = Fraction(density)
     if not 0 < density <= 1:
         raise ConfigDomainError(f"density {density} outside (0, 1]")
-    rng = random.Random(seed)
-    points = []
-    for point in enumerate_space(n, fld):
-        if rng.randrange(density.denominator) < density.numerator:
-            points.append(point)
-    return frozenset(points)
+    draw = random.Random(seed).randrange
+    numerator, denominator = density.numerator, density.denominator
+    return frozenset(point for point in enumerate_space(n, fld) if draw(denominator) < numerator)
 
 
 def gen_random_config(

@@ -208,20 +208,39 @@ def unrank_grassmannian(n: int, k: int, field: Field, index: int) -> LinearSubsp
     return _pattern_subspace(n, pivots, free_positions, values)
 
 
+@functools.lru_cache(maxsize=None)
+def _pivot_columns(p: int, k: int) -> Tuple[Tuple[int, ...], ...]:
+    """Coordinate i of each point of F^k in `itertools.product` order, for
+    i < k: each value repeated p^(k-1-i) times, the run repeated p^i times.
+    Computed once per (p, k) for `enumerate_points`."""
+    return tuple(
+        tuple([a for a in range(p) for _ in range(p ** (k - 1 - i))] * p**i)
+        for i in range(k)
+    )
+
+
 def enumerate_points(flat: AffineFlat, field: Field) -> Iterator[Vector]:
     """All p^dim points of the flat, deterministically: the representative
     plus every combination of the basis rows, the first coefficient varying
-    slowest.  Built by sums, adding every multiple of each row (last to
-    first) to the points built so far."""
+    slowest.  Built one column at a time and zipped: the representative is
+    zero at the pivots and each row has a 1 at its own pivot and 0 at the
+    others, so pivot column i is coefficient i (`_pivot_columns`); free
+    column j starts at the representative's entry and is expanded by each
+    row, first to last, with that row's multiples row[j] * c mod p."""
     p = field.p
-    points = [flat.representative]
-    for row in reversed(flat.direction.basis.rows):
-        shifted = list(points)
-        for c in range(1, p):
-            shift = [c * y for y in row]
-            shifted += [tuple([(a + b) % p for a, b in zip(x, shift)]) for x in points]
-        points = shifted
-    yield from points
+    basis = flat.direction.basis
+    pivot_columns = dict(zip(basis.pivots, _pivot_columns(p, basis.rank)))
+    columns = []
+    for j, x in enumerate(flat.representative):
+        if j in pivot_columns:
+            columns.append(pivot_columns[j])
+            continue
+        values = [x]
+        for row in basis.rows:
+            steps = [row[j] * c % p for c in range(p)]
+            values = [(v + s) % p for v in values for s in steps]
+        columns.append(values)
+    yield from zip(*columns)
 
 
 def _packed_key(point: Vector, rows: Tuple[Vector, ...], p: int) -> int:

@@ -61,9 +61,12 @@ def incidence_count(config: Configuration) -> IncidenceIndex:
     that reads incidences takes this index as an argument, so a caller
     builds it once per configuration.
 
-    Each flat is counted by enumerating its p^k points and probing the point
-    set, unless the point set is smaller, in which case points are probed
-    against the flat membership test.
+    When p^k <= |P| a flat is counted from its p^k points, zipped column by
+    column by `enumerate_points`, each looked up in the point set.  Otherwise
+    every point of P is probed with one `membership` call per (point, flat);
+    that side and the crossover stay as they are because the benchmark
+    tracer's self-test pins 39 `membership` calls inside `incidence_count`
+    on `gen_degenerate(4, 2, 1, GF(3))`.
     """
     fld = config.field
     flat_size = fld.p ** config.k

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 
@@ -93,7 +94,9 @@ def test_unrank_matches_enumeration(n, k, p):
         unrank_grassmannian(n, k, fld, -1)
 
 
-@pytest.mark.parametrize("n,k,p", [(4, 2, 7), (3, 1, 3), (5, 3, 2), (3, 3, 3)])
+@pytest.mark.parametrize(
+    "n,k,p", [(4, 2, 7), (4, 2, 5), (5, 2, 3), (3, 1, 3), (5, 3, 2), (3, 3, 3)]
+)
 def test_enumerate_points_product_order(n, k, p):
     # The reference order: the representative plus sum c_i row_i over
     # `itertools.product` coefficients, the first coefficient slowest.
@@ -112,6 +115,12 @@ def test_enumerate_points_product_order(n, k, p):
                 for coeffs in itertools.product(range(p), repeat=len(rows))
             ]
             assert list(enumerate_points(flat, fld)) == expected
+
+
+def test_enumerate_points_is_a_generator_function():
+    # The benchmark tracer counts `flats.enumerate_points.yielded` only for
+    # generator functions, so the points must be yielded, not returned.
+    assert inspect.isgeneratorfunction(enumerate_points)
 
 
 def test_enumerate_points_sizes():

@@ -54,21 +54,33 @@ class TestIncidenceCount:
         assert index.total == 0
         assert index.per_flat[cfg.flats[0]] == 0
 
-    def test_marginals_agree(self, f3):
-        # Density 1/2 gives |P| >= p^k (enumerate side); density 1/16 gives
-        # |P| < p^k (probe side).  Both must store every flat's points.
+    def test_marginals_agree(self):
+        # Every flat's stored points are a sorted membership scan of P.
+        # (4,2,3) at density 1/2 gives |P| >= p^k (enumerate side), at 1/16
+        # |P| < p^k (probe side).  (4,2,7) is the two-ends bench size, 200
+        # planes of F_7^4 at density 1/16: about 150 points against 49 a
+        # plane (enumerate side).  (3,3,3) has k = n: its one flat is F^3,
+        # every column a pivot column, and at density 1 |P| = p^k (enumerate
+        # side).
+        cases = [
+            (4, 2, 3, None, Fraction(1, 2), 10),
+            (4, 2, 3, None, Fraction(1, 16), 10),
+            (4, 2, 7, 200, Fraction(1, 16), 3),
+            (3, 3, 3, None, Fraction(1), 3),
+        ]
         sides = set()
-        for density in (Fraction(1, 2), Fraction(1, 16)):
-            for _, cfg in random_corpus(4, 2, 3, 10, density=density):
+        for n, k, p, num_directions, density, count in cases:
+            fld = Field(p)
+            for _, cfg in random_corpus(n, k, p, count, num_directions=num_directions, density=density):
                 index = incidence_count(cfg)
-                sides.add(len(cfg.points) >= 3**2)
+                sides.add((n, k, p, len(cfg.points) >= p**k))
                 assert index.total == sum(index.per_flat.values())
                 assert index.total == sum(len(fl) for fl in index.per_point.values())
                 for flat in cfg.flats:
-                    on = tuple(sorted(pt for pt in cfg.points if membership(pt, flat, f3)))
+                    on = tuple(sorted(pt for pt in cfg.points if membership(pt, flat, fld)))
                     assert index.points[flat] == on
                     assert index.per_flat[flat] == len(on)
-        assert sides == {True, False}
+        assert sides == {(4, 2, 3, True), (4, 2, 3, False), (4, 2, 7, True), (3, 3, 3, True)}
 
 
 class TestCsHolder:
