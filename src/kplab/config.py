@@ -43,10 +43,8 @@ class Configuration:
     flats: Tuple[AffineFlat, ...]
 
     def __post_init__(self):
-        residues = frozenset(self.field.elements())
-        for pt in self.points:
-            if type(pt) is not tuple or len(pt) != self.n or not residues.issuperset(pt):
-                raise ConfigDomainError(f"point {pt!r} is not in F_{self.field.p}^{self.n}")
+        for pt in self.field.points_outside(self.points, self.n):
+            raise ConfigDomainError(f"point {pt!r} is not in F_{self.field.p}^{self.n}")
         if len(set(self.flats)) != len(self.flats):
             raise ConfigDomainError("duplicate flats in configuration")
         for f in self.flats:

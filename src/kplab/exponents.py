@@ -90,13 +90,8 @@ class PowerProduct:
         out._zero = False
         return out
 
-    def log(self) -> float:
-        if self._zero:
-            return -math.inf
-        return sum(float(e) * math.log(b) for b, e in self._factors.items())
-
     def __float__(self) -> float:
-        return math.exp(self.log())
+        return 0.0 if self._zero else math.exp(sum(float(e) * math.log(b) for b, e in self._factors.items()))
 
     def compare(self, other: "PowerProduct") -> int:
         """Exact three-way comparison: -1, 0 or 1."""

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+from typing import Collection, Iterator
+
 MAX_PRIME = 2**16
 
 
@@ -57,6 +60,15 @@ class Field:
     def elements(self) -> range:
         """Residues 0, 1, ..., p-1 in ascending order."""
         return range(self.p)
+
+    def points_outside(self, points: Collection, n: int) -> Iterator:
+        """The points, in order, that are not length-n tuples of residues in
+        range(p); valid input is checked as a whole, with no per-point calls."""
+        residues = frozenset(self.elements())
+        if set(map(type, points)) <= {tuple} and set(map(len, points)) <= {n}:
+            if residues.issuperset(itertools.chain.from_iterable(points)):
+                return iter(())
+        return (pt for pt in points if type(pt) is not tuple or len(pt) != n or not residues.issuperset(pt))
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p

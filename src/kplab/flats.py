@@ -14,8 +14,9 @@ the entries that eliminating the pivots by the basis rows leaves there), and
 `through_key` reads the digits of a direction vector to name the (k+1)-flat
 it spans with a k-flat (`flats_through`).
 The rows are kept on the subspace instance the first time they are needed,
-a flat's own key is kept on it when `make_flat` builds it, and the hash of
-every subspace and flat is kept the first time it is asked for.
+a flat's own key (its representative's) on the flat the first time
+`membership` tests it, and the hash of every subspace and flat the first
+time it is asked for.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class LinearSubspace:
 
 @dataclass(frozen=True)
 class AffineFlat:
-    """Direction + canonical coset representative; `make_flat` builds it and keeps its key."""
+    """Direction + canonical coset representative, as `make_flat` builds it."""
 
     direction: LinearSubspace
     representative: Vector
@@ -109,17 +110,10 @@ def _at_free_columns(direction: LinearSubspace, values: Iterable[int]) -> Vector
 
 def make_flat(direction: LinearSubspace, point: Vector, field: Field) -> AffineFlat:
     """Canonical affine flat through `point` with the given direction: the
-    digits of the point's coset key in the free columns, zero at the pivots.
-    The key is kept on the flat for `membership`."""
+    digits of the point's coset key in the free columns, zero at the pivots."""
     p = field.p
-    rows = _annihilator(direction, field)
-    digits = [sum(map(mul, row, point)) % p for row in rows]
-    flat = AffineFlat(direction, _at_free_columns(direction, digits))
-    key = 0
-    for digit in digits:
-        key = key * p + digit
-    object.__setattr__(flat, "_key", (p, rows, key))
-    return flat
+    digits = [sum(map(mul, row, point)) % p for row in _annihilator(direction, field)]
+    return AffineFlat(direction, _at_free_columns(direction, digits))
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -271,8 +265,13 @@ def coset_key(point: Vector, direction: LinearSubspace, field: Field) -> int:
 
 def membership(point: Vector, flat: AffineFlat, field: Field) -> bool:
     """Whether the point lies on the flat: its coset key under the flat's
-    direction equals the flat's own, kept by `make_flat`."""
-    p, rows, key = flat.__dict__["_key"]
+    direction equals the flat's own, the representative's, which is kept on
+    the flat at its first test, whether or not `make_flat` built it."""
+    kept = flat.__dict__.get("_key")
+    if kept is None:
+        rows = _annihilator(flat.direction, field)
+        kept = flat.__dict__["_key"] = (field.p, rows, _packed_key(flat.representative, rows, field.p))
+    p, rows, key = kept
     if p != field.p:
         raise ValueError(f"flat built over GF({p}) tested over GF({field.p})")
     return _packed_key(point, rows, p) == key

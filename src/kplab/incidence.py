@@ -9,6 +9,7 @@ verdict ever touches floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter, defaultdict
@@ -48,12 +49,20 @@ class SizeGuardError(RuntimeError):
 @dataclass
 class IncidenceIndex:
     """Both marginals of the incidence relation, the exact total, and the
-    sorted incident points of every flat."""
+    sorted incident points of every flat; `per_point` is derived on first read."""
 
     per_flat: Dict[AffineFlat, int]
-    per_point: Dict[Vector, Tuple[AffineFlat, ...]]
     total: int
     points: Dict[AffineFlat, Tuple[Vector, ...]]
+
+    @functools.cached_property
+    def per_point(self) -> Dict[Vector, Tuple[AffineFlat, ...]]:
+        """Each incident point's flats, in flat order."""
+        through: Dict[Vector, List[AffineFlat]] = defaultdict(list)
+        for flat, pts in self.points.items():
+            for pt in pts:
+                through[pt].append(flat)
+        return {pt: tuple(fl) for pt, fl in through.items()}
 
 
 def incidence_count(config: Configuration) -> IncidenceIndex:
@@ -71,19 +80,14 @@ def incidence_count(config: Configuration) -> IncidenceIndex:
     fld = config.field
     flat_size = fld.p ** config.k
     points: Dict[AffineFlat, Tuple[Vector, ...]] = {}
-    per_point: Dict[Vector, List[AffineFlat]] = defaultdict(list)
     for flat in config.flats:
         if flat_size <= len(config.points):
             hits = [pt for pt in enumerate_points(flat, fld) if pt in config.points]
         else:
             hits = [pt for pt in config.points if membership(pt, flat, fld)]
         points[flat] = tuple(sorted(hits))
-        for pt in hits:
-            per_point[pt].append(flat)
     per_flat = {flat: len(pts) for flat, pts in points.items()}
-    return IncidenceIndex(
-        per_flat, {pt: tuple(fl) for pt, fl in per_point.items()}, sum(per_flat.values()), points
-    )
+    return IncidenceIndex(per_flat, sum(per_flat.values()), points)
 
 
 def cs_holder_count(config: Configuration, m: int, index: IncidenceIndex) -> int:
@@ -337,7 +341,8 @@ def check_main_bound(config: Configuration, index: IncidenceIndex) -> CountRepor
         "P_Pi": PowerProduct([(num_points, Fraction(1)), (num_flats, Fraction(k - 1, k))]),
         "Pi_F": PowerProduct.integer(num_flats * p ** (k - 1)),
     }
-    dominant = max(terms, key=lambda name: (terms[name].log(), name))
+    # The largest term, decided exactly; a tie goes to the larger name.
+    dominant = max(sorted(terms, reverse=True), key=functools.cmp_to_key(lambda a, b: terms[a].compare(terms[b])))
     rhs_value = sum(float(t) for t in terms.values())
     report.counts["refined_incidences"] = refined.refined_total
     report.counts["refined_flats"] = num_flats
@@ -354,15 +359,21 @@ def check_main_bound(config: Configuration, index: IncidenceIndex) -> CountRepor
 
 def common_points(
     flats: Sequence[AffineFlat], index: IncidenceIndex
-) -> Iterator[Dict[int, List[Vector]]]:
-    """For each flat of the family, in order, the points of P it shares with
-    each other family flat it meets in P, keyed by that flat's position in
-    `flats` and listed in the flat's sorted point order.
+) -> Iterator[Dict[Tuple[Vector, ...], List[int]]]:
+    """For each flat of the family, in order, the other family flats sharing
+    at least k = dim points of P with it, grouped by those points (a tuple
+    in the flat's sorted point order) into lists of their positions in
+    `flats`, ascending.
 
-    Each flat's table is built when its turn comes, so one lives at a time.
-    The walk visits every family flat through every point of each flat: the
-    sum over x in P of deg(x)^2 steps, deg(x) the family flats through x.
-    The family must be a subset of the flats `index` was built from."""
+    Two distinct k-flats sharing k spanning points meet in exactly the
+    (k-1)-flat they span, their spine, whose points of P are all they share.
+    So a group holding a spanning k-subset is one spine with every partner
+    on it; a partner sharing fewer than k points shares no spanning k-subset.
+
+    One flat's table lives at a time; the walk takes the sum over x in P of
+    deg(x)^2 steps, deg(x) the family flats through x.  The family must be a
+    subset of the flats `index` was built from."""
+    k = flats[0].dim if flats else 0
     through: Dict[Vector, List[int]] = defaultdict(list)
     for b, flat in enumerate(flats):
         for x in index.points[flat]:
@@ -371,9 +382,12 @@ def common_points(
         shared: Dict[int, List[Vector]] = defaultdict(list)
         for x in index.points[flat]:
             for b in through[x]:
-                if b != a:
-                    shared[b].append(x)
-        yield shared
+                shared[b].append(x)
+        groups: Dict[Tuple[Vector, ...], List[int]] = defaultdict(list)
+        for b, common in shared.items():
+            if b != a and len(common) >= k:
+                groups[tuple(common)].append(b)
+        yield groups
 
 
 @dataclass
@@ -420,14 +434,12 @@ def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> Refi
     points of P on it, and the spine is kept when that count times
     10 |Pi~| p reaches |I~|, compared as integers.
 
-    Pairs are read from the points each refined flat shares with the others
-    (`common_points`).  Two distinct k-flats sharing k spanning points meet
-    in exactly the (k-1)-flat L they span, so L is the spine of every
-    k-subset the two share and its c points of P are their common points.
-    A partner with c >= k and c 10 |Pi~| p >= |I~| thus shares the s
-    spanning k-subsets of the common points, all kept; each ordered pair
-    adds s to vk and s (|P ∩ pi_a| - c) to vkp, and s to f(pi_a, x) for
-    every x of the partner off pi_a, and f is bucketed one pi_a at a time.
+    Pairs are read from the spines each refined flat shares with the others
+    (`common_points`).  A spine of c points with c 10 |Pi~| p >= |I~| holds
+    s spanning k-subsets, all kept and shared by every partner on it, so s
+    is computed once per spine; each ordered pair adds s to vk,
+    s (|P ∩ pi_a| - c) to vkp and s to f(pi_a, x) for every x of the partner
+    off pi_a, and f is bucketed one pi_a at a time.
     `build_refinement_chain_bruteforce` is the independent oracle."""
     fld = config.field
     k, p = config.k, fld.p
@@ -446,7 +458,7 @@ def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> Refi
     shared: Dict[Tuple[int, int], int] = {}
     bucket_size: Dict[int, int] = Counter()
     bucket_mass: Dict[int, int] = Counter()
-    for a, (flat, partners) in enumerate(zip(refined.flats, common_points(refined.flats, index))):
+    for a, (flat, groups) in enumerate(zip(refined.flats, common_points(refined.flats, index))):
         pts = index.points[flat]
         local = local_coordinates(pts, flat)
         spine_bins: Dict[Vector, Dict[int, int]] = {}
@@ -464,21 +476,22 @@ def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> Refi
         # f(pi_a, x) = sum of s over the partners through x, for x off pi_a.
         off = frozenset(pts)
         f_values: Dict[Vector, int] = {}
-        for b, common in partners.items():
+        for common, partners in groups.items():
             c = len(common)
-            if c < k or c * scale < i_tilde:
+            if c * scale < i_tilde:
                 continue
             corners = [local[x] for x in common]
             s = sum(hyperplane(sub, p) is not None for sub in itertools.combinations(corners, k))
             if not s:
                 continue
-            vk += s
-            vkp += s * (len(pts) - c)
-            if a < b:
-                shared[(a, b)] = s
-            for x in index.points[refined.flats[b]]:
-                if x not in off:
-                    f_values[x] = f_values.get(x, 0) + s
+            vk += s * len(partners)
+            vkp += s * (len(pts) - c) * len(partners)
+            for b in partners:
+                if a < b:
+                    shared[(a, b)] = s
+                for x in index.points[refined.flats[b]]:
+                    if x not in off:
+                        f_values[x] = f_values.get(x, 0) + s
         for f in f_values.values():
             f *= orders
             level = f.bit_length() - 1

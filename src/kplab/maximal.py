@@ -9,7 +9,6 @@ the exponent identities that matter are checked with PowerProduct.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from collections import Counter
@@ -43,18 +42,7 @@ class GridFunction:
     values: Tuple[Tuple[Vector, Fraction], ...]
 
     def __post_init__(self):
-        # Whole-set checks first, so valid input costs no per-point calls.
-        residues = frozenset(self.field.elements())
-        points = [pt for pt, _ in self.values]
-        if not (
-            set(map(type, points)) <= {tuple}
-            and set(map(len, points)) <= {self.n}
-            and residues.issuperset(itertools.chain.from_iterable(points))
-        ):
-            pt = next(
-                pt for pt in points
-                if type(pt) is not tuple or len(pt) != self.n or not residues.issuperset(pt)
-            )
+        for pt in self.field.points_outside([pt for pt, _ in self.values], self.n):
             raise ValueError(f"point {pt!r} is not in F_{self.field.p}^{self.n}")
 
     @classmethod

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 from operator import mul
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from .config import Configuration
 from .flats import AffineFlat, affine_hull, flats_through, local_coordinates, through_key
@@ -51,14 +51,12 @@ def count_simplices(
     apexes completing a simplex are the points off the face lying, for
     every i, on a family flat through those k points.  Such a flat is the
     facet itself (the apex and the k points span a k-flat inside it), so no
-    facet hull is computed.  Another family flat holds k spanning points of
-    the face exactly when it meets the face in the (k-1)-flat they span, and
-    then the points of P on that (k-1)-flat are the two flats' common points
-    (`common_points`).  So each face maps every k-subset of the points it
-    shares with another family flat to the points of the flats sharing
-    them, a table kept for that face only; a head found in no such table
-    has no apex.  Every simplex is discovered once per face, so the tally
-    divides by k+2 exactly.
+    facet hull is computed.  The family flats holding k spanning points of
+    the face are the partners on its spines (`common_points`), so each face
+    maps every k-subset of a spine's points to the pooled points of its
+    partners, a table kept for that face only; a head found in no such
+    table has no apex.  Every simplex is discovered once per face, so the
+    tally divides by k+2 exactly.
     `count_simplices_bruteforce` is the independent oracle.
     """
     p = config.field.p
@@ -70,16 +68,12 @@ def count_simplices(
         return 0
 
     face_incidences = 0
-    for face, partners in zip(family, common_points(family, index)):
-        # Partners meeting the face in the same (k-1)-flat share the same
-        # common points; their points are pooled once per common tuple.
-        pooled: Dict[Tuple[Vector, ...], Set[Vector]] = defaultdict(set)
-        for b, common in partners.items():
-            if len(common) >= k:
-                pooled[tuple(common)].update(index.points[family[b]])
-        around = {
-            rest: points for common, points in pooled.items() for rest in itertools.combinations(common, k)
-        }
+    for face, groups in zip(family, common_points(family, index)):
+        around = {}
+        for common, partners in groups.items():
+            partner_points = set().union(*(index.points[family[b]] for b in partners))
+            for rest in itertools.combinations(common, k):
+                around[rest] = partner_points
         if not around:
             continue
         pts = index.points[face]

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_vectors
 from kplab.field import Field
 from kplab.flats import (
+    AffineFlat,
     CosetKeys,
     affine_hull,
     coset_key,
@@ -138,6 +139,21 @@ def test_membership():
     assert membership(diag.representative, diag, f3)
     assert membership((2, 2), diag, f3)
     assert not membership((1, 2), diag, f3)
+
+
+def test_membership_of_directly_built_flat():
+    # An AffineFlat built by hand, equal to the make_flat one, tests every
+    # point of F_3^3 the same way; a test over another field is refused.
+    f3 = Field(3)
+    direction = span_of([(1, 0, 0)], 3, f3)
+    direct = AffineFlat(direction, (0, 1, 2))
+    built = make_flat(direction, (2, 1, 2), f3)
+    assert direct == built and hash(direct) == hash(built)
+    for x in itertools.product(range(3), repeat=3):
+        assert membership(x, direct, f3) == membership(x, built, f3)
+    for flat in (direct, built):
+        with pytest.raises(ValueError):
+            membership((0, 1, 2), flat, Field(5))
 
 
 def test_membership_matches_span_definition():

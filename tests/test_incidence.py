@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from kplab.exponents import PowerProduct
 from kplab.field import Field
 from kplab.flats import (
     enumerate_coset_representatives,
+    enumerate_grassmannian,
     enumerate_points,
     make_flat,
     membership,
@@ -244,6 +247,20 @@ class TestCheckMainBound:
         assert report.notes["dominant_term"] == "Pi_F"
         assert Fraction(1, 4) <= Fraction(report.ratios["main_bound"]) <= 4
 
+    def test_exact_tie_goes_to_larger_name(self):
+        # P is the 343 points of the 3-flat x_3 = 0 in F_7^4 and Pi is 49
+        # of the 57 planes through 0 inside it, so |P| |Pi|^(1/2) = 7^4 is
+        # exactly the main term; the tie goes to the larger name, "main".
+        f7 = Field(7)
+        inside = [pi for pi in enumerate_grassmannian(4, 2, f7) if all(row[3] == 0 for row in pi.basis.rows)]
+        assert len(inside) == 57
+        flats = tuple(make_flat(pi, (0, 0, 0, 0), f7) for pi in inside[:49])
+        points = frozenset(x + (0,) for x in itertools.product(range(7), repeat=3))
+        cfg = Configuration(f7, 4, 2, points, flats)
+        report = check_main_bound(cfg, incidence_count(cfg))
+        assert report.counts["refined_flats"] == 49
+        assert report.notes["dominant_term"] == "main"
+
     def test_empty_points_absent(self, f3):
         cfg = single_flat_config(f3, 4, 2, with_points=False)
         report = check_main_bound(cfg, incidence_count(cfg))
@@ -310,7 +327,10 @@ class TestRefinementChain:
 
 @pytest.mark.parametrize("n,k,p", [(4, 2, 3), (4, 1, 3), (3, 2, 3), (4, 3, 2)])
 def test_common_points_match_pointwise_intersection(n, k, p):
-    proper = 0
+    # Each flat's groups are the other family flats sharing at least k
+    # points with it, found by intersecting point sets, keyed by those
+    # points in sorted order and listed by ascending position.
+    proper = multi = 0
     for _, cfg in random_corpus(n, k, p, 8):
         index = incidence_count(cfg)
         if index.total == 0:
@@ -320,14 +340,19 @@ def test_common_points_match_pointwise_intersection(n, k, p):
         for family in (cfg.flats, refined):
             tables = list(common_points(family, index))
             assert len(tables) == len(family)
-            for a, shared in enumerate(tables):
-                expected = {}
+            for a, groups in enumerate(tables):
+                expected = defaultdict(list)
                 for b, other in enumerate(family):
                     common = set(index.points[family[a]]) & set(index.points[other])
-                    if b != a and common:
-                        expected[b] = [x for x in index.points[family[a]] if x in common]
-                assert shared == expected
+                    if b != a and len(common) >= k:
+                        expected[tuple(sorted(common))].append(b)
+                assert groups == expected
+                multi += any(len(partners) >= 2 for partners in groups.values())
     assert proper >= 2
+    # Hyperplanes (k = n-1) of distinct directions always meet in a
+    # (k-1)-flat, so these corpora put several partners on one spine.
+    if k == n - 1:
+        assert multi >= 1
 
 
 CHAIN_FIELDS = ("ik_prime", "ik", "vk_prime", "vk", "vkp", "d_size", "d_bucket_level", "d_threshold")
