@@ -331,9 +331,9 @@ def _corpus_work(subset_sizes: Callable[..., Sequence[int]], walks: int,
     points, s in `subset_sizes` (jr_decompose 3..r+1, the chain k,
     count_simplices k+1), one per step of each of `walks` walks over the
     points flats share (`incidence.common_points`: the chain walks once,
-    count_simplices once more), and, with a walk, one per step of the
-    chain's extended-pair tally (|P ∩ pi| per ordered flat pair
-    (pi, pi_0) sharing a kept k-subset).  A flat holds c ~ Bin(p^k, d)
+    and simplex-bounds feeds that one walk to count_simplices too), and,
+    with a walk, one per step of the chain's extended-pair tally
+    (|P ∩ pi| per ordered flat pair (pi, pi_0) sharing a kept k-subset).  A flat holds c ~ Bin(p^k, d)
     points, so E[C(c, s)] = C(p^k, s) d^s.  A common-point walk takes
     sum over x in P of deg(x)^2 steps, deg(x) ~ Bin(N, q) the flats through
     x with q = p^(k-n): d p^n (N q (1-q) + N^2 q^2) in expectation over all
@@ -385,7 +385,7 @@ KINDS: Dict[str, Kind] = {
     "refinement-chain": Kind(_CORPUS_KEYS, {"seeds"}, "1 <= k <= n", lambda n, k, **_: 1 <= k <= n,
                              partial(_corpus_work, lambda k, **_: (k,), 1), _refinement_chain_row),
     "simplex-bounds": Kind(_CORPUS_KEYS, {"seeds"}, "1 <= k <= n", lambda n, k, **_: 1 <= k <= n,
-                           partial(_corpus_work, lambda k, **_: (k, k + 1), 2), _simplex_bounds_row),
+                           partial(_corpus_work, lambda k, **_: (k, k + 1), 1), _simplex_bounds_row),
     "maximal-ratio": Kind({"n", "k", "prime", "p_exp", "q_exp"}, {"seed"}, "0 <= k <= n",
                           lambda n, k, **_: 0 <= k <= n,
                           _maximal_work, _maximal_ratio_rows),

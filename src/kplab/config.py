@@ -116,7 +116,7 @@ def gen_nk_set(
             rep = origin
         else:
             rep = _random_coset_representative(pi, fld, rng)
-        points.update(enumerate_points(make_flat(pi, rep, fld), fld))
+        points.update(enumerate_points(AffineFlat(pi, rep), fld))
     return frozenset(points)
 
 
@@ -144,7 +144,7 @@ def gen_random_direction_separated(
     flats = []
     for target in sorted(swapped.get(i, i) for i in range(num_directions)):
         pi = unrank_grassmannian(n, k, fld, target)
-        flats.append(make_flat(pi, _random_coset_representative(pi, fld, rng), fld))
+        flats.append(AffineFlat(pi, _random_coset_representative(pi, fld, rng)))
     return Configuration(fld, n, k, frozenset(), tuple(flats))
 
 

@@ -11,8 +11,8 @@ direction, one row per free column j.  `coset_key`, `membership` and
 point set under any direction at once (by shared prefixes), `make_flat` writes
 its digits into the free columns of the canonical representative (they are
 the entries that eliminating the pivots by the basis rows leaves there), and
-`through_key` reads the digits of a direction vector to name the (k+1)-flat
-it spans with a k-flat (`flats_through`).
+`flats_through` keys the (k+1)-flats through a k-flat by the digits of the
+vector that extends it.
 The rows are kept on the subspace instance the first time they are needed,
 a flat's own key (its representative's) on the flat the first time
 `membership` tests it, and the hash of every subspace and flat the first
@@ -28,7 +28,7 @@ from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .field import Field
-from .linalg import RrefBasis, Vector, normalized, null_space_rows, rref
+from .linalg import RrefBasis, Vector, null_space_rows, rref
 
 
 @dataclass(frozen=True)
@@ -350,27 +350,39 @@ class CosetKeys:
 def flats_through(flat: AffineFlat, field: Field) -> Dict[Vector, AffineFlat]:
     """The (p^(n-k)-1)/(p-1) flats of dimension k+1 containing the k-flat,
     keyed by the normalized nonzero u in F^(n-k) (first nonzero entry 1):
-    the span of the flat and the vector with u in the free columns of its
-    direction.  Annihilator row j has a 1 at free column j and zeros at the
-    other free columns, so that vector's annihilator image is u, and any
-    vector off the direction extends it to the flat keyed by `through_key`."""
-    p, n, free = field.p, flat.ambient, flat.ambient - flat.dim
-    rows = flat.direction.basis.rows
+    the span of the flat and e_u, the vector with u in the free columns of
+    its direction.  Annihilator row j has a 1 at free column j and zeros at
+    the other free columns, so e_u's annihilator image is u: any vector off
+    the direction extends the flat to the one keyed by its normalized
+    annihilator image.
+
+    Each flat is written down in canonical form, with no elimination: e_u is
+    zero at the direction's pivots and its leading 1 sits at the free column
+    j0 of u's leading 1, which becomes the new pivot.  Clearing column j0
+    from the k basis rows with e_u and inserting e_u in pivot order gives
+    the reduced row echelon basis of the span (a row's entries before its
+    pivot stay zero, since e_u is zero before j0), and clearing the
+    representative's entry j0 with e_u gives the point of the flat that is
+    zero at every new pivot: the flat `make_flat` builds from that span."""
+    p, n = field.p, flat.ambient
+    direction = flat.direction
+    rows, pivots, rep = direction.basis.rows, direction.basis.pivots, flat.representative
+    free = [j for j in range(n) if j not in pivots]
     spans = {}
-    for lead in range(free):
-        for tail in itertools.product(range(p), repeat=free - lead - 1):
+    for lead, j0 in enumerate(free):
+        at = sum(piv < j0 for piv in pivots)
+        new_pivots = pivots[:at] + (j0,) + pivots[at:]
+        for tail in itertools.product(range(p), repeat=len(free) - lead - 1):
             u = (0,) * lead + (1,) + tail
-            extension = _at_free_columns(flat.direction, u)
-            spans[u] = make_flat(span_of(rows + (extension,), n, field), flat.representative, field)
+            e = _at_free_columns(direction, u)
+            cleared = [
+                tuple([(x - row[j0] * y) % p for x, y in zip(row, e)]) if row[j0] else row for row in rows
+            ]
+            basis = RrefBasis(tuple(cleared[:at]) + (e,) + tuple(cleared[at:]), new_pivots)
+            c = rep[j0]
+            point = tuple([(x - c * y) % p for x, y in zip(rep, e)]) if c else rep
+            spans[u] = AffineFlat(LinearSubspace(n, basis), point)
     return spans
-
-
-def through_key(flat: AffineFlat, v: Vector, field: Field) -> Optional[Vector]:
-    """The key in `flats_through(flat)` of the flat spanned by the flat and
-    the direction v: v's normalized image a . v mod p under the annihilator
-    rows a (the digits of its coset key); None when v lies in the direction."""
-    p = field.p
-    return normalized([sum(map(mul, row, v)) for row in _annihilator(flat.direction, field)], p)
 
 
 def affine_hull(points: Sequence[Vector], field: Field) -> Tuple[int, AffineFlat]:

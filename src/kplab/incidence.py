@@ -415,8 +415,24 @@ class RefinementChainReport:
 def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> RefinementChainReport:
     """Materialize the chain spanning-tuples -> spine-filtered tuples ->
     plane pairs -> extended pairs -> pigeonholed plane-point family, with
-    every stage counted exactly, in one pass over the refined flats that
-    keeps only that flat's state.
+    every stage counted exactly: a `ChainTally` over one `common_points`
+    walk of the refined flats, which keeps only one flat's state at a time.
+    `build_refinement_chain_bruteforce` is the independent oracle."""
+    if index.total == 0:
+        raise EmptyRefinementError("refinement chain of an incidence-free configuration")
+    tally = ChainTally(config, index, refine_dyadic(config, index))
+    for groups in common_points(tally.refined.flats, index):
+        tally.add(groups)
+    return tally.report()
+
+
+class ChainTally:
+    """The refinement chain counted one refined flat at a time: `add` takes
+    the next flat's spine groups (`common_points` over `refined.flats`, in
+    order) and keeps only running counts, and `report` closes the chain once
+    every flat has been added.  A caller that walks the refined family for
+    another purpose feeds each flat's groups here too, so one walk serves
+    both.
 
     The counts are of ordered k-tuples, but spines are enumerated unordered:
     a spanning k-tuple has k distinct points, and its k! orders share one
@@ -434,44 +450,43 @@ def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> Refi
     points of P on it, and the spine is kept when that count times
     10 |Pi~| p reaches |I~|, compared as integers.
 
-    Pairs are read from the spines each refined flat shares with the others
-    (`common_points`).  A spine of c points with c 10 |Pi~| p >= |I~| holds
-    s spanning k-subsets, all kept and shared by every partner on it, so s
-    is computed once per spine; each ordered pair adds s to vk,
-    s (|P ∩ pi_a| - c) to vkp and s to f(pi_a, x) for every x of the partner
-    off pi_a, and f is bucketed one pi_a at a time.
-    `build_refinement_chain_bruteforce` is the independent oracle."""
-    fld = config.field
-    k, p = config.k, fld.p
-    if index.total == 0:
-        raise EmptyRefinementError("refinement chain of an incidence-free configuration")
-    refined = refine_dyadic(config, index)
-    i_tilde = refined.refined_total
-    num_flats = refined.num_flats
-    # A spine with `count` points is kept when count >= i_tilde / scale.
-    scale = 10 * num_flats * p
+    Pairs are read from the spines each refined flat shares with the others.
+    A spine of c points with c 10 |Pi~| p >= |I~| holds s spanning
+    k-subsets, all kept and shared by every partner on it, so s is computed
+    once per spine; each ordered pair adds s to vk, s (|P ∩ pi_a| - c) to
+    vkp and s to f(pi_a, x) for every x of the partner off pi_a, and f is
+    bucketed one pi_a at a time."""
 
-    holder_tuple_count = sum(index.per_flat[flat] ** k for flat in refined.flats)
+    def __init__(self, config: Configuration, index: IncidenceIndex, refined: RefinedConfig):
+        self.config, self.index, self.refined = config, index, refined
+        # A spine with `count` points is kept when count >= i_tilde / scale.
+        self.scale = 10 * refined.num_flats * config.field.p
+        self.added = self.spanning = self.kept = self.vk = self.vkp = 0
+        self.shared: Dict[Tuple[int, int], int] = {}
+        self.bucket_size: Dict[int, int] = Counter()
+        self.bucket_mass: Dict[int, int] = Counter()
 
-    orders = math.factorial(k)
-    spanning = kept = vk = vkp = 0
-    shared: Dict[Tuple[int, int], int] = {}
-    bucket_size: Dict[int, int] = Counter()
-    bucket_mass: Dict[int, int] = Counter()
-    for a, (flat, groups) in enumerate(zip(refined.flats, common_points(refined.flats, index))):
-        pts = index.points[flat]
-        local = local_coordinates(pts, flat)
-        spine_bins: Dict[Vector, Dict[int, int]] = {}
-        for corners in itertools.combinations(local.values(), k):
-            spine = hyperplane(corners, p)
-            if spine is None:
-                continue
-            spanning += 1
-            normal, level = spine
-            bins = spine_bins.get(normal)
-            if bins is None:
-                bins = spine_bins[normal] = Counter([sum(map(mul, normal, y)) % p for y in local.values()])
-            kept += bins[level] * scale >= i_tilde
+    def add(self, groups: Dict[Tuple[Vector, ...], List[int]]) -> None:
+        """Tally the next refined flat, given its spine groups."""
+        k, p = self.config.k, self.config.field.p
+        flats, i_tilde, scale = self.refined.flats, self.refined.refined_total, self.scale
+        a = self.added
+        self.added += 1
+        pts = self.index.points[flats[a]]
+        local = local_coordinates(pts, flats[a])
+        spines = [hyperplane(corners, p) for corners in itertools.combinations(local.values(), k)]
+        spines = [spine for spine in spines if spine is not None]
+        self.spanning += len(spines)
+        if k * scale >= i_tilde:
+            # A spine holds at least the k points spanning it, so all are kept.
+            self.kept += len(spines)
+        else:
+            spine_bins: Dict[Vector, Dict[int, int]] = {}
+            for normal, level in spines:
+                bins = spine_bins.get(normal)
+                if bins is None:
+                    bins = spine_bins[normal] = Counter([sum(map(mul, normal, y)) % p for y in local.values()])
+                self.kept += bins[level] * scale >= i_tilde
 
         # f(pi_a, x) = sum of s over the partners through x, for x off pi_a.
         off = frozenset(pts)
@@ -484,50 +499,51 @@ def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> Refi
             s = sum(hyperplane(sub, p) is not None for sub in itertools.combinations(corners, k))
             if not s:
                 continue
-            vk += s * len(partners)
-            vkp += s * (len(pts) - c) * len(partners)
+            self.vk += s * len(partners)
+            self.vkp += s * (len(pts) - c) * len(partners)
             for b in partners:
                 if a < b:
-                    shared[(a, b)] = s
-                for x in index.points[refined.flats[b]]:
+                    self.shared[(a, b)] = s
+                for x in self.index.points[flats[b]]:
                     if x not in off:
                         f_values[x] = f_values.get(x, 0) + s
+        orders = math.factorial(k)
         for f in f_values.values():
             f *= orders
             level = f.bit_length() - 1
-            bucket_size[level] += 1
-            bucket_mass[level] += f
+            self.bucket_size[level] += 1
+            self.bucket_mass[level] += f
 
-    ik_prime = orders * spanning
-    ik = orders * kept
-    vk *= orders
-    d_level = max(bucket_mass, key=lambda lvl: (bucket_mass[lvl], lvl), default=-1)
-    d_size = bucket_size[d_level]
-    d_threshold = (
-        Fraction(vk * i_tilde, num_flats * d_size) if d_size and vk else None
-    )
-
-    holder_lower_holds = (
-        holder_tuple_count * num_flats ** (k - 1) >= i_tilde**k
-    )
-    # Each kept k-subset on g refined flats adds g^2 = g + g(g-1) orders.
-    vk_prime = ik + vk
-    cs_lower_holds = vk_prime * len(config.points) ** k >= ik**2
-
-    return RefinementChainReport(
-        refined=refined,
-        ik_prime=ik_prime,
-        ik=ik,
-        vk_prime=vk_prime,
-        vk=vk,
-        vkp=orders * vkp,
-        d_size=d_size,
-        d_bucket_level=d_level,
-        d_threshold=d_threshold,
-        holder_lower_holds=holder_lower_holds,
-        cs_lower_holds=cs_lower_holds,
-        shared_pairs=shared,
-    )
+    def report(self) -> RefinementChainReport:
+        """The chain's exact stage counts, once every refined flat is added."""
+        config, refined = self.config, self.refined
+        if self.added != refined.num_flats:
+            raise ValueError(f"chain tally fed {self.added} of {refined.num_flats} refined flats")
+        k = config.k
+        i_tilde, num_flats = refined.refined_total, refined.num_flats
+        orders = math.factorial(k)
+        ik = orders * self.kept
+        vk = orders * self.vk
+        bucket_mass = self.bucket_mass
+        d_level = max(bucket_mass, key=lambda lvl: (bucket_mass[lvl], lvl), default=-1)
+        d_size = self.bucket_size[d_level]
+        holder_tuple_count = sum(self.index.per_flat[flat] ** k for flat in refined.flats)
+        # Each kept k-subset on g refined flats adds g^2 = g + g(g-1) orders.
+        vk_prime = ik + vk
+        return RefinementChainReport(
+            refined=refined,
+            ik_prime=orders * self.spanning,
+            ik=ik,
+            vk_prime=vk_prime,
+            vk=vk,
+            vkp=orders * self.vkp,
+            d_size=d_size,
+            d_bucket_level=d_level,
+            d_threshold=Fraction(vk * i_tilde, num_flats * d_size) if d_size and vk else None,
+            holder_lower_holds=holder_tuple_count * num_flats ** (k - 1) >= i_tilde**k,
+            cs_lower_holds=vk_prime * len(config.points) ** k >= ik**2,
+            shared_pairs=self.shared,
+        )
 
 
 CHAIN_ORACLE_POINT_GUARD = 64

@@ -8,19 +8,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from operator import mul
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .config import Configuration
-from .flats import AffineFlat, affine_hull, flats_through, local_coordinates, through_key
+from .flats import AffineFlat, affine_hull, flats_through, local_coordinates
 from .incidence import (
+    ChainTally,
     IncidenceIndex,
     RefinementChainReport,
     SizeGuardError,
-    build_refinement_chain,
     common_points,
+    refine_dyadic,
 )
 from .linalg import Vector, hyperplane
 from .reports import CountReport
@@ -32,6 +33,7 @@ def count_simplices(
     config: Configuration,
     index: IncidenceIndex,
     flats: Optional[Tuple[AffineFlat, ...]] = None,
+    faces: Optional[Iterable[Dict[Tuple[Vector, ...], List[int]]]] = None,
 ) -> int:
     """Unordered count of (k+2)-point sets spanning dimension k+1 whose k+2
     facet hulls all belong to the flat family.
@@ -39,24 +41,33 @@ def count_simplices(
     The family must be a subset of `config.flats` (the default is all of
     them): faces and their points come from `index`, the incidence index of
     the configuration, so a family flat outside it raises ValueError.
+    `faces` is the family's spine groups, one dict per flat in family order,
+    as `common_points(family, index)` yields them (the default); a caller
+    that walks the family for another purpose passes its walk here, and
+    this function reads at most one item per family flat.
 
-    Fast path: pivot on each flat as a face.  A (k+1)-subset of its points
-    spans the face exactly when the k x k determinant of its k differences
-    from the first point, in the face's local coordinates
-    (`local_coordinates`), is nonzero mod p (ad - bc for k = 2).  It is read
-    as l . d, with l the normal of the first k-1 differences and d the last:
-    the base spans when its last point is off the hyperplane of its first k
-    (`linalg.hyperplane`, shared by every base with that head).  For every
-    such base, omitting base vertex i leaves k spanning points, and the
-    apexes completing a simplex are the points off the face lying, for
-    every i, on a family flat through those k points.  Such a flat is the
-    facet itself (the apex and the k points span a k-flat inside it), so no
-    facet hull is computed.  The family flats holding k spanning points of
-    the face are the partners on its spines (`common_points`), so each face
-    maps every k-subset of a spine's points to the pooled points of its
-    partners, a table kept for that face only; a head found in no such
-    table has no apex.  Every simplex is discovered once per face, so the
-    tally divides by k+2 exactly.
+    Fast path: pivot on each flat as a face.  A base is k+1 of its points
+    spanning it: the k x k determinant of their differences from the first,
+    in the face's local coordinates (`local_coordinates`), is nonzero mod p
+    (ad - bc for k = 2), which is read as the last point lying off the
+    hyperplane of the first k, the head (`linalg.hyperplane`).  Omitting
+    base vertex i leaves k spanning points, and the apexes completing a
+    simplex are the points off the face lying, for every i, on a family
+    flat through those k points.  Such a flat is the facet itself (the apex
+    and the k points span a k-flat inside it), so no facet hull is computed.
+    The family flats holding k spanning points of the face are the partners
+    on its spines, so each face maps every k-subset of a spine's points to
+    the pool of its partners' points off the face, a table kept for that
+    face only.  Only its keys can be heads, and a base's last vertex, its
+    highest in the face's point order, completes every (k-1)-subset of the
+    head to a key: each (k-1)-subset keeps the mask of the face points that
+    complete it so, and a head's candidates are the `&` of its k masks less
+    the face's points on its hyperplane (one mask per level of each normal,
+    built on first use).  Pools are bitmasks, one bit per point on the
+    family's flats: a pool is the `|` of its partners' masks less the
+    face's, the apexes of a base are the `&` of its k+1 pools, and
+    `int.bit_count` counts them.  Every simplex is discovered once per face,
+    so the tally divides by k+2 exactly.
     `count_simplices_bruteforce` is the independent oracle.
     """
     p = config.field.p
@@ -66,44 +77,69 @@ def count_simplices(
         raise ValueError("simplex family holds flats outside config.flats")
     if not family or len(config.points) < k + 2:
         return 0
+    if faces is None:
+        faces = common_points(family, index)
+
+    bits: Dict[Vector, int] = {}
+    masks = []
+    for flat in family:
+        mask = 0
+        for x in index.points[flat]:
+            bit = bits.get(x)
+            if bit is None:
+                bit = bits[x] = 1 << len(bits)
+            mask |= bit
+        masks.append(mask)
 
     face_incidences = 0
-    for face, groups in zip(family, common_points(family, index)):
-        around = {}
-        for common, partners in groups.items():
-            partner_points = set().union(*(index.points[family[b]] for b in partners))
-            for rest in itertools.combinations(common, k):
-                around[rest] = partner_points
-        if not around:
-            continue
+    for face, face_mask, groups in zip(family, masks, faces):
         pts = index.points[face]
+        at = {x: 1 << i for i, x in enumerate(pts)}
+        # A k-subset of the face's points, as a set of face bits, to its pool.
+        around: Dict[int, int] = {}
+        heads = []
+        for common, partners in groups.items():
+            pool = 0
+            for b in partners:
+                pool |= masks[b]
+            pool &= ~face_mask
+            if pool:
+                for vertices in itertools.combinations([at[x] for x in common], k):
+                    head = sum(vertices)
+                    around[head] = pool
+                    heads.append((head, vertices, pool))
+        # The last vertices completing a (k-1)-subset to a key of `around`.
+        completing: Dict[int, int] = defaultdict(int)
+        for key in around:
+            last = 1 << (key.bit_length() - 1)
+            completing[key ^ last] |= last
         local = list(local_coordinates(pts, face).values())
-        heads = zip(
-            itertools.combinations(range(len(pts)), k),
-            itertools.combinations(pts, k),
-            itertools.combinations(local, k),
-        )
-        for head, head_pts, corners in heads:
-            # The k-subset omitting the base's last vertex is the head itself.
-            shared = around.get(head_pts)
-            if shared is None:
+        levels: Dict[Vector, List[int]] = {}
+        for head, vertices, shared in heads:
+            # The base's last vertex lies above its head, completes each
+            # (k-1)-subset of the head, and lies off the head's hyperplane.
+            lasts = -(vertices[-1] << 1)
+            for vertex in vertices:
+                lasts &= completing.get(head ^ vertex, 0)
+            if not lasts:
                 continue
-            plane = hyperplane(corners, p)
+            plane = hyperplane(tuple([local[v.bit_length() - 1] for v in vertices]), p)
             if plane is None:
                 continue
             normal, level = plane
-            for last in range(head[-1] + 1, len(pts)):
-                if sum(map(mul, normal, local[last])) % p == level:
-                    continue
+            bins = levels.get(normal)
+            if bins is None:
+                bins = levels[normal] = [0] * p
+                for i, y in enumerate(local):
+                    bins[sum(map(mul, normal, y)) % p] |= 1 << i
+            lasts &= ~bins[level]
+            while lasts:
+                last = lasts & -lasts
+                lasts ^= last
                 apexes = shared
-                for omit in range(k):
-                    apexes = apexes.intersection(
-                        around.get(head_pts[:omit] + head_pts[omit + 1 :] + (pts[last],), ())
-                    )
-                    if not apexes:
-                        break
-                else:
-                    face_incidences += len(apexes.difference(pts))
+                for vertex in vertices:
+                    apexes &= around[head ^ vertex | last]
+                face_incidences += apexes.bit_count()
     assert face_incidences % (k + 2) == 0
     return face_incidences // (k + 2)
 
@@ -152,29 +188,34 @@ def lambda_flat_counts(config: Configuration, chain: RefinementChainReport) -> T
     in the order of `chain.shared_pairs` (the span is symmetric), the number
     of refined flats lying inside the (k+1)-dimensional span of the pair.
 
-    The pair shares a spine, so its span is the (k+1)-flat through pi_0
-    extended by any row of pi's direction off pi_0's (`through_key`).  Each
-    refined flat lies in (p^(n-k)-1)/(p-1) such flats (`flats_through`);
-    they are built once per refined flat and counted, so a (k+1)-flat's
-    count is the number of refined flats it was built from, read per pair
-    from that table."""
+    Each refined flat lies in (p^(n-k)-1)/(p-1) flats of dimension k+1
+    (`flats_through`); they are built once per refined flat, numbered in
+    order of first sight, and counted, so a (k+1)-flat's count is the
+    number of refined flats it was built from.  The pair shares a spine, so
+    its span is the one (k+1)-flat through both: the one number their two
+    sets hold in common."""
     fld = config.field
-    flats = chain.refined.flats
-    through = [flats_through(flat, fld) for flat in flats]
-    inside: Dict[AffineFlat, int] = Counter(span for spans in through for span in spans.values())
+    numbers: Dict[AffineFlat, int] = {}
+    through = [
+        {numbers.setdefault(span, len(numbers)) for span in flats_through(flat, fld).values()}
+        for flat in chain.refined.flats
+    ]
+    inside = Counter(number for spans in through for number in spans)
     counts = []
     for a, b in chain.shared_pairs:
-        key = next(
-            u for u in (through_key(flats[a], row, fld) for row in flats[b].direction.basis.rows) if u
-        )
-        counts.append(inside[through[a][key]])
+        (span,) = through[a] & through[b]
+        counts.append(inside[span])
     return tuple(counts)
 
 
 def simplex_bound_report(config: Configuration, index: IncidenceIndex) -> CountReport:
     """Exact |S_k|, |V_k|, |I~|, |Pi~| and the three bound expressions: the
     deleted-spine upper bound, the inductive lower bound and the
-    independence heuristic.  Ratios are reported, never asserted."""
+    independence heuristic.  Ratios are reported, never asserted.
+
+    The refined family is walked once (`common_points`): each flat's spine
+    groups go to the refinement chain's tally (`ChainTally`) and then to
+    `count_simplices`, so only one flat's groups are held at a time."""
     k, p = config.k, config.field.p
     report = CountReport()
     if not config.direction_separated:
@@ -187,9 +228,19 @@ def simplex_bound_report(config: Configuration, index: IncidenceIndex) -> CountR
     if index.total == 0:
         report.ratios.update({"upper": None, "lower": None, "heuristic": None})
         return report
-    chain = build_refinement_chain(config, index)
-    refined = chain.refined
-    simplices = count_simplices(config, index, refined.flats)
+    refined = refine_dyadic(config, index)
+    tally = ChainTally(config, index, refined)
+
+    def faces():
+        for groups in common_points(refined.flats, index):
+            tally.add(groups)
+            yield groups
+
+    walk = faces()
+    simplices = count_simplices(config, index, refined.flats, walk)
+    for _ in walk:  # faces the counter did not read, when it stops early
+        pass
+    chain = tally.report()
     ordered = simplices * math.factorial(k + 2)
     deleted = v_k_del(chain)
     i_tilde, m_flats = refined.refined_total, refined.num_flats

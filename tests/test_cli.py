@@ -47,6 +47,11 @@ PINNED_ROWS = {
         "experiment=simplex-bounds n=3 k=2 prime=3 num_directions=13 density=2/3 seeds=0..5",
         "3e305ab437a78ccc0d422da041de4d42c169923332f455eec3821f25c34c85e0",
     ),
+    # n > k+1, so each refined plane lies in six 3-flats and λ varies.
+    "simplex-bounds n=4": (
+        "experiment=simplex-bounds n=4 k=2 prime=5 num_directions=300 density=1/2 seeds=0",
+        "c137adffafa01dd2985c68fd59372cfc77bd2e1223cbd3d8ec2a8cc3c1385cde",
+    ),
     "maximal-ratio": (
         "experiment=maximal-ratio n=3 k=1 prime=3 p_exp=3/2 q_exp=3",
         "9c7b20224a6c1a2ee37b665db045a875f8fef3a43a2cd37a433d55b3fffe58cc",
@@ -205,6 +210,26 @@ class TestRunExperiment:
             pairs = [*chain.shared_pairs, *((b, a) for a, b in chain.shared_pairs)]
             steps = sum(index.per_flat[chain.refined.flats[pi]] for pi, _ in pairs)
             assert steps == cli.estimate_work(spec) / 3 - untallied
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            "n=4 k=2 prime=5 num_directions=300 density=1/2",
+            "n=5 k=3 prime=3 num_directions=1210 density=1",
+            "n=3 k=2 prime=3 num_directions=13 density=2/3",
+        ],
+    )
+    def test_simplex_estimate_adds_only_base_rank_tests(self, params):
+        # simplex-bounds walks common points once, as refinement-chain does,
+        # so its estimate exceeds the chain's only by the rank tests of the
+        # (k+1)-subsets of each flat's points, up to the two ceilings.
+        chain = cli.parse_spec(f"experiment=refinement-chain {params}")
+        bound = cli.parse_spec(f"experiment=simplex-bounds {params}")
+        n, k, p = (chain.params[key] for key in ("n", "k", "prime"))
+        density, num_directions = chain.params["density"], chain.params["num_directions"]
+        tests = math.comb(p**k, k + 1) * density ** (k + 1)
+        extra = num_directions * cli.RANK_TEST_COST * tests
+        assert abs(cli.estimate_work(bound) - cli.estimate_work(chain) - extra) <= 1
 
     @pytest.mark.parametrize(
         "text",

@@ -13,7 +13,7 @@ from kplab.config import (
     gen_random_direction_separated,
 )
 from kplab.field import Field
-from kplab.flats import enumerate_grassmannian, gaussian_binomial, make_flat
+from kplab.flats import enumerate_grassmannian, enumerate_points, gaussian_binomial, make_flat
 from kplab.incidence import incidence_count
 
 
@@ -106,6 +106,35 @@ def walk_direction_separated(n, k, num_directions, fld, seed):
             )
             flats.append(make_flat(pi, rep, fld))
     return tuple(flats)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_generated_flats_are_canonical(p):
+    # The generators build their flats from canonical representatives (zero
+    # at the pivots) without make_flat, so each equals make_flat's flat.
+    fld = Field(p)
+    for n in range(2, 6):
+        for k in range(1, n):
+            num_directions = min(40, gaussian_binomial(n, k, p))
+            for seed in range(3):
+                cfg = gen_random_config(n, k, num_directions, Fraction(1, 2), fld, seed)
+                assert len(cfg.flats) == num_directions
+                for flat in cfg.flats:
+                    assert flat == make_flat(flat.direction, flat.representative, fld)
+
+
+@pytest.mark.parametrize("n,k,p", [(3, 1, 3), (3, 2, 5), (4, 2, 3), (4, 1, 5), (5, 2, 2), (3, 1, 7)])
+def test_nk_set_random_translates_match_make_flat(n, k, p):
+    # The union of make_flat translates, drawn with the generator's own rng
+    # calls in the same order, is the generated set.
+    fld = Field(p)
+    for seed in range(2):
+        rng = random.Random(seed)
+        points = set()
+        for pi in enumerate_grassmannian(n, k, fld):
+            rep = tuple(0 if j in pi.basis.pivots else rng.randrange(p) for j in range(n))
+            points.update(enumerate_points(make_flat(pi, rep, fld), fld))
+        assert gen_nk_set(n, k, fld, "random", seed=seed) == frozenset(points)
 
 
 @pytest.mark.parametrize("num_directions", [0, 1, 200, gaussian_binomial(4, 2, 7)])

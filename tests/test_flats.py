@@ -14,6 +14,7 @@ from kplab.flats import (
     enumerate_coset_representatives,
     enumerate_grassmannian,
     enumerate_points,
+    flats_through,
     gaussian_binomial,
     is_direction_separated,
     make_flat,
@@ -22,7 +23,7 @@ from kplab.flats import (
     unrank_grassmannian,
     zero_subspace,
 )
-from kplab.linalg import in_span, reduce_vector
+from kplab.linalg import in_span, normalized, null_space_rows, reduce_vector
 
 
 def line(fld, n, direction, point):
@@ -269,6 +270,41 @@ def test_coset_keys_reject_mixed_ambient():
         CosetKeys([(0, 0), (1, 1, 1)], f3)
     with pytest.raises(ValueError):
         CosetKeys([(0, 0), (1, 1)], f3).keys(zero_subspace(3))
+
+
+def _flats_through_by_span(flat, fld):
+    """The (k+1)-flats through a k-flat, each the canonical flat of the
+    rref span of its direction and one vector off it, keyed by that
+    vector's normalized image under the direction's annihilator rows."""
+    n, p = flat.ambient, fld.p
+    annihilator = null_space_rows(flat.direction.basis, n, fld)
+    spans = {}
+    for v in itertools.product(range(p), repeat=n):
+        key = normalized([sum(a * x for a, x in zip(row, v)) for row in annihilator], p)
+        if key is not None and key not in spans:
+            direction = span_of(flat.direction.basis.rows + (v,), n, fld)
+            spans[key] = make_flat(direction, flat.representative, fld)
+            if len(spans) == (p ** (n - flat.dim) - 1) // (p - 1):
+                break
+    return spans
+
+
+@pytest.mark.parametrize("n,k,p", [(3, 1, 5), (4, 1, 3), (4, 2, 3), (5, 2, 3), (5, 3, 2)])
+def test_flats_through_matches_span_construction(n, k, p):
+    # flats_through writes each span in canonical form with no elimination;
+    # every direction of G(n,k), each with a seeded representative.
+    fld = Field(p)
+    rng = random.Random(n * 100 + k * 10 + p)
+    for direction in enumerate_grassmannian(n, k, fld):
+        rep = tuple(rng.randrange(p) for _ in range(n))
+        flat = make_flat(direction, rep, fld)
+        through = flats_through(flat, fld)
+        assert len(through) == (p ** (n - k) - 1) // (p - 1)
+        assert through == _flats_through_by_span(flat, fld)
+        for span in through.values():
+            assert span.dim == k + 1
+            assert span == make_flat(span.direction, span.representative, fld)
+            assert membership(flat.representative, span, fld)
 
 
 def test_make_flat_canonicalizes_representative():

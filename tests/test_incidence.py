@@ -1,6 +1,6 @@
 import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -305,6 +305,30 @@ class TestRefinementChain:
         assert chain.ik == chain.ik_prime == 2 * 2 * math.comb(460, 2)
         assert chain.vk == 4
         assert chain.shared_pairs == {(0, 1): 1}
+
+    def test_spines_below_threshold_dropped(self):
+        # As above with (0,3) kept: 461 points a plane, so |I~| = 922 and a
+        # spine needs 3 points.  The common line holds two and is dropped
+        # with every other 2-point line; each line of F_23^2 is counted by
+        # its key b x - a y for its direction (a, b).
+        fld = Field(23)
+        kept = {(x, y) for x in range(23) for y in range(23)}
+        kept -= {(x, 0) for x in range(2, 23)} | {(x, y) for x in range(23) for y in (1, 2)}
+        kept -= {(1, 3)}
+        assert len(kept) == 461
+        axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        flats = tuple(make_flat(span_of([axes[0], axes[j]], 3, fld), (0, 0, 0), fld) for j in (1, 2))
+        points = frozenset((x, y, 0) for x, y in kept) | frozenset((x, 0, z) for x, z in kept)
+        cfg = Configuration(fld, 3, 2, points, flats)
+        chain = build_refinement_chain(cfg, incidence_count(cfg))
+        pairs_on_rich_lines = 0
+        for a, b in [(1, m) for m in range(23)] + [(0, 1)]:
+            on_line = Counter((b * x - a * y) % 23 for x, y in kept)
+            pairs_on_rich_lines += sum(math.comb(c, 2) for c in on_line.values() if c >= 3)
+        assert 0 < pairs_on_rich_lines < math.comb(461, 2)
+        assert chain.ik_prime == 2 * 2 * math.comb(461, 2)
+        assert chain.ik == 2 * 2 * pairs_on_rich_lines
+        assert chain.vk == 0 and chain.shared_pairs == {}
 
     def test_invariants_on_corpus(self):
         for _, cfg in random_corpus(4, 2, 3, 15):

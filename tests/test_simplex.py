@@ -15,6 +15,7 @@ from kplab.flats import (
 from kplab.incidence import (
     SizeGuardError,
     build_refinement_chain,
+    common_points,
     incidence_count,
     refine_dyadic,
 )
@@ -79,7 +80,8 @@ def test_oracle_equivalence_k_eq_n_minus_1():
 
 
 @pytest.mark.parametrize(
-    "n,k,p,extra_flats,extra_points", [(3, 1, 5, 8, 12), (3, 2, 3, 6, 10), (4, 2, 3, 8, 14)]
+    "n,k,p,extra_flats,extra_points",
+    [(3, 1, 5, 8, 12), (3, 2, 3, 6, 10), (4, 2, 3, 8, 14), (5, 3, 3, 20, 12)],
 )
 def test_oracle_equivalence_planted(n, k, p, extra_flats, extra_points):
     # Random corpora almost never hold a simplex, so this oracle check runs on
@@ -96,6 +98,71 @@ def test_oracle_equivalence_planted(n, k, p, extra_flats, extra_points):
         counts += [full, refined]
     assert sum(c > 0 for c in counts) > len(counts) // 2
     assert max(counts) > 1
+
+
+def _fused_cases():
+    for n, k, p, extra_flats, extra_points in [(3, 2, 3, 6, 10), (4, 2, 3, 8, 14), (5, 3, 3, 20, 12)]:
+        for seed in range(4):
+            yield planted_simplex_config(n, k, p, seed, extra_flats, extra_points)
+    for n, k, p, num_directions, density in [
+        (3, 2, 3, 13, Fraction(2, 3)),
+        (4, 2, 5, 300, Fraction(1, 2)),
+        (4, 1, 3, 30, Fraction(1, 2)),
+    ]:
+        for seed in range(3):
+            yield gen_random_config(n, k, num_directions, density, Field(p), seed)
+
+
+def test_bound_report_matches_standalone_counters():
+    # The report walks the refined family once for both the chain and the
+    # simplex counter; each count must equal the counter run on its own.
+    with_simplices = 0
+    for cfg in _fused_cases():
+        index = incidence_count(cfg)
+        report = simplex_bound_report(cfg, index)
+        chain = build_refinement_chain(cfg, index)
+        simplices = count_simplices(cfg, index, refine_dyadic(cfg, index).flats)
+        assert report.counts["simplices"] == simplices
+        assert report.counts["vk"] == chain.vk
+        assert report.counts["vk_del"] == v_k_del(chain)
+        assert report.notes["lambda_max_flats"] == max(lambda_flat_counts(cfg, chain), default=0)
+        with_simplices += simplices > 0
+    assert with_simplices >= 6
+
+
+def test_bound_report_walks_common_points_once(monkeypatch):
+    import kplab.incidence as incidence
+    import kplab.simplex as simplex
+
+    walks = []
+    original = incidence.common_points
+
+    def counted(flats, index):
+        walks.append(len(flats))
+        return original(flats, index)
+
+    monkeypatch.setattr(incidence, "common_points", counted)
+    monkeypatch.setattr(simplex, "common_points", counted)
+    for cfg in _fused_cases():
+        index = incidence_count(cfg)
+        walks.clear()
+        report = simplex_bound_report(cfg, index)
+        assert walks == [report.counts["refined_flats"]]
+
+
+def test_count_simplices_reads_a_given_walk():
+    cfg = planted_simplex_config(4, 2, 3, 0, 8, 14)
+    index = incidence_count(cfg)
+    family = refine_dyadic(cfg, index).flats
+    fed = []
+
+    def faces():
+        for groups in common_points(family, index):
+            fed.append(groups)
+            yield groups
+
+    assert count_simplices(cfg, index, family, faces()) == count_simplices(cfg, index, family)
+    assert len(fed) == len(family)
 
 
 def test_family_outside_config_flats_rejected(f3):
