@@ -28,7 +28,6 @@ from .incidence import (
     check_main_bound,
     check_max_ic,
     cs_holder_count,
-    hypothesis_check,
     incidence_count,
     jr_decompose,
     refine_dyadic,
@@ -63,7 +62,6 @@ __all__ = [
     "gen_point_cloud",
     "gen_random_config",
     "gen_random_direction_separated",
-    "hypothesis_check",
     "incidence_count",
     "jr_decompose",
     "make_flat",

@@ -398,14 +398,14 @@ def _num_den(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _sig(value: Optional[float], digits: int = 6) -> Optional[float]:
+def _sig(value: Optional[float]) -> Optional[float]:
     """Render a ratio to 6 significant digits; exact verdicts live in their
     own columns."""
     if value is None:
         return None
     if value == 0:
         return 0.0
-    return float(f"{value:.{digits}g}")
+    return float(f"{value:.6g}")
 
 
 def write_csv(rows: Sequence[Dict[str, object]], path: Path) -> None:
@@ -463,6 +463,14 @@ def _selftest() -> int:
                 f"simplex oracle ({n},2,3) seed {seed}",
                 simplex.count_simplices(cfg, index) == simplex.count_simplices_bruteforce(cfg),
             )
+    # All 16 points of F_2^4 and one 3-flat of each of the 15 directions of
+    # G(4,3): the first k = 3 simplex counts.
+    for seed in range(3):
+        cfg = gen_random_config(4, 3, 15, Fraction(1), Field(2), seed)
+        check(
+            f"simplex oracle (4,3,2) seed {seed}",
+            simplex.count_simplices(cfg, incidence.incidence_count(cfg)) == simplex.count_simplices_bruteforce(cfg),
+        )
     for seed in range(3):
         cfg = gen_random_config(5, 3, 8, Fraction(1, 2), Field(2), seed)
         index = incidence.incidence_count(cfg)

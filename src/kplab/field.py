@@ -26,8 +26,9 @@ def _is_prime(p: int) -> bool:
 class Field:
     """The prime field GF(p).  Immutable; arithmetic works on plain residues.
 
-    The library stores field elements as bare ints in [0, p) and routes
-    arithmetic through a Field instance.
+    The library stores field elements as bare ints in [0, p) and reduces
+    sums and products mod `p` inline; a Field holds the modulus, inverses
+    and the element range.
     """
 
     __slots__ = ("p",)
@@ -41,15 +42,6 @@ class Field:
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
 
     def inv(self, a: int) -> int:
         a %= self.p

@@ -224,50 +224,6 @@ def refine_dyadic(config: Configuration, index: IncidenceIndex) -> RefinedConfig
     return RefinedConfig(chosen, best_level, contributions[best_level])
 
 
-def _fraction_product(value: Fraction) -> PowerProduct:
-    return PowerProduct([(value.numerator, Fraction(1)), (value.denominator, Fraction(-1))])
-
-
-@dataclass
-class HypothesisVerdict:
-    which: str
-    ratio: PowerProduct
-    margin: Fraction
-    holds: bool
-
-    @property
-    def ratio_float(self) -> float:
-        return float(self.ratio)
-
-
-def hypothesis_check(
-    config: Configuration, index: IncidenceIndex, which: str, margin: Fraction = Fraction(10)
-) -> HypothesisVerdict:
-    """Quantitative non-degeneracy check: H1 compares |I~| against
-    |P| |Pi~|^{(k-1)/k}, H2 against |Pi~| |F|^{k-1}; ">>" is read as
-    ">= margin * RHS" and decided exactly."""
-    margin = Fraction(margin)
-    if margin <= 0:
-        raise PreconditionError("margin must be positive")
-    if which not in ("H1", "H2"):
-        raise PreconditionError(f"unknown hypothesis {which!r}")
-    if index.total == 0:
-        return HypothesisVerdict(which, PowerProduct([(0, Fraction(1))]), margin, False)
-    refined = refine_dyadic(config, index)
-    k, p = config.k, config.field.p
-    if which == "H1":
-        rhs = PowerProduct(
-            [(len(config.points), Fraction(1)), (refined.num_flats, Fraction(k - 1, k))]
-        )
-    else:
-        rhs = PowerProduct.integer(refined.num_flats * p ** (k - 1))
-    lhs = PowerProduct.integer(refined.refined_total)
-    if rhs.is_zero:
-        return HypothesisVerdict(which, lhs, margin, not lhs.is_zero)
-    holds = lhs.compare(_fraction_product(margin) * rhs) >= 0
-    return HypothesisVerdict(which, lhs / rhs, margin, holds)
-
-
 @dataclass
 class MaxIcReport:
     """Exact ratio of |I| against the duality-side incidence bound, plus the
@@ -349,11 +305,6 @@ def check_main_bound(config: Configuration, index: IncidenceIndex) -> CountRepor
     report.counts["bucket_level"] = refined.bucket_level
     report.ratios["main_bound"] = refined.refined_total / rhs_value
     report.notes["dominant_term"] = dominant
-    # Exact sufficient check against the dominant term; the float ratio is
-    # only a rendering.
-    report.verdicts["at_most_dominant"] = (
-        PowerProduct.integer(refined.refined_total).compare(terms[dominant]) <= 0
-    )
     return report
 
 

@@ -10,7 +10,6 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
-from operator import mul
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .config import Configuration
@@ -47,10 +46,10 @@ def count_simplices(
     this function reads at most one item per family flat.
 
     Fast path: pivot on each flat as a face.  A base is k+1 of its points
-    spanning it: the k x k determinant of their differences from the first,
-    in the face's local coordinates (`local_coordinates`), is nonzero mod p
-    (ad - bc for k = 2), which is read as the last point lying off the
-    hyperplane of the first k, the head (`linalg.hyperplane`).  Omitting
+    spanning it: the first k, the head, span a hyperplane of the face (in
+    its local coordinates, `local_coordinates`, their signed minors are not
+    all zero mod p, `linalg.hyperplane`; any two distinct points span for
+    k = 2), and the last point lies off it.  Omitting
     base vertex i leaves k spanning points, and the apexes completing a
     simplex are the points off the face lying, for every i, on a family
     flat through those k points.  Such a flat is the facet itself (the apex
@@ -62,8 +61,10 @@ def count_simplices(
     highest in the face's point order, completes every (k-1)-subset of the
     head to a key: each (k-1)-subset keeps the mask of the face points that
     complete it so, and a head's candidates are the `&` of its k masks less
-    the face's points on its hyperplane (one mask per level of each normal,
-    built on first use).  Pools are bitmasks, one bit per point on the
+    its spine's shared points.  A spanning head is k points of a group's
+    shared points, so its hyperplane in the face is that group's spine, and
+    the face's points on it are exactly the shared points (`common_points`):
+    one mask per group.  Pools are bitmasks, one bit per point on the
     family's flats: a pool is the `|` of its partners' masks less the
     face's, the apexes of a base are the `&` of its k+1 pools, and
     `int.bit_count` counts them.  Every simplex is discovered once per face,
@@ -104,35 +105,27 @@ def count_simplices(
                 pool |= masks[b]
             pool &= ~face_mask
             if pool:
-                for vertices in itertools.combinations([at[x] for x in common], k):
+                corners = [at[x] for x in common]
+                spine = sum(corners)
+                for vertices in itertools.combinations(corners, k):
                     head = sum(vertices)
                     around[head] = pool
-                    heads.append((head, vertices, pool))
+                    heads.append((head, vertices, pool, spine))
         # The last vertices completing a (k-1)-subset to a key of `around`.
         completing: Dict[int, int] = defaultdict(int)
         for key in around:
             last = 1 << (key.bit_length() - 1)
             completing[key ^ last] |= last
         local = list(local_coordinates(pts, face).values())
-        levels: Dict[Vector, List[int]] = {}
-        for head, vertices, shared in heads:
+        for head, vertices, shared, spine in heads:
             # The base's last vertex lies above its head, completes each
-            # (k-1)-subset of the head, and lies off the head's hyperplane.
-            lasts = -(vertices[-1] << 1)
+            # (k-1)-subset of the head, and lies off the head's spine, and
+            # the head spans.
+            lasts = -(vertices[-1] << 1) & ~spine
             for vertex in vertices:
                 lasts &= completing.get(head ^ vertex, 0)
-            if not lasts:
+            if not lasts or hyperplane(tuple([local[v.bit_length() - 1] for v in vertices]), p) is None:
                 continue
-            plane = hyperplane(tuple([local[v.bit_length() - 1] for v in vertices]), p)
-            if plane is None:
-                continue
-            normal, level = plane
-            bins = levels.get(normal)
-            if bins is None:
-                bins = levels[normal] = [0] * p
-                for i, y in enumerate(local):
-                    bins[sum(map(mul, normal, y)) % p] |= 1 << i
-            lasts &= ~bins[level]
             while lasts:
                 last = lasts & -lasts
                 lasts ^= last

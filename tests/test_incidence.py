@@ -2,6 +2,7 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -14,6 +15,7 @@ from kplab.flats import (
     enumerate_coset_representatives,
     enumerate_grassmannian,
     enumerate_points,
+    local_coordinates,
     make_flat,
     membership,
     span_of,
@@ -28,12 +30,12 @@ from kplab.incidence import (
     check_max_ic,
     common_points,
     cs_holder_count,
-    hypothesis_check,
     incidence_count,
     jr_decompose,
     jr_decompose_bruteforce,
     refine_dyadic,
 )
+from kplab.linalg import hyperplane
 
 
 def single_flat_config(fld, n, k, with_points=True):
@@ -172,35 +174,6 @@ class TestRefineDyadic:
             # Loose closed-form version of the same guarantee.
             bound = cfg.k * math.ceil(math.log2(cfg.field.p)) + 2
             assert refined.refined_total * bound >= index.total
-
-
-class TestHypothesisCheck:
-    def test_degenerate_h2_ratio_one_fails_margin(self, f3):
-        cfg = gen_degenerate(4, 2, 1, f3)
-        verdict = hypothesis_check(cfg, incidence_count(cfg), "H2")
-        assert verdict.ratio == PowerProduct.integer(1)
-        assert not verdict.holds
-
-    def test_full_space_h2_ratio_is_p(self, f3):
-        flats = []
-        from kplab.flats import enumerate_coset_representatives, enumerate_grassmannian
-
-        for pi in enumerate_grassmannian(2, 1, f3):
-            for rep in enumerate_coset_representatives(pi, f3):
-                flats.append(make_flat(pi, rep, f3))
-        points = frozenset((x, y) for x in range(3) for y in range(3))
-        cfg = Configuration(f3, 2, 1, points, tuple(flats))
-        verdict = hypothesis_check(cfg, incidence_count(cfg), "H2")
-        assert verdict.ratio == PowerProduct.integer(3)
-
-    def test_empty_points_fail(self, f3):
-        cfg = single_flat_config(f3, 3, 1, with_points=False)
-        assert not hypothesis_check(cfg, incidence_count(cfg), "H1").holds
-
-    def test_unknown_hypothesis(self, f3):
-        cfg = gen_degenerate(4, 2, 1, f3)
-        with pytest.raises(PreconditionError):
-            hypothesis_check(cfg, incidence_count(cfg), "H3")
 
 
 class TestCheckMaxIc:
@@ -377,6 +350,32 @@ def test_common_points_match_pointwise_intersection(n, k, p):
     # (k-1)-flat, so these corpora put several partners on one spine.
     if k == n - 1:
         assert multi >= 1
+
+
+@pytest.mark.parametrize("n,k,p", [(4, 2, 3), (3, 2, 5), (4, 3, 2), (5, 3, 3)])
+def test_spanning_head_hyperplane_holds_exactly_the_shared_points(n, k, p):
+    # A spanning k-subset of a group's shared points spans the face's
+    # hyperplane along the group's spine, so the face's points on that
+    # hyperplane are the shared points: the mask `count_simplices` takes
+    # off a head's candidate last vertices.
+    larger = 0
+    for _, cfg in random_corpus(n, k, p, 8):
+        index = incidence_count(cfg)
+        if index.total == 0:
+            continue
+        for family in (cfg.flats, refine_dyadic(cfg, index).flats):
+            for face, groups in zip(family, common_points(family, index)):
+                local = local_coordinates(index.points[face], face)
+                for common in groups:
+                    for head in itertools.combinations(common, k):
+                        plane = hyperplane(tuple(local[x] for x in head), p)
+                        if plane is None:
+                            continue
+                        normal, level = plane
+                        on = tuple(x for x, y in local.items() if sum(map(mul, normal, y)) % p == level)
+                        assert on == common
+                        larger += len(common) > k
+    assert larger >= 1
 
 
 CHAIN_FIELDS = ("ik_prime", "ik", "vk_prime", "vk", "vkp", "d_size", "d_bucket_level", "d_threshold")

@@ -182,15 +182,16 @@ def _lambda_recount(config, chain):
     """lambda_flat_counts without the per-span memo: one span and one scan of
     the refined flats per deleted pair, once per unordered pair."""
     fld = config.field
+    p = fld.p
     flats = chain.refined.flats
     counts = []
     for a, b in chain.shared_pairs:
         pi0, pi = flats[a], flats[b]
-        diff = tuple(fld.sub(x, y) for x, y in zip(pi.representative, pi0.representative))
+        diff = tuple((x - y) % p for x, y in zip(pi.representative, pi0.representative))
         span = span_of(pi0.direction.basis.rows + pi.direction.basis.rows + (diff,), config.n, fld)
         counts.append(
             sum(
-                span.contains(tuple(fld.sub(x, y) for x, y in zip(f.representative, pi0.representative)), fld)
+                span.contains(tuple((x - y) % p for x, y in zip(f.representative, pi0.representative)), fld)
                 and span.contains_subspace(f.direction, fld)
                 for f in flats
             )
