@@ -1,8 +1,8 @@
 """Batch experiment runner: parses flat key=value experiment specs, drives
 the generators and checkers, and writes CSV/JSON reports side by side.
 
-Exit codes: 0 success, 1 spec error (out-of-domain parameters, an unreadable
-spec or an unwritable output), 2 work refusal (the --budget estimate, made
+Exit codes: 0 success, 1 spec error (a command-line usage error,
+out-of-domain parameters, an unreadable spec or an unwritable output), 2 work refusal (the --budget estimate, made
 before anything is generated), 3 internal failure.
 """
 
@@ -70,11 +70,16 @@ class ExperimentSpec:
     out: Optional[str] = None
 
 
-def _parse_seeds(text: str) -> List[int]:
+def _parse_seeds(text: str) -> Sequence[int]:
+    """`a..b` as a range, never listed, so the budget sees its length before
+    anything is built; otherwise a comma-separated list of distinct seeds."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+        return range(int(lo), int(hi) + 1)
+    seeds = [int(tok) for tok in text.split(",") if tok]
+    if len(set(seeds)) < len(seeds):
+        raise SpecError("duplicate seeds")
+    return seeds
 
 
 def parse_spec(text: str) -> ExperimentSpec:
@@ -135,7 +140,7 @@ def _check_domain(kind: str, params: Dict[str, object]) -> None:
     if "num_directions" in params:
         total = gaussian_binomial(params["n"], params["k"], params["prime"])
         if not 0 <= params["num_directions"] <= total:
-            raise SpecError(f"num_directions must lie in [0, {total}], the size of G(n,k)")
+            raise SpecError(f"num_directions must lie in [0, {_magnitude(total)}], the size of G(n,k)")
     if params.get("translate", "zero") not in ("zero", "random"):
         raise SpecError(f"translate must be 'zero' or 'random', got {params['translate']!r}")
     if "density" in params and not 0 < params["density"] <= 1:
@@ -145,7 +150,7 @@ def _check_domain(kind: str, params: Dict[str, object]) -> None:
             raise SpecError(f"{key} must be >= 1, got {params[key]}")
     if ("p_exp" in params) != ("q_exp" in params):
         raise SpecError("p_exp and q_exp must be given together")
-    if params.get("seeds") == []:
+    if "seeds" in params and not params["seeds"]:
         raise SpecError("empty seed list")
 
 
@@ -160,7 +165,7 @@ def run_experiment(spec: ExperimentSpec, budget: int = DEFAULT_BUDGET) -> List[D
     the seeded corpus kinds) "seed", then the kind's own columns."""
     estimate = estimate_work(spec)
     if estimate > budget:
-        raise BudgetError(f"estimated work {estimate} exceeds budget {budget}")
+        raise BudgetError(f"estimated work {_magnitude(estimate)} exceeds budget {budget}")
     params, kind = spec.params, KINDS[spec.kind]
     prefix = {"experiment": spec.kind, **{key: params[key] for key in _PREFIX_KEYS if key in params}}
     if "num_directions" in kind.required:
@@ -394,6 +399,12 @@ KINDS: Dict[str, Kind] = {
 }
 
 
+def _magnitude(value: int) -> str:
+    """An integer for a message: in full up to 18 digits, else as a power of
+    ten, since str() refuses integers of more than 4300 digits."""
+    return str(value) if value < 10**18 else f"about 10^{math.floor(math.log10(value))}"
+
+
 def _num_den(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
@@ -464,13 +475,16 @@ def _selftest() -> int:
                 simplex.count_simplices(cfg, index) == simplex.count_simplices_bruteforce(cfg),
             )
     # All 16 points of F_2^4 and one 3-flat of each of the 15 directions of
-    # G(4,3): the first k = 3 simplex counts.
-    for seed in range(3):
-        cfg = gen_random_config(4, 3, 15, Fraction(1), Field(2), seed)
-        check(
-            f"simplex oracle (4,3,2) seed {seed}",
-            simplex.count_simplices(cfg, incidence.incidence_count(cfg)) == simplex.count_simplices_bruteforce(cfg),
-        )
+    # G(4,3): the first k = 3 simplex counts.  Over GF(2) any three distinct
+    # points span; in F_3^4 (40 3-flats, 20-26 points) three points on a
+    # line do not, so those lines reach k-subsets `common_points` drops.
+    for p, num_directions, density in ((2, 15, Fraction(1)), (3, 40, Fraction(1, 3))):
+        for seed in range(3):
+            cfg = gen_random_config(4, 3, num_directions, density, Field(p), seed)
+            check(
+                f"simplex oracle (4,3,{p}) seed {seed}",
+                simplex.count_simplices(cfg, incidence.incidence_count(cfg)) == simplex.count_simplices_bruteforce(cfg),
+            )
     for seed in range(3):
         cfg = gen_random_config(5, 3, 8, Fraction(1, 2), Field(2), seed)
         index = incidence.incidence_count(cfg)
@@ -546,7 +560,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     sub.add_parser("selftest", help="run the oracle-equivalence suite")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
     try:
         if args.command == "selftest":
             return _selftest()

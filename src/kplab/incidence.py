@@ -15,11 +15,11 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .config import Configuration
 from .exponents import PowerProduct, main_term_exponents
+from .field import Field
 from .flats import (
     AffineFlat,
     CosetKeys,
@@ -48,25 +48,16 @@ class SizeGuardError(RuntimeError):
 
 @dataclass
 class IncidenceIndex:
-    """Both marginals of the incidence relation, the exact total, and the
-    sorted incident points of every flat; `per_point` is derived on first read."""
+    """The per-flat marginal of the incidence relation, the exact total, and
+    the sorted incident points of every flat."""
 
     per_flat: Dict[AffineFlat, int]
     total: int
     points: Dict[AffineFlat, Tuple[Vector, ...]]
 
-    @functools.cached_property
-    def per_point(self) -> Dict[Vector, Tuple[AffineFlat, ...]]:
-        """Each incident point's flats, in flat order."""
-        through: Dict[Vector, List[AffineFlat]] = defaultdict(list)
-        for flat, pts in self.points.items():
-            for pt in pts:
-                through[pt].append(flat)
-        return {pt: tuple(fl) for pt, fl in through.items()}
-
 
 def incidence_count(config: Configuration) -> IncidenceIndex:
-    """Exact |I(P, Pi)| with per-flat and per-point marginals.  Every counter
+    """Exact |I(P, Pi)| with the per-flat marginal.  Every counter
     that reads incidences takes this index as an argument, so a caller
     builds it once per configuration.
 
@@ -308,37 +299,61 @@ def check_main_bound(config: Configuration, index: IncidenceIndex) -> CountRepor
     return report
 
 
-def common_points(
-    flats: Sequence[AffineFlat], index: IncidenceIndex
-) -> Iterator[Dict[Tuple[Vector, ...], List[int]]]:
-    """For each flat of the family, in order, the other family flats sharing
-    at least k = dim points of P with it, grouped by those points (a tuple
-    in the flat's sorted point order) into lists of their positions in
-    `flats`, ascending.
+class Face(NamedTuple):
+    """One flat's record from `common_points`: its points are bits 1 << i in
+    sorted order, a set of them the `|` of their bits.  `spanning` maps each
+    spanning k-subset to its hyperplane in local coordinates; `groups` maps
+    each set of points shared with partners to (their positions, ascending;
+    the set's spanning k-subsets as ascending tuples of vertex bits)."""
+
+    spanning: Dict[int, Tuple[Vector, int]]
+    groups: Dict[int, Tuple[List[int], List[Tuple[int, ...]]]]
+
+
+def common_points(flats: Sequence[AffineFlat], index: IncidenceIndex, field: Field) -> Iterator[Face]:
+    """For each flat of the family, in order, its `Face`: which k-subsets of
+    its points span, k = dim, and the other family flats meeting it in a
+    spine, grouped by the points they share.  This is the one place that
+    decides spanning: k points span a hyperplane of the flat exactly when
+    the normal of their k-1 differences in local coordinates
+    (`local_coordinates`) is nonzero mod p (`linalg.hyperplane`).
 
     Two distinct k-flats sharing k spanning points meet in exactly the
     (k-1)-flat they span, their spine, whose points of P are all they share.
-    So a group holding a spanning k-subset is one spine with every partner
-    on it; a partner sharing fewer than k points shares no spanning k-subset.
+    So a group is one spine with every partner on it; a partner sharing no
+    spanning k-subset is in no group.
 
-    One flat's table lives at a time; the walk takes the sum over x in P of
+    One flat's record lives at a time; the walk takes the sum over x in P of
     deg(x)^2 steps, deg(x) the family flats through x.  The family must be a
     subset of the flats `index` was built from."""
-    k = flats[0].dim if flats else 0
+    k, p = (flats[0].dim if flats else 0), field.p
     through: Dict[Vector, List[int]] = defaultdict(list)
     for b, flat in enumerate(flats):
         for x in index.points[flat]:
             through[x].append(b)
     for a, flat in enumerate(flats):
-        shared: Dict[int, List[Vector]] = defaultdict(list)
-        for x in index.points[flat]:
+        pts = index.points[flat]
+        bits = [1 << i for i in range(len(pts))]
+        corners = itertools.combinations(local_coordinates(pts, flat).values(), k)
+        spanning = {}
+        for vertices, corner in zip(itertools.combinations(bits, k), corners):
+            plane = hyperplane(corner, p)
+            if plane is not None:
+                spanning[sum(vertices)] = plane
+        shared: Dict[int, int] = defaultdict(int)
+        for x, bit in zip(pts, bits):
             for b in through[x]:
-                shared[b].append(x)
-        groups: Dict[Tuple[Vector, ...], List[int]] = defaultdict(list)
-        for b, common in shared.items():
-            if b != a and len(common) >= k:
-                groups[tuple(common)].append(b)
-        yield groups
+                shared[b] |= bit
+        partners: Dict[int, List[int]] = defaultdict(list)
+        for b, mask in shared.items():
+            if b != a and mask.bit_count() >= k:
+                partners[mask].append(b)
+        groups = {}
+        for mask, positions in partners.items():
+            heads = [vs for vs in itertools.combinations([bit for bit in bits if mask & bit], k) if sum(vs) in spanning]
+            if heads:
+                groups[mask] = (positions, heads)
+        yield Face(spanning, groups)
 
 
 @dataclass
@@ -372,41 +387,37 @@ def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> Refi
     if index.total == 0:
         raise EmptyRefinementError("refinement chain of an incidence-free configuration")
     tally = ChainTally(config, index, refine_dyadic(config, index))
-    for groups in common_points(tally.refined.flats, index):
-        tally.add(groups)
+    for face in common_points(tally.refined.flats, index, config.field):
+        tally.add(face)
     return tally.report()
 
 
 class ChainTally:
     """The refinement chain counted one refined flat at a time: `add` takes
-    the next flat's spine groups (`common_points` over `refined.flats`, in
-    order) and keeps only running counts, and `report` closes the chain once
-    every flat has been added.  A caller that walks the refined family for
-    another purpose feeds each flat's groups here too, so one walk serves
-    both.
+    the next flat's `Face` (`common_points` over `refined.flats`, in order)
+    and keeps only running counts, and `report` closes the chain once every
+    flat has been added.  A caller that walks the refined family for another
+    purpose feeds each face here too, so one walk serves both.
 
     The counts are of ordered k-tuples, but spines are enumerated unordered:
     a spanning k-tuple has k distinct points, and its k! orders share one
-    hull and one set of tallies, so each k-subset of a flat's sorted points
-    is visited once and its counts, the f(pi_0, x) values included, are
-    scaled by k! (before the dyadic bucketing of f).
+    hull and one set of tallies, so each spanning k-subset of a flat's
+    points (`Face.spanning`) is counted once and its counts, the f(pi_0, x)
+    values included, are scaled by k! (before the dyadic bucketing of f).
 
-    Spines are found face-locally: in the flat's local coordinates
-    (`local_coordinates`) a spine is a hyperplane of F^k, so k points span
-    one exactly when the normal l of their k-1 local differences (signed
-    minors, `linalg.hyperplane`) is nonzero.  The normal keys the spine's
-    parallel class, and the flat's points binned by l . y mod p are its
-    spine bins; the spine's bin is l . y of its points.  Every point of P on
-    a spine lies on the flat, so the bin of the spine counts exactly the
-    points of P on it, and the spine is kept when that count times
-    10 |Pi~| p reaches |I~|, compared as integers.
+    A spine is kept when its points of P, times 10 |Pi~| p, reach |I~|,
+    compared as integers.  Every point of P on a spine lies on the flat, and
+    each of them completes k-1 of a spanning k-subset on the spine to
+    another, so the spine's points are the `|` of its spanning k-subsets,
+    those with its hyperplane; when k points already reach the threshold,
+    every spine is kept and none is counted.
 
-    Pairs are read from the spines each refined flat shares with the others.
-    A spine of c points with c 10 |Pi~| p >= |I~| holds s spanning
-    k-subsets, all kept and shared by every partner on it, so s is computed
-    once per spine; each ordered pair adds s to vk, s (|P ∩ pi_a| - c) to
-    vkp and s to f(pi_a, x) for every x of the partner off pi_a, and f is
-    bucketed one pi_a at a time."""
+    Pairs are read from the spines each refined flat shares with the others
+    (`Face.groups`).  A spine of c points with c 10 |Pi~| p >= |I~| holds s
+    spanning k-subsets, all kept and shared by every partner on it; each
+    ordered pair adds s to vk, s (|P ∩ pi_a| - c) to vkp and s to f(pi_a, x)
+    for every x of the partner off pi_a, and f is bucketed one pi_a at a
+    time."""
 
     def __init__(self, config: Configuration, index: IncidenceIndex, refined: RefinedConfig):
         self.config, self.index, self.refined = config, index, refined
@@ -417,39 +428,29 @@ class ChainTally:
         self.bucket_size: Dict[int, int] = Counter()
         self.bucket_mass: Dict[int, int] = Counter()
 
-    def add(self, groups: Dict[Tuple[Vector, ...], List[int]]) -> None:
-        """Tally the next refined flat, given its spine groups."""
-        k, p = self.config.k, self.config.field.p
+    def add(self, face: Face) -> None:
+        """Tally the next refined flat, given its face record."""
         flats, i_tilde, scale = self.refined.flats, self.refined.refined_total, self.scale
         a = self.added
         self.added += 1
         pts = self.index.points[flats[a]]
-        local = local_coordinates(pts, flats[a])
-        spines = [hyperplane(corners, p) for corners in itertools.combinations(local.values(), k)]
-        spines = [spine for spine in spines if spine is not None]
-        self.spanning += len(spines)
-        if k * scale >= i_tilde:
-            # A spine holds at least the k points spanning it, so all are kept.
-            self.kept += len(spines)
+        self.spanning += len(face.spanning)
+        if self.config.k * scale >= i_tilde:
+            self.kept += len(face.spanning)
         else:
-            spine_bins: Dict[Vector, Dict[int, int]] = {}
-            for normal, level in spines:
-                bins = spine_bins.get(normal)
-                if bins is None:
-                    bins = spine_bins[normal] = Counter([sum(map(mul, normal, y)) % p for y in local.values()])
-                self.kept += bins[level] * scale >= i_tilde
+            on: Dict[Tuple[Vector, int], int] = defaultdict(int)
+            for head, plane in face.spanning.items():
+                on[plane] |= head
+            self.kept += sum(on[plane].bit_count() * scale >= i_tilde for plane in face.spanning.values())
 
         # f(pi_a, x) = sum of s over the partners through x, for x off pi_a.
         off = frozenset(pts)
         f_values: Dict[Vector, int] = {}
-        for common, partners in groups.items():
-            c = len(common)
+        for shared, (partners, heads) in face.groups.items():
+            c = shared.bit_count()
             if c * scale < i_tilde:
                 continue
-            corners = [local[x] for x in common]
-            s = sum(hyperplane(sub, p) is not None for sub in itertools.combinations(corners, k))
-            if not s:
-                continue
+            s = len(heads)
             self.vk += s * len(partners)
             self.vkp += s * (len(pts) - c) * len(partners)
             for b in partners:
@@ -458,7 +459,7 @@ class ChainTally:
                 for x in self.index.points[flats[b]]:
                     if x not in off:
                         f_values[x] = f_values.get(x, 0) + s
-        orders = math.factorial(k)
+        orders = math.factorial(self.config.k)
         for f in f_values.values():
             f *= orders
             level = f.bit_length() - 1

@@ -214,7 +214,6 @@ def constant_witness_ratio_exact(
 class SearchResult:
     best_ratio: float
     best_name: str
-    witness: GridFunction
     all_ratios: Dict[str, float]
 
 
@@ -270,4 +269,4 @@ def empirical_norm_search(
     images = apply_maximal_many(list(family.values()), n, k)
     ratios = {name: _ratio(f, tf, p_exp, q_exp, n, k) for (name, f), tf in zip(family.items(), images)}
     best_name = max(ratios, key=lambda name: (ratios[name], name))
-    return SearchResult(ratios[best_name], best_name, candidates[best_name], ratios)
+    return SearchResult(ratios[best_name], best_name, ratios)

@@ -10,19 +10,20 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .config import Configuration
-from .flats import AffineFlat, affine_hull, flats_through, local_coordinates
+from .flats import AffineFlat, affine_hull, flats_through
 from .incidence import (
     ChainTally,
+    Face,
     IncidenceIndex,
     RefinementChainReport,
     SizeGuardError,
     common_points,
     refine_dyadic,
 )
-from .linalg import Vector, hyperplane
+from .linalg import Vector
 from .reports import CountReport
 
 BRUTE_FORCE_POINT_GUARD = 40
@@ -32,7 +33,7 @@ def count_simplices(
     config: Configuration,
     index: IncidenceIndex,
     flats: Optional[Tuple[AffineFlat, ...]] = None,
-    faces: Optional[Iterable[Dict[Tuple[Vector, ...], List[int]]]] = None,
+    faces: Optional[Iterable[Face]] = None,
 ) -> int:
     """Unordered count of (k+2)-point sets spanning dimension k+1 whose k+2
     facet hulls all belong to the flat family.
@@ -40,46 +41,37 @@ def count_simplices(
     The family must be a subset of `config.flats` (the default is all of
     them): faces and their points come from `index`, the incidence index of
     the configuration, so a family flat outside it raises ValueError.
-    `faces` is the family's spine groups, one dict per flat in family order,
-    as `common_points(family, index)` yields them (the default); a caller
-    that walks the family for another purpose passes its walk here, and
-    this function reads at most one item per family flat.
+    `faces` is the family's face records, one per flat in family order, as
+    `common_points(family, index, config.field)` yields them (the default);
+    a caller that walks the family for another purpose passes its walk
+    here, and this function reads one record per family flat.
 
     Fast path: pivot on each flat as a face.  A base is k+1 of its points
-    spanning it: the first k, the head, span a hyperplane of the face (in
-    its local coordinates, `local_coordinates`, their signed minors are not
-    all zero mod p, `linalg.hyperplane`; any two distinct points span for
-    k = 2), and the last point lies off it.  Omitting
-    base vertex i leaves k spanning points, and the apexes completing a
-    simplex are the points off the face lying, for every i, on a family
-    flat through those k points.  Such a flat is the facet itself (the apex
-    and the k points span a k-flat inside it), so no facet hull is computed.
-    The family flats holding k spanning points of the face are the partners
-    on its spines, so each face maps every k-subset of a spine's points to
-    the pool of its partners' points off the face, a table kept for that
-    face only.  Only its keys can be heads, and a base's last vertex, its
-    highest in the face's point order, completes every (k-1)-subset of the
-    head to a key: each (k-1)-subset keeps the mask of the face points that
-    complete it so, and a head's candidates are the `&` of its k masks less
-    its spine's shared points.  A spanning head is k points of a group's
-    shared points, so its hyperplane in the face is that group's spine, and
-    the face's points on it are exactly the shared points (`common_points`):
-    one mask per group.  Pools are bitmasks, one bit per point on the
-    family's flats: a pool is the `|` of its partners' masks less the
-    face's, the apexes of a base are the `&` of its k+1 pools, and
-    `int.bit_count` counts them.  Every simplex is discovered once per face,
-    so the tally divides by k+2 exactly.
+    spanning it: the first k, the head, span a hyperplane of the face, a
+    spine, and the last point lies off it.  Omitting base vertex i leaves k
+    spanning points, and the apexes completing a simplex are the points off
+    the face lying, for every i, on a family flat through those k points:
+    the facet itself, so no facet hull is computed.  Those flats are the
+    partners on the face's spines (`Face.groups`), so each face maps every
+    spanning k-subset of a group to the pool of its partners' points off
+    the face, a table kept for that face only.  Only its keys can be heads,
+    and a base's last vertex, its highest in the face's point order,
+    completes every (k-1)-subset of the head to a key: each (k-1)-subset
+    keeps the mask of the face points that complete it so, and a head's
+    candidates are the `&` of its k masks less its group's shared points,
+    the face's points on the head's hyperplane.  Pools are bitmasks, one bit
+    per point on the family's flats: a pool is the `|` of its partners'
+    masks less the face's, the apexes of a base are the `&` of its k+1
+    pools, and `int.bit_count` counts them.  Every simplex is discovered
+    once per face, so the tally divides by k+2 exactly.
     `count_simplices_bruteforce` is the independent oracle.
     """
-    p = config.field.p
     k = config.k
     family = tuple(dict.fromkeys(flats if flats is not None else config.flats))
     if not set(family).issubset(config.flats):
         raise ValueError("simplex family holds flats outside config.flats")
-    if not family or len(config.points) < k + 2:
-        return 0
     if faces is None:
-        faces = common_points(family, index)
+        faces = common_points(family, index, config.field)
 
     bits: Dict[Vector, int] = {}
     masks = []
@@ -93,21 +85,17 @@ def count_simplices(
         masks.append(mask)
 
     face_incidences = 0
-    for face, face_mask, groups in zip(family, masks, faces):
-        pts = index.points[face]
-        at = {x: 1 << i for i, x in enumerate(pts)}
-        # A k-subset of the face's points, as a set of face bits, to its pool.
+    for face_mask, face in zip(masks, faces):
+        # A spanning k-subset of the face's points, as face bits, to its pool.
         around: Dict[int, int] = {}
         heads = []
-        for common, partners in groups.items():
+        for spine, (partners, subsets) in face.groups.items():
             pool = 0
             for b in partners:
                 pool |= masks[b]
             pool &= ~face_mask
             if pool:
-                corners = [at[x] for x in common]
-                spine = sum(corners)
-                for vertices in itertools.combinations(corners, k):
+                for vertices in subsets:
                     head = sum(vertices)
                     around[head] = pool
                     heads.append((head, vertices, pool, spine))
@@ -116,16 +104,12 @@ def count_simplices(
         for key in around:
             last = 1 << (key.bit_length() - 1)
             completing[key ^ last] |= last
-        local = list(local_coordinates(pts, face).values())
         for head, vertices, shared, spine in heads:
             # The base's last vertex lies above its head, completes each
-            # (k-1)-subset of the head, and lies off the head's spine, and
-            # the head spans.
+            # (k-1)-subset of the head, and lies off the head's spine.
             lasts = -(vertices[-1] << 1) & ~spine
             for vertex in vertices:
                 lasts &= completing.get(head ^ vertex, 0)
-            if not lasts or hyperplane(tuple([local[v.bit_length() - 1] for v in vertices]), p) is None:
-                continue
             while lasts:
                 last = lasts & -lasts
                 lasts ^= last
@@ -206,9 +190,9 @@ def simplex_bound_report(config: Configuration, index: IncidenceIndex) -> CountR
     deleted-spine upper bound, the inductive lower bound and the
     independence heuristic.  Ratios are reported, never asserted.
 
-    The refined family is walked once (`common_points`): each flat's spine
-    groups go to the refinement chain's tally (`ChainTally`) and then to
-    `count_simplices`, so only one flat's groups are held at a time."""
+    The refined family is walked once (`common_points`): each flat's face
+    record goes to the refinement chain's tally (`ChainTally`) and then to
+    `count_simplices`, so only one flat's record is held at a time."""
     k, p = config.k, config.field.p
     report = CountReport()
     if not config.direction_separated:
@@ -225,14 +209,11 @@ def simplex_bound_report(config: Configuration, index: IncidenceIndex) -> CountR
     tally = ChainTally(config, index, refined)
 
     def faces():
-        for groups in common_points(refined.flats, index):
-            tally.add(groups)
-            yield groups
+        for face in common_points(refined.flats, index, config.field):
+            tally.add(face)
+            yield face
 
-    walk = faces()
-    simplices = count_simplices(config, index, refined.flats, walk)
-    for _ in walk:  # faces the counter did not read, when it stops early
-        pass
+    simplices = count_simplices(config, index, refined.flats, faces())
     chain = tally.report()
     ordered = simplices * math.factorial(k + 2)
     deleted = v_k_del(chain)

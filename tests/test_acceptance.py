@@ -94,20 +94,34 @@ def test_criterion_04_two_ends_decomposition():
 
 
 def test_criterion_05_simplex_oracle_equivalence():
+    # Six directions at density 1/4 almost never hold a simplex (1 of the
+    # first 150 configurations), so three denser cases follow, the last
+    # over GF(3) with k = 3, where k points of a flat need not span.
+    cases = [
+        (3, 1, 2, 6, Fraction(1, 4), 50),
+        (3, 1, 3, 6, Fraction(1, 4), 50),
+        (4, 2, 3, 6, Fraction(1, 4), 50),
+        (3, 2, 3, 13, Fraction(2, 3), 10),
+        (4, 2, 2, 35, Fraction(1), 10),
+        (4, 3, 3, 40, Fraction(1, 5), 10),
+    ]
     mismatches = []
-    for n, k, p in ((3, 1, 2), (3, 1, 3), (4, 2, 3)):
+    nonzero = []
+    for n, k, p, num_directions, density, count in cases:
         fld = Field(p)
         checked = 0
         seed = 0
-        while checked < 50:
-            cfg = gen_random_config(n, k, min(6, gaussian_binomial(n, k, p)),
-                                    Fraction(1, 4), fld, seed)
+        nonzero.append(0)
+        while checked < count:
+            cfg = gen_random_config(n, k, num_directions, density, fld, seed)
             seed += 1
             if len(cfg.points) > 20:
                 continue
             checked += 1
-            if count_simplices(cfg, incidence_count(cfg)) != count_simplices_bruteforce(cfg):
+            simplices = count_simplices(cfg, incidence_count(cfg))
+            if simplices != count_simplices_bruteforce(cfg):
                 mismatches.append((n, k, p, seed - 1))
+            nonzero[-1] += simplices > 0
     # The 4-point plane over F_2 with all six lines has exactly 4 triangles.
     f2 = Field(2)
     flats = tuple(
@@ -120,8 +134,8 @@ def test_criterion_05_simplex_oracle_equivalence():
     report(
         5,
         "simplex oracle equivalence",
-        not mismatches and triangle_ok,
-        f"mismatches={mismatches} triangles_ok={triangle_ok}",
+        not mismatches and triangle_ok and nonzero == [1, 0, 0, 9, 10, 8],
+        f"mismatches={mismatches} triangles_ok={triangle_ok} nonzero={nonzero}",
     )
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -93,7 +94,9 @@ class TestParseSpec:
         spec = cli.parse_spec(
             "experiment=two-ends n=4 k=2 r=1 prime=3 num_directions=4 density=1/2 seeds=1..5"
         )
-        assert spec.params["seeds"] == [1, 2, 3, 4, 5]
+        # A range, not a list, so a huge one is refused before it is built.
+        assert isinstance(spec.params["seeds"], range)
+        assert list(spec.params["seeds"]) == [1, 2, 3, 4, 5]
 
     def test_non_prime_rejected(self):
         with pytest.raises(cli.SpecError, match="prime"):
@@ -252,9 +255,10 @@ class TestRunExperiment:
         all_flats, refined = [], []
         for _, cfg in cli._corpus(spec.params):
             index = incidence_count(cfg)
-            family = set(refine_dyadic(cfg, index).flats)
-            all_flats.append(sum(len(fl) ** 2 for fl in index.per_point.values()))
-            refined.append(sum(sum(f in family for f in fl) ** 2 for fl in index.per_point.values()))
+            degrees = Counter(x for pts in index.points.values() for x in pts)
+            all_flats.append(sum(d**2 for d in degrees.values()))
+            degrees = Counter(x for flat in refine_dyadic(cfg, index).flats for x in index.points[flat])
+            refined.append(sum(d**2 for d in degrees.values()))
         assert abs(sum(all_flats) / len(all_flats) - charged) <= charged / 10
         assert sum(refined) / len(refined) <= charged
 
@@ -390,6 +394,12 @@ class TestMainEntryPoint:
             ("experiment=incidence-bound n=4 k=2 prime=3 num_directions=4 density=0", 1),
             ("experiment=maximal-ratio n=3 k=1 prime=3 p_exp=0 q_exp=2", 1),
             ("experiment=two-ends n=3 k=1 r=1 prime=3 num_directions=4 density=1/2 seeds=5..1", 1),
+            ("experiment=two-ends n=3 k=1 r=1 prime=3 num_directions=4 density=1/2 seeds=1,1", 1),
+            # |G(400,200)| over GF(2) and the census estimate have over
+            # 12 000 digits, more than str() converts by default.
+            ("experiment=refinement-chain n=400 k=200 prime=2 num_directions=-1 density=1", 1),
+            ("experiment=grassmann-census n=400 k=200 prime=2", 2),
+            ("experiment=two-ends n=3 k=1 r=1 prime=3 num_directions=4 density=1/2 seeds=1..100000000", 2),
             # The budget estimate charges its 5.5 M rank tests and refuses it.
             ("experiment=two-ends n=4 k=2 r=2 prime=7 num_directions=300 density=1", 2),
             ("experiment=exponent-identities kmax=1", 1),
@@ -398,7 +408,8 @@ class TestMainEntryPoint:
             ("experiment=incidence-bound n=4 k=2 prime=3 num_directions=4 density=1/2 q_exp=22/5", 1),
         ],
         ids=[
-            "k_above_n", "bogus_translate", "zero_density", "p_exp_below_1", "empty_seeds", "tuple_guard",
+            "k_above_n", "bogus_translate", "zero_density", "p_exp_below_1", "empty_seeds", "duplicate_seeds",
+            "huge_num_directions", "huge_estimate", "huge_seed_range", "tuple_guard",
             "kmax_below_2", "zero_slack", "p_exp_without_q_exp", "q_exp_without_p_exp",
         ],
     )
@@ -414,6 +425,17 @@ class TestMainEntryPoint:
         )
         assert cli.main(["--seed", "9", "--json", "run", str(spec)]) == 0
         assert [row["seed"] for row in json.loads(capsys.readouterr().out)] == [9]
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(["--bogus", "selftest"], 1), (["census", "-n", "x", "-k", "1", "-p", "2"], 1), ([], 1), (["--help"], 0)],
+        ids=["unknown_option", "non_integer", "no_command", "help"],
+    )
+    def test_usage_exit_codes(self, capsys, argv, code):
+        # A usage error is a spec error: argparse's own code, 2, means a
+        # work refusal here.
+        assert cli.main(argv) == code
+        assert "usage:" in "".join(capsys.readouterr())
 
     def test_budget_exits_2(self, tmp_path):
         spec = tmp_path / "census.spec"

@@ -1,6 +1,6 @@
 import itertools
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 from operator import mul
 
@@ -12,6 +12,7 @@ from kplab.config import Configuration, gen_degenerate, gen_random_config
 from kplab.exponents import PowerProduct
 from kplab.field import Field
 from kplab.flats import (
+    affine_hull,
     enumerate_coset_representatives,
     enumerate_grassmannian,
     enumerate_points,
@@ -35,7 +36,6 @@ from kplab.incidence import (
     jr_decompose_bruteforce,
     refine_dyadic,
 )
-from kplab.linalg import hyperplane
 
 
 def single_flat_config(fld, n, k, with_points=True):
@@ -80,7 +80,8 @@ class TestIncidenceCount:
                 index = incidence_count(cfg)
                 sides.add((n, k, p, len(cfg.points) >= p**k))
                 assert index.total == sum(index.per_flat.values())
-                assert index.total == sum(len(fl) for fl in index.per_point.values())
+                degrees = Counter(x for pts in index.points.values() for x in pts)
+                assert index.total == sum(degrees.values())
                 for flat in cfg.flats:
                     on = tuple(sorted(pt for pt in cfg.points if membership(pt, flat, fld)))
                     assert index.points[flat] == on
@@ -322,12 +323,15 @@ class TestRefinementChain:
             build_refinement_chain(cfg, incidence_count(cfg))
 
 
-@pytest.mark.parametrize("n,k,p", [(4, 2, 3), (4, 1, 3), (3, 2, 3), (4, 3, 2)])
+@pytest.mark.parametrize("n,k,p", [(4, 2, 3), (4, 1, 3), (3, 2, 3), (4, 3, 2), (4, 3, 3)])
 def test_common_points_match_pointwise_intersection(n, k, p):
-    # Each flat's groups are the other family flats sharing at least k
-    # points with it, found by intersecting point sets, keyed by those
-    # points in sorted order and listed by ascending position.
-    proper = multi = 0
+    # Each face record's spanning k-subsets are those whose affine hull has
+    # dimension k-1, and its groups are the other family flats sharing at
+    # least k points with it, found by intersecting point sets, keyed by
+    # those points and listed by ascending position, with the shared points'
+    # spanning k-subsets; a group with none is dropped.
+    fld = Field(p)
+    proper = multi = dropped = 0
     for _, cfg in random_corpus(n, k, p, 8):
         index = incidence_count(cfg)
         if index.total == 0:
@@ -335,46 +339,70 @@ def test_common_points_match_pointwise_intersection(n, k, p):
         refined = refine_dyadic(cfg, index).flats
         proper += len(refined) < len(cfg.flats)
         for family in (cfg.flats, refined):
-            tables = list(common_points(family, index))
-            assert len(tables) == len(family)
-            for a, groups in enumerate(tables):
-                expected = defaultdict(list)
+            faces = list(common_points(family, index, fld))
+            assert len(faces) == len(family)
+            for a, face in enumerate(faces):
+                pts = index.points[family[a]]
+                bit = {x: 1 << i for i, x in enumerate(pts)}
+                spanning = {
+                    sum(bit[x] for x in subset)
+                    for subset in itertools.combinations(pts, k)
+                    if affine_hull(subset, fld)[0] == k - 1
+                }
+                assert set(face.spanning) == spanning
+                expected = {}
                 for b, other in enumerate(family):
-                    common = set(index.points[family[a]]) & set(index.points[other])
-                    if b != a and len(common) >= k:
-                        expected[tuple(sorted(common))].append(b)
-                assert groups == expected
-                multi += any(len(partners) >= 2 for partners in groups.values())
+                    common = sorted(set(pts) & set(index.points[other]))
+                    if b == a or len(common) < k:
+                        continue
+                    heads = [
+                        tuple(bit[x] for x in subset)
+                        for subset in itertools.combinations(common, k)
+                        if sum(bit[x] for x in subset) in spanning
+                    ]
+                    if not heads:
+                        dropped += 1
+                        continue
+                    expected.setdefault(sum(bit[x] for x in common), ([], heads))[0].append(b)
+                assert face.groups == expected
+                multi += any(len(partners) >= 2 for partners, _ in face.groups.values())
     assert proper >= 2
     # Hyperplanes (k = n-1) of distinct directions always meet in a
     # (k-1)-flat, so these corpora put several partners on one spine.
     if k == n - 1:
         assert multi >= 1
+    # Any k distinct points span when k <= 2 or p = 2, so only (4,3,3) has
+    # partners sharing k or more points none of whose k-subsets span.
+    assert (dropped >= 1) == (k >= 3 and p >= 3)
 
 
 @pytest.mark.parametrize("n,k,p", [(4, 2, 3), (3, 2, 5), (4, 3, 2), (5, 3, 3)])
 def test_spanning_head_hyperplane_holds_exactly_the_shared_points(n, k, p):
     # A spanning k-subset of a group's shared points spans the face's
-    # hyperplane along the group's spine, so the face's points on that
-    # hyperplane are the shared points: the mask `count_simplices` takes
-    # off a head's candidate last vertices.
+    # hyperplane along the group's spine, so the face's points on its
+    # hyperplane in `Face.spanning` are the shared points: the mask
+    # `count_simplices` takes off a head's candidate last vertices, and the
+    # spine the chain counts as the `|` of the heads on that hyperplane.
+    fld = Field(p)
     larger = 0
     for _, cfg in random_corpus(n, k, p, 8):
         index = incidence_count(cfg)
         if index.total == 0:
             continue
         for family in (cfg.flats, refine_dyadic(cfg, index).flats):
-            for face, groups in zip(family, common_points(family, index)):
-                local = local_coordinates(index.points[face], face)
-                for common in groups:
-                    for head in itertools.combinations(common, k):
-                        plane = hyperplane(tuple(local[x] for x in head), p)
-                        if plane is None:
-                            continue
-                        normal, level = plane
-                        on = tuple(x for x, y in local.items() if sum(map(mul, normal, y)) % p == level)
-                        assert on == common
-                        larger += len(common) > k
+            for flat, face in zip(family, common_points(family, index, fld)):
+                local = list(local_coordinates(index.points[flat], flat).values())
+                for shared, (_, heads) in face.groups.items():
+                    for head in heads:
+                        normal, level = face.spanning[sum(head)]
+                        on = sum(1 << i for i, y in enumerate(local) if sum(map(mul, normal, y)) % p == level)
+                        assert on == shared
+                        spine = 0
+                        for subset, plane in face.spanning.items():
+                            if plane == (normal, level):
+                                spine |= subset
+                        assert spine == shared
+                        larger += shared.bit_count() > k
     assert larger >= 1
 
 

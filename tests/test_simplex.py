@@ -137,9 +137,9 @@ def test_bound_report_walks_common_points_once(monkeypatch):
     walks = []
     original = incidence.common_points
 
-    def counted(flats, index):
+    def counted(flats, index, field):
         walks.append(len(flats))
-        return original(flats, index)
+        return original(flats, index, field)
 
     monkeypatch.setattr(incidence, "common_points", counted)
     monkeypatch.setattr(simplex, "common_points", counted)
@@ -151,18 +151,24 @@ def test_bound_report_walks_common_points_once(monkeypatch):
 
 
 def test_count_simplices_reads_a_given_walk():
-    cfg = planted_simplex_config(4, 2, 3, 0, 8, 14)
+    # The counter reads every face record of the walk it is given, and only
+    # those: a walk with every group dropped counts nothing.  (Seed 0 of
+    # this size counts no simplex on its refined family; seed 1 counts 3.)
+    cfg = planted_simplex_config(4, 2, 3, 1, 8, 14)
     index = incidence_count(cfg)
     family = refine_dyadic(cfg, index).flats
     fed = []
 
     def faces():
-        for groups in common_points(family, index):
-            fed.append(groups)
-            yield groups
+        for face in common_points(family, index, cfg.field):
+            fed.append(face)
+            yield face
 
-    assert count_simplices(cfg, index, family, faces()) == count_simplices(cfg, index, family)
+    simplices = count_simplices(cfg, index, family)
+    assert simplices >= 1
+    assert count_simplices(cfg, index, family, faces()) == simplices
     assert len(fed) == len(family)
+    assert count_simplices(cfg, index, family, [face._replace(groups={}) for face in fed]) == 0
 
 
 def test_family_outside_config_flats_rejected(f3):
