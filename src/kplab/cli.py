@@ -36,11 +36,11 @@ from .flats import (
 )
 
 DEFAULT_BUDGET = 50_000_000
-# Work units per rank test.  A rank test is now a cached `linalg.hyperplane`
-# lookup, not a 2x2 rref (about 9 us on a 2-CPU host, which set this value),
-# so `_corpus_work` overshoots a refinement-chain run by about 3x; the value
-# is recalibrated with the rest of the work model once a metrics sidecar
-# measures rank tests (ROADMAP.md, "A metrics sidecar").
+# Work units per rank test.  Every charged rank test is now a cached
+# `linalg.span` lookup, not a 2x2 rref (about 9 us on a 2-CPU host, which
+# set this value), so `_corpus_work` overshoots a refinement-chain run by
+# about 3x and a two-ends run further; the value is recalibrated with the
+# work model once a metrics sidecar measures rank tests (ROADMAP.md).
 RANK_TEST_COST = 10
 # A maximal-ratio step (one list-comprehension step or one binned point)
 # takes about 0.1 us on a 2-CPU host, and a direction's own work (its
@@ -156,8 +156,11 @@ def _check_domain(kind: str, params: Dict[str, object]) -> None:
 
 def estimate_work(spec: ExperimentSpec) -> int:
     """Estimated work units of a spec, the budget's one measure: its kind's
-    per-seed `work` times the number of seeds."""
-    return KINDS[spec.kind].work(**spec.params) * len(spec.params.get("seeds", [0]))
+    per-seed `work` times the number of seeds.  A range is counted as
+    stop - start, since len() refuses one longer than sys.maxsize."""
+    seeds = spec.params.get("seeds", [0])
+    count = seeds.stop - seeds.start if isinstance(seeds, range) else len(seeds)
+    return KINDS[spec.kind].work(**spec.params) * count
 
 
 def run_experiment(spec: ExperimentSpec, budget: int = DEFAULT_BUDGET) -> List[Dict[str, object]]:
@@ -391,8 +394,9 @@ KINDS: Dict[str, Kind] = {
                              partial(_corpus_work, lambda k, **_: (k,), 1), _refinement_chain_row),
     "simplex-bounds": Kind(_CORPUS_KEYS, {"seeds"}, "1 <= k <= n", lambda n, k, **_: 1 <= k <= n,
                            partial(_corpus_work, lambda k, **_: (k, k + 1), 1), _simplex_bounds_row),
-    "maximal-ratio": Kind({"n", "k", "prime", "p_exp", "q_exp"}, {"seed"}, "0 <= k <= n",
-                          lambda n, k, **_: 0 <= k <= n,
+    "maximal-ratio": Kind({"n", "k", "prime", "p_exp", "q_exp"}, {"seed"},
+                          "0 <= k <= n and p_exp, q_exp at most the largest float",
+                          lambda n, k, p_exp, q_exp, **_: 0 <= k <= n and max(p_exp, q_exp) <= sys.float_info.max,
                           _maximal_work, _maximal_ratio_rows),
     "exponent-identities": Kind({"kmax"}, set(), "kmax >= 2", lambda kmax, **_: kmax >= 2, lambda kmax, **_: kmax**2,
                                 _exponent_identity_rows),
@@ -441,22 +445,28 @@ def write_json(rows: Sequence[Dict[str, object]], path: Path) -> None:
 def _selftest() -> int:
     failures = 0
 
-    def check(name: str, ok: bool):
+    def check(name: str, test: Callable[[], bool]):
+        # A fast path's internal assertion is a FAIL, and later lines still run.
         nonlocal failures
+        try:
+            ok = test()
+        except AssertionError:
+            ok = False
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
         if not ok:
             failures += 1
 
+    def simplices_agree(cfg, index) -> bool:
+        return simplex.count_simplices(cfg, index) == simplex.count_simplices_bruteforce(cfg)
+
     for n, k, p in ((3, 1, 2), (4, 2, 3), (2, 1, 5)):
-        fld = Field(p)
-        enumerated = sum(1 for _ in enumerate_grassmannian(n, k, fld))
-        check(f"grassmann census ({n},{k},{p})", enumerated == gaussian_binomial(n, k, p))
-    check("exponent identities k<=12", all(exponents.verify_identity_main(k) for k in range(2, 13)))
+        enumerated = sum(1 for _ in enumerate_grassmannian(n, k, Field(p)))
+        check(f"grassmann census ({n},{k},{p})", lambda: enumerated == gaussian_binomial(n, k, p))
+    check("exponent identities k<=12", lambda: all(exponents.verify_identity_main(k) for k in range(2, 13)))
     for seed in range(5):
         cfg = gen_random_config(3, 1, 4, Fraction(1, 3), Field(3), seed)
-        fast = simplex.count_simplices(cfg, incidence.incidence_count(cfg))
-        brute = simplex.count_simplices_bruteforce(cfg)
-        check(f"simplex oracle seed {seed}", fast == brute)
+        index = incidence.incidence_count(cfg)
+        check(f"simplex oracle seed {seed}", lambda: simplices_agree(cfg, index))
     # In F_3^4 (all 130 planes, at most 26 points) most pairs of planes meet
     # in a single point, so the counters skip partners sharing fewer than k
     # points, which never happens in F_3^3.
@@ -464,16 +474,14 @@ def _selftest() -> int:
         for seed in range(3):
             cfg = gen_random_config(n, 2, num_directions, density, Field(3), seed)
             index = incidence.incidence_count(cfg)
-            chain = incidence.build_refinement_chain(cfg, index)
-            brute = incidence.build_refinement_chain_bruteforce(cfg)
             check(
                 f"refinement chain oracle ({n},2,3) seed {seed}",
-                all(getattr(chain, name) == value for name, value in brute.items()),
+                lambda: all(
+                    getattr(incidence.build_refinement_chain(cfg, index), name) == value
+                    for name, value in incidence.build_refinement_chain_bruteforce(cfg).items()
+                ),
             )
-            check(
-                f"simplex oracle ({n},2,3) seed {seed}",
-                simplex.count_simplices(cfg, index) == simplex.count_simplices_bruteforce(cfg),
-            )
+            check(f"simplex oracle ({n},2,3) seed {seed}", lambda: simplices_agree(cfg, index))
     # All 16 points of F_2^4 and one 3-flat of each of the 15 directions of
     # G(4,3): the first k = 3 simplex counts.  Over GF(2) any three distinct
     # points span; in F_3^4 (40 3-flats, 20-26 points) three points on a
@@ -481,21 +489,20 @@ def _selftest() -> int:
     for p, num_directions, density in ((2, 15, Fraction(1)), (3, 40, Fraction(1, 3))):
         for seed in range(3):
             cfg = gen_random_config(4, 3, num_directions, density, Field(p), seed)
+            index = incidence.incidence_count(cfg)
+            check(f"simplex oracle (4,3,{p}) seed {seed}", lambda: simplices_agree(cfg, index))
+    # Over GF(2) any three distinct points span; over GF(3) three points of
+    # a plane can lie on a line, so the (4,2,3) lines reach every stratum.
+    for label, n, k, p, num_directions, rs in (("", 5, 3, 2, 8, (1, 2, 3)), (" (4,2,3)", 4, 2, 3, 40, (2,))):
+        for seed in range(3):
+            cfg = gen_random_config(n, k, num_directions, Fraction(1, 2), Field(p), seed)
+            index = incidence.incidence_count(cfg)
             check(
-                f"simplex oracle (4,3,{p}) seed {seed}",
-                simplex.count_simplices(cfg, incidence.incidence_count(cfg)) == simplex.count_simplices_bruteforce(cfg),
+                f"two-ends oracle{label} seed {seed}",
+                lambda: all(
+                    incidence.jr_decompose(cfg, r, index) == incidence.jr_decompose_bruteforce(cfg, r) for r in rs
+                ),
             )
-    for seed in range(3):
-        cfg = gen_random_config(5, 3, 8, Fraction(1, 2), Field(2), seed)
-        index = incidence.incidence_count(cfg)
-        try:
-            same = all(
-                incidence.jr_decompose(cfg, r, index) == incidence.jr_decompose_bruteforce(cfg, r)
-                for r in range(1, 4)
-            )
-        except AssertionError:  # jr_decompose's strata do not sum to its tuple count
-            same = False
-        check(f"two-ends oracle seed {seed}", same)
     # Three seeded flats of each dimension 0..4 in F_7^4, each point the
     # representative plus sum c_i row_i over `itertools.product` coefficients.
     fld, rng, same = Field(7), random.Random(0), True
@@ -512,15 +519,15 @@ def _selftest() -> int:
                 for coeffs in itertools.product(range(7), repeat=dim)
             ]
             same = same and list(enumerate_points(flat, fld)) == expected
-    check("flat points by definition (4,2,7)", same)
+    check("flat points by definition (4,2,7)", lambda: same)
     cfg = gen_degenerate(4, 2, 1, Field(3))
     index = incidence.incidence_count(cfg)
-    check("degenerate worst case (4,2,1,3)", index.total == 39 == len(cfg.points) * len(cfg.flats))
+    check("degenerate worst case (4,2,1,3)", lambda: index.total == 39 == len(cfg.points) * len(cfg.flats))
     fld = Field(3)
     kernel = CosetKeys(gen_point_cloud(4, fld, Fraction(1, 3), 0), fld)
     check(
         "coset keys oracle G(4,2) p=3",
-        all(
+        lambda: all(
             kernel.keys(pi) == [coset_key(x, pi, fld) for x in kernel.points]
             for pi in enumerate_grassmannian(4, 2, fld)
         ),
@@ -534,7 +541,7 @@ def _selftest() -> int:
     family.append(maximal.GridFunction.from_dict(fld, 3, dict.fromkeys(cloud, Fraction(3, 2))))
     check(
         "maximal family oracle (3,1,3)",
-        maximal.apply_maximal_many(family, 3, 1) == [maximal.apply_maximal_bruteforce(f, 3, 1) for f in family],
+        lambda: maximal.apply_maximal_many(family, 3, 1) == [maximal.apply_maximal_bruteforce(f, 3, 1) for f in family],
     )
     return 3 if failures else 0
 

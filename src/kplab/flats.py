@@ -93,13 +93,6 @@ def zero_subspace(n: int) -> LinearSubspace:
     return LinearSubspace(n, RrefBasis((), ()))
 
 
-def difference_basis(points: Sequence[Vector], field: Field) -> RrefBasis:
-    """RREF basis of the differences of the points from the first one: the
-    direction of their affine span, its rank the span's dimension."""
-    base, p = points[0], field.p
-    return rref([tuple([(a - b) % p for a, b in zip(q, base)]) for q in points[1:]], field)
-
-
 def _at_free_columns(direction: LinearSubspace, values: Iterable[int]) -> Vector:
     """The vector with `values` in the free (non-pivot) columns of the
     direction, ascending, and zero in its pivot columns."""
@@ -392,8 +385,10 @@ def affine_hull(points: Sequence[Vector], field: Field) -> Tuple[int, AffineFlat
     n = len(points[0])
     if any(len(q) != n for q in points):
         raise ValueError("ambient dimension mismatch")
-    direction = LinearSubspace(n, difference_basis(points, field))
-    return direction.dim, make_flat(direction, points[0], field)
+    base, p = points[0], field.p
+    diffs = [tuple([(a - b) % p for a, b in zip(q, base)]) for q in points[1:]]
+    direction = LinearSubspace(n, rref(diffs, field))
+    return direction.dim, make_flat(direction, base, field)
 
 
 def local_coordinates(points: Iterable[Vector], flat: AffineFlat) -> Dict[Vector, Vector]:

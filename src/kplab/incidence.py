@@ -24,12 +24,11 @@ from .flats import (
     AffineFlat,
     CosetKeys,
     affine_hull,
-    difference_basis,
     enumerate_points,
     local_coordinates,
     membership,
 )
-from .linalg import Vector, hyperplane, in_span
+from .linalg import Vector, in_span, span
 from .reports import CountReport
 
 
@@ -121,13 +120,13 @@ def jr_decompose(config: Configuration, r: int, index: IncidenceIndex) -> JrDeco
     r+1 slots onto it, and all of them share the subset's hull.  A single
     point is a 0-flat and two distinct points span a line, so strata 0 and 1
     get c and C(c,2) onto(2) per flat of c points; each s-subset with
-    3 <= s <= r+1 adds onto(s) to the stratum of the rank of its local
-    differences (`local_coordinates`).  The identity
+    3 <= s <= r+1 adds onto(s) to the stratum of the dimension of its span
+    in local coordinates (`local_coordinates`, `linalg.span`).  The identity
     sum_s C(c,s) onto(s) = c^{r+1} makes the final total a real check.
     `jr_decompose_bruteforce` is the independent oracle."""
     if not 1 <= r <= config.k:
         raise PreconditionError(f"need 1 <= r <= k={config.k}, got r={r}")
-    fld = config.field
+    p = config.field.p
     work = sum(c ** (r + 1) for c in index.per_flat.values())
     onto = [_onto(r + 1, s) for s in range(r + 2)]
     strata = [0] * (r + 1)
@@ -138,10 +137,10 @@ def jr_decompose(config: Configuration, r: int, index: IncidenceIndex) -> JrDeco
         strata[1] += math.comb(c, 2) * onto[2]
         if c < 3 or r < 2:
             continue
-        local = local_coordinates(pts, flat)
+        local = tuple(local_coordinates(pts, flat).values())
         for s in range(3, r + 2):
-            for subset in itertools.combinations(pts, s):
-                strata[difference_basis([local[q] for q in subset], fld).rank] += onto[s]
+            for subset in itertools.combinations(local, s):
+                strata[span(subset, p)[0]] += onto[s]
     total = sum(strata)
     assert total == work
     return JrDecomposition(r, total, tuple(strata))
@@ -315,8 +314,8 @@ def common_points(flats: Sequence[AffineFlat], index: IncidenceIndex, field: Fie
     its points span, k = dim, and the other family flats meeting it in a
     spine, grouped by the points they share.  This is the one place that
     decides spanning: k points span a hyperplane of the flat exactly when
-    the normal of their k-1 differences in local coordinates
-    (`local_coordinates`) is nonzero mod p (`linalg.hyperplane`).
+    their span in local coordinates (`local_coordinates`) has dimension k-1
+    (`linalg.span`).
 
     Two distinct k-flats sharing k spanning points meet in exactly the
     (k-1)-flat they span, their spine, whose points of P are all they share.
@@ -337,8 +336,8 @@ def common_points(flats: Sequence[AffineFlat], index: IncidenceIndex, field: Fie
         corners = itertools.combinations(local_coordinates(pts, flat).values(), k)
         spanning = {}
         for vertices, corner in zip(itertools.combinations(bits, k), corners):
-            plane = hyperplane(corner, p)
-            if plane is not None:
+            dim, plane = span(corner, p)
+            if dim == k - 1:
                 spanning[sum(vertices)] = plane
         shared: Dict[int, int] = defaultdict(int)
         for x, bit in zip(pts, bits):

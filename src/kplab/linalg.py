@@ -1,6 +1,6 @@
 """Dense linear algebra over GF(p): reduced row echelon form, annihilator
-rows, affine linear-system solving, and the exact rank test of vectors in
-F^k by signed minors.
+rows, affine linear-system solving, and the exact rank test of points of
+F^k, the cached `span`.
 
 Vectors are plain tuples of ints in [0, p); the field is passed alongside.
 RREF output is canonical: two generating sets with equal span produce
@@ -31,12 +31,12 @@ class RrefBasis:
         return len(self.rows)
 
 
-def _eliminate(rows: list[list[int]], field: Field) -> Tuple[list[list[int]], list[int]]:
-    """In-place Gauss-Jordan elimination; returns (reduced rows, pivots)."""
+def _eliminate(rows: list[list[int]], p: int) -> Tuple[list[list[int]], list[int]]:
+    """In-place Gauss-Jordan elimination mod the prime p; returns (reduced
+    rows, pivots)."""
     if not rows:
         return [], []
     n = len(rows[0])
-    p = field.p
     pivots: list[int] = []
     rank = 0
     for col in range(n):
@@ -48,7 +48,7 @@ def _eliminate(rows: list[list[int]], field: Field) -> Tuple[list[list[int]], li
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = field.inv(rows[rank][col])
+        inv = pow(rows[rank][col], -1, p)
         pivot = rows[rank] = [inv * x % p for x in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][col] != 0:
@@ -68,7 +68,7 @@ def rref(vectors: Iterable[Vector], field: Field) -> RrefBasis:
     dims = {len(r) for r in rows}
     if len(dims) > 1:
         raise ValueError("vectors of mixed ambient dimension")
-    reduced, pivots = _eliminate(rows, field)
+    reduced, pivots = _eliminate(rows, field.p)
     return RrefBasis(tuple(tuple(r) for r in reduced), tuple(pivots))
 
 
@@ -121,7 +121,7 @@ def solve_affine_system(
     inconsistent. An empty equation list describes all of F^n.
     """
     aug = [list(c) + [d % field.p] for c, d in equations]
-    reduced, pivots = _eliminate(aug, field)
+    reduced, pivots = _eliminate(aug, field.p)
     if n in pivots:
         return None
     coeff_basis = RrefBasis(
@@ -133,40 +133,35 @@ def solve_affine_system(
     return tuple(particular), rref(null_space_rows(coeff_basis, n, field), field)
 
 
-def _det(rows: Sequence[Vector]) -> int:
-    """Integer determinant of a small square matrix, by Laplace expansion
-    along the first row (the callers' matrices are at most (k-1) x (k-1))."""
-    if len(rows) < 2:
-        return rows[0][0] if rows else 1
-    first, rest = rows[0], rows[1:]
-    return sum(
-        (-1) ** j * a * _det([r[:j] + r[j + 1 :] for r in rest])
-        for j, a in enumerate(first)
-        if a
-    )
+@functools.lru_cache(maxsize=1 << 16)
+def span(points: Tuple[Vector, ...], p: int) -> Tuple[int, Optional[Tuple[Vector, int]]]:
+    """(dim, plane) of the affine span of points of F^k over GF(p), by one
+    elimination of their differences from the first.  At dim k-1, plane is
+    (normal, level), the span being {y : normal . y = level mod p} with the
+    normal's first nonzero entry 1; else None.  Point sets recur across
+    flats, so results are kept, keyed by the points and p."""
+    first = points[0]
+    k = len(first)
+    rows, pivots = _eliminate([[(a - b) % p for a, b in zip(q, first)] for q in points[1:]], p)
+    dim = len(pivots)
+    if dim != k - 1:
+        return dim, None
+    # The one free column j, the column no pivot takes: the null vector is
+    # e_j minus each row's entry at j placed at the row's pivot.
+    free = k * (k - 1) // 2 - sum(pivots)
+    normal = [0] * k
+    normal[free] = 1
+    for row, piv in zip(rows, pivots):
+        normal[piv] = -row[free] % p
+    normal = normalized(normal, p)
+    return dim, _shared(normal, sum([a * b for a, b in zip(normal, first)]) % p)
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def hyperplane(points: Tuple[Vector, ...], p: int) -> Optional[Tuple[Vector, int]]:
-    """The affine hyperplane of F^k through k points, as (l, c) with
-    {y : l . y = c mod p} the hyperplane, or None when the points span less.
-
-    l is the normal of the k-1 differences from the first point: the signed
-    (k-1)-minors (-1)^j det(M without column j) of their matrix M, scaled so
-    the first nonzero entry is 1.  It is nonzero exactly when the
-    differences are independent, and then it is the one functional (up to
-    scale) vanishing on their span.  By Laplace expansion along a further
-    difference d, det(M; d) = +-l . d times a unit, so k+1 points span F^k
-    exactly when the hyperplane of the first k exists and the last is off
-    it.  Inputs recur across flats (at most p^(k*k) distinct ones), so
-    results are kept."""
-    first = points[0]
-    diffs = [tuple([(a - b) % p for a, b in zip(q, first)]) for q in points[1:]]
-    minors = [(-1) ** j * _det([v[:j] + v[j + 1 :] for v in diffs]) for j in range(len(first))]
-    normal = normalized(minors, p)
-    if normal is None:
-        return None
-    return normal, sum([a * b for a, b in zip(normal, first)]) % p
+def _shared(normal: Vector, level: int) -> Tuple[Vector, int]:
+    """One object per hyperplane, shared by the `span` entries of all the
+    point sets spanning it (F_p^k has p (p^k - 1) / (p - 1) hyperplanes)."""
+    return normal, level
 
 
 def normalized(v: Sequence[int], p: int) -> Optional[Vector]:

@@ -400,17 +400,24 @@ class TestMainEntryPoint:
             ("experiment=refinement-chain n=400 k=200 prime=2 num_directions=-1 density=1", 1),
             ("experiment=grassmann-census n=400 k=200 prime=2", 2),
             ("experiment=two-ends n=3 k=1 r=1 prime=3 num_directions=4 density=1/2 seeds=1..100000000", 2),
+            # Longer than sys.maxsize, so len() of the range overflows.
+            ("experiment=two-ends n=3 k=1 r=1 prime=3 num_directions=4 density=1/2 "
+             "seeds=0..1000000000000000000000000000000", 2),
             # The budget estimate charges its 5.5 M rank tests and refuses it.
             ("experiment=two-ends n=4 k=2 r=2 prime=7 num_directions=300 density=1", 2),
             ("experiment=exponent-identities kmax=1", 1),
             ("experiment=nk-set n=3 k=1 prime=3 slack=0", 1),
             ("experiment=incidence-bound n=4 k=2 prime=3 num_directions=4 density=1/2 p_exp=11/6", 1),
             ("experiment=incidence-bound n=4 k=2 prime=3 num_directions=4 density=1/2 q_exp=22/5", 1),
+            # The norms are floats, and float() refuses an exponent of 10^400.
+            ("experiment=maximal-ratio n=2 k=1 prime=2 p_exp=1e400 q_exp=2", 1),
+            ("experiment=maximal-ratio n=2 k=1 prime=2 p_exp=2 q_exp=1e400", 1),
         ],
         ids=[
             "k_above_n", "bogus_translate", "zero_density", "p_exp_below_1", "empty_seeds", "duplicate_seeds",
-            "huge_num_directions", "huge_estimate", "huge_seed_range", "tuple_guard",
+            "huge_num_directions", "huge_estimate", "huge_seed_range", "seed_range_past_maxsize", "tuple_guard",
             "kmax_below_2", "zero_slack", "p_exp_without_q_exp", "q_exp_without_p_exp",
+            "p_exp_past_float", "q_exp_past_float",
         ],
     )
     def test_domain_and_guard_exit_codes(self, tmp_path, text, code):

@@ -1,5 +1,5 @@
-"""Row reduction, spans, annihilator rows, affine solving and the
-signed-minor rank test; the canonicity shuffle test is the load-bearing one,
+"""Row reduction, spans, annihilator rows, affine solving and the cached
+rank test `span`; the canonicity shuffle test is the load-bearing one,
 since everything downstream hashes RREF output."""
 
 import itertools
@@ -10,13 +10,13 @@ import pytest
 from conftest import random_vectors
 from kplab.field import Field
 from kplab.linalg import (
-    hyperplane,
     in_span,
     normalized,
     null_space_rows,
     reduce_vector,
     rref,
     solve_affine_system,
+    span,
 )
 
 
@@ -105,34 +105,44 @@ def test_solve_affine_system_empty_describes_everything():
 
 @pytest.mark.parametrize("k,p", [(k, p) for k in (1, 2, 3) for p in (2, 3, 5)])
 def test_hyperplane_against_rref(k, p):
-    # Every k-1 vectors v_i of F^k, as the points 0, v_1, ..., v_{k-1}: the
-    # hyperplane exists exactly when the vectors' RREF rank is k-1, and then
-    # its normal leads with 1 and vanishes on their RREF basis rows, so on
-    # all p^(k-1) points of their span.  A nonzero functional vanishes on
-    # exactly p^(k-1) points, so its kernel is that span, and with any k-th
-    # vector v the k vectors have rank k exactly when l . v != 0.  Where
-    # p^(k*k) is small enough, that rank is also asked of `rref` directly.
-    # The points moved by t give the same normal at level l . t.
+    # `span` against `rref`, on the points 0, v_1, ..., v_(s-1) of F^k for
+    # each s <= k+1: every such tuple where there are at most 3^9 of them,
+    # else a seeded sample.  The dimension is the RREF rank of the v_i.  At dimension k-1 the normal
+    # leads with 1 and vanishes on their RREF basis rows, so on all p^(k-1)
+    # points of their span; a nonzero functional vanishes on exactly
+    # p^(k-1) points, so its kernel is that span.  Below or above k-1 there
+    # is no hyperplane.  The points moved by t have the same dimension and
+    # the same normal at level normal . t.
     fld = Field(p)
+    rng = random.Random(k * 100 + p)
     space = list(itertools.product(range(p), repeat=k))
     origin, shift = (0,) * k, (1,) * k
-    direct = p ** (k * k) <= 3**9
-    for head in itertools.product(space, repeat=k - 1):
-        basis = rref(head, fld)
-        plane = hyperplane((origin,) + head, p)
-        assert (plane is not None) == (basis.rank == k - 1)
-        moved = hyperplane(tuple(tuple((a + 1) % p for a in x) for x in (origin,) + head), p)
-        if plane is not None:
-            normal, level = plane
-            assert level == 0 and normal == normalized(normal, p)
-            assert all(sum(a * b for a, b in zip(normal, row)) % p == 0 for row in basis.rows)
-            assert moved == (normal, sum(shift[j] * normal[j] for j in range(k)) % p)
+    for s in range(1, k + 2):
+        if p ** (k * (s - 1)) <= 3**9:
+            tails = itertools.product(space, repeat=s - 1)
         else:
-            assert moved is None
-        if direct:
-            for v in space:
-                spans = plane is not None and sum(a * b for a, b in zip(plane[0], v)) % p != 0
-                assert spans == (rref(head + (v,), fld).rank == k)
+            tails = (tuple(rng.choice(space) for _ in range(s - 1)) for _ in range(2000))
+        for tail in tails:
+            basis = rref(tail, fld)
+            dim, plane = span((origin,) + tail, p)
+            assert dim == basis.rank
+            moved = span(tuple(tuple((a + 1) % p for a in x) for x in (origin,) + tail), p)
+            if dim == k - 1:
+                normal, level = plane
+                assert level == 0 and normal == normalized(normal, p)
+                assert all(sum(a * b for a, b in zip(normal, row)) % p == 0 for row in basis.rows)
+                assert moved == (dim, (normal, sum(shift[j] * normal[j] for j in range(k)) % p))
+            else:
+                assert plane is None and moved == (dim, None)
+
+
+def test_span_cache_is_keyed_by_p():
+    # (2,1) is twice (1,2) mod 3 but not mod 5: a line over GF(3), the plane
+    # over GF(5), asked in one process.
+    points = ((0, 0), (1, 2), (2, 1))
+    assert span(points, 3)[0] == 1
+    assert span(points, 5)[0] == 2
+    assert span(points, 3)[0] == 1
 
 
 def test_normalized():
