@@ -491,6 +491,10 @@ def _selftest() -> int:
             cfg = gen_random_config(4, 3, num_directions, density, Field(p), seed)
             index = incidence.incidence_count(cfg)
             check(f"simplex oracle (4,3,{p}) seed {seed}", lambda: simplices_agree(cfg, index))
+    # The first k = 4 count: 18 points of F_2^5 on 20 4-flats, one simplex.
+    cfg = gen_random_config(5, 4, 20, Fraction(3, 4), Field(2), 2)
+    index = incidence.incidence_count(cfg)
+    check("simplex oracle (5,4,2) seed 2", lambda: simplices_agree(cfg, index))
     # Over GF(2) any three distinct points span; over GF(3) three points of
     # a plane can lie on a line, so the (4,2,3) lines reach every stratum.
     for label, n, k, p, num_directions, rs in (("", 5, 3, 2, 8, (1, 2, 3)), (" (4,2,3)", 4, 2, 3, 40, (2,))):

@@ -298,29 +298,38 @@ def check_main_bound(config: Configuration, index: IncidenceIndex) -> CountRepor
     return report
 
 
+class Spine(NamedTuple):
+    """One hyperplane of a face spanned by its points: `points`, the face
+    points on it (bits, `|`-ed); `heads`, its spanning k-subsets as
+    ascending tuples of vertex bits; `partners`, the ascending positions of
+    the other family flats through it."""
+
+    points: int
+    heads: List[Tuple[int, ...]]
+    partners: List[int]
+
+
 class Face(NamedTuple):
     """One flat's record from `common_points`: its points are bits 1 << i in
-    sorted order, a set of them the `|` of their bits.  `spanning` maps each
-    spanning k-subset to its hyperplane in local coordinates; `groups` maps
-    each set of points shared with partners to (their positions, ascending;
-    the set's spanning k-subsets as ascending tuples of vertex bits)."""
+    sorted order, a set of them the `|` of their bits.  `spines` maps each
+    hyperplane (normal, level) in local coordinates that k of its points
+    span to that hyperplane's `Spine`."""
 
-    spanning: Dict[int, Tuple[Vector, int]]
-    groups: Dict[int, Tuple[List[int], List[Tuple[int, ...]]]]
+    spines: Dict[Tuple[Vector, int], Spine]
 
 
 def common_points(flats: Sequence[AffineFlat], index: IncidenceIndex, field: Field) -> Iterator[Face]:
-    """For each flat of the family, in order, its `Face`: which k-subsets of
-    its points span, k = dim, and the other family flats meeting it in a
-    spine, grouped by the points they share.  This is the one place that
-    decides spanning: k points span a hyperplane of the flat exactly when
-    their span in local coordinates (`local_coordinates`) has dimension k-1
-    (`linalg.span`).
+    """For each flat of the family, in order, its `Face`: its spines, the
+    hyperplanes its k-subsets span, k = dim, each with the other family
+    flats through it.  This is the one place that decides spanning: k points
+    span a hyperplane of the flat exactly when their span in local
+    coordinates (`local_coordinates`) has dimension k-1 (`linalg.span`).
 
-    Two distinct k-flats sharing k spanning points meet in exactly the
-    (k-1)-flat they span, their spine, whose points of P are all they share.
-    So a group is one spine with every partner on it; a partner sharing no
-    spanning k-subset is in no group.
+    Every face point on a spine completes k-1 points of one of its spanning
+    k-subsets to another, so a spine's points are the `|` of its heads.  Two
+    distinct k-flats sharing k spanning points meet in exactly the (k-1)-flat
+    they span, so a partner shares exactly one spine's points; a flat that
+    shares no spine's points shares no spanning k-subset and is no partner.
 
     One flat's record lives at a time; the walk takes the sum over x in P of
     deg(x)^2 steps, deg(x) the family flats through x.  The family must be a
@@ -334,25 +343,25 @@ def common_points(flats: Sequence[AffineFlat], index: IncidenceIndex, field: Fie
         pts = index.points[flat]
         bits = [1 << i for i in range(len(pts))]
         corners = itertools.combinations(local_coordinates(pts, flat).values(), k)
-        spanning = {}
+        spanning: Dict[Tuple[Vector, int], List[Tuple[int, ...]]] = defaultdict(list)
         for vertices, corner in zip(itertools.combinations(bits, k), corners):
             dim, plane = span(corner, p)
             if dim == k - 1:
-                spanning[sum(vertices)] = plane
+                spanning[plane].append(vertices)
+        spines, by_points = {}, {}
+        for plane, heads in spanning.items():
+            points = 0
+            for vertices in heads:
+                points |= sum(vertices)
+            spines[plane] = by_points[points] = Spine(points, heads, [])
         shared: Dict[int, int] = defaultdict(int)
         for x, bit in zip(pts, bits):
             for b in through[x]:
                 shared[b] |= bit
-        partners: Dict[int, List[int]] = defaultdict(list)
         for b, mask in shared.items():
-            if b != a and mask.bit_count() >= k:
-                partners[mask].append(b)
-        groups = {}
-        for mask, positions in partners.items():
-            heads = [vs for vs in itertools.combinations([bit for bit in bits if mask & bit], k) if sum(vs) in spanning]
-            if heads:
-                groups[mask] = (positions, heads)
-        yield Face(spanning, groups)
+            if b != a and mask in by_points:
+                by_points[mask].partners.append(b)
+        yield Face(spines)
 
 
 @dataclass
@@ -401,22 +410,16 @@ class ChainTally:
     The counts are of ordered k-tuples, but spines are enumerated unordered:
     a spanning k-tuple has k distinct points, and its k! orders share one
     hull and one set of tallies, so each spanning k-subset of a flat's
-    points (`Face.spanning`) is counted once and its counts, the f(pi_0, x)
-    values included, are scaled by k! (before the dyadic bucketing of f).
+    points (a head of one of its `Face.spines`) is counted once and its
+    counts, the f(pi_0, x) values included, are scaled by k! (before the
+    dyadic bucketing of f).
 
-    A spine is kept when its points of P, times 10 |Pi~| p, reach |I~|,
-    compared as integers.  Every point of P on a spine lies on the flat, and
-    each of them completes k-1 of a spanning k-subset on the spine to
-    another, so the spine's points are the `|` of its spanning k-subsets,
-    those with its hyperplane; when k points already reach the threshold,
-    every spine is kept and none is counted.
-
-    Pairs are read from the spines each refined flat shares with the others
-    (`Face.groups`).  A spine of c points with c 10 |Pi~| p >= |I~| holds s
-    spanning k-subsets, all kept and shared by every partner on it; each
-    ordered pair adds s to vk, s (|P ∩ pi_a| - c) to vkp and s to f(pi_a, x)
-    for every x of the partner off pi_a, and f is bucketed one pi_a at a
-    time."""
+    A spine is kept when its c points of P, times 10 |Pi~| p, reach |I~|,
+    compared as integers; every point of P on a spine lies on the flat, so c
+    counts the spine's points.  A kept spine's s heads are all kept and
+    shared by every partner on it: each ordered pair adds s to vk,
+    s (|P ∩ pi_a| - c) to vkp and s to f(pi_a, x) for every x of the partner
+    off pi_a, and f is bucketed one pi_a at a time."""
 
     def __init__(self, config: Configuration, index: IncidenceIndex, refined: RefinedConfig):
         self.config, self.index, self.refined = config, index, refined
@@ -433,26 +436,18 @@ class ChainTally:
         a = self.added
         self.added += 1
         pts = self.index.points[flats[a]]
-        self.spanning += len(face.spanning)
-        if self.config.k * scale >= i_tilde:
-            self.kept += len(face.spanning)
-        else:
-            on: Dict[Tuple[Vector, int], int] = defaultdict(int)
-            for head, plane in face.spanning.items():
-                on[plane] |= head
-            self.kept += sum(on[plane].bit_count() * scale >= i_tilde for plane in face.spanning.values())
-
         # f(pi_a, x) = sum of s over the partners through x, for x off pi_a.
         off = frozenset(pts)
         f_values: Dict[Vector, int] = {}
-        for shared, (partners, heads) in face.groups.items():
-            c = shared.bit_count()
+        for spine in face.spines.values():
+            s, c = len(spine.heads), spine.points.bit_count()
+            self.spanning += s
             if c * scale < i_tilde:
                 continue
-            s = len(heads)
-            self.vk += s * len(partners)
-            self.vkp += s * (len(pts) - c) * len(partners)
-            for b in partners:
+            self.kept += s
+            self.vk += s * len(spine.partners)
+            self.vkp += s * (len(pts) - c) * len(spine.partners)
+            for b in spine.partners:
                 if a < b:
                     self.shared[(a, b)] = s
                 for x in self.index.points[flats[b]]:

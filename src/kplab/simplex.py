@@ -52,18 +52,18 @@ def count_simplices(
     spanning points, and the apexes completing a simplex are the points off
     the face lying, for every i, on a family flat through those k points:
     the facet itself, so no facet hull is computed.  Those flats are the
-    partners on the face's spines (`Face.groups`), so each face maps every
-    spanning k-subset of a group to the pool of its partners' points off
-    the face, a table kept for that face only.  Only its keys can be heads,
-    and a base's last vertex, its highest in the face's point order,
-    completes every (k-1)-subset of the head to a key: each (k-1)-subset
-    keeps the mask of the face points that complete it so, and a head's
-    candidates are the `&` of its k masks less its group's shared points,
-    the face's points on the head's hyperplane.  Pools are bitmasks, one bit
-    per point on the family's flats: a pool is the `|` of its partners'
-    masks less the face's, the apexes of a base are the `&` of its k+1
-    pools, and `int.bit_count` counts them.  Every simplex is discovered
-    once per face, so the tally divides by k+2 exactly.
+    partners on the face's spines (`Face.spines`), so each face maps every
+    head of a spine with partners to the pool of their points off the face,
+    a table kept for that face only.  Only its keys can be heads, and a
+    base's last vertex, its highest in the face's point order, completes
+    every (k-1)-subset of the head to a key: each (k-1)-subset keeps the
+    mask of the face points that complete it so, and a head's candidates
+    are the `&` of its k masks less its spine's points, the face's points on
+    the head's hyperplane.  Pools are bitmasks, one bit per point on the
+    family's flats: a pool is the `|` of its partners' masks less the
+    face's, the apexes of a base are the `&` of its k+1 pools, and
+    `int.bit_count` counts them.  Every simplex is discovered once per face,
+    so the tally divides by k+2 exactly.
     `count_simplices_bruteforce` is the independent oracle.
     """
     k = config.k
@@ -89,31 +89,31 @@ def count_simplices(
         # A spanning k-subset of the face's points, as face bits, to its pool.
         around: Dict[int, int] = {}
         heads = []
-        for spine, (partners, subsets) in face.groups.items():
+        for spine in face.spines.values():
             pool = 0
-            for b in partners:
+            for b in spine.partners:
                 pool |= masks[b]
             pool &= ~face_mask
             if pool:
-                for vertices in subsets:
+                for vertices in spine.heads:
                     head = sum(vertices)
                     around[head] = pool
-                    heads.append((head, vertices, pool, spine))
+                    heads.append((head, vertices, pool, spine.points))
         # The last vertices completing a (k-1)-subset to a key of `around`.
         completing: Dict[int, int] = defaultdict(int)
         for key in around:
             last = 1 << (key.bit_length() - 1)
             completing[key ^ last] |= last
-        for head, vertices, shared, spine in heads:
+        for head, vertices, pool, points in heads:
             # The base's last vertex lies above its head, completes each
             # (k-1)-subset of the head, and lies off the head's spine.
-            lasts = -(vertices[-1] << 1) & ~spine
+            lasts = -(vertices[-1] << 1) & ~points
             for vertex in vertices:
                 lasts &= completing.get(head ^ vertex, 0)
             while lasts:
                 last = lasts & -lasts
                 lasts ^= last
-                apexes = shared
+                apexes = pool
                 for vertex in vertices:
                     apexes &= around[head ^ vertex | last]
                 face_incidences += apexes.bit_count()

@@ -57,6 +57,12 @@ PINNED_ROWS = {
         "experiment=maximal-ratio n=3 k=1 prime=3 p_exp=3/2 q_exp=3",
         "9c7b20224a6c1a2ee37b665db045a875f8fef3a43a2cd37a433d55b3fffe58cc",
     ),
+    # Five candidates print the same ratio and `point` alone is best: the
+    # verdict sits on a float tie, so a reordered or rescaled norm shows here.
+    "maximal-ratio tie": (
+        "experiment=maximal-ratio n=3 k=2 prime=5 p_exp=3/2 q_exp=3 seed=1",
+        "bb7595510a3fcc8349fe3c11c48b20ab637369331830e2245288cbdd25a3614c",
+    ),
     "exponent-identities": (
         "experiment=exponent-identities kmax=6",
         "9dbb5433f980c2529c11384f8b5909c65d0f94be4b7bc61e1cc7454d3311984d",

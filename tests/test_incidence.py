@@ -323,15 +323,18 @@ class TestRefinementChain:
             build_refinement_chain(cfg, incidence_count(cfg))
 
 
-@pytest.mark.parametrize("n,k,p", [(4, 2, 3), (4, 1, 3), (3, 2, 3), (4, 3, 2), (4, 3, 3)])
+@pytest.mark.parametrize(
+    "n,k,p", [(4, 2, 3), (4, 1, 3), (3, 2, 3), (4, 3, 2), (4, 3, 3), (3, 2, 5), (5, 3, 3)]
+)
 def test_common_points_match_pointwise_intersection(n, k, p):
-    # Each face record's spanning k-subsets are those whose affine hull has
-    # dimension k-1, and its groups are the other family flats sharing at
-    # least k points with it, found by intersecting point sets, keyed by
-    # those points and listed by ascending position, with the shared points'
-    # spanning k-subsets; a group with none is dropped.
+    # Each face record's spines are the hyperplanes (normal, level), in
+    # local coordinates, holding exactly the spine's points; its heads are
+    # the k-subsets on that hyperplane whose affine hull has dimension k-1,
+    # every such k-subset of the face on exactly one spine; its partners are
+    # the other family flats whose points in common with the face, found by
+    # intersecting point sets, are the spine's points, by ascending position.
     fld = Field(p)
-    proper = multi = dropped = 0
+    proper = multi = dropped = larger = 0
     for _, cfg in random_corpus(n, k, p, 8):
         index = incidence_count(cfg)
         if index.total == 0:
@@ -344,45 +347,46 @@ def test_common_points_match_pointwise_intersection(n, k, p):
             for a, face in enumerate(faces):
                 pts = index.points[family[a]]
                 bit = {x: 1 << i for i, x in enumerate(pts)}
-                spanning = {
-                    sum(bit[x] for x in subset)
-                    for subset in itertools.combinations(pts, k)
-                    if affine_hull(subset, fld)[0] == k - 1
-                }
-                assert set(face.spanning) == spanning
-                expected = {}
-                for b, other in enumerate(family):
-                    common = sorted(set(pts) & set(index.points[other]))
-                    if b == a or len(common) < k:
-                        continue
-                    heads = [
-                        tuple(bit[x] for x in subset)
-                        for subset in itertools.combinations(common, k)
-                        if sum(bit[x] for x in subset) in spanning
+                local = local_coordinates(pts, family[a])
+                spanning = [
+                    subset for subset in itertools.combinations(pts, k) if affine_hull(subset, fld)[0] == k - 1
+                ]
+                assert sum(len(spine.heads) for spine in face.spines.values()) == len(spanning)
+                for (normal, level), spine in face.spines.items():
+                    on = {x for x in pts if sum(map(mul, normal, local[x])) % p == level}
+                    assert spine.points == sum(bit[x] for x in on)
+                    assert spine.heads and spine.heads == [
+                        tuple(bit[x] for x in subset) for subset in spanning if on.issuperset(subset)
                     ]
-                    if not heads:
-                        dropped += 1
-                        continue
-                    expected.setdefault(sum(bit[x] for x in common), ([], heads))[0].append(b)
-                assert face.groups == expected
-                multi += any(len(partners) >= 2 for partners, _ in face.groups.values())
+                    assert spine.partners == [
+                        b for b, other in enumerate(family)
+                        if b != a and set(pts) & set(index.points[other]) == on
+                    ]
+                    multi += len(spine.partners) >= 2
+                    larger += bool(spine.partners) and len(on) > k
+                for b, other in enumerate(family):
+                    common = set(pts) & set(index.points[other])
+                    dropped += b != a and len(common) >= k and not any(common.issuperset(s) for s in spanning)
     assert proper >= 2
     # Hyperplanes (k = n-1) of distinct directions always meet in a
     # (k-1)-flat, so these corpora put several partners on one spine.
     if k == n - 1:
         assert multi >= 1
-    # Any k distinct points span when k <= 2 or p = 2, so only (4,3,3) has
-    # partners sharing k or more points none of whose k-subsets span.
+    # Any k distinct points span when k <= 2 or p = 2, so only k >= 3 over
+    # p >= 3 has flats sharing k or more points none of whose k-subsets span.
     assert (dropped >= 1) == (k >= 3 and p >= 3)
+    # At k = 1 a spine is one point, so only k >= 2 puts partners on a spine
+    # of more than k points.
+    assert (larger >= 1) == (k >= 2)
 
 
 @pytest.mark.parametrize("n,k,p", [(4, 2, 3), (3, 2, 5), (4, 3, 2), (5, 3, 3)])
 def test_spanning_head_hyperplane_holds_exactly_the_shared_points(n, k, p):
-    # A spanning k-subset of a group's shared points spans the face's
-    # hyperplane along the group's spine, so the face's points on its
-    # hyperplane in `Face.spanning` are the shared points: the mask
-    # `count_simplices` takes off a head's candidate last vertices, and the
-    # spine the chain counts as the `|` of the heads on that hyperplane.
+    # A spanning head of a spine spans a hyperplane of the face; the face's
+    # points on that hyperplane, found through the head's `affine_hull` in
+    # ambient coordinates, are the points each partner shares with the face:
+    # the mask `count_simplices` takes off a head's candidate last vertices.
+    # The `|` of the spine's heads is that same set.
     fld = Field(p)
     larger = 0
     for _, cfg in random_corpus(n, k, p, 8):
@@ -391,22 +395,24 @@ def test_spanning_head_hyperplane_holds_exactly_the_shared_points(n, k, p):
             continue
         for family in (cfg.flats, refine_dyadic(cfg, index).flats):
             for flat, face in zip(family, common_points(family, index, fld)):
-                local = list(local_coordinates(index.points[flat], flat).values())
-                for shared, (_, heads) in face.groups.items():
-                    for head in heads:
-                        normal, level = face.spanning[sum(head)]
-                        on = sum(1 << i for i, y in enumerate(local) if sum(map(mul, normal, y)) % p == level)
-                        assert on == shared
-                        spine = 0
-                        for subset, plane in face.spanning.items():
-                            if plane == (normal, level):
-                                spine |= subset
-                        assert spine == shared
-                        larger += shared.bit_count() > k
+                pts = index.points[flat]
+                for spine in face.spines.values():
+                    spanned = 0
+                    for head in spine.heads:
+                        dim, plane = affine_hull([pts[b.bit_length() - 1] for b in head], fld)
+                        assert dim == k - 1
+                        on = sum(1 << i for i, x in enumerate(pts) if membership(x, plane, fld))
+                        assert on == spine.points
+                        spanned |= sum(head)
+                    assert spanned == spine.points
+                    for b in spine.partners:
+                        shared = set(pts) & set(index.points[family[b]])
+                        assert sum(1 << i for i, x in enumerate(pts) if x in shared) == spine.points
+                    larger += bool(spine.partners) and spine.points.bit_count() > k
     assert larger >= 1
 
 
-CHAIN_FIELDS = ("ik_prime", "ik", "vk_prime", "vk", "vkp", "d_size", "d_bucket_level", "d_threshold")
+CHAIN_FIELDS =("ik_prime", "ik", "vk_prime", "vk", "vkp", "d_size", "d_bucket_level", "d_threshold")
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from kplab.flats import (
     span_of,
 )
 from kplab.incidence import (
+    Face,
     SizeGuardError,
     build_refinement_chain,
     common_points,
@@ -100,6 +101,16 @@ def test_oracle_equivalence_planted(n, k, p, extra_flats, extra_points):
     assert max(counts) > 1
 
 
+def test_oracle_equivalence_k4():
+    # The first k = 4 counts: 18 points of F_2^5 and 20 of its 4-flats, with
+    # one simplex on the full family and on the refined one.
+    cfg = gen_random_config(5, 4, 20, Fraction(3, 4), Field(2), 2)
+    index = incidence_count(cfg)
+    for family in (cfg.flats, refine_dyadic(cfg, index).flats):
+        simplices = count_simplices(cfg, index, family)
+        assert simplices == count_simplices_bruteforce(cfg, flats=family) >= 1
+
+
 def _fused_cases():
     for n, k, p, extra_flats, extra_points in [(3, 2, 3, 6, 10), (4, 2, 3, 8, 14), (5, 3, 3, 20, 12)]:
         for seed in range(4):
@@ -152,8 +163,9 @@ def test_bound_report_walks_common_points_once(monkeypatch):
 
 def test_count_simplices_reads_a_given_walk():
     # The counter reads every face record of the walk it is given, and only
-    # those: a walk with every group dropped counts nothing.  (Seed 0 of
-    # this size counts no simplex on its refined family; seed 1 counts 3.)
+    # those: a walk with every spine's partners emptied counts nothing.
+    # (Seed 0 of this size counts no simplex on its refined family; seed 1
+    # counts 3.)
     cfg = planted_simplex_config(4, 2, 3, 1, 8, 14)
     index = incidence_count(cfg)
     family = refine_dyadic(cfg, index).flats
@@ -168,7 +180,8 @@ def test_count_simplices_reads_a_given_walk():
     assert simplices >= 1
     assert count_simplices(cfg, index, family, faces()) == simplices
     assert len(fed) == len(family)
-    assert count_simplices(cfg, index, family, [face._replace(groups={}) for face in fed]) == 0
+    alone = [Face({key: spine._replace(partners=[]) for key, spine in face.spines.items()}) for face in fed]
+    assert count_simplices(cfg, index, family, alone) == 0
 
 
 def test_family_outside_config_flats_rejected(f3):
