@@ -27,8 +27,8 @@ class Field:
     """The prime field GF(p).  Immutable; arithmetic works on plain residues.
 
     The library stores field elements as bare ints in [0, p) and reduces
-    sums and products mod `p` inline; a Field holds the modulus, inverses
-    and the element range.
+    sums, products and inverses (`pow(a, -1, p)`) mod `p` inline; a Field
+    holds the modulus and the element range.
     """
 
     __slots__ = ("p",)
@@ -42,12 +42,6 @@ class Field:
 
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in GF(p)")
-        return pow(a, -1, self.p)
 
     def elements(self) -> range:
         """Residues 0, 1, ..., p-1 in ascending order."""

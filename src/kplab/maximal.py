@@ -1,10 +1,12 @@
 """The (n,k) maximal operator: exact application over the Grassmannian,
-Lebesgue norms against the counting and normalized measures, and a
-seeded witness search lower-bounding the operator norm.
+one weighted Lebesgue norm, and a seeded witness search lower-bounding the
+operator norm.
 
 Function values are exact rationals; the operator itself (coset sums and
-sups) is exact.  Norms with rational exponents are rendered as floats, but
-the exponent identities that matter are checked with PowerProduct.
+sups) is exact.  Norms with rational exponents are rendered as floats, with
+the largest value taken out only where the plain power sum overflows or
+underflows; the exponent identities that matter are checked with
+PowerProduct.
 """
 
 from __future__ import annotations
@@ -146,52 +148,27 @@ def apply_maximal_bruteforce(f: GridFunction, n: int, k: int) -> Dict[LinearSubs
     return out
 
 
-def lp_norm(f: GridFunction, p_exp) -> float:
-    """(sum f^p)^{1/p} against counting measure; p = inf gives the max."""
-    if not f.values:
-        return 0.0
-    if p_exp == math.inf:
-        return float(max(v for _, v in f.values))
-    p_exp = Fraction(p_exp)
-    if p_exp < 1:
-        raise ValueError("exponent must be >= 1")
-    total = sum(float(v) ** float(p_exp) for _, v in f.values)
-    return total ** (1 / float(p_exp))
+def norm(values: Iterable[Fraction], exp, weight=1) -> float:
+    """(weight * sum of v^exp)^(1/exp) over nonnegative rationals, exp >= 1.
 
-
-def lq_norm_grassmann(
-    g: Dict[LinearSubspace, Fraction], q_exp, n: int, k: int, field: Field
-) -> float:
-    """L^q norm with the weight |F|^{-k(n-k)} per Grassmannian element.
-
-    Note the weighted total mass of G(n,k) exceeds 1 (the subspace count is
-    larger than p^{k(n-k)}); the formula is applied as given and callers can
-    report the mass alongside, see grassmann_measure_total.
+    The power sum is taken in floats as it stands.  Only when it overflows,
+    or comes out inf or 0 for nonzero values, is the largest value m taken
+    out: m * (weight * sum of (v/m)^exp)^(1/exp).  Rescaling every sum would
+    move the last bits of ratios that fit, and with them float ties between
+    witnesses.
     """
-    if q_exp == math.inf:
-        return float(max(g.values(), default=Fraction(0)))
-    q_exp = Fraction(q_exp)
-    if q_exp < 1:
+    exp = Fraction(exp)
+    if exp < 1:
         raise ValueError("exponent must be >= 1")
-    weight = field.p ** (-k * (n - k))
-    total = weight * sum(float(v) ** float(q_exp) for v in g.values())
-    return total ** (1 / float(q_exp))
-
-
-def grassmann_measure_total(n: int, k: int, p: int) -> Fraction:
-    return Fraction(gaussian_binomial(n, k, p), p ** (k * (n - k)))
-
-
-def operator_ratio(f: GridFunction, p_exp, q_exp, n: int, k: int) -> float:
-    """The testable lower bound ||Tf||_q / ||f||_p for one witness f."""
-    if f.is_zero():
-        raise ValueError("operator ratio of the zero function")
-    return _ratio(f, apply_maximal(f, n, k), p_exp, q_exp, n, k)
-
-
-def _ratio(f: GridFunction, tf: Dict[LinearSubspace, Fraction], p_exp, q_exp, n: int, k: int) -> float:
-    """||Tf||_q / ||f||_p from f and its Tf."""
-    return lq_norm_grassmann(tf, q_exp, n, k, f.field) / lp_norm(f, p_exp)
+    values, e = list(values), float(exp)
+    try:
+        total = weight * sum(float(v) ** e for v in values)
+        if 0 < total < math.inf or not any(values):
+            return total ** (1 / e)
+    except OverflowError:
+        pass
+    m = max(values)
+    return float(m) * (weight * sum(float(v / m) ** e for v in values)) ** (1 / e)
 
 
 def constant_witness_ratio_exact(
@@ -256,10 +233,13 @@ def empirical_norm_search(
     candidates: Optional[Dict[str, GridFunction]] = None,
     seed: int = 0,
 ) -> SearchResult:
-    """Maximize the operator ratio over a finite witness family.
+    """Maximize ||Tf||_q / ||f||_p over a finite witness family.
 
-    This is a certified lower bound on the operator norm (each witness is
-    exact), not an estimate of the sup over all functions.
+    ||f||_p counts points; ||Tf||_q weighs each direction of G(n,k) by
+    p^{-k(n-k)}, a total mass of [n k]_p / p^{k(n-k)}, above 1.  This is the
+    one place a ratio is formed.  It is a certified lower bound on the
+    operator norm (each witness is exact), not an estimate of the sup over
+    all functions.
     """
     if candidates is None:
         candidates = default_candidates(n, k, field, seed)
@@ -267,6 +247,10 @@ def empirical_norm_search(
         raise ValueError("empty candidate family")
     family = {name: f for name, f in sorted(candidates.items()) if not f.is_zero()}
     images = apply_maximal_many(list(family.values()), n, k)
-    ratios = {name: _ratio(f, tf, p_exp, q_exp, n, k) for (name, f), tf in zip(family.items(), images)}
+    weight = field.p ** (-k * (n - k))
+    ratios = {
+        name: norm(tf.values(), q_exp, weight) / norm((v for _, v in f.values), p_exp)
+        for (name, f), tf in zip(family.items(), images)
+    }
     best_name = max(ratios, key=lambda name: (ratios[name], name))
     return SearchResult(ratios[best_name], best_name, ratios)

@@ -63,6 +63,11 @@ PINNED_ROWS = {
         "experiment=maximal-ratio n=3 k=2 prime=5 p_exp=3/2 q_exp=3 seed=1",
         "bb7595510a3fcc8349fe3c11c48b20ab637369331830e2245288cbdd25a3614c",
     ),
+    # 2^2000 overflows a float, so the norms take the largest value out.
+    "maximal-ratio large q": (
+        "experiment=maximal-ratio n=2 k=1 prime=2 p_exp=2 q_exp=2000",
+        "3c7d5b0894f1de49fced23d8fcfe5b12d5e0ccb6b0f94953d2bee37b42c53ece",
+    ),
     "exponent-identities": (
         "experiment=exponent-identities kmax=6",
         "9dbb5433f980c2529c11384f8b5909c65d0f94be4b7bc61e1cc7454d3311984d",
@@ -418,18 +423,35 @@ class TestMainEntryPoint:
             # The norms are floats, and float() refuses an exponent of 10^400.
             ("experiment=maximal-ratio n=2 k=1 prime=2 p_exp=1e400 q_exp=2", 1),
             ("experiment=maximal-ratio n=2 k=1 prime=2 p_exp=2 q_exp=1e400", 1),
+            # Inside float range, but v^q overflows for v >= 2.
+            ("experiment=maximal-ratio n=2 k=1 prime=2 p_exp=2 q_exp=2000", 0),
+            ("experiment=maximal-ratio n=2 k=1 prime=2 p_exp=2 q_exp=1e300", 0),
         ],
         ids=[
             "k_above_n", "bogus_translate", "zero_density", "p_exp_below_1", "empty_seeds", "duplicate_seeds",
             "huge_num_directions", "huge_estimate", "huge_seed_range", "seed_range_past_maxsize", "tuple_guard",
             "kmax_below_2", "zero_slack", "p_exp_without_q_exp", "q_exp_without_p_exp",
-            "p_exp_past_float", "q_exp_past_float",
+            "p_exp_past_float", "q_exp_past_float", "q_exp_2000", "q_exp_1e300",
         ],
     )
     def test_domain_and_guard_exit_codes(self, tmp_path, text, code):
         spec = tmp_path / "s.spec"
         spec.write_text(text + "\n")
         assert cli.main(["run", str(spec)]) == code
+
+    @pytest.mark.parametrize("q_exp", ["2000", "1e300"])
+    def test_large_q_exp_closed_forms(self, q_exp):
+        # Over F_2^2 with k = 1: the constant and the point spike have Tf
+        # constant on the 3 lines of weight 1/2, so both ratios are
+        # (3/2)^(1/q); the line's Tf is 2 on its own direction and 1 on the
+        # other two, so its ratio is 2 (1/2 + 2^(1-q))^(1/q) / sqrt(2).
+        q = float(Fraction(q_exp))
+        rows = cli.run_experiment(cli.parse_spec(f"experiment=maximal-ratio n=2 k=1 prime=2 p_exp=2 q_exp={q_exp}"))
+        ratios = {row["candidate"]: row["ratio"] for row in rows}
+        expected = {"constant": 1.5 ** (1 / q), "point": 1.5 ** (1 / q), "flat_dim_1": math.sqrt(2) * 0.5 ** (1 / q)}
+        for name, value in expected.items():
+            assert ratios[name] == cli._sig(value)
+        assert [row["candidate"] for row in rows if row["verdict_best"]] == ["flat_dim_1"]
 
     def test_seed_flag_replaces_seed_list(self, tmp_path, capsys):
         spec = tmp_path / "s.spec"

@@ -15,11 +15,13 @@ from kplab.maximal import (
     constant_witness_ratio_exact,
     default_candidates,
     empirical_norm_search,
-    grassmann_measure_total,
-    lp_norm,
-    lq_norm_grassmann,
-    operator_ratio,
+    norm,
 )
+
+
+def witness_ratio(f, p_exp, q_exp, n, k):
+    """||Tf||_q / ||f||_p of one witness: the search over a one-witness family."""
+    return empirical_norm_search(n, k, f.field, p_exp, q_exp, candidates={"f": f}).best_ratio
 
 
 def test_constant_function_hits_every_coset_fully(f3):
@@ -47,13 +49,13 @@ def test_subspace_indicator_peaks_at_own_direction(f3):
 def test_ambient_mismatch_rejected(f3):
     # f lives on F_3^3.  With n = 4 the key's dot products would stop at the
     # points' three entries and report a max of 2, so both paths refuse it,
-    # and operator_ratio inherits the check.
+    # and the witness search inherits the check.
     f = GridFunction.indicator(f3, 3, [(0, 0, 0), (1, 1, 1)])
     for apply in (apply_maximal, apply_maximal_bruteforce):
         with pytest.raises(ValueError):
             apply(f, 4, 2)
     with pytest.raises(ValueError):
-        operator_ratio(f, 2, 2, 4, 2)
+        witness_ratio(f, 2, 2, 4, 2)
     assert max(apply_maximal(f, 3, 2).values()) == 2
 
 
@@ -146,11 +148,11 @@ def test_many_rejects_mixed_families(f3, f5):
 
 def test_search_ratios_equal_operator_ratio(f3):
     # empirical_norm_search walks G(n,k) once for the family; each ratio is
-    # bit-identical to operator_ratio of that witness alone.
+    # bit-identical to the ratio of that witness searched alone.
     family = default_candidates(4, 2, f3, seed=2)
     result = empirical_norm_search(4, 2, f3, Fraction(11, 6), Fraction(22, 5), candidates=family)
     assert result.all_ratios == {
-        name: operator_ratio(f, Fraction(11, 6), Fraction(22, 5), 4, 2) for name, f in family.items()
+        name: witness_ratio(f, Fraction(11, 6), Fraction(22, 5), 4, 2) for name, f in family.items()
     }
 
 
@@ -166,51 +168,85 @@ def test_negative_values_rejected(f3):
         GridFunction.from_dict(f3, 2, {(0, 0): Fraction(-1)})
 
 
+def _values(f):
+    return [v for _, v in f.values]
+
+
 class TestNorms:
+    # L^p norms of f count points (weight 1); L^q norms of Tf weigh each
+    # direction of G(n,k) by p^(-k(n-k)).
     def test_lp_constant(self, f3):
         f = GridFunction.constant(f3, 4)
-        assert lp_norm(f, 2) == pytest.approx(9.0)
+        assert norm(_values(f), 2) == pytest.approx(9.0)
 
     def test_lp_spike_and_sup(self, f5):
         f = GridFunction.indicator(f5, 2, [(0, 0)])
-        assert lp_norm(f, 3) == pytest.approx(1.0)
-        assert lp_norm(f, math.inf) == 1.0
+        assert norm(_values(f), 3) == pytest.approx(1.0)
+        # Large exponents approach the sup.
+        assert norm([Fraction(1), Fraction(1, 2)], 10**6) == pytest.approx(1.0)
 
     def test_lp_subspace_indicator(self, f3):
         flat = make_flat(span_of([(1, 0)], 2, f3), (0, 0), f3)
         f = GridFunction.indicator(f3, 2, enumerate_points(flat, f3))
-        assert lp_norm(f, 1) == pytest.approx(3.0)
+        assert norm(_values(f), 1) == pytest.approx(3.0)
 
     def test_lq_constant_on_grassmannian(self, f3):
         g = {pi: Fraction(1) for pi in enumerate_grassmannian(2, 1, f3)}
-        # |G(2,1)| = 4 with weight 1/3.
-        assert lq_norm_grassmann(g, 1, 2, 1, f3) == pytest.approx(4 / 3)
+        # |G(2,1)| = 4 with weight 1/3: the Grassmannian's mass is above 1.
+        assert norm(g.values(), 1, 3**-1) == 4 / 3
 
     def test_lq_sup(self, f3):
+        # Large exponents approach the sup, 3, whose 3^q overflows a float.
         g = {pi: Fraction(i) for i, pi in enumerate(enumerate_grassmannian(2, 1, f3))}
-        assert lq_norm_grassmann(g, math.inf, 2, 1, f3) == 3.0
+        assert norm(g.values(), 10**6, 3**-1) == pytest.approx(3.0, rel=1e-5)
 
     def test_zero_function(self, f3):
         f = GridFunction.from_dict(f3, 2, {})
         assert f.is_zero()
-        assert lp_norm(f, 2) == 0.0
+        assert norm(_values(f), 2) == 0.0
+
+    def test_exponent_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            norm([Fraction(1)], Fraction(1, 2))
+
+    def test_overflow_and_underflow_rescale(self):
+        # 1.5^10000 overflows a float and 0.5^2000 underflows to 0; both
+        # norms are taken with the largest value out.
+        assert math.isclose(norm([Fraction(3, 2)] * 4, 10**4), 1.5 * 4 ** (1 / 10**4), rel_tol=1e-12)
+        assert math.isclose(norm([Fraction(1, 2)] * 3, 2000), 0.5 * 3 ** (1 / 2000), rel_tol=1e-12)
+        assert math.isclose(norm([Fraction(3, 2)] * 4, 10**4, 2**-10), 1.5 * (4 / 2**10) ** (1 / 10**4),
+                            rel_tol=1e-12)
+
+    def test_plain_power_sum_bits_kept(self):
+        # The benchmark's family: where the power sum fits, norm is that sum's
+        # root bit for bit, so the search's ratios and float ties stay put.
+        n, k, fld = 3, 2, Field(7)
+        p_exp, q_exp = Fraction(11, 6), Fraction(22, 5)
+        family = default_candidates(n, k, fld, 0)
+        weight = 7 ** (-k * (n - k))
+        for f, tf in zip(family.values(), apply_maximal_many(list(family.values()), n, k)):
+            lq = (weight * sum(float(v) ** float(q_exp) for v in tf.values())) ** (1 / float(q_exp))
+            lp = sum(float(v) ** float(p_exp) for v in _values(f)) ** (1 / float(p_exp))
+            assert norm(tf.values(), q_exp, weight) == lq
+            assert norm(_values(f), p_exp) == lp
 
 
 def test_grassmann_measure_exceeds_one():
-    assert grassmann_measure_total(2, 1, 3) == Fraction(4, 3)
-    assert grassmann_measure_total(4, 2, 3) == Fraction(130, 81)
+    # The weighted mass of G(n,k) is the L^1 norm of Tf = 1: [n k]_p / p^(k(n-k)).
+    mass = norm([1] * gaussian_binomial(4, 2, 3), 1, 3**-4)
+    assert mass == pytest.approx(130 / 81) and mass > 1
 
 
 def test_operator_ratio_constant_pinned(f3):
     f = GridFunction.constant(f3, 4)
     # ||Tf||_1 = 9 * 130/81; ||f||_1 = 81.
-    assert operator_ratio(f, 1, 1, 4, 2) == pytest.approx(9 * (130 / 81) / 81)
+    assert witness_ratio(f, 1, 1, 4, 2) == pytest.approx(9 * (130 / 81) / 81)
 
 
 def test_operator_ratio_point_spike(f3):
     f = GridFunction.indicator(f3, 4, [(0, 0, 0, 0)])
     expected = (130 / 81) ** (1 / 4)
-    assert operator_ratio(f, 2, 4, 4, 2) == pytest.approx(expected)
+    assert witness_ratio(f, 2, 4, 4, 2) == pytest.approx(expected)
 
 
 class TestConstantWitnessExact:
@@ -230,7 +266,7 @@ class TestConstantWitnessExact:
     def test_matches_float_evaluation(self, f3):
         ratio = constant_witness_ratio_exact(4, 2, f3, Fraction(2), Fraction(4))
         f = GridFunction.constant(f3, 4)
-        assert float(ratio) == pytest.approx(operator_ratio(f, 2, 4, 4, 2))
+        assert float(ratio) == pytest.approx(witness_ratio(f, 2, 4, 4, 2))
 
 
 class TestSearch:
@@ -238,7 +274,7 @@ class TestSearch:
         f = GridFunction.constant(f3, 3)
         result = empirical_norm_search(3, 1, f3, 2, 2, candidates={"constant": f})
         assert result.best_name == "constant"
-        assert result.best_ratio == pytest.approx(operator_ratio(f, 2, 2, 3, 1))
+        assert result.best_ratio == pytest.approx(float(constant_witness_ratio_exact(3, 1, f3, 2, 2)))
 
     def test_max_dominates_members(self, f3):
         result = empirical_norm_search(3, 1, f3, 2, 2)
@@ -285,6 +321,6 @@ def test_flat_indicator_closed_form(n, k, p, r, p_exp, q_exp):
     assert Counter(tf.values()) == histogram
     q = float(q_exp)
     lq = (p ** (-k * (n - k)) * sum(count * value**q for value, count in histogram.items())) ** (1 / q)
-    assert math.isclose(lq_norm_grassmann(tf, q_exp, n, k, fld), lq, rel_tol=1e-12)
+    assert math.isclose(norm(tf.values(), q_exp, p ** (-k * (n - k))), lq, rel_tol=1e-12)
     ratio = lq / p ** (r / float(p_exp))
-    assert math.isclose(operator_ratio(f, p_exp, q_exp, n, k), ratio, rel_tol=1e-12)
+    assert math.isclose(witness_ratio(f, p_exp, q_exp, n, k), ratio, rel_tol=1e-12)
