@@ -42,10 +42,13 @@ DEFAULT_BUDGET = 50_000_000
 # about 3x and a two-ends run further; the value is recalibrated with the
 # work model once a metrics sidecar measures rank tests (ROADMAP.md).
 RANK_TEST_COST = 10
-# A maximal-ratio step (one list-comprehension step or one binned point)
-# takes about 0.1 us on a 2-CPU host, and a direction's own work (its
-# subspace, its annihilator, a Counter and a Fraction per witness) up to
-# about 150 us, so at 5 steps a unit the estimate is 1.3-2x the run.
+# The maximal-ratio terms count the prefix steps and binned points of a
+# `CosetKeys` walk; `flats.CosetSums` picks `CosetMasks` where its step
+# count puts them cheaper, and those runs come in well under the terms.  On
+# a 2-CPU host, with a unit taken as 0.9 us, G(4,2) at p=5 estimates 0.63 s
+# against a 0.07-0.12 s run, G(4,2) at p=7 6.1 s against 0.45-0.8 s and
+# G(5,2) at p=5 71 s against 9.8 s: the estimate is 5-14x the run, until
+# the work terms are recalibrated together (ROADMAP.md).
 MAXIMAL_STEPS_PER_UNIT = 5
 MAXIMAL_DIRECTION_STEPS = 1500
 
@@ -368,7 +371,10 @@ def _maximal_work(n, k, prime, **_) -> int:
     per annihilator row and prefix of F^n (the constant witness's support
     holds all p + p^2 + ... + p^n of them), one per binned point (the default
     family bins about 2 p^n) and MAXIMAL_DIRECTION_STEPS for the direction
-    itself, MAXIMAL_STEPS_PER_UNIT steps a unit."""
+    itself, MAXIMAL_STEPS_PER_UNIT steps a unit.  These are the costs of a
+    `CosetKeys` prefix walk; where `flats.CosetSums` picks `CosetMasks`, the
+    estimate is 5-14x the run (see the comment above
+    MAXIMAL_STEPS_PER_UNIT)."""
     prefixes = sum(prime**i for i in range(1, n + 1))
     steps = (n - k) * prefixes + 2 * prime**n + MAXIMAL_DIRECTION_STEPS
     return gaussian_binomial(n, k, prime) * steps // MAXIMAL_STEPS_PER_UNIT
@@ -537,16 +543,19 @@ def _selftest() -> int:
         ),
     )
     # The default witnesses, one function of mixed denominators and one
-    # constant 3/2 on a point cloud.
+    # constant 3/2 on a point cloud, over lines (two annihilator rows) and
+    # planes (one row, the path of the maximal-ratio benchmark).
     family = list(maximal.default_candidates(3, 1, fld, 0).values())
     cloud = sorted(gen_point_cloud(3, fld, Fraction(1, 2), 1))
     weights = {x: Fraction(1 + i % 3, 1 + i % 4) for i, x in enumerate(cloud)}
     family.append(maximal.GridFunction.from_dict(fld, 3, weights))
     family.append(maximal.GridFunction.from_dict(fld, 3, dict.fromkeys(cloud, Fraction(3, 2))))
-    check(
-        "maximal family oracle (3,1,3)",
-        lambda: maximal.apply_maximal_many(family, 3, 1) == [maximal.apply_maximal_bruteforce(f, 3, 1) for f in family],
-    )
+    for k in (1, 2):
+        check(
+            f"maximal family oracle (3,{k},3)",
+            lambda: maximal.apply_maximal_many(family, 3, k)
+            == [maximal.apply_maximal_bruteforce(f, 3, k) for f in family],
+        )
     return 3 if failures else 0
 
 

@@ -22,7 +22,7 @@ from .exponents import PowerProduct, main_term_exponents
 from .field import Field
 from .flats import (
     AffineFlat,
-    CosetKeys,
+    CosetSums,
     affine_hull,
     enumerate_points,
     local_coordinates,
@@ -242,10 +242,8 @@ def check_max_ic(
     fld = config.field
     # Per-direction sup over cosets: each flat's count is at most the sup of
     # the point counts over all cosets of its direction.
-    kernel = CosetKeys(config.points, fld)
-    sup_sum = sum(
-        max(Counter(kernel.keys(flat.direction)).values(), default=0) for flat in config.flats
-    )
+    kernel = CosetSums([[(1, config.points)]], config.k, fld)
+    sup_sum = sum(kernel.maxima(flat.direction)[0] for flat in config.flats)
     chain_holds = index.total <= sup_sum
     if index.total == 0 or not config.points or not config.flats:
         return MaxIcReport(None, chain_holds, sup_sum, index.total)

@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .config import enumerate_space, gen_degenerate
 from .exponents import PowerProduct
 from .field import Field
 from .flats import (
-    CosetKeys,
+    CosetSums,
     LinearSubspace,
     enumerate_coset_representatives,
     enumerate_grassmannian,
@@ -60,11 +59,19 @@ class GridFunction:
 
     @classmethod
     def indicator(cls, field: Field, n: int, points: Iterable[Vector]) -> "GridFunction":
-        return cls.from_dict(field, n, {pt: Fraction(1) for pt in points})
+        """1 on the distinct points, sorted, all sharing one Fraction."""
+        one = Fraction(1)
+        return cls(field, n, tuple([(pt, one) for pt in sorted(set(points))]))
 
     @classmethod
     def constant(cls, field: Field, n: int, value: Fraction = Fraction(1)) -> "GridFunction":
-        return cls.from_dict(field, n, {pt: Fraction(value) for pt in enumerate_space(n, field)})
+        """`value` on every point of F^n, in lexicographic order."""
+        value = Fraction(value)
+        if value < 0:
+            raise ValueError("grid function values must be nonnegative")
+        if not value:
+            return cls(field, n, ())
+        return cls(field, n, tuple([(pt, value) for pt in enumerate_space(n, field)]))
 
     def is_zero(self) -> bool:
         return not self.values
@@ -79,11 +86,10 @@ def apply_maximal_many(
     """`apply_maximal` of each function, in one walk over G(n,k).
 
     The sup over all translates x + pi equals the max over the p^{n-k}
-    cosets of pi.  One `CosetKeys` over the union of the supports gives
-    every point's coset key once per direction.  Each function's values are
-    scaled by the lcm of its denominators to ints, its points are grouped by
-    value, and its coset sums are one `Counter` of keys per value class,
-    weighted by the value.
+    cosets of pi.  Each function's values are scaled by the lcm of its
+    denominators to ints and its points grouped by value, and one
+    `CosetSums` over the family gives every function's largest scaled coset
+    sum once per direction.
     """
     if not fs:
         return []
@@ -93,34 +99,21 @@ def apply_maximal_many(
             raise ValueError(f"grid function lives on F^{f.n}, not F^{n}")
         if f.field != fld:
             raise ValueError(f"grid functions over {fld} and {f.field} in one family")
-    kernel = CosetKeys((pt for f in fs for pt, _ in f.values), fld)
-    position = {pt: i for i, pt in enumerate(kernel.points)}
-    scaled = []
+    scales = []
+    weightings = []
     for f in fs:
         scale = math.lcm(*(v.denominator for _, v in f.values))
-        classes: Dict[int, List[int]] = {}
+        classes: Dict[int, List[Vector]] = {}
         for pt, v in f.values:
-            classes.setdefault(v.numerator * (scale // v.denominator), []).append(position[pt])
-        scaled.append((scale, list(classes.items())))
+            classes.setdefault(v.numerator * (scale // v.denominator), []).append(pt)
+        scales.append(scale)
+        weightings.append(list(classes.items()))
+    kernel = CosetSums(weightings, k, fld)
     out: List[Dict[LinearSubspace, Fraction]] = [{} for _ in fs]
     for pi in enumerate_grassmannian(n, k, fld):
-        at = kernel.keys(pi).__getitem__
-        for tf, (scale, classes) in zip(out, scaled):
-            tf[pi] = Fraction(_coset_max(at, classes), scale)
+        for tf, scale, best in zip(out, scales, kernel.maxima(pi)):
+            tf[pi] = Fraction(best, scale)
     return out
-
-
-def _coset_max(at: Callable[[int], int], classes: Sequence[Tuple[int, List[int]]]) -> int:
-    """The largest coset sum of value times points, over (value, point
-    positions) classes, the key of position i being at(i)."""
-    if len(classes) == 1:
-        ((value, points),) = classes
-        return value * max(Counter(map(at, points)).values())
-    sums: Dict[int, int] = {}
-    for value, points in classes:
-        for key, count in Counter(map(at, points)).items():
-            sums[key] = sums.get(key, 0) + value * count
-    return max(sums.values(), default=0)
 
 
 def apply_maximal(f: GridFunction, n: int, k: int) -> Dict[LinearSubspace, Fraction]:

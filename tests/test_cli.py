@@ -274,9 +274,9 @@ class TestRunExperiment:
         assert sum(refined) / len(refined) <= charged
 
     def test_maximal_estimate_follows_prefix_walk(self):
-        # One walk over G(4,2) at p=7 runs in about 3 s (estimated 6.8 M
-        # units, 6.1 s at 0.9 us a unit); G(5,2) at p=7 has 140 050
-        # directions of 16 807 points and is refused.
+        # One walk over G(4,2) at p=7 runs in about 0.5-0.8 s (estimated
+        # 6.8 M units, 6.1 s at 0.9 us a unit, 8-14x over); G(5,2) at p=7 has
+        # 140 050 directions of 16 807 points and is refused.
         text = "experiment=maximal-ratio n={} k=2 prime=7 p_exp=11/6 q_exp=22/5"
         assert cli.estimate_work(cli.parse_spec(text.format(4))) <= cli.DEFAULT_BUDGET
         with pytest.raises(cli.BudgetError):

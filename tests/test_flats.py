@@ -9,6 +9,8 @@ from kplab.field import Field
 from kplab.flats import (
     AffineFlat,
     CosetKeys,
+    CosetMasks,
+    CosetSums,
     affine_hull,
     coset_key,
     enumerate_coset_representatives,
@@ -226,11 +228,13 @@ def test_packed_key_matches_canonical_representative(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_coset_keys_match_coset_key(p):
-    # The batch kernel gives coset_key of each of its points under every
+    # The batch kernels give coset_key of each of their points under every
     # direction of G(n,k), n <= 4 and every k including 0 (one coset per
     # point) and n (one coset), on empty, one-point, duplicate-laden and
     # full-F^n inputs, and on a coordinate line, whose all-zero levels are
-    # left out; its points are the input sorted and distinct.
+    # left out; their points are the input sorted and distinct.  The masks
+    # are exactly the nonempty classes of equal key: disjoint, nonempty and
+    # covering the points.
     fld = Field(p)
     rng = random.Random(p)
     for n in range(1, 5):
@@ -238,13 +242,20 @@ def test_coset_keys_match_coset_key(p):
         drawn = random_vectors(n, p, 12, rng)
         axis = [(x,) + (0,) * (n - 1) for x in range(p)]
         inputs = [[], [space[1]], drawn + drawn[:7] + [drawn[0]] * 3, axis[::-1], space]
-        kernels = [CosetKeys(points, fld) for points in inputs]
-        for points, kernel in zip(inputs, kernels):
-            assert kernel.points == sorted(set(points))
+        kernels = [(CosetKeys(points, fld), CosetMasks(points, fld)) for points in inputs]
+        for points, (kernel, masks) in zip(inputs, kernels):
+            assert kernel.points == masks.points == sorted(set(points))
         for k in range(n + 1):
             for direction in enumerate_grassmannian(n, k, fld):
-                for kernel in kernels:
-                    assert kernel.keys(direction) == [coset_key(x, direction, fld) for x in kernel.points]
+                for kernel, masks in kernels:
+                    keys = [coset_key(x, direction, fld) for x in kernel.points]
+                    assert kernel.keys(direction) == keys
+                    classes = {}
+                    for i, key in enumerate(keys):
+                        classes[key] = classes.get(key, 0) | 1 << i
+                    got = masks.masks(direction)
+                    assert all(got) and len(got) == len(set(got))
+                    assert sorted(got) == sorted(classes.values())
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -264,12 +275,73 @@ def test_coset_keys_prefix_count_bound(p):
         assert sum(len(digits) for _, _, digits in CosetKeys(space, fld).levels) == bound
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_coset_sums_match_keyed_sums(p):
+    # Whichever kernel it picks, the largest coset sum of each weighting is
+    # the largest sum over the classes of equal coset_key: for every
+    # direction of G(n,k), n <= 3 and every k, on a weighting of several
+    # values, the indicator of F^n, one point and the empty weighting, on a
+    # sparse family, and on no points at all (a configuration without
+    # points).  Both kernels are picked across the cases.
+    fld = Field(p)
+    rng = random.Random(p)
+    picked = set()
+    for n in range(1, 4):
+        space = list(itertools.product(range(p), repeat=n))
+        drawn = sorted(set(random_vectors(n, p, 6, rng)))
+        spread = {}
+        for x in space:
+            if rng.random() < 0.7:
+                spread.setdefault(rng.randint(1, 4), []).append(x)
+        dense = [list(spread.items()), [(1, space)], [(5, [space[-1]])], []]
+        for weightings in (dense, [[(1, drawn)]], [[]], [[(3, [])]]):
+            for k in range(n + 1):
+                sums = CosetSums(weightings, k, fld)
+                picked.add(type(sums.kernel))
+                for direction in enumerate_grassmannian(n, k, fld):
+                    want = []
+                    for weighting in weightings:
+                        totals = {}
+                        for value, points in weighting:
+                            for x in points:
+                                key = coset_key(x, direction, fld)
+                                totals[key] = totals.get(key, 0) + value
+                        want.append(max(totals.values(), default=0))
+                    assert sums.maxima(direction) == want
+    assert picked == {CosetKeys, CosetMasks}
+
+
+def test_coset_sums_kernel_stays_linear_in_points():
+    # At k = 0 every point of F^n is its own coset, and masks would hold
+    # |points|^2 bits: the keys are picked.  At k = n there is one coset and
+    # the masks are picked, p per coordinate of |points| bits each.
+    fld = Field(31)
+    space = list(itertools.product(range(31), repeat=3))
+    constant = [[(2, space)]]
+    keyed = CosetSums(constant, 0, fld)
+    assert isinstance(keyed.kernel, CosetKeys)
+    assert keyed.maxima(zero_subspace(3)) == [2]
+    masked = CosetSums(constant, 3, fld)
+    assert isinstance(masked.kernel, CosetMasks)
+    assert max(mask.bit_length() for column in masked.kernel.columns for mask in column) <= len(space)
+    (whole,) = enumerate_grassmannian(3, 3, fld)
+    assert masked.maxima(whole) == [2 * len(space)]
+
+
 def test_coset_keys_reject_mixed_ambient():
     f3 = Field(3)
     with pytest.raises(ValueError):
         CosetKeys([(0, 0), (1, 1, 1)], f3)
     with pytest.raises(ValueError):
         CosetKeys([(0, 0), (1, 1)], f3).keys(zero_subspace(3))
+    with pytest.raises(ValueError):
+        CosetMasks([(0, 0), (1, 1, 1)], f3)
+    with pytest.raises(ValueError):
+        CosetMasks([(0, 0), (1, 1)], f3).masks(zero_subspace(3))
+    with pytest.raises(ValueError):
+        CosetSums([[(1, [(0, 0)])], [(1, [(1, 1, 1)])]], 0, f3)
+    with pytest.raises(ValueError):
+        CosetSums([[(1, [(0, 0)])]], 0, f3).maxima(zero_subspace(3))
 
 
 def _flats_through_by_span(flat, fld):

@@ -184,6 +184,12 @@ class TestCheckMaxIc:
         report = check_max_ic(cfg, incidence_count(cfg), Fraction(1), Fraction(1))
         assert report.ratio == PowerProduct([(3, Fraction(-k * (n - k)))])
 
+    def test_no_points(self, f3):
+        # No ratio and a zero sup sum, whichever coset kernel sums them.
+        cfg = single_flat_config(f3, 3, 1, with_points=False)
+        report = check_max_ic(cfg, incidence_count(cfg), Fraction(2), Fraction(4))
+        assert (report.ratio, report.chain_holds, report.sup_sum, report.total) == (None, True, 0, 0)
+
     def test_chain_inequality_on_corpus(self):
         for _, cfg in random_corpus(4, 2, 3, 20):
             report = check_max_ic(cfg, incidence_count(cfg), Fraction(2), Fraction(4))

@@ -47,8 +47,8 @@ def test_subspace_indicator_peaks_at_own_direction(f3):
 
 
 def test_ambient_mismatch_rejected(f3):
-    # f lives on F_3^3.  With n = 4 the key's dot products would stop at the
-    # points' three entries and report a max of 2, so both paths refuse it,
+    # f lives on F_3^3.  With n = 4 the coset masks would read only the
+    # points' three coordinates and report a max of 2, so both paths refuse it,
     # and the witness search inherits the check.
     f = GridFunction.indicator(f3, 3, [(0, 0, 0), (1, 1, 1)])
     for apply in (apply_maximal, apply_maximal_bruteforce):
@@ -68,6 +68,19 @@ def test_points_outside_space_rejected(f3):
         with pytest.raises(ValueError):
             GridFunction.from_dict(f3, 3, {(0, 0, 2): Fraction(1), point: Fraction(1, 2)})
     assert max(apply_maximal(GridFunction.indicator(f3, 3, [(0, 0, 2)]), 3, 1).values()) == 1
+
+
+def test_indicator_and_constant_match_from_dict(f3):
+    # Built directly, they hold what from_dict builds: sorted distinct points,
+    # and no points at all for the zero constant.
+    points = [(2, 1, 0), (0, 0, 1), (2, 1, 0), (1, 2, 2)]
+    assert GridFunction.indicator(f3, 3, points) == GridFunction.from_dict(f3, 3, dict.fromkeys(points, 1))
+    for value in (Fraction(3, 2), 2, Fraction(0)):
+        got = GridFunction.constant(f3, 2, value)
+        assert got == GridFunction.from_dict(f3, 2, {(a, b): value for a in range(3) for b in range(3)})
+    assert GridFunction.constant(f3, 2, 0).is_zero()
+    with pytest.raises(ValueError):
+        GridFunction.constant(f3, 2, Fraction(-1, 2))
 
 
 def test_oracle_equivalence_small():
@@ -108,11 +121,14 @@ def test_oracle_equivalence_mixed_denominators(n, k, p):
         assert len({v.denominator for v in tf.values()}) > 1
 
 
-@pytest.mark.parametrize("n, k, p", [(2, 1, 5), (3, 1, 3), (3, 2, 3), (3, 0, 2), (3, 3, 2)])
+@pytest.mark.parametrize(
+    "n, k, p", [(2, 1, 5), (3, 1, 3), (3, 2, 3), (3, 0, 2), (3, 3, 2), (4, 2, 3), (3, 0, 7), (3, 3, 7)]
+)
 def test_many_matches_oracle_per_function(n, k, p):
     # One walk for the family: mixed denominators, a zero function, a
     # constant, overlapping supports, one function inside another's support
-    # and one spread over two value classes.
+    # and one spread over two value classes.  (3,0,7) and (3,3,7) sum 343
+    # points by keys (a coset per point) and by masks (one coset).
     import itertools
     import random
 
