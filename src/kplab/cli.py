@@ -42,15 +42,18 @@ DEFAULT_BUDGET = 50_000_000
 # about 3x and a two-ends run further; the value is recalibrated with the
 # work model once a metrics sidecar measures rank tests (ROADMAP.md).
 RANK_TEST_COST = 10
-# The maximal-ratio terms count the prefix steps and binned points of a
-# `CosetKeys` walk; `flats.CosetSums` picks `CosetMasks` where its step
-# count puts them cheaper, and those runs come in well under the terms.  On
-# a 2-CPU host, with a unit taken as 0.9 us, G(4,2) at p=5 estimates 0.63 s
-# against a 0.07-0.12 s run, G(4,2) at p=7 6.1 s against 0.45-0.8 s and
-# G(5,2) at p=5 71 s against 9.8 s: the estimate is 5-14x the run, until
-# the work terms are recalibrated together (ROADMAP.md).
+# The maximal-ratio terms charge each direction (n-k) steps per prefix of
+# F^n, p + p^2 + ... + p^n of them, and its binned points, whichever kernel
+# `flats.CosetSums` picks, and each run MAXIMAL_POINT_UNITS per point of F^n
+# for building the witnesses there, which took 11-17 us a point at k = 0 and
+# k = n, where a run has one direction.  On a 2-CPU host, with a unit taken
+# as 0.9 us, G(4,2) at p=5 estimates 0.64 s against a 0.07-0.12 s run, G(4,2)
+# at p=7 6.1 s against 0.45-0.8 s and G(5,2) at p=5 71 s against 9.8 s: the
+# estimate is 5-14x the run, until the work terms are recalibrated together
+# (ROADMAP.md).
 MAXIMAL_STEPS_PER_UNIT = 5
 MAXIMAL_DIRECTION_STEPS = 1500
+MAXIMAL_POINT_UNITS = 20
 
 _INT_KEYS = {"n", "k", "r", "prime", "num_directions", "seed", "kmax", "slack"}
 _RATIONAL_KEYS = {"density", "p_exp", "q_exp"}
@@ -368,16 +371,15 @@ def _corpus_work(subset_sizes: Callable[..., Sequence[int]], walks: int,
 
 def _maximal_work(n, k, prime, **_) -> int:
     """Work units of `maximal-ratio`: for each direction of G(n,k), one step
-    per annihilator row and prefix of F^n (the constant witness's support
-    holds all p + p^2 + ... + p^n of them), one per binned point (the default
-    family bins about 2 p^n) and MAXIMAL_DIRECTION_STEPS for the direction
-    itself, MAXIMAL_STEPS_PER_UNIT steps a unit.  These are the costs of a
-    `CosetKeys` prefix walk; where `flats.CosetSums` picks `CosetMasks`, the
-    estimate is 5-14x the run (see the comment above
-    MAXIMAL_STEPS_PER_UNIT)."""
+    per annihilator row and prefix of F^n (p + p^2 + ... + p^n of them, about
+    one per point), one per binned point (the default family bins about
+    2 p^n) and MAXIMAL_DIRECTION_STEPS for the direction itself,
+    MAXIMAL_STEPS_PER_UNIT steps a unit; and once, MAXIMAL_POINT_UNITS per
+    point of F^n for the witnesses, which a run builds on all of F^n however
+    few directions it has (see the comment above MAXIMAL_STEPS_PER_UNIT)."""
     prefixes = sum(prime**i for i in range(1, n + 1))
     steps = (n - k) * prefixes + 2 * prime**n + MAXIMAL_DIRECTION_STEPS
-    return gaussian_binomial(n, k, prime) * steps // MAXIMAL_STEPS_PER_UNIT
+    return gaussian_binomial(n, k, prime) * steps // MAXIMAL_STEPS_PER_UNIT + MAXIMAL_POINT_UNITS * prime**n
 
 
 def _points_and_flats_work(n, k, prime, **_) -> int:

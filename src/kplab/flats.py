@@ -8,7 +8,7 @@ Which coset of a direction holds a point is answered by one map, the packed
 integer key: the digits a_j . x mod p of the annihilator rows a_j of the
 direction, one row per free column j.  `coset_key`, `membership` and
 `LinearSubspace.contains` read it for one point, `CosetKeys` for a fixed
-point set under any direction at once (by shared prefixes), `make_flat` writes
+point set under any direction at once (by column sums), `make_flat` writes
 its digits into the free columns of the canonical representative (they are
 the entries that eliminating the pivots by the basis rows leaves there), and
 `flats_through` keys the (k+1)-flats through a k-flat by the digits of the
@@ -285,17 +285,12 @@ class CosetKeys:
     """The coset keys of one fixed point set under any direction, all at once.
 
     The points are kept sorted and distinct (`points`), with their
-    lexicographic prefixes: level i holds each distinct prefix x_0..x_i as
-    the position of its parent prefix x_0..x_(i-1) one level up and its last
-    entry x_i, so the last level holds the points themselves, in order.
-    `keys(direction)` sums each annihilator row of the direction along the
-    levels, one step per prefix, so points that share a prefix share its
-    partial sum; each row's sums are reduced mod p once, at the end, and
-    packed into the base-p key `coset_key` gives.  A level that extends each
-    prefix of the level above exactly once needs no gather, and is left out
-    when all its entries are zero.  A direction
-    costs (n-k) steps per prefix, and `levels` holds at most
-    min(n |points|, p + p^2 + ... + p^n) prefixes.
+    coordinate columns: `columns[i]` holds the entries x_i, in order.
+    `keys(direction)` sums a_i times column i over the nonzero entries a_i
+    of each annihilator row a, reduces each row's sums mod p once and packs
+    them into the base-p key `coset_key` gives.  A row is nonzero only at
+    its free column and the k pivots, so a direction costs at most
+    (n-k)(k+1) steps per point.
     """
 
     def __init__(self, points: Iterable[Vector], field: Field):
@@ -304,29 +299,7 @@ class CosetKeys:
         if len(set(map(len, self.points))) > 1:
             raise ValueError("ambient dimension mismatch")
         self.n = len(self.points[0]) if self.points else 0
-        # (column i, parent positions or None when they are 0, 1, 2, ..., entries x_i)
-        self.levels: List[Tuple[int, Optional[List[int]], List[int]]] = []
-        at = [0] * len(self.points)  # each point's prefix position one level up
-        width = 1  # the number of prefixes one level up
-        for i in range(self.n):
-            parents: List[int] = []
-            digits: List[int] = []
-            below: List[int] = []
-            last = None
-            for q, x in zip(at, self.points):
-                node = (q, x[i])
-                if node != last:
-                    last = node
-                    parents.append(q)
-                    digits.append(x[i])
-                below.append(len(digits) - 1)
-            at = below
-            if len(digits) == width:
-                if not any(digits):
-                    continue
-                parents = None
-            self.levels.append((i, parents, digits))
-            width = len(digits)
+        self.columns = list(zip(*self.points))
 
     def keys(self, direction: LinearSubspace) -> List[int]:
         """`coset_key(x, direction)` for each x in `points`, in order."""
@@ -337,16 +310,10 @@ class CosetKeys:
         p = self.field.p
         keys: Optional[List[int]] = None
         for row in _annihilator(direction, self.field):
-            sums = [0]
-            for i, parents, digits in self.levels:
-                a = row[i]
-                if not a:
-                    if parents is not None:
-                        sums = [sums[q] for q in parents]
-                elif parents is None:
-                    sums = [s + a * x for s, x in zip(sums, digits)]
-                else:
-                    sums = [sums[q] + a * x for q, x in zip(parents, digits)]
+            sums: Optional[List[int]] = None  # set: a row has a 1 at its free column
+            for a, column in zip(row, self.columns):
+                if a:
+                    sums = [a * x for x in column] if sums is None else [s + a * x for s, x in zip(sums, column)]
             keys = [s % p for s in sums] if keys is None else [key * p + s % p for key, s in zip(keys, sums)]
         return [0] * len(self.points) if keys is None else keys
 
@@ -417,11 +384,18 @@ class CosetMasks:
         return cosets
 
 
-# A `CosetKeys` step or a counted key takes about 45 ns on a 2-CPU host, and
-# an AND and popcount of two ints about one step more per MASK_STEP_BITS
-# bits (51 ns at 64 bits, 134 ns at 1 024, 354 ns at 4 096, 4.7 us at
-# 65 536).
-MASK_STEP_BITS = 512
+# A mask AND costs one step, plus one per MASK_STEP_BITS bits of |points|.
+# The value is fitted to the picks, not to one AND: a `CosetKeys` column step
+# or a counted key takes about 50 ns on a 2-CPU host, a fold step of
+# `CosetMasks.masks` about five times that at 1-2 k bits, and the count puts
+# p meets per coset where the partition makes about one.  Timed on the
+# default witness families of `maximal.apply_maximal_many` with each kernel
+# forced, 2048 picks masks where they ran 1.4-5.8x faster, at (3,2,7),
+# (3,1,13), (3,1,17), (4,1,7) and (4,2,5); keys at k = 0 and at (2,1,61)
+# and (4,1,11), where keys ran 1.2-1.4x faster; and masks at (2,1,p) for
+# p = 5..43, where the two ran within about 10 % of each other.  1024 would
+# pick keys at (3,1,17), 4096 masks at (2,1,61).
+MASK_STEP_BITS = 2048
 
 
 class CosetSums:
@@ -433,12 +407,11 @@ class CosetSums:
     a `CosetMasks` or a `CosetKeys`, whichever costs fewer steps a
     direction: masks take (n-k)(p + k p^2) ANDs to fold, p per coset to meet
     and one per coset and class to sum, each 1 + |points| // MASK_STEP_BITS
-    steps; keys take n-k steps per prefix (at most min(|points|, p^i) at
-    level i) and one per weighted point.  So masks win on dense families
-    with few cosets, keys on sparse point sets and on many cosets: at k = 0
-    each point is its own coset, and masks would hold |points|^2 bits.  A
-    coset sum is one AND and popcount per class, or one `Counter` of keys
-    per class.
+    steps; keys take (n-k)(k+1) column steps per point and one per weighted
+    point.  So masks win on dense families with few cosets, keys on sparse
+    point sets and on many cosets: at k = 0 each point is its own coset, and
+    masks would hold |points|^2 bits.  A coset sum is one AND and popcount
+    per class, or one `Counter` of keys per class.
     """
 
     def __init__(self, weightings: Sequence[Sequence[Tuple[int, Sequence[Vector]]]], k: int, field: Field):
@@ -447,7 +420,7 @@ class CosetSums:
         rows = max(n - k, 0)
         ands = rows * (p + k * p * p) + p**rows * (p + sum(map(len, weightings)))
         weighted = sum(len(points) for weighting in weightings for _, points in weighting)
-        steps = rows * sum(min(size, p**i) for i in range(1, n + 1)) + weighted
+        steps = rows * (k + 1) * size + weighted
         masks = ands * (1 + size // MASK_STEP_BITS) <= steps
         self.kernel = CosetMasks(union, field) if masks else CosetKeys(union, field)
         del union  # before the position map, so the two never share the peak

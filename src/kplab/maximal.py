@@ -144,7 +144,9 @@ def apply_maximal_bruteforce(f: GridFunction, n: int, k: int) -> Dict[LinearSubs
 def norm(values: Iterable[Fraction], exp, weight=1) -> float:
     """(weight * sum of v^exp)^(1/exp) over nonnegative rationals, exp >= 1.
 
-    The power sum is taken in floats as it stands.  Only when it overflows,
+    The power sum is taken in floats as it stands, each value as the true
+    division of its numerator by its denominator (what float() of a
+    Fraction computes, without the call).  Only when it overflows,
     or comes out inf or 0 for nonzero values, is the largest value m taken
     out: m * (weight * sum of (v/m)^exp)^(1/exp).  Rescaling every sum would
     move the last bits of ratios that fit, and with them float ties between
@@ -155,7 +157,7 @@ def norm(values: Iterable[Fraction], exp, weight=1) -> float:
         raise ValueError("exponent must be >= 1")
     values, e = list(values), float(exp)
     try:
-        total = weight * sum(float(v) ** e for v in values)
+        total = weight * sum((v.numerator / v.denominator) ** e for v in values)
         if 0 < total < math.inf or not any(values):
             return total ** (1 / e)
     except OverflowError:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from kplab import cli
+from kplab import cli, maximal
 
 # One small spec per experiment kind and the SHA-256 of its rows rendered as
 # the `.json` mirror renders them.  The incidence-bound seeds include one with
@@ -273,14 +273,20 @@ class TestRunExperiment:
         assert abs(sum(all_flats) / len(all_flats) - charged) <= charged / 10
         assert sum(refined) / len(refined) <= charged
 
-    def test_maximal_estimate_follows_prefix_walk(self):
-        # One walk over G(4,2) at p=7 runs in about 0.5-0.8 s (estimated
-        # 6.8 M units, 6.1 s at 0.9 us a unit, 8-14x over); G(5,2) at p=7 has
-        # 140 050 directions of 16 807 points and is refused.
-        text = "experiment=maximal-ratio n={} k=2 prime=7 p_exp=11/6 q_exp=22/5"
-        assert cli.estimate_work(cli.parse_spec(text.format(4))) <= cli.DEFAULT_BUDGET
-        with pytest.raises(cli.BudgetError):
-            cli.run_experiment(cli.parse_spec(text.format(5)))
+    def test_maximal_estimate_follows_prefix_walk(self, monkeypatch):
+        # The estimate charges each direction its steps over the prefixes of
+        # F^n and each run its witnesses on F^n.  One walk over G(4,2) at p=7
+        # runs in about 0.5-0.8 s (estimated 6.8 M units, 6.1 s at 0.9 us a
+        # unit, 8-14x over); G(5,2) at p=7 has 140 050 directions of 16 807
+        # points and is refused.  At k = 0 and k = n a run has one direction
+        # but still builds its witnesses on all 28.6 M points of F_31^5: both
+        # are refused before any witness is built.
+        monkeypatch.setattr(maximal, "default_candidates", None)
+        text = "experiment=maximal-ratio n={} k={} prime={} p_exp=11/6 q_exp=22/5"
+        assert cli.estimate_work(cli.parse_spec(text.format(4, 2, 7))) <= cli.DEFAULT_BUDGET
+        for n, k, p in [(5, 2, 7), (5, 5, 31), (5, 0, 31)]:
+            with pytest.raises(cli.BudgetError):
+                cli.run_experiment(cli.parse_spec(text.format(n, k, p)))
 
     @pytest.mark.parametrize("kind", sorted(PINNED_ROWS))
     def test_pinned_specs_within_default_budget(self, kind):

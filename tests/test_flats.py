@@ -1,10 +1,12 @@
 import inspect
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import random_vectors
+from kplab.config import gen_random_config
 from kplab.field import Field
 from kplab.flats import (
     AffineFlat,
@@ -26,6 +28,7 @@ from kplab.flats import (
     zero_subspace,
 )
 from kplab.linalg import in_span, normalized, null_space_rows, reduce_vector
+from kplab.maximal import default_candidates
 
 
 def line(fld, n, direction, point):
@@ -231,8 +234,8 @@ def test_coset_keys_match_coset_key(p):
     # The batch kernels give coset_key of each of their points under every
     # direction of G(n,k), n <= 4 and every k including 0 (one coset per
     # point) and n (one coset), on empty, one-point, duplicate-laden and
-    # full-F^n inputs, and on a coordinate line, whose all-zero levels are
-    # left out; their points are the input sorted and distinct.  The masks
+    # full-F^n inputs, and on a coordinate line, all of whose columns but the
+    # first are zero; their points are the input sorted and distinct.  The masks
     # are exactly the nonempty classes of equal key: disjoint, nonempty and
     # covering the points.
     fld = Field(p)
@@ -256,23 +259,6 @@ def test_coset_keys_match_coset_key(p):
                     got = masks.masks(direction)
                     assert all(got) and len(got) == len(set(got))
                     assert sorted(got) == sorted(classes.values())
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_coset_keys_prefix_count_bound(p):
-    # A direction costs (n-k) steps per kept prefix: at most n per point and
-    # at most the p + p^2 + ... + p^n prefixes of F^n, which the full space
-    # reaches.
-    fld = Field(p)
-    rng = random.Random(p)
-    for n in range(1, 5):
-        bound = sum(p**i for i in range(1, n + 1))
-        space = list(itertools.product(range(p), repeat=n))
-        for size in (0, 1, 2, 5, 20, 60):
-            points = random_vectors(n, p, size, rng)
-            kept = sum(len(digits) for _, _, digits in CosetKeys(points, fld).levels)
-            assert kept <= min(n * len(set(points)), bound)
-        assert sum(len(digits) for _, _, digits in CosetKeys(space, fld).levels) == bound
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -326,6 +312,27 @@ def test_coset_sums_kernel_stays_linear_in_points():
     assert max(mask.bit_length() for column in masked.kernel.columns for mask in column) <= len(space)
     (whole,) = enumerate_grassmannian(3, 3, fld)
     assert masked.maxima(whole) == [2 * len(space)]
+    # The picks on the default witness families of the maximal operator,
+    # each witness an indicator or the constant 1 (one class of value 1), as
+    # measured faster: masks on dense families with few cosets, keys on many
+    # cosets.  The benchmark's sparse incidence-bound configurations (37
+    # points of F_7^4 under planes, its default seed) are keyed.
+    for (n, k, p), kernel in [
+        ((3, 2, 7), CosetMasks),
+        ((3, 1, 13), CosetMasks),
+        ((4, 1, 7), CosetMasks),
+        ((4, 2, 5), CosetMasks),
+        ((2, 1, 61), CosetKeys),
+        ((3, 0, 31), CosetKeys),
+    ]:
+        fld = Field(p)
+        family = [[(1, [x for x, _ in f.values])] for f in default_candidates(n, k, fld, 0).values()]
+        assert isinstance(CosetSums(family, k, fld).kernel, kernel)
+    fld = Field(7)
+    for seed in (935448141, 694982796):
+        cfg = gen_random_config(4, 2, 200, Fraction(1, 64), fld, seed)
+        assert len(cfg.points) == 37
+        assert isinstance(CosetSums([[(1, cfg.points)]], 2, fld).kernel, CosetKeys)
 
 
 def test_coset_keys_reject_mixed_ambient():
