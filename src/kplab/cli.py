@@ -43,14 +43,15 @@ DEFAULT_BUDGET = 50_000_000
 # work model once a metrics sidecar measures rank tests (ROADMAP.md).
 RANK_TEST_COST = 10
 # The maximal-ratio terms charge each direction (n-k) steps per prefix of
-# F^n, p + p^2 + ... + p^n of them, and its binned points, whichever kernel
-# `flats.CosetSums` picks, and each run MAXIMAL_POINT_UNITS per point of F^n
-# for building the witnesses there, which took 11-17 us a point at k = 0 and
-# k = n, where a run has one direction.  On a 2-CPU host, with a unit taken
-# as 0.9 us, G(4,2) at p=5 estimates 0.64 s against a 0.07-0.12 s run, G(4,2)
-# at p=7 6.1 s against 0.45-0.8 s and G(5,2) at p=5 71 s against 9.8 s: the
-# estimate is 5-14x the run, until the work terms are recalibrated together
-# (ROADMAP.md).
+# F^n, p + p^2 + ... + p^n of them, a proxy sized from the prefix walk that
+# the key kernel no longer takes (`flats.CosetKeys` sums columns), and its
+# binned points, whichever kernel `flats.CosetSums` picks; and each run
+# MAXIMAL_POINT_UNITS per point of F^n for building the witnesses there,
+# which took 11-17 us a point at k = 0 and k = n, where a run has one
+# direction.  On a 2-CPU host, with a unit taken as 0.9 us, G(4,2) at p=5
+# estimates 0.64 s against a 0.07-0.12 s run, G(4,2) at p=7 6.1 s against
+# 0.45-0.8 s and G(5,2) at p=5 71 s against 9.8 s: the estimate is 5-14x
+# the run, until the work terms are recalibrated together (ROADMAP.md).
 MAXIMAL_STEPS_PER_UNIT = 5
 MAXIMAL_DIRECTION_STEPS = 1500
 MAXIMAL_POINT_UNITS = 20
@@ -141,7 +142,8 @@ def parse_spec(text: str) -> ExperimentSpec:
 def _check_domain(kind: str, params: Dict[str, object]) -> None:
     """Reject out-of-domain values before any work starts."""
     if not KINDS[kind].in_domain(**params):
-        got = ", ".join(f"{key}={params[key]}" for key in ("n", "k", "r", "kmax", "slack") if key in params)
+        keys = ("n", "k", "r", "kmax", "slack", "p_exp", "q_exp")
+        got = ", ".join(f"{key}={_magnitude(params[key])}" for key in keys if key in params)
         raise SpecError(f"{kind} needs {KINDS[kind].domain}, got {got}")
     if "num_directions" in params:
         total = gaussian_binomial(params["n"], params["k"], params["prime"])
@@ -178,7 +180,10 @@ def run_experiment(spec: ExperimentSpec, budget: int = DEFAULT_BUDGET) -> List[D
     params, kind = spec.params, KINDS[spec.kind]
     prefix = {"experiment": spec.kind, **{key: params[key] for key in _PREFIX_KEYS if key in params}}
     if "num_directions" in kind.required:
-        return [{**prefix, "seed": seed, **kind.rows(params, cfg)} for seed, cfg in _corpus(params)]
+        return [
+            {**prefix, "seed": seed, **kind.rows(params, cfg, incidence.incidence_count(cfg))}
+            for seed, cfg in _corpus(params)
+        ]
     return [{**prefix, **columns} for columns in kind.rows(params)]
 
 
@@ -245,8 +250,7 @@ def _nk_set_rows(params) -> List[Dict[str, object]]:
     return rows
 
 
-def _incidence_bound_row(params, cfg) -> Dict[str, object]:
-    index = incidence.incidence_count(cfg)
+def _incidence_bound_row(params, cfg, index) -> Dict[str, object]:
     report = incidence.check_main_bound(cfg, index)
     row = {**report.counts, **_main_bound_columns(report)}
     if "p_exp" in params:
@@ -256,8 +260,7 @@ def _incidence_bound_row(params, cfg) -> Dict[str, object]:
     return row
 
 
-def _two_ends_row(params, cfg) -> Dict[str, object]:
-    index = incidence.incidence_count(cfg)
+def _two_ends_row(params, cfg, index) -> Dict[str, object]:
     decomp = incidence.jr_decompose(cfg, params["r"], index)
     return {
         "incidences": index.total,
@@ -268,8 +271,7 @@ def _two_ends_row(params, cfg) -> Dict[str, object]:
     }
 
 
-def _refinement_chain_row(params, cfg) -> Dict[str, object]:
-    index = incidence.incidence_count(cfg)
+def _refinement_chain_row(params, cfg, index) -> Dict[str, object]:
     if index.total == 0:
         return {"incidences": 0}
     chain = incidence.build_refinement_chain(cfg, index)
@@ -283,8 +285,8 @@ def _refinement_chain_row(params, cfg) -> Dict[str, object]:
     }
 
 
-def _simplex_bounds_row(params, cfg) -> Dict[str, object]:
-    report = simplex.simplex_bound_report(cfg, incidence.incidence_count(cfg))
+def _simplex_bounds_row(params, cfg, index) -> Dict[str, object]:
+    report = simplex.simplex_bound_report(cfg, index)
     return {
         **report.counts,
         **{f"ratio_{name}": _sig(value) for name, value in report.ratios.items()},
@@ -325,7 +327,8 @@ class Kind(NamedTuple):
     """One experiment kind.  `in_domain` and `work` (units per seed) take the
     spec's parameters as keywords; `domain` states the domain for errors.  A
     corpus kind (one needing `num_directions`) gives one seed's columns by
-    `rows(params, cfg)`; any other kind a list of column dicts by `rows(params)`."""
+    `rows(params, cfg, index)`, from the seed's configuration and its
+    incidence index; any other kind a list of column dicts by `rows(params)`."""
 
     required: set
     optional: set
@@ -372,11 +375,13 @@ def _corpus_work(subset_sizes: Callable[..., Sequence[int]], walks: int,
 def _maximal_work(n, k, prime, **_) -> int:
     """Work units of `maximal-ratio`: for each direction of G(n,k), one step
     per annihilator row and prefix of F^n (p + p^2 + ... + p^n of them, about
-    one per point), one per binned point (the default family bins about
-    2 p^n) and MAXIMAL_DIRECTION_STEPS for the direction itself,
-    MAXIMAL_STEPS_PER_UNIT steps a unit; and once, MAXIMAL_POINT_UNITS per
-    point of F^n for the witnesses, which a run builds on all of F^n however
-    few directions it has (see the comment above MAXIMAL_STEPS_PER_UNIT)."""
+    one per point; a proxy sized from the key kernel's former prefix walk,
+    not a count of what either kernel does now), one per binned point (the
+    default family bins about 2 p^n) and MAXIMAL_DIRECTION_STEPS for the
+    direction itself, MAXIMAL_STEPS_PER_UNIT steps a unit; and once,
+    MAXIMAL_POINT_UNITS per point of F^n for the witnesses, which a run
+    builds on all of F^n however few directions it has (see the comment
+    above MAXIMAL_STEPS_PER_UNIT)."""
     prefixes = sum(prime**i for i in range(1, n + 1))
     steps = (n - k) * prefixes + 2 * prime**n + MAXIMAL_DIRECTION_STEPS
     return gaussian_binomial(n, k, prime) * steps // MAXIMAL_STEPS_PER_UNIT + MAXIMAL_POINT_UNITS * prime**n
@@ -411,10 +416,10 @@ KINDS: Dict[str, Kind] = {
 }
 
 
-def _magnitude(value: int) -> str:
-    """An integer for a message: in full up to 18 digits, else as a power of
-    ten, since str() refuses integers of more than 4300 digits."""
-    return str(value) if value < 10**18 else f"about 10^{math.floor(math.log10(value))}"
+def _magnitude(value) -> str:
+    """An integer or a rational for a message: in full below 10^18, else as
+    a power of ten, since str() refuses integers of more than 4300 digits."""
+    return str(value) if value < 10**18 else f"about 10^{math.floor(math.log10(math.floor(value)))}"
 
 
 def _num_den(value: Fraction) -> str:

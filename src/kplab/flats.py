@@ -132,31 +132,22 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return num // den
 
 
-def _pivot_patterns(n: int, k: int) -> Iterator[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]]:
-    """Each RREF pivot pattern of a k-subspace of F^n, lexicographically, with
-    the (row, column) positions of its free entries."""
-    for pivots in itertools.combinations(range(n), k):
-        pivot_set = set(pivots)
-        yield pivots, tuple(
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, n)
-            if j not in pivot_set
-        )
-
-
 @functools.lru_cache(maxsize=None)
 def _pattern_blocks(
     n: int, k: int, p: int
 ) -> Tuple[int, Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...], int], ...]]:
-    """|G(n,k)| over GF(p) and its pivot patterns in enumeration order, each
-    with its free positions and its block size p^free; computed once per
-    (n, k, p) for `unrank_grassmannian`."""
+    """|G(n,k)| over GF(p) and each RREF pivot pattern of a k-subspace of F^n,
+    lexicographically, with the (row, column) positions of its free entries
+    and its block size p^free; computed once per (n, k, p) for enumeration
+    and unranking alike."""
     total = gaussian_binomial(n, k, p)
-    return total, tuple(
-        (pivots, free_positions, p ** len(free_positions))
-        for pivots, free_positions in _pivot_patterns(n, k)
-    )
+    blocks = []
+    for pivots in itertools.combinations(range(n), k):
+        free_positions = tuple(
+            (i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots
+        )
+        blocks.append((pivots, free_positions, p ** len(free_positions)))
+    return total, tuple(blocks)
 
 
 def _pattern_subspace(
@@ -174,15 +165,12 @@ def _pattern_subspace(
 def enumerate_grassmannian(n: int, k: int, field: Field) -> Iterator[LinearSubspace]:
     """All k-subspaces of F^n, each exactly once, in deterministic order.
 
-    Pivot patterns are visited lexicographically; for each pattern the free
-    entries (RREF shape) run through all field values in ascending order.
+    Pivot patterns are visited lexicographically (`_pattern_blocks`); for
+    each pattern the free entries (RREF shape) run through all field values
+    in ascending order.  At k = 0 the one empty pattern gives the zero
+    subspace.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    if k == 0:
-        yield zero_subspace(n)
-        return
-    for pivots, free_positions in _pivot_patterns(n, k):
+    for pivots, free_positions, _ in _pattern_blocks(n, k, field.p)[1]:
         for values in itertools.product(field.elements(), repeat=len(free_positions)):
             yield _pattern_subspace(n, pivots, free_positions, values)
 

@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field as default_field
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -29,7 +29,6 @@ from .flats import (
     membership,
 )
 from .linalg import Vector, in_span, span
-from .reports import CountReport
 
 
 class EmptyRefinementError(ValueError):
@@ -46,19 +45,41 @@ class SizeGuardError(RuntimeError):
 
 
 @dataclass
-class IncidenceIndex:
-    """The per-flat marginal of the incidence relation, the exact total, and
-    the sorted incident points of every flat."""
+class CountReport:
+    """Exact counts plus the bound they were compared against.
 
-    per_flat: Dict[AffineFlat, int]
-    total: int
+    `counts` hold exact integers; `ratios` are decimal renderings of exact
+    comparisons (None when undefined, e.g. empty input); `verdicts` carry
+    the pass/fail decisions, each computed by exact integer arithmetic.
+    """
+
+    counts: Dict[str, int] = default_field(default_factory=dict)
+    ratios: Dict[str, Optional[float]] = default_field(default_factory=dict)
+    verdicts: Dict[str, object] = default_field(default_factory=dict)
+    notes: Dict[str, object] = default_field(default_factory=dict)
+
+
+@dataclass
+class IncidenceIndex:
+    """The sorted incident points of every flat; the per-flat marginal and
+    the exact total are read from them, once each."""
+
     points: Dict[AffineFlat, Tuple[Vector, ...]]
+
+    @functools.cached_property
+    def per_flat(self) -> Dict[AffineFlat, int]:
+        return {flat: len(pts) for flat, pts in self.points.items()}
+
+    @functools.cached_property
+    def total(self) -> int:
+        return sum(self.per_flat.values())
 
 
 def incidence_count(config: Configuration) -> IncidenceIndex:
-    """Exact |I(P, Pi)| with the per-flat marginal.  Every counter
-    that reads incidences takes this index as an argument, so a caller
-    builds it once per configuration.
+    """The sorted points of P on each flat of Pi, from which the per-flat
+    marginal and the exact |I(P, Pi)| are read.  Every counter that reads
+    incidences takes this index as an argument, so a caller builds it once
+    per configuration.
 
     When p^k <= |P| a flat is counted from its p^k points, zipped column by
     column by `enumerate_points`, each looked up in the point set.  Otherwise
@@ -76,8 +97,7 @@ def incidence_count(config: Configuration) -> IncidenceIndex:
         else:
             hits = [pt for pt in config.points if membership(pt, flat, fld)]
         points[flat] = tuple(sorted(hits))
-    per_flat = {flat: len(pts) for flat, pts in points.items()}
-    return IncidenceIndex(per_flat, sum(per_flat.values()), points)
+    return IncidenceIndex(points)
 
 
 def cs_holder_count(config: Configuration, m: int, index: IncidenceIndex) -> int:
@@ -307,21 +327,20 @@ class Spine(NamedTuple):
     partners: List[int]
 
 
-class Face(NamedTuple):
-    """One flat's record from `common_points`: its points are bits 1 << i in
-    sorted order, a set of them the `|` of their bits.  `spines` maps each
-    hyperplane (normal, level) in local coordinates that k of its points
-    span to that hyperplane's `Spine`."""
-
-    spines: Dict[Tuple[Vector, int], Spine]
+# One flat's record from `common_points`: each hyperplane (normal, level) in
+# local coordinates that k of its points span, mapped to that hyperplane's
+# `Spine`.  The flat's points are bits 1 << i in sorted order, a set of them
+# the `|` of their bits.
+Face = Dict[Tuple[Vector, int], Spine]
 
 
 def common_points(flats: Sequence[AffineFlat], index: IncidenceIndex, field: Field) -> Iterator[Face]:
-    """For each flat of the family, in order, its `Face`: its spines, the
-    hyperplanes its k-subsets span, k = dim, each with the other family
-    flats through it.  This is the one place that decides spanning: k points
-    span a hyperplane of the flat exactly when their span in local
-    coordinates (`local_coordinates`) has dimension k-1 (`linalg.span`).
+    """For each flat of the family, in order, its `Face`, a dict from each
+    hyperplane its k-subsets span, k = dim, to that hyperplane's `Spine`,
+    with the other family flats through it.  This is the one place that
+    decides spanning: k points span a hyperplane of the flat exactly when
+    their span in local coordinates (`local_coordinates`) has dimension k-1
+    (`linalg.span`).
 
     Every face point on a spine completes k-1 points of one of its spanning
     k-subsets to another, so a spine's points are the `|` of its heads.  Two
@@ -359,7 +378,7 @@ def common_points(flats: Sequence[AffineFlat], index: IncidenceIndex, field: Fie
         for b, mask in shared.items():
             if b != a and mask in by_points:
                 by_points[mask].partners.append(b)
-        yield Face(spines)
+        yield spines
 
 
 @dataclass
@@ -408,7 +427,7 @@ class ChainTally:
     The counts are of ordered k-tuples, but spines are enumerated unordered:
     a spanning k-tuple has k distinct points, and its k! orders share one
     hull and one set of tallies, so each spanning k-subset of a flat's
-    points (a head of one of its `Face.spines`) is counted once and its
+    points (a head of one of its face's spines) is counted once and its
     counts, the f(pi_0, x) values included, are scaled by k! (before the
     dyadic bucketing of f).
 
@@ -437,7 +456,7 @@ class ChainTally:
         # f(pi_a, x) = sum of s over the partners through x, for x off pi_a.
         off = frozenset(pts)
         f_values: Dict[Vector, int] = {}
-        for spine in face.spines.values():
+        for spine in face.values():
             s, c = len(spine.heads), spine.points.bit_count()
             self.spanning += s
             if c * scale < i_tilde:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .config import enumerate_space, gen_degenerate
+from .config import enumerate_space
 from .exponents import PowerProduct
 from .field import Field
 from .flats import (
@@ -193,7 +193,9 @@ def default_candidates(
     n: int, k: int, field: Field, seed: int
 ) -> Dict[str, GridFunction]:
     """Built-in witness family: constant, point spike, r-flat indicators,
-    random dyadic-density sets, degenerate-configuration points."""
+    random dyadic-density sets, and, for 2 <= k <= n-1, the points of the
+    degenerate configuration `gen_degenerate(n, k, k-1)`, which are the
+    (k-1)-flat's: one witness under two names."""
     rng = random.Random(seed)
     fld = field
     out: Dict[str, GridFunction] = {}
@@ -214,8 +216,7 @@ def default_candidates(
         if pts:
             out[f"random_density_1/{2**exponent}"] = GridFunction.indicator(fld, n, pts)
     if 1 <= k - 1 and k <= n - 1:
-        deg = gen_degenerate(n, k, max(1, k - 1), fld)
-        out["degenerate_points"] = GridFunction.indicator(fld, n, deg.points)
+        out["degenerate_points"] = out[f"flat_dim_{k - 1}"]
     return out
 
 

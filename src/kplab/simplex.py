@@ -16,6 +16,7 @@ from .config import Configuration
 from .flats import AffineFlat, affine_hull, flats_through
 from .incidence import (
     ChainTally,
+    CountReport,
     Face,
     IncidenceIndex,
     RefinementChainReport,
@@ -24,7 +25,6 @@ from .incidence import (
     refine_dyadic,
 )
 from .linalg import Vector
-from .reports import CountReport
 
 BRUTE_FORCE_POINT_GUARD = 40
 
@@ -52,7 +52,7 @@ def count_simplices(
     spanning points, and the apexes completing a simplex are the points off
     the face lying, for every i, on a family flat through those k points:
     the facet itself, so no facet hull is computed.  Those flats are the
-    partners on the face's spines (`Face.spines`), so each face maps every
+    partners on the face's spines (its `Face`), so each face maps every
     head of a spine with partners to the pool of their points off the face,
     a table kept for that face only.  Only its keys can be heads, and a
     base's last vertex, its highest in the face's point order, completes
@@ -89,7 +89,7 @@ def count_simplices(
         # A spanning k-subset of the face's points, as face bits, to its pool.
         around: Dict[int, int] = {}
         heads = []
-        for spine in face.spines.values():
+        for spine in face.values():
             pool = 0
             for b in spine.partners:
                 pool |= masks[b]

@@ -109,6 +109,11 @@ class TestParseSpec:
         assert isinstance(spec.params["seeds"], range)
         assert list(spec.params["seeds"]) == [1, 2, 3, 4, 5]
 
+    def test_exponent_past_float_named(self):
+        # 10^400 has 401 digits, so the message gives its power of ten.
+        with pytest.raises(cli.SpecError, match=r"got n=2, k=1, p_exp=about 10\^400, q_exp=2$"):
+            cli.parse_spec("experiment=maximal-ratio n=2 k=1 prime=2 p_exp=1e400 q_exp=2")
+
     def test_non_prime_rejected(self):
         with pytest.raises(cli.SpecError, match="prime"):
             cli.parse_spec("experiment=grassmann-census n=4 k=2 prime=9")

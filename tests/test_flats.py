@@ -78,8 +78,12 @@ class TestGrassmannianEnumeration:
     def test_extreme_dimensions(self):
         fld = Field(3)
         assert [s.dim for s in enumerate_grassmannian(4, 0, fld)] == [0]
+        assert list(enumerate_grassmannian(4, 0, fld)) == [zero_subspace(4)]
         full = list(enumerate_grassmannian(3, 3, fld))
         assert len(full) == 1 and full[0].dim == 3
+        for k in (3, -1):
+            with pytest.raises(ValueError, match="need 0 <= k <= n"):
+                next(enumerate_grassmannian(2, k, fld))
 
     def test_order_is_deterministic(self):
         fld = Field(3)

@@ -357,8 +357,8 @@ def test_common_points_match_pointwise_intersection(n, k, p):
                 spanning = [
                     subset for subset in itertools.combinations(pts, k) if affine_hull(subset, fld)[0] == k - 1
                 ]
-                assert sum(len(spine.heads) for spine in face.spines.values()) == len(spanning)
-                for (normal, level), spine in face.spines.items():
+                assert sum(len(spine.heads) for spine in face.values()) == len(spanning)
+                for (normal, level), spine in face.items():
                     on = {x for x in pts if sum(map(mul, normal, local[x])) % p == level}
                     assert spine.points == sum(bit[x] for x in on)
                     assert spine.heads and spine.heads == [
@@ -402,7 +402,7 @@ def test_spanning_head_hyperplane_holds_exactly_the_shared_points(n, k, p):
         for family in (cfg.flats, refine_dyadic(cfg, index).flats):
             for flat, face in zip(family, common_points(family, index, fld)):
                 pts = index.points[flat]
-                for spine in face.spines.values():
+                for spine in face.values():
                     spanned = 0
                     for head in spine.heads:
                         dim, plane = affine_hull([pts[b.bit_length() - 1] for b in head], fld)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from kplab.config import gen_degenerate
 from kplab.exponents import PowerProduct
 from kplab.field import Field
 from kplab.flats import enumerate_grassmannian, enumerate_points, gaussian_binomial, make_flat, span_of
@@ -307,6 +308,12 @@ class TestSearch:
         family = default_candidates(4, 2, f3, seed=0)
         assert "constant" in family and "point" in family
         assert any(name.startswith("flat_dim_") for name in family)
+        # The degenerate witness is the (k-1)-flat's indicator under a second
+        # name; the generator it is named after stays its definition.
+        for n, k, p in ((3, 2, 7), (4, 2, 5), (5, 3, 3), (5, 4, 2)):
+            fld = Field(p)
+            family = default_candidates(n, k, fld, seed=0)
+            assert {x for x, _ in family["degenerate_points"].values} == gen_degenerate(n, k, k - 1, fld).points
 
 
 @pytest.mark.parametrize(

@@ -180,7 +180,7 @@ def test_count_simplices_reads_a_given_walk():
     assert simplices >= 1
     assert count_simplices(cfg, index, family, faces()) == simplices
     assert len(fed) == len(family)
-    alone = [Face({key: spine._replace(partners=[]) for key, spine in face.spines.items()}) for face in fed]
+    alone = [{key: spine._replace(partners=[]) for key, spine in face.items()} for face in fed]
     assert count_simplices(cfg, index, family, alone) == 0
 
 
