@@ -44,8 +44,10 @@ DEFAULT_BUDGET = 50_000_000
 RANK_TEST_COST = 10
 # The maximal-ratio terms charge each direction (n-k) steps per prefix of
 # F^n, p + p^2 + ... + p^n of them, a proxy sized from the prefix walk that
-# the key kernel no longer takes (`flats.CosetKeys` sums columns), and its
-# binned points, whichever kernel `flats.CosetSums` picks; and each run
+# the key kernel no longer takes (`flats.CosetKeys` adds whole columns in
+# byte lanes at p < 128 and p^(n-k) <= 2^64, and sums columns point by
+# point otherwise), and its binned points, whichever kernel
+# `flats.CosetSums` picks; and each run
 # MAXIMAL_POINT_UNITS per point of F^n for building the witnesses there,
 # which took 11-17 us a point at k = 0 and k = n, where a run has one
 # direction.  On a 2-CPU host, with a unit taken as 0.9 us, G(4,2) at p=5

@@ -6,15 +6,19 @@ equality and hashing are structural throughout.
 
 Which coset of a direction holds a point is answered by one map, the packed
 integer key: the digits a_j . x mod p of the annihilator rows a_j of the
-direction, one row per free column j.  `coset_key`, `membership` and
-`LinearSubspace.contains` read it for one point, `CosetKeys` for a fixed
-point set under any direction at once (by column sums), `make_flat` writes
-its digits into the free columns of the canonical representative (they are
-the entries that eliminating the pivots by the basis rows leaves there), and
-`flats_through` keys the (k+1)-flats through a k-flat by the digits of the
-vector that extends it.
+direction, one row per free column j.  `coset_key` and
+`LinearSubspace.contains` read it for one point, `membership` compares its
+digits with the flat's one row at a time and stops at the first that
+differs, `CosetKeys` gives it for a fixed point set under any direction at
+once (in byte lanes: every coordinate column one `bytes` of one lane a
+point, each row's digits of all points one int, when p < 128 and
+p^(n-k) <= 2^64; by column sums point by point otherwise), `make_flat`
+writes its digits into the free columns of the canonical representative
+(they are the entries that eliminating the pivots by the basis rows leaves
+there), and `flats_through` keys the (k+1)-flats through a k-flat by the
+digits of the vector that extends it.
 The rows are kept on the subspace instance the first time they are needed,
-a flat's own key (its representative's) on the flat the first time
+a flat's own digits (its representative's) on the flat the first time
 `membership` tests it, and the hash of every subspace and flat the first
 time it is asked for.
 
@@ -33,6 +37,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from operator import mul
@@ -115,8 +121,7 @@ def _at_free_columns(direction: LinearSubspace, values: Iterable[int]) -> Vector
 def make_flat(direction: LinearSubspace, point: Vector, field: Field) -> AffineFlat:
     """Canonical affine flat through `point` with the given direction: the
     digits of the point's coset key in the free columns, zero at the pivots."""
-    p = field.p
-    digits = [sum(map(mul, row, point)) % p for row in _annihilator(direction, field)]
+    digits = _digits(point, _annihilator(direction, field), field.p)
     return AffineFlat(direction, _at_free_columns(direction, digits))
 
 
@@ -229,6 +234,12 @@ def enumerate_points(flat: AffineFlat, field: Field) -> Iterator[Vector]:
     yield from zip(*columns)
 
 
+def _digits(point: Vector, rows: Tuple[Vector, ...], p: int) -> List[int]:
+    """The residues a . x mod p of the annihilator rows a: the digits of the
+    coset key of `point`, first row first."""
+    return [sum(map(mul, row, point)) % p for row in rows]
+
+
 def _packed_key(point: Vector, rows: Tuple[Vector, ...], p: int) -> int:
     """The coset key of `point`: the residues a . x mod p of the annihilator
     rows a, read as the base-p digits of one int.  Two points share a key
@@ -256,29 +267,56 @@ def coset_key(point: Vector, direction: LinearSubspace, field: Field) -> int:
 
 
 def membership(point: Vector, flat: AffineFlat, field: Field) -> bool:
-    """Whether the point lies on the flat: its coset key under the flat's
-    direction equals the flat's own, the representative's, which is kept on
-    the flat at its first test, whether or not `make_flat` built it."""
-    kept = flat.__dict__.get("_key")
+    """Whether the point lies on the flat: each annihilator row of the flat's
+    direction gives the point the flat's own digit, its representative's.
+    The rows with their digits are kept on the flat at its first test,
+    whether or not `make_flat` built it, and the test stops at the first row
+    whose digit differs."""
+    kept = flat.__dict__.get("_digits")
     if kept is None:
         rows = _annihilator(flat.direction, field)
-        kept = flat.__dict__["_key"] = (field.p, rows, _packed_key(flat.representative, rows, field.p))
-    p, rows, key = kept
+        digits = _digits(flat.representative, rows, field.p)
+        kept = flat.__dict__["_digits"] = (field.p, tuple(zip(rows, digits)))
+    p, rows_and_digits = kept
     if p != field.p:
         raise ValueError(f"flat built over GF({p}) tested over GF({field.p})")
-    return _packed_key(point, rows, p) == key
+    for row, digit in rows_and_digits:
+        if sum(map(mul, row, point)) % p != digit:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _lane_tables(p: int) -> Tuple[Tuple[bytes, ...], bytes]:
+    """The `bytes.translate` tables of the byte lanes of `CosetKeys` over
+    GF(p): `times[a]` maps a residue v to a v mod p, `residue` any byte to
+    itself mod p."""
+    times = tuple(bytes([a * v % p for v in range(256)]) for a in range(p))
+    return times, bytes([v % p for v in range(256)])
+
+
+# The array typecode of each lane width in bytes.
+_LANE_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 
 
 class CosetKeys:
     """The coset keys of one fixed point set under any direction, all at once.
 
     The points are kept sorted and distinct (`points`), with their
-    coordinate columns: `columns[i]` holds the entries x_i, in order.
-    `keys(direction)` sums a_i times column i over the nonzero entries a_i
-    of each annihilator row a, reduces each row's sums mod p once and packs
-    them into the base-p key `coset_key` gives.  A row is nonzero only at
-    its free column and the k pivots, so a direction costs at most
-    (n-k)(k+1) steps per point.
+    coordinate columns: `columns[i]` holds the entries x_i, in order, as a
+    `bytes` of one lane a point when p < 128.  `keys(direction)` then reads
+    each annihilator row a as one long int: it maps column i through the
+    table of a_i times a residue mod p (no map where a_i = 1), adds the
+    columns of the nonzero a_i as little-endian ints, whose lanes cannot
+    carry while their sum stays below 256 (it is reduced mod p between adds
+    where the next could carry), and maps the sum back to the residues
+    mod p.  The rows' digit strings are packed into the base-p key
+    in lanes of 1, 2, 4 or 8 bytes, the fewest that hold p^(n-k), and read
+    back by `array`.  At p >= 128, or when p^(n-k) > 2^64, it sums a_i
+    times column i over the same columns point by point, reduces each row's
+    sums mod p once and packs them into the key, `coset_key`'s.  A row is
+    nonzero only at its free column and the k pivots, so either way a
+    direction takes at most (n-k)(k+1) column steps.
     """
 
     def __init__(self, points: Iterable[Vector], field: Field):
@@ -287,7 +325,8 @@ class CosetKeys:
         if len(set(map(len, self.points))) > 1:
             raise ValueError("ambient dimension mismatch")
         self.n = len(self.points[0]) if self.points else 0
-        self.columns = list(zip(*self.points))
+        columns = zip(*self.points)
+        self.columns = list(map(bytes, columns) if field.p < 128 else columns)
 
     def keys(self, direction: LinearSubspace) -> List[int]:
         """`coset_key(x, direction)` for each x in `points`, in order."""
@@ -296,14 +335,44 @@ class CosetKeys:
         if direction.ambient != self.n:
             raise ValueError(f"direction lives in F^{direction.ambient}, the points in F^{self.n}")
         p = self.field.p
+        rows = _annihilator(direction, self.field)
+        if p < 128 and (cosets := p ** len(rows)) <= 1 << 64:
+            width = 1 if cosets <= 1 << 8 else 2 if cosets <= 1 << 16 else 4 if cosets <= 1 << 32 else 8
+            return self._lane_keys(rows, width)
         keys: Optional[List[int]] = None
-        for row in _annihilator(direction, self.field):
+        for row in rows:
             sums: Optional[List[int]] = None  # set: a row has a 1 at its free column
             for a, column in zip(row, self.columns):
                 if a:
                     sums = [a * x for x in column] if sums is None else [s + a * x for s, x in zip(sums, column)]
             keys = [s % p for s in sums] if keys is None else [key * p + s % p for key, s in zip(keys, sums)]
         return [0] * len(self.points) if keys is None else keys
+
+    def _lane_keys(self, rows: Tuple[Vector, ...], width: int) -> List[int]:
+        """The keys of `keys` in byte lanes, `width` bytes a key: p < 128 and
+        p^len(rows) <= 2^64."""
+        p, size = self.field.p, len(self.points)
+        times, residue = _lane_tables(p)
+        key = 0
+        for row in rows:
+            sums = top = 0  # top: the largest lane of sums
+            for a, column in zip(row, self.columns):
+                if a:
+                    if top + p > 256:  # the next column could carry: reduce first
+                        sums = int.from_bytes(sums.to_bytes(size, "little").translate(residue), "little")
+                        top = p - 1
+                    sums += int.from_bytes(column if a == 1 else column.translate(times[a]), "little")
+                    top += p - 1
+            digits = sums.to_bytes(size, "little").translate(residue)
+            if width > 1:
+                lanes = bytearray(width * size)
+                lanes[::width] = digits
+                digits = lanes
+            key = key * p + int.from_bytes(digits, "little")
+        keys = array(_LANE_TYPECODES[width], key.to_bytes(width * size, "little"))
+        if sys.byteorder == "big":
+            keys.byteswap()
+        return keys.tolist()
 
 
 def _bitmask(positions: Iterable[int], size: int) -> int:
@@ -374,7 +443,7 @@ class CosetMasks:
 
 # A mask AND costs one step, plus one per MASK_STEP_BITS bits of |points|.
 # The value is fitted to the picks, not to one AND: a `CosetKeys` column step
-# or a counted key takes about 50 ns on a 2-CPU host, a fold step of
+# or a counted key took about 50 ns on a 2-CPU host, a fold step of
 # `CosetMasks.masks` about five times that at 1-2 k bits, and the count puts
 # p meets per coset where the partition makes about one.  Timed on the
 # default witness families of `maximal.apply_maximal_many` with each kernel
@@ -382,7 +451,11 @@ class CosetMasks:
 # (3,1,13), (3,1,17), (4,1,7) and (4,2,5); keys at k = 0 and at (2,1,61)
 # and (4,1,11), where keys ran 1.2-1.4x faster; and masks at (2,1,p) for
 # p = 5..43, where the two ran within about 10 % of each other.  1024 would
-# pick keys at (3,1,17), 4096 masks at (2,1,61).
+# pick keys at (3,1,17), 4096 masks at (2,1,61).  Those key times are of
+# column sums point by point; `CosetKeys` now takes byte lanes at p < 128,
+# 2-10x faster a direction, yet the step count still charges keys at the
+# column-sum rate, on purpose: the picks stay as fitted and tested, and
+# a recalibration is its own change (CHANGES.md has the forced times).
 MASK_STEP_BITS = 2048
 
 
@@ -399,7 +472,10 @@ class CosetSums:
     point.  So masks win on dense families with few cosets, keys on sparse
     point sets and on many cosets: at k = 0 each point is its own coset, and
     masks would hold |points|^2 bits.  A coset sum is one AND and popcount
-    per class, or one `Counter` of keys per class.
+    per class, or one `Counter` of keys per class.  The key steps are the
+    rate of column sums point by point, which `CosetKeys` keeps only at
+    p >= 128 or p^(n-k) > 2^64; its byte lanes run faster, and the count
+    charges them at that rate on purpose (see `MASK_STEP_BITS`).
     """
 
     def __init__(self, weightings: Sequence[Sequence[Tuple[int, Sequence[Vector]]]], k: int, field: Field):

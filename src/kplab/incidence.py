@@ -83,10 +83,12 @@ def incidence_count(config: Configuration) -> IncidenceIndex:
 
     When p^k <= |P| a flat is counted from its p^k points, zipped column by
     column by `enumerate_points`, each looked up in the point set.  Otherwise
-    every point of P is probed with one `membership` call per (point, flat);
-    that side and the crossover stay as they are because the benchmark
-    tracer's self-test pins 39 `membership` calls inside `incidence_count`
-    on `gen_degenerate(4, 2, 1, GF(3))`.
+    every point of P is probed with one `membership` call per (point, flat),
+    which stops at the first annihilator digit of the point that differs
+    from the flat's (at p = 7 mostly the first).  That side keeps one call
+    per (point, flat), and the crossover stays as it is, because the
+    benchmark tracer's self-test pins 39 `membership` calls inside
+    `incidence_count` on `gen_degenerate(4, 2, 1, GF(3))`.
     """
     fld = config.field
     flat_size = fld.p ** config.k

@@ -31,6 +31,13 @@ PINNED_ROWS = {
         "p_exp=11/6 q_exp=22/5 seeds=0..5",
         "dafaa71ebc5e3eabe3e317513c41b03cdc5e37614539ef45b9563c35c14517cd",
     ),
+    # 23, 32 and 26 points, fewer than 7^2: the probe side of incidence_count,
+    # and CosetKeys in 2-byte lanes (7^3 = 343 cosets a plane) for the max IC.
+    "incidence-bound lanes": (
+        "experiment=incidence-bound n=5 k=2 prime=7 num_directions=60 density=1/512 "
+        "p_exp=13/6 q_exp=39/7 seeds=0..2",
+        "f14f9e40a8987d2cedd68b55ff07ebe0151c3825e72cb5d5b1695459579b8064",
+    ),
     "two-ends": (
         "experiment=two-ends n=4 k=2 r=2 prime=3 num_directions=6 density=1/2 seeds=0..3",
         "e495797d52771a1fa1de6753003946c2329d2fadc852c31e5989d856fe4d5835",

@@ -153,7 +153,8 @@ def test_membership():
 
 def test_membership_of_directly_built_flat():
     # An AffineFlat built by hand, equal to the make_flat one, tests every
-    # point of F_3^3 the same way; a test over another field is refused.
+    # point of F_3^3 the same way; a test over another field is refused,
+    # also once the flat keeps its digits from those tests.
     f3 = Field(3)
     direction = span_of([(1, 0, 0)], 3, f3)
     direct = AffineFlat(direction, (0, 1, 2))
@@ -263,6 +264,80 @@ def test_coset_keys_match_coset_key(p):
                     got = masks.masks(direction)
                     assert all(got) and len(got) == len(set(got))
                     assert sorted(got) == sorted(classes.values())
+
+
+@pytest.mark.parametrize(
+    "n,k,p,width",
+    [
+        (4, 2, 7, 1),
+        (5, 2, 7, 2),
+        (7, 1, 11, 4),
+        (9, 1, 31, 8),
+        (4, 2, 127, 2),  # three columns a row: the lanes are reduced between adds
+        (9, 1, 2, 1),  # 2^8 keys: a full 1-byte lane
+        (6, 1, 31, 4),  # 31^5 > 2^24: four bytes, not three
+        (65, 1, 2, 8),  # 2^64 keys
+        (66, 1, 2, None),  # 2^65 keys: column sums
+        (3, 1, 131, None),  # p >= 128: column sums
+        (45, 1, 3, None),  # 3^44 > 2^64: column sums
+    ],
+)
+def test_coset_keys_lanes_match_coset_key(monkeypatch, n, k, p, width):
+    # Each path of CosetKeys.keys, byte lanes of 1, 2, 4 and 8 bytes a key
+    # or column sums, gives coset_key of each point on empty, one-point,
+    # duplicate-laden and drawn inputs, under every direction of G(n,k) or,
+    # where it is too large to enumerate, under sampled ones.
+    widths = []
+    lane_keys = CosetKeys._lane_keys
+
+    def recorded(self, rows, lanes):
+        widths.append(lanes)
+        return lane_keys(self, rows, lanes)
+
+    monkeypatch.setattr(CosetKeys, "_lane_keys", recorded)
+    fld = Field(p)
+    rng = random.Random(n * p + k)
+    drawn = random_vectors(n, p, 40, rng)
+    inputs = [[], drawn[:1], drawn[:9] + drawn[:5] + [drawn[3]] * 4, drawn + [(p - 1,) * n, (0,) * n]]
+    kernels = [CosetKeys(points, fld) for points in inputs]
+    total = gaussian_binomial(n, k, p)
+    if total <= 3000:
+        directions = list(enumerate_grassmannian(n, k, fld))
+    else:
+        directions = [unrank_grassmannian(n, k, fld, rng.randrange(total)) for _ in range(40)]
+    for direction in directions:
+        for kernel in kernels:
+            assert kernel.keys(direction) == [coset_key(x, direction, fld) for x in kernel.points]
+    assert set(widths) == ({width} if width else set())
+
+
+def test_membership_stops_only_at_a_differing_digit():
+    # membership compares the annihilator digits of the point with the
+    # flat's one row at a time: on (4,2,7) flats, points that share the
+    # flat's first digit but not its second are refused, and every answer
+    # is the one coset_key gives.
+    fld = Field(7)
+    rng = random.Random(4)
+    space = list(itertools.product(range(7), repeat=4))
+    later = 0
+    for _ in range(20):
+        direction = unrank_grassmannian(4, 2, fld, rng.randrange(gaussian_binomial(4, 2, 7)))
+        flat = make_flat(direction, rng.choice(space), fld)
+        rows = null_space_rows(direction.basis, 4, fld)
+        assert len(rows) == 2
+
+        def digits(x):
+            return [sum(a * b for a, b in zip(row, x)) % 7 for row in rows]
+
+        own = digits(flat.representative)
+        for x in rng.sample(space, 200):
+            on = membership(x, flat, fld)
+            assert on == (coset_key(x, direction, fld) == coset_key(flat.representative, direction, fld))
+            first, second = digits(x)
+            if first == own[0] and second != own[1]:
+                assert not on
+                later += 1
+    assert later > 0
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -415,7 +490,7 @@ def test_pickle_round_trip_keeps_equality_and_hash():
     f3 = Field(3)
     flat = line(f3, 3, (1, 2, 0), (0, 1, 2))
     fresh = line(f3, 3, (2, 1, 0), (1, 0, 2))
-    hash(flat)  # keep the hashes and the coset key on the instances
+    hash(flat)  # keep the hashes and the flat's digits on the instances
     membership((0, 1, 2), flat, f3)
     for obj, twin in ((flat, fresh), (flat.direction, fresh.direction)):
         copy = pickle.loads(pickle.dumps(obj))
