@@ -17,7 +17,6 @@ from .field import Field
 from .flats import (
     AffineFlat,
     LinearSubspace,
-    affine_hull,
     enumerate_grassmannian,
     enumerate_points,
     gaussian_binomial,
@@ -33,7 +32,8 @@ from .incidence import (
     refine_dyadic,
 )
 from .maximal import GridFunction, apply_maximal, empirical_norm_search
-from .simplex import count_simplices, count_simplices_bruteforce, simplex_bound_report
+from .oracles import affine_hull, count_simplices_bruteforce
+from .simplex import count_simplices, simplex_bound_report
 
 __version__ = "0.1.0"
 

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
-import random
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -22,38 +20,18 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
-from . import exponents, incidence, maximal, simplex
-from .config import gen_degenerate, gen_nk_set, gen_point_cloud, gen_random_config
+from . import exponents, incidence, maximal, oracles, simplex
+from .config import gen_degenerate, gen_nk_set, gen_random_config
 from .field import Field, NotPrimeError
-from .flats import (
-    CosetKeys,
-    coset_key,
-    enumerate_grassmannian,
-    enumerate_points,
-    gaussian_binomial,
-    make_flat,
-    unrank_grassmannian,
-)
+from .flats import enumerate_grassmannian, gaussian_binomial
 
 DEFAULT_BUDGET = 50_000_000
-# Work units per rank test.  Every charged rank test is now a cached
-# `linalg.span` lookup, not a 2x2 rref (about 9 us on a 2-CPU host, which
-# set this value), so `_corpus_work` overshoots a refinement-chain run by
-# about 3x and a two-ends run further; the value is recalibrated with the
-# work model once a metrics sidecar measures rank tests (ROADMAP.md).
+# Work units per rank test, fitted to the time of a 2x2 `rref`, which is
+# dearer than the cached `linalg.span` lookup that a charged rank test is.
+# The work model's recalibration (ROADMAP.md) refits it.
 RANK_TEST_COST = 10
-# The maximal-ratio terms charge each direction (n-k) steps per prefix of
-# F^n, p + p^2 + ... + p^n of them, a proxy sized from the prefix walk that
-# the key kernel no longer takes (`flats.CosetKeys` adds whole columns in
-# byte lanes at p < 128 and p^(n-k) <= 2^64, and sums columns point by
-# point otherwise), and its binned points, whichever kernel
-# `flats.CosetSums` picks; and each run
-# MAXIMAL_POINT_UNITS per point of F^n for building the witnesses there,
-# which took 11-17 us a point at k = 0 and k = n, where a run has one
-# direction.  On a 2-CPU host, with a unit taken as 0.9 us, G(4,2) at p=5
-# estimates 0.64 s against a 0.07-0.12 s run, G(4,2) at p=7 6.1 s against
-# 0.45-0.8 s and G(5,2) at p=5 71 s against 9.8 s: the estimate is 5-14x
-# the run, until the work terms are recalibrated together (ROADMAP.md).
+# The terms of `_maximal_work`, fitted to older kernel times, so its
+# estimate is several times the run.  The recalibration refits them too.
 MAXIMAL_STEPS_PER_UNIT = 5
 MAXIMAL_DIRECTION_STEPS = 1500
 MAXIMAL_POINT_UNITS = 20
@@ -376,14 +354,13 @@ def _corpus_work(subset_sizes: Callable[..., Sequence[int]], walks: int,
 
 def _maximal_work(n, k, prime, **_) -> int:
     """Work units of `maximal-ratio`: for each direction of G(n,k), one step
-    per annihilator row and prefix of F^n (p + p^2 + ... + p^n of them, about
-    one per point; a proxy sized from the key kernel's former prefix walk,
-    not a count of what either kernel does now), one per binned point (the
-    default family bins about 2 p^n) and MAXIMAL_DIRECTION_STEPS for the
-    direction itself, MAXIMAL_STEPS_PER_UNIT steps a unit; and once,
-    MAXIMAL_POINT_UNITS per point of F^n for the witnesses, which a run
-    builds on all of F^n however few directions it has (see the comment
-    above MAXIMAL_STEPS_PER_UNIT)."""
+    per annihilator row and prefix of F^n (p + p^2 + ... + p^n of them, a
+    proxy of about one step per point, not a count of what either coset
+    kernel does), one per binned point (the default family bins about
+    2 p^n) and MAXIMAL_DIRECTION_STEPS for the direction itself,
+    MAXIMAL_STEPS_PER_UNIT steps a unit; and once, MAXIMAL_POINT_UNITS per
+    point of F^n for the witnesses, which a run builds on all of F^n however
+    few directions it has."""
     prefixes = sum(prime**i for i in range(1, n + 1))
     steps = (n - k) * prefixes + 2 * prime**n + MAXIMAL_DIRECTION_STEPS
     return gaussian_binomial(n, k, prime) * steps // MAXIMAL_STEPS_PER_UNIT + MAXIMAL_POINT_UNITS * prime**n
@@ -457,117 +434,6 @@ def write_json(rows: Sequence[Dict[str, object]], path: Path) -> None:
     path.write_text(json.dumps(list(rows), indent=2, default=str) + "\n")
 
 
-def _selftest() -> int:
-    failures = 0
-
-    def check(name: str, test: Callable[[], bool]):
-        # A fast path's internal assertion is a FAIL, and later lines still run.
-        nonlocal failures
-        try:
-            ok = test()
-        except AssertionError:
-            ok = False
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures += 1
-
-    def simplices_agree(cfg, index) -> bool:
-        return simplex.count_simplices(cfg, index) == simplex.count_simplices_bruteforce(cfg)
-
-    for n, k, p in ((3, 1, 2), (4, 2, 3), (2, 1, 5)):
-        enumerated = sum(1 for _ in enumerate_grassmannian(n, k, Field(p)))
-        check(f"grassmann census ({n},{k},{p})", lambda: enumerated == gaussian_binomial(n, k, p))
-    check("exponent identities k<=12", lambda: all(exponents.verify_identity_main(k) for k in range(2, 13)))
-    for seed in range(5):
-        cfg = gen_random_config(3, 1, 4, Fraction(1, 3), Field(3), seed)
-        index = incidence.incidence_count(cfg)
-        check(f"simplex oracle seed {seed}", lambda: simplices_agree(cfg, index))
-    # In F_3^4 (all 130 planes, at most 26 points) most pairs of planes meet
-    # in a single point, so the counters skip partners sharing fewer than k
-    # points, which never happens in F_3^3.
-    for n, num_directions, density in ((3, 8, Fraction(1, 2)), (4, 130, Fraction(1, 3))):
-        for seed in range(3):
-            cfg = gen_random_config(n, 2, num_directions, density, Field(3), seed)
-            index = incidence.incidence_count(cfg)
-            check(
-                f"refinement chain oracle ({n},2,3) seed {seed}",
-                lambda: all(
-                    getattr(incidence.build_refinement_chain(cfg, index), name) == value
-                    for name, value in incidence.build_refinement_chain_bruteforce(cfg).items()
-                ),
-            )
-            check(f"simplex oracle ({n},2,3) seed {seed}", lambda: simplices_agree(cfg, index))
-    # All 16 points of F_2^4 and one 3-flat of each of the 15 directions of
-    # G(4,3): the first k = 3 simplex counts.  Over GF(2) any three distinct
-    # points span; in F_3^4 (40 3-flats, 20-26 points) three points on a
-    # line do not, so those lines reach k-subsets `common_points` drops.
-    for p, num_directions, density in ((2, 15, Fraction(1)), (3, 40, Fraction(1, 3))):
-        for seed in range(3):
-            cfg = gen_random_config(4, 3, num_directions, density, Field(p), seed)
-            index = incidence.incidence_count(cfg)
-            check(f"simplex oracle (4,3,{p}) seed {seed}", lambda: simplices_agree(cfg, index))
-    # The first k = 4 count: 18 points of F_2^5 on 20 4-flats, one simplex.
-    cfg = gen_random_config(5, 4, 20, Fraction(3, 4), Field(2), 2)
-    index = incidence.incidence_count(cfg)
-    check("simplex oracle (5,4,2) seed 2", lambda: simplices_agree(cfg, index))
-    # Over GF(2) any three distinct points span; over GF(3) three points of
-    # a plane can lie on a line, so the (4,2,3) lines reach every stratum.
-    for label, n, k, p, num_directions, rs in (("", 5, 3, 2, 8, (1, 2, 3)), (" (4,2,3)", 4, 2, 3, 40, (2,))):
-        for seed in range(3):
-            cfg = gen_random_config(n, k, num_directions, Fraction(1, 2), Field(p), seed)
-            index = incidence.incidence_count(cfg)
-            check(
-                f"two-ends oracle{label} seed {seed}",
-                lambda: all(
-                    incidence.jr_decompose(cfg, r, index) == incidence.jr_decompose_bruteforce(cfg, r) for r in rs
-                ),
-            )
-    # Three seeded flats of each dimension 0..4 in F_7^4, each point the
-    # representative plus sum c_i row_i over `itertools.product` coefficients.
-    fld, rng, same = Field(7), random.Random(0), True
-    for dim in range(5):
-        for _ in range(3):
-            direction = unrank_grassmannian(4, dim, fld, rng.randrange(gaussian_binomial(4, dim, 7)))
-            flat = make_flat(direction, tuple(rng.randrange(7) for _ in range(4)), fld)
-            rows = direction.basis.rows
-            expected = [
-                tuple(
-                    (x + sum(c * row[j] for c, row in zip(coeffs, rows))) % 7
-                    for j, x in enumerate(flat.representative)
-                )
-                for coeffs in itertools.product(range(7), repeat=dim)
-            ]
-            same = same and list(enumerate_points(flat, fld)) == expected
-    check("flat points by definition (4,2,7)", lambda: same)
-    cfg = gen_degenerate(4, 2, 1, Field(3))
-    index = incidence.incidence_count(cfg)
-    check("degenerate worst case (4,2,1,3)", lambda: index.total == 39 == len(cfg.points) * len(cfg.flats))
-    fld = Field(3)
-    kernel = CosetKeys(gen_point_cloud(4, fld, Fraction(1, 3), 0), fld)
-    check(
-        "coset keys oracle G(4,2) p=3",
-        lambda: all(
-            kernel.keys(pi) == [coset_key(x, pi, fld) for x in kernel.points]
-            for pi in enumerate_grassmannian(4, 2, fld)
-        ),
-    )
-    # The default witnesses, one function of mixed denominators and one
-    # constant 3/2 on a point cloud, over lines (two annihilator rows) and
-    # planes (one row, the path of the maximal-ratio benchmark).
-    family = list(maximal.default_candidates(3, 1, fld, 0).values())
-    cloud = sorted(gen_point_cloud(3, fld, Fraction(1, 2), 1))
-    weights = {x: Fraction(1 + i % 3, 1 + i % 4) for i, x in enumerate(cloud)}
-    family.append(maximal.GridFunction.from_dict(fld, 3, weights))
-    family.append(maximal.GridFunction.from_dict(fld, 3, dict.fromkeys(cloud, Fraction(3, 2))))
-    for k in (1, 2):
-        check(
-            f"maximal family oracle (3,{k},3)",
-            lambda: maximal.apply_maximal_many(family, 3, k)
-            == [maximal.apply_maximal_bruteforce(f, 3, k) for f in family],
-        )
-    return 3 if failures else 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="kplab", description=__doc__)
     parser.add_argument("--threads", type=int, default=0, help="worker hint (results are identical for any value)")
@@ -595,7 +461,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1 if exc.code else 0
     try:
         if args.command == "selftest":
-            return _selftest()
+            return oracles.selftest()
         if args.command == "census":
             spec = parse_spec(f"experiment=grassmann-census n={args.n} k={args.k} prime={args.p}")
         elif args.command == "verify-exponents":

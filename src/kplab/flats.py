@@ -442,20 +442,12 @@ class CosetMasks:
 
 
 # A mask AND costs one step, plus one per MASK_STEP_BITS bits of |points|.
-# The value is fitted to the picks, not to one AND: a `CosetKeys` column step
-# or a counted key took about 50 ns on a 2-CPU host, a fold step of
-# `CosetMasks.masks` about five times that at 1-2 k bits, and the count puts
-# p meets per coset where the partition makes about one.  Timed on the
-# default witness families of `maximal.apply_maximal_many` with each kernel
-# forced, 2048 picks masks where they ran 1.4-5.8x faster, at (3,2,7),
-# (3,1,13), (3,1,17), (4,1,7) and (4,2,5); keys at k = 0 and at (2,1,61)
-# and (4,1,11), where keys ran 1.2-1.4x faster; and masks at (2,1,p) for
-# p = 5..43, where the two ran within about 10 % of each other.  1024 would
-# pick keys at (3,1,17), 4096 masks at (2,1,61).  Those key times are of
-# column sums point by point; `CosetKeys` now takes byte lanes at p < 128,
-# 2-10x faster a direction, yet the step count still charges keys at the
-# column-sum rate, on purpose: the picks stay as fitted and tested, and
-# a recalibration is its own change (CHANGES.md has the forced times).
+# The value is fitted to the picks, not to the time of one AND: on the
+# default witness families of `maximal.apply_maximal_many`, timed with each
+# kernel forced, it picks masks at (3,2,7), (3,1,13), (3,1,17), (4,1,7) and
+# (4,2,5) and keys at k = 0, (2,1,61) and (4,1,11), each where it ran faster.
+# Those are times of older kernels (CHANGES.md has them), and the cost
+# model's recalibration (ROADMAP.md) refits the value.
 MASK_STEP_BITS = 2048
 
 
@@ -472,10 +464,9 @@ class CosetSums:
     point.  So masks win on dense families with few cosets, keys on sparse
     point sets and on many cosets: at k = 0 each point is its own coset, and
     masks would hold |points|^2 bits.  A coset sum is one AND and popcount
-    per class, or one `Counter` of keys per class.  The key steps are the
-    rate of column sums point by point, which `CosetKeys` keeps only at
-    p >= 128 or p^(n-k) > 2^64; its byte lanes run faster, and the count
-    charges them at that rate on purpose (see `MASK_STEP_BITS`).
+    per class, or one `Counter` of keys per class.  The key steps are
+    charged at the rate of column sums point by point, which is slower than
+    the byte lanes (see `MASK_STEP_BITS`).
     """
 
     def __init__(self, weightings: Sequence[Sequence[Tuple[int, Sequence[Vector]]]], k: int, field: Field):
@@ -569,19 +560,6 @@ def flats_through(flat: AffineFlat, field: Field) -> Dict[Vector, AffineFlat]:
     return spans
 
 
-def affine_hull(points: Sequence[Vector], field: Field) -> Tuple[int, AffineFlat]:
-    """Dimension and canonical flat of the affine span of the points."""
-    if not points:
-        raise ValueError("affine hull of empty point set")
-    n = len(points[0])
-    if any(len(q) != n for q in points):
-        raise ValueError("ambient dimension mismatch")
-    base, p = points[0], field.p
-    diffs = [tuple([(a - b) % p for a, b in zip(q, base)]) for q in points[1:]]
-    direction = LinearSubspace(n, rref(diffs, field))
-    return direction.dim, make_flat(direction, base, field)
-
-
 def local_coordinates(points: Iterable[Vector], flat: AffineFlat) -> Dict[Vector, Vector]:
     """Each point on the flat mapped to its coordinates in F^k: its entries in
     the pivot columns of the direction.  The representative is zero there,
@@ -594,10 +572,3 @@ def local_coordinates(points: Iterable[Vector], flat: AffineFlat) -> Dict[Vector
 def is_direction_separated(flats: Sequence[AffineFlat]) -> bool:
     directions = {f.direction for f in flats}
     return len(directions) == len(flats)
-
-
-def enumerate_coset_representatives(direction: LinearSubspace, field: Field) -> Iterator[Vector]:
-    """Canonical representatives of all p^(n-k) cosets of the subspace."""
-    free = direction.ambient - direction.dim
-    for values in itertools.product(field.elements(), repeat=free):
-        yield _at_free_columns(direction, values)

@@ -1,6 +1,5 @@
 """Dense linear algebra over GF(p): reduced row echelon form, annihilator
-rows, affine linear-system solving, and the exact rank test of points of
-F^k, the cached `span`.
+rows and the exact rank test of points of F^k, the cached `span`.
 
 Vectors are plain tuples of ints in [0, p); the field is passed alongside.
 RREF output is canonical: two generating sets with equal span produce
@@ -72,25 +71,6 @@ def rref(vectors: Iterable[Vector], field: Field) -> RrefBasis:
     return RrefBasis(tuple(tuple(r) for r in reduced), tuple(pivots))
 
 
-def reduce_vector(v: Vector, basis: RrefBasis, field: Field) -> Vector:
-    """Residual of v after eliminating every pivot coordinate of the basis.
-
-    The result has a zero in each pivot column; it is the zero vector iff v
-    lies in the span of the basis.
-    """
-    p = field.p
-    out = v
-    for row, piv in zip(basis.rows, basis.pivots):
-        coeff = out[piv]
-        if coeff != 0:
-            out = [(x - coeff * y) % p for x, y in zip(out, row)]
-    return tuple(out)
-
-
-def in_span(v: Vector, basis: RrefBasis, field: Field) -> bool:
-    return all(x == 0 for x in reduce_vector(v, basis, field))
-
-
 def null_space_rows(basis: RrefBasis, n: int, field: Field) -> Tuple[Vector, ...]:
     """Independent rows spanning {c in F^n : B c = 0} for the row space B,
     one per free column j: 1 at j and -B[i][j] at the pivot of row i.
@@ -109,28 +89,6 @@ def null_space_rows(basis: RrefBasis, n: int, field: Field) -> Tuple[Vector, ...
             vec[piv] = -row[j] % p
         rows.append(tuple(vec))
     return tuple(rows)
-
-
-def solve_affine_system(
-    equations: Sequence[Tuple[Vector, int]], n: int, field: Field
-) -> Optional[Tuple[Vector, RrefBasis]]:
-    """Solve the stacked system {c . x = d} exactly.
-
-    Returns (particular solution with free coordinates set to 0, canonical
-    basis of the homogeneous solutions), or None if the system is
-    inconsistent. An empty equation list describes all of F^n.
-    """
-    aug = [list(c) + [d % field.p] for c, d in equations]
-    reduced, pivots = _eliminate(aug, field.p)
-    if n in pivots:
-        return None
-    coeff_basis = RrefBasis(
-        tuple(tuple(r[:n]) for r in reduced), tuple(pivots)
-    )
-    particular = [0] * n
-    for row, piv in zip(reduced, pivots):
-        particular[piv] = row[n]
-    return tuple(particular), rref(null_space_rows(coeff_basis, n, field), field)
 
 
 @functools.lru_cache(maxsize=1 << 16)

@@ -23,7 +23,6 @@ from .field import Field
 from .flats import (
     CosetSums,
     LinearSubspace,
-    enumerate_coset_representatives,
     enumerate_grassmannian,
     enumerate_points,
     gaussian_binomial,
@@ -86,8 +85,9 @@ def apply_maximal_many(
     """`apply_maximal` of each function, in one walk over G(n,k).
 
     The sup over all translates x + pi equals the max over the p^{n-k}
-    cosets of pi.  Each function's values are scaled by the lcm of its
-    denominators to ints and its points grouped by value, and one
+    cosets of pi.  Each function's points are grouped by value, a value
+    read again only where it differs from the previous point's object, and
+    the values scaled to ints by the lcm of their denominators; one
     `CosetSums` over the family gives every function's largest scaled coset
     sum once per direction.
     """
@@ -102,12 +102,15 @@ def apply_maximal_many(
     scales = []
     weightings = []
     for f in fs:
-        scale = math.lcm(*(v.denominator for _, v in f.values))
-        classes: Dict[int, List[Vector]] = {}
+        classes: Dict[Fraction, List[Vector]] = {}
+        last = None
         for pt, v in f.values:
-            classes.setdefault(v.numerator * (scale // v.denominator), []).append(pt)
+            if v is not last:
+                last, points = v, classes.setdefault(v, [])
+            points.append(pt)
+        scale = math.lcm(*{v.denominator for v in classes})
         scales.append(scale)
-        weightings.append(list(classes.items()))
+        weightings.append([(v.numerator * (scale // v.denominator), points) for v, points in classes.items()])
     kernel = CosetSums(weightings, k, fld)
     out: List[Dict[LinearSubspace, Fraction]] = [{} for _ in fs]
     for pi in enumerate_grassmannian(n, k, fld):
@@ -120,25 +123,6 @@ def apply_maximal(f: GridFunction, n: int, k: int) -> Dict[LinearSubspace, Fract
     """For each direction, the maximum coset sum of f (`apply_maximal_many`
     of the one-function family)."""
     return apply_maximal_many([f], n, k)[0]
-
-
-def apply_maximal_bruteforce(f: GridFunction, n: int, k: int) -> Dict[LinearSubspace, Fraction]:
-    """Tiny-instance oracle summing over every coset's points explicitly."""
-    if n != f.n:
-        raise ValueError(f"grid function lives on F^{f.n}, not F^{n}")
-    fld = f.field
-    values = f.as_dict()
-    out: Dict[LinearSubspace, Fraction] = {}
-    for pi in enumerate_grassmannian(n, k, fld):
-        best = Fraction(0)
-        for rep in enumerate_coset_representatives(pi, fld):
-            total = sum(
-                (values.get(pt, Fraction(0)) for pt in enumerate_points(make_flat(pi, rep, fld), fld)),
-                Fraction(0),
-            )
-            best = max(best, total)
-        out[pi] = best
-    return out
 
 
 def norm(values: Iterable[Fraction], exp, weight=1) -> float:

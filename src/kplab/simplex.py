@@ -1,33 +1,28 @@
 """Exact counting of (k+1)-simplices and the deleted-spine plane pairs,
-plus the evaluation of the simplex upper/lower bound expressions.  A
-brute-force simplex counter is kept permanently as the oracle for the fast
-path.
+plus the evaluation of the simplex upper/lower bound expressions.  The
+brute-force counter `oracles.count_simplices_bruteforce` is the oracle for
+the fast path.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter, defaultdict
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Tuple
 
 from .config import Configuration
-from .flats import AffineFlat, affine_hull, flats_through
+from .flats import AffineFlat, flats_through
 from .incidence import (
     ChainTally,
     CountReport,
     Face,
     IncidenceIndex,
     RefinementChainReport,
-    SizeGuardError,
     common_points,
     refine_dyadic,
 )
 from .linalg import Vector
-
-BRUTE_FORCE_POINT_GUARD = 40
-
 
 def count_simplices(
     config: Configuration,
@@ -64,7 +59,7 @@ def count_simplices(
     face's, the apexes of a base are the `&` of its k+1 pools, and
     `int.bit_count` counts them.  Every simplex is discovered once per face,
     so the tally divides by k+2 exactly.
-    `count_simplices_bruteforce` is the independent oracle.
+    `oracles.count_simplices_bruteforce` is the independent oracle.
     """
     k = config.k
     family = tuple(dict.fromkeys(flats if flats is not None else config.flats))
@@ -119,39 +114,6 @@ def count_simplices(
                 face_incidences += apexes.bit_count()
     assert face_incidences % (k + 2) == 0
     return face_incidences // (k + 2)
-
-
-def count_simplices_bruteforce(
-    config: Configuration, flats: Optional[Tuple[AffineFlat, ...]] = None
-) -> int:
-    """Independent oracle: iterate all (k+2)-subsets of P directly, with no
-    incidence index.  Whether the hull of a (k+1)-subset is a k-flat of the
-    family is decided once per subset, and a (k+2)-subset's own span is
-    tested only when all k+2 of its facets pass."""
-    if len(config.points) > BRUTE_FORCE_POINT_GUARD:
-        raise SizeGuardError(
-            f"brute force limited to {BRUTE_FORCE_POINT_GUARD} points, "
-            f"got {len(config.points)}"
-        )
-    fld = config.field
-    k = config.k
-    family = set(flats if flats is not None else config.flats)
-    if not family:
-        return 0
-    facet_ok: Dict[Tuple[Vector, ...], bool] = {}
-
-    def is_facet(vertices: Tuple[Vector, ...]) -> bool:
-        ok = facet_ok.get(vertices)
-        if ok is None:
-            dim, hull = affine_hull(vertices, fld)
-            ok = facet_ok[vertices] = dim == k and hull in family
-        return ok
-
-    count = 0
-    for vertices in itertools.combinations(sorted(config.points), k + 2):
-        if all(is_facet(vertices[:i] + vertices[i + 1 :]) for i in range(k + 2)):
-            count += affine_hull(vertices, fld)[0] == k + 1
-    return count
 
 
 def v_k_del(chain: RefinementChainReport) -> int:

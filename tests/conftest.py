@@ -5,7 +5,8 @@ import pytest
 
 from kplab.config import Configuration, gen_random_config
 from kplab.field import Field
-from kplab.flats import affine_hull, enumerate_grassmannian, enumerate_points, make_flat
+from kplab.flats import enumerate_grassmannian, enumerate_points, make_flat
+from kplab.oracles import affine_hull
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,6 @@ from kplab.exponents import (
 )
 from kplab.field import Field
 from kplab.flats import (
-    enumerate_coset_representatives,
     enumerate_grassmannian,
     gaussian_binomial,
     make_flat,
@@ -31,7 +30,8 @@ from kplab.incidence import (
     jr_decompose,
 )
 from kplab.maximal import GridFunction, apply_maximal, constant_witness_ratio_exact
-from kplab.simplex import count_simplices, count_simplices_bruteforce
+from kplab.oracles import count_simplices_bruteforce, enumerate_coset_representatives
+from kplab.simplex import count_simplices
 
 
 def report(number, name, ok, detail=""):

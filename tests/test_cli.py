@@ -82,6 +82,50 @@ PINNED_ROWS = {
 }
 
 
+# The lines `kplab selftest` prints, in order.
+SELFTEST_LINES = [
+    "grassmann census (3,1,2)",
+    "grassmann census (4,2,3)",
+    "grassmann census (2,1,5)",
+    "exponent identities k<=12",
+    "simplex oracle seed 0",
+    "simplex oracle seed 1",
+    "simplex oracle seed 2",
+    "simplex oracle seed 3",
+    "simplex oracle seed 4",
+    "refinement chain oracle (3,2,3) seed 0",
+    "simplex oracle (3,2,3) seed 0",
+    "refinement chain oracle (3,2,3) seed 1",
+    "simplex oracle (3,2,3) seed 1",
+    "refinement chain oracle (3,2,3) seed 2",
+    "simplex oracle (3,2,3) seed 2",
+    "refinement chain oracle (4,2,3) seed 0",
+    "simplex oracle (4,2,3) seed 0",
+    "refinement chain oracle (4,2,3) seed 1",
+    "simplex oracle (4,2,3) seed 1",
+    "refinement chain oracle (4,2,3) seed 2",
+    "simplex oracle (4,2,3) seed 2",
+    "simplex oracle (4,3,2) seed 0",
+    "simplex oracle (4,3,2) seed 1",
+    "simplex oracle (4,3,2) seed 2",
+    "simplex oracle (4,3,3) seed 0",
+    "simplex oracle (4,3,3) seed 1",
+    "simplex oracle (4,3,3) seed 2",
+    "simplex oracle (5,4,2) seed 2",
+    "two-ends oracle seed 0",
+    "two-ends oracle seed 1",
+    "two-ends oracle seed 2",
+    "two-ends oracle (4,2,3) seed 0",
+    "two-ends oracle (4,2,3) seed 1",
+    "two-ends oracle (4,2,3) seed 2",
+    "flat points by definition (4,2,7)",
+    "degenerate worst case (4,2,1,3)",
+    "coset keys oracle G(4,2) p=3",
+    "maximal family oracle (3,1,3)",
+    "maximal family oracle (3,2,3)",
+]
+
+
 class TestParseSpec:
     def test_minimal_valid(self):
         spec = cli.parse_spec("experiment=degenerate n=4 k=2 r=1 prime=3 out=deg.csv")
@@ -397,6 +441,7 @@ class TestRunExperiment:
         assert hashlib.sha256(json.dumps(rows, indent=2, default=str).encode()).hexdigest() == digest
 
 
+
 class TestMainEntryPoint:
     def test_census_subcommand(self, capsys):
         assert cli.main(["census", "-n", "3", "-k", "1", "-p", "2"]) == 0
@@ -534,6 +579,7 @@ class TestMainEntryPoint:
         assert cli.main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        assert out.splitlines() == [f"PASS  {name}" for name in SELFTEST_LINES]
 
     def test_run_writes_csv_and_json(self, tmp_path):
         out = tmp_path / "deg.csv"

@@ -13,9 +13,7 @@ from kplab.flats import (
     CosetKeys,
     CosetMasks,
     CosetSums,
-    affine_hull,
     coset_key,
-    enumerate_coset_representatives,
     enumerate_grassmannian,
     enumerate_points,
     flats_through,
@@ -27,8 +25,9 @@ from kplab.flats import (
     unrank_grassmannian,
     zero_subspace,
 )
-from kplab.linalg import in_span, normalized, null_space_rows, reduce_vector
+from kplab.linalg import normalized, null_space_rows
 from kplab.maximal import default_candidates
+from kplab.oracles import affine_hull, enumerate_coset_representatives, in_span, reduce_vector
 
 
 def line(fld, n, direction, point):

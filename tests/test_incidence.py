@@ -6,14 +6,12 @@ from operator import mul
 
 import pytest
 
-import kplab.incidence
+import kplab.oracles
 from conftest import planted_simplex_config, random_corpus
 from kplab.config import Configuration, gen_degenerate, gen_random_config
 from kplab.exponents import PowerProduct
 from kplab.field import Field
 from kplab.flats import (
-    affine_hull,
-    enumerate_coset_representatives,
     enumerate_grassmannian,
     enumerate_points,
     local_coordinates,
@@ -26,15 +24,19 @@ from kplab.incidence import (
     PreconditionError,
     SizeGuardError,
     build_refinement_chain,
-    build_refinement_chain_bruteforce,
     check_main_bound,
     check_max_ic,
     common_points,
     cs_holder_count,
     incidence_count,
     jr_decompose,
-    jr_decompose_bruteforce,
     refine_dyadic,
+)
+from kplab.oracles import (
+    affine_hull,
+    build_refinement_chain_bruteforce,
+    enumerate_coset_representatives,
+    jr_decompose_bruteforce,
 )
 
 
@@ -470,7 +472,7 @@ def test_jr_decompose_makes_no_hull_call(monkeypatch):
     def forbidden(*args):
         raise AssertionError("affine_hull called")
 
-    monkeypatch.setattr(kplab.incidence, "affine_hull", forbidden)
+    monkeypatch.setattr(kplab.oracles, "affine_hull", forbidden)
     for _, cfg in random_corpus(5, 3, 2, 2):
         jr_decompose(cfg, 3, incidence_count(cfg))
 

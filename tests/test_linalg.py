@@ -9,15 +9,8 @@ import pytest
 
 from conftest import random_vectors
 from kplab.field import Field
-from kplab.linalg import (
-    in_span,
-    normalized,
-    null_space_rows,
-    reduce_vector,
-    rref,
-    solve_affine_system,
-    span,
-)
+from kplab.linalg import normalized, null_space_rows, rref, span
+from kplab.oracles import in_span, reduce_vector, solve_affine_system
 
 
 def test_rref_full_rank_f2():

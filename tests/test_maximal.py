@@ -11,13 +11,13 @@ from kplab.flats import enumerate_grassmannian, enumerate_points, gaussian_binom
 from kplab.maximal import (
     GridFunction,
     apply_maximal,
-    apply_maximal_bruteforce,
     apply_maximal_many,
     constant_witness_ratio_exact,
     default_candidates,
     empirical_norm_search,
     norm,
 )
+from kplab.oracles import apply_maximal_bruteforce
 
 
 def witness_ratio(f, p_exp, q_exp, n, k):

@@ -7,7 +7,6 @@ from conftest import planted_simplex_config, random_corpus
 from kplab.config import Configuration, gen_degenerate, gen_random_config
 from kplab.field import Field
 from kplab.flats import (
-    enumerate_coset_representatives,
     enumerate_grassmannian,
     make_flat,
     span_of,
@@ -20,9 +19,9 @@ from kplab.incidence import (
     incidence_count,
     refine_dyadic,
 )
+from kplab.oracles import count_simplices_bruteforce, enumerate_coset_representatives
 from kplab.simplex import (
     count_simplices,
-    count_simplices_bruteforce,
     lambda_flat_counts,
     simplex_bound_report,
     v_k_del,

@@ -1,0 +1,162 @@
+"""Replayable mutation checks: each mutation breaks the library on purpose and
+names the tests that must catch it.
+
+For each mutation the script copies `src/`, `tests/` and `pyproject.toml`
+into a temporary directory, replaces one exact snippet of one source file
+there with a broken one, and runs the mutation's pytest node ids against
+that copy.  The mutation is killed when every one of its tests fails, and
+survives when any of them passes.  The named tests first run once on the
+unmutated copy, where all of them must pass.  The working tree is never
+written.
+
+    python3 tools/mutations.py             # every mutation
+    python3 tools/mutations.py membership  # only the mutations named
+
+Exit status: 0 when every mutation is killed, 1 when any survives, 2 when
+a snippet no longer matches its file or a named test fails unmutated.
+This is not part of the tier-1 suite; it runs the named tests once per
+mutation, about a minute in all.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Dict, List, NamedTuple, Sequence
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutation(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: Sequence[str]  # pytest node ids, every one of which must fail
+
+
+MUTATIONS = [
+    Mutation(
+        "eliminate-no-back-substitution",
+        "src/kplab/linalg.py",
+        "        for i in range(len(rows)):\n            if i != rank and rows[i][col] != 0:\n",
+        "        for i in range(rank + 1, len(rows)):\n            if rows[i][col] != 0:\n",
+        [
+            "tests/test_linalg.py::test_rref_canonicity_under_shuffle_and_rescale[3-3]",
+            "tests/test_linalg.py::test_solve_affine_system_consistent",
+            "tests/test_flats.py::test_packed_key_matches_canonical_representative[5]",
+            "tests/test_incidence.py::test_chain_oracle_equivalence[4-2-3-8-14]",
+            "tests/test_simplex.py::test_oracle_equivalence_planted[3-2-3-6-10]",
+            "tests/test_acceptance.py::test_criterion_05_simplex_oracle_equivalence",
+            "tests/test_cli.py::TestMainEntryPoint::test_selftest",
+        ],
+    ),
+    Mutation(
+        "membership-first-row-only",
+        "src/kplab/flats.py",
+        "    for row, digit in rows_and_digits:\n",
+        "    for row, digit in rows_and_digits[:1]:\n",
+        [
+            "tests/test_flats.py::test_membership_stops_only_at_a_differing_digit",
+            "tests/test_flats.py::test_membership_matches_span_definition",
+            "tests/test_incidence.py::TestIncidenceCount::test_marginals_agree",
+            "tests/test_cli.py::TestRunExperiment::test_rows_match_pinned_digest[incidence-bound]",
+            "tests/test_simplex.py::test_oracle_equivalence_planted[5-3-3-20-12]",
+        ],
+    ),
+    Mutation(
+        "span-modulo-2^31-1",
+        "src/kplab/linalg.py",
+        "for q in points[1:]], p)\n",
+        "for q in points[1:]], 2**31 - 1)\n",
+        [
+            "tests/test_linalg.py::test_hyperplane_against_rref[3-3]",
+            "tests/test_linalg.py::test_span_cache_is_keyed_by_p",
+            "tests/test_incidence.py::test_jr_oracle_equivalence[4-2-3]",
+            "tests/test_incidence.py::test_chain_oracle_equivalence[3-2-3-6-10]",
+            "tests/test_simplex.py::test_oracle_equivalence_k4",
+            "tests/test_cli.py::TestRunExperiment::test_rows_match_pinned_digest[two-ends]",
+        ],
+    ),
+    # A fast module reaching into the reference layer, inside a function so
+    # the package still imports and only the boundary test can catch it.
+    Mutation(
+        "incidence-imports-oracles",
+        "src/kplab/incidence.py",
+        "\n\ndef jr_decompose(",
+        "\n\ndef _reference():\n    from .oracles import jr_decompose_bruteforce\n\n"
+        "    return jr_decompose_bruteforce\n\n\ndef jr_decompose(",
+        ["tests/test_oracles.py::test_fast_modules_neither_import_nor_define_oracles"],
+    ),
+]
+
+
+def copy_tree(into: Path) -> None:
+    shutil.copytree(ROOT / "src", into / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "tests", into / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
+
+
+def mutated(mutation: Mutation) -> str:
+    """The mutated text of the mutation's file, from the working tree."""
+    text = (ROOT / mutation.path).read_text()
+    found = text.count(mutation.old)
+    if found != 1:
+        print(f"{mutation.name}: snippet found {found} times in {mutation.path}, expected once")
+        raise SystemExit(2)
+    return text.replace(mutation.old, mutation.new)
+
+
+def run_tests(where: Path, tests: Sequence[str]) -> Dict[str, str]:
+    """Outcome of each node id run under `where`, read from pytest's
+    summary: PASSED, FAILED or ERROR.  A test that did not run, for
+    instance because collection failed, is absent."""
+    env = {**os.environ, "PYTHONPATH": str(where / "src")}
+    command = [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(command, cwd=where, env=env, capture_output=True, text=True)
+    outcomes = {}
+    for line in done.stdout.splitlines():
+        outcome, _, rest = line.partition(" ")
+        for test in tests:
+            # A failure's node id is followed by " - " and its message.
+            if outcome in ("PASSED", "FAILED", "ERROR") and (rest == test or rest.startswith(test + " - ")):
+                outcomes[test] = outcome
+    return outcomes
+
+
+def main(argv: List[str]) -> int:
+    chosen = [m for m in MUTATIONS if not argv or any(word in m.name for word in argv)]
+    if not chosen:
+        print(f"no mutation matches {argv}; known: {', '.join(m.name for m in MUTATIONS)}")
+        return 2
+    with tempfile.TemporaryDirectory(prefix="kplab-mutations-") as scratch:
+        texts = [mutated(mutation) for mutation in chosen]
+        clean = Path(scratch) / "clean"
+        copy_tree(clean)
+        tests = sorted({t for m in chosen for t in m.tests})
+        outcomes = run_tests(clean, tests)
+        broken = [t for t in tests if outcomes.get(t) != "PASSED"]
+        if broken:
+            print("unmutated copy: these named tests do not pass:", *broken, sep="\n  ")
+            return 2
+        survivors = 0
+        for mutation, text in zip(chosen, texts):
+            where = Path(scratch) / mutation.name
+            copy_tree(where)
+            (where / mutation.path).write_text(text)
+            outcomes = run_tests(where, mutation.tests)
+            passed = [t for t in mutation.tests if outcomes.get(t) == "PASSED"]
+            verdict = "SURVIVED" if passed else "killed"
+            print(f"{verdict:8}  {mutation.name}: {len(mutation.tests) - len(passed)} of {len(mutation.tests)} named tests fail")
+            for test in passed:
+                print(f"          still passes: {test}")
+            survivors += bool(passed)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
