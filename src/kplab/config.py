@@ -2,6 +2,8 @@
 configurations, (n,k) sets, random direction-separated families and random
 point clouds.  All randomness is seeded and single-threaded, so equal seeds
 give byte-identical output.
+The seeded draws have one owner each: points `_kept_points` (also of the
+maximal witnesses), flats `_random_flats`.
 """
 
 from __future__ import annotations
@@ -10,19 +12,19 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .field import Field
 from .flats import (
     AffineFlat,
     LinearSubspace,
     _at_free_columns,
+    coordinate_flat,
     enumerate_grassmannian,
     enumerate_points,
     gaussian_binomial,
     is_direction_separated,
     make_flat,
-    span_of,
     unrank_grassmannian,
 )
 from .linalg import Vector
@@ -65,22 +67,20 @@ def enumerate_space(n: int, fld: Field) -> Iterator[Vector]:
 
 
 def gen_degenerate(n: int, k: int, r: int, fld: Field) -> Configuration:
-    """Type-(k,r) degenerate configuration: all p^r points of a fixed affine
-    r-flat, and one k-flat per direction containing it.
+    """Type-(k,r) degenerate configuration: all p^r points of the coordinate
+    r-flat (`coordinate_flat`), and one k-flat per direction containing it.
 
     The point set attains the worst case |I| = |P| * |Pi| exactly; the flat
     count is gaussian_binomial(n-r, k-r, p).
     """
     if not 1 <= r < k <= n - 1:
         raise ConfigDomainError(f"need 1 <= r < k <= n-1, got n={n}, k={k}, r={r}")
-    sigma_basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(r)]
-    sigma = span_of(sigma_basis, n, fld)
-    sigma_flat = make_flat(sigma, tuple([0] * n), fld)
-    points = frozenset(enumerate_points(sigma_flat, fld))
+    sigma = coordinate_flat(n, r, fld)
+    points = frozenset(enumerate_points(sigma, fld))
     flats = tuple(
-        make_flat(pi, tuple([0] * n), fld)
+        make_flat(pi, sigma.representative, fld)
         for pi in enumerate_grassmannian(n, k, fld)
-        if pi.contains_subspace(sigma, fld)
+        if pi.contains_subspace(sigma.direction, fld)
     )
     return Configuration(fld, n, k, points, flats)
 
@@ -112,19 +112,19 @@ def gen_nk_set(
     points = set()
     origin = tuple([0] * n)
     for pi in enumerate_grassmannian(n, k, fld):
-        if translate_rule == "zero":
-            rep = origin
-        else:
-            rep = _random_coset_representative(pi, fld, rng)
+        rep = origin if translate_rule == "zero" else _random_coset_representative(pi, fld, rng)
         points.update(enumerate_points(AffineFlat(pi, rep), fld))
     return frozenset(points)
 
 
-def gen_random_direction_separated(
-    n: int, k: int, num_directions: int, fld: Field, seed: int
-) -> Configuration:
+def gen_random_direction_separated(n: int, k: int, num_directions: int, fld: Field, seed: int) -> Configuration:
+    """The seeded flats of `_random_flats`, with an empty point set."""
+    return Configuration(fld, n, k, frozenset(), _random_flats(n, k, num_directions, fld, seed))
+
+
+def _random_flats(n: int, k: int, num_directions: int, fld: Field, seed: int) -> Tuple[AffineFlat, ...]:
     """num_directions distinct directions sampled without replacement, one
-    uniformly random translate each; the point set starts empty.
+    uniformly random translate each.
 
     The directions are the first num_directions slots of a partial
     Fisher-Yates shuffle of G(n,k)'s enumeration order, taken in ascending
@@ -145,19 +145,26 @@ def gen_random_direction_separated(
     for target in sorted(swapped.get(i, i) for i in range(num_directions)):
         pi = unrank_grassmannian(n, k, fld, target)
         flats.append(AffineFlat(pi, _random_coset_representative(pi, fld, rng)))
-    return Configuration(fld, n, k, frozenset(), tuple(flats))
+    return tuple(flats)
+
+
+def _kept_points(n: int, fld: Field, density: Fraction, rng: random.Random) -> List[Vector]:
+    """The points of F^n in lexicographic order, each kept when
+    rng.randrange(denominator) < numerator of the density: one draw a point."""
+    draw = rng.randrange
+    numerator, denominator = density.numerator, density.denominator
+    return [point for point in enumerate_space(n, fld) if draw(denominator) < numerator]
 
 
 def gen_point_cloud(
     n: int, fld: Field, density: Fraction, seed: int
 ) -> FrozenSet[Vector]:
-    """Each point of F^n kept independently with the given probability."""
+    """Each point of F^n kept independently with the given probability
+    (`_kept_points` of a `Random(seed)`)."""
     density = Fraction(density)
     if not 0 < density <= 1:
         raise ConfigDomainError(f"density {density} outside (0, 1]")
-    draw = random.Random(seed).randrange
-    numerator, denominator = density.numerator, density.denominator
-    return frozenset(point for point in enumerate_space(n, fld) if draw(denominator) < numerator)
+    return frozenset(_kept_points(n, fld, density, random.Random(seed)))
 
 
 def gen_random_config(
@@ -168,8 +175,7 @@ def gen_random_config(
     fld: Field,
     seed: int,
 ) -> Configuration:
-    """Convenience corpus generator: seeded random direction-separated flats
-    plus an independently seeded random point cloud."""
-    flats_cfg = gen_random_direction_separated(n, k, num_directions, fld, seed)
+    """Convenience corpus generator: the seeded flats of `_random_flats`
+    plus an independently seeded random point cloud, in one `Configuration`."""
     points = gen_point_cloud(n, fld, density, seed ^ 0x9E3779B9)
-    return flats_cfg.with_points(points)
+    return Configuration(fld, n, k, points, _random_flats(n, k, num_directions, fld, seed))

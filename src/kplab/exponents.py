@@ -28,79 +28,46 @@ class ConvexityHypothesisError(ValueError):
 class PowerProduct:
     """An exact positive real of the form ``prod base_i ** exp_i``.
 
-    Bases are nonnegative integers, exponents are rationals.  A base of 0
-    with a positive exponent makes the whole product zero; a base of 0 with
-    a negative exponent is rejected.  Comparisons are exact: rational
-    exponents are cleared to a common denominator and the two sides are
-    compared as big integers.
+    Bases are positive integers (a base <= 0 is refused), exponents are
+    rationals.  Comparisons are exact: rational exponents are cleared to a
+    common denominator and the two sides are compared as big integers.
     """
 
-    __slots__ = ("_factors", "_zero")
+    __slots__ = ("_factors",)
 
     def __init__(self, factors: Iterable[Tuple[int, Rational]] = ()):
         merged: dict[int, Fraction] = {}
-        zero = False
         for base, exp in factors:
-            if base < 0:
-                raise ValueError("negative base in PowerProduct")
+            if base <= 0:
+                raise ValueError(f"PowerProduct base {base} is not positive")
             exp = Fraction(exp)
             if exp == 0 or base == 1:
                 continue
-            if base == 0:
-                if exp < 0:
-                    raise ZeroDivisionError("0 raised to a negative exponent")
-                zero = True
-                continue
             merged[base] = merged.get(base, Fraction(0)) + exp
         self._factors = {b: e for b, e in merged.items() if e != 0}
-        self._zero = zero
 
     @classmethod
     def integer(cls, n: int) -> "PowerProduct":
         return cls([(n, Fraction(1))])
 
-    @property
-    def is_zero(self) -> bool:
-        return self._zero
-
     def items(self):
         return sorted(self._factors.items())
 
     def __mul__(self, other: "PowerProduct") -> "PowerProduct":
-        out = PowerProduct()
-        out._factors = dict(self._factors)
-        for b, e in other._factors.items():
-            out._factors[b] = out._factors.get(b, Fraction(0)) + e
-        out._factors = {b: e for b, e in out._factors.items() if e != 0}
-        out._zero = self._zero or other._zero
-        return out
+        return PowerProduct([*self._factors.items(), *other._factors.items()])
 
     def __truediv__(self, other: "PowerProduct") -> "PowerProduct":
         return self * other ** Fraction(-1)
 
     def __pow__(self, exp) -> "PowerProduct":
         exp = Fraction(exp)
-        out = PowerProduct()
-        if self._zero:
-            if exp < 0:
-                raise ZeroDivisionError("0 raised to a negative exponent")
-            out._zero = exp > 0
-            return out
-        out._factors = {b: e * exp for b, e in self._factors.items() if e * exp != 0}
-        out._zero = False
-        return out
+        return PowerProduct([(b, e * exp) for b, e in self._factors.items()])
 
     def __float__(self) -> float:
-        return 0.0 if self._zero else math.exp(sum(float(e) * math.log(b) for b, e in self._factors.items()))
+        return math.exp(sum(float(e) * math.log(b) for b, e in self._factors.items()))
 
     def compare(self, other: "PowerProduct") -> int:
         """Exact three-way comparison: -1, 0 or 1."""
-        if self._zero and other._zero:
-            return 0
-        if self._zero:
-            return -1
-        if other._zero:
-            return 1
         diff: dict[int, Fraction] = dict(self._factors)
         for b, e in other._factors.items():
             diff[b] = diff.get(b, Fraction(0)) - e
@@ -129,8 +96,6 @@ class PowerProduct:
         return self.compare(other) < 0
 
     def __repr__(self):
-        if self._zero:
-            return "PowerProduct(0)"
         parts = " * ".join(f"{b}^{e}" for b, e in self.items())
         return f"PowerProduct({parts or '1'})"
 

@@ -5,32 +5,26 @@ representative (zero in every pivot coordinate of the direction), so
 equality and hashing are structural throughout.
 
 Which coset of a direction holds a point is answered by one map, the packed
-integer key: the digits a_j . x mod p of the annihilator rows a_j of the
-direction, one row per free column j.  `coset_key` and
+integer key: the digits a_j . x mod p (`_digits`) of the annihilator rows
+a_j of the direction, one row per free column j.  `coset_key` and
 `LinearSubspace.contains` read it for one point, `membership` compares its
 digits with the flat's one row at a time and stops at the first that
 differs, `CosetKeys` gives it for a fixed point set under any direction at
-once (in byte lanes: every coordinate column one `bytes` of one lane a
-point, each row's digits of all points one int, when p < 128 and
-p^(n-k) <= 2^64; by column sums point by point otherwise), `make_flat`
-writes its digits into the free columns of the canonical representative
-(they are the entries that eliminating the pivots by the basis rows leaves
-there), and `flats_through` keys the (k+1)-flats through a k-flat by the
-digits of the vector that extends it.
+once, `make_flat` writes its digits into the free columns of the canonical
+representative (they are the entries that eliminating the pivots by the
+basis rows leaves there), and `flats_through` keys the (k+1)-flats through
+a k-flat by the digits of the vector that extends it.
 The rows are kept on the subspace instance the first time they are needed,
 a flat's own digits (its representative's) on the flat the first time
 `membership` tests it, and the hash of every subspace and flat the first
 time it is asked for.
 
-`CosetMasks` gives the same partition as int bitmasks over a fixed point
-set, one per nonempty coset, built from the annihilator rows by ANDs of per
-coordinate value masks.  `CosetSums` reads one or the other to give the
+`CosetMasks` gives the same partition as int bitmasks; both kernels hold
+their points in a `_PointSet`.  `CosetSums` picks one of them to give the
 largest coset sum of integer weightings of the points under any direction
-(`maximal.apply_maximal_many`, `incidence.check_max_ic`): masks, where a
-coset sum is one AND and popcount per value class, win on dense point sets
-with few cosets (the maximal operator's witnesses on all of F^n); keys, one
-counted key per point, on sparse point sets (a configuration's points) and
-on many cosets, where masks would grow as |points| times the coset count.
+(`maximal.apply_maximal_many`, `incidence.check_max_ic`).  `coordinate_flat`
+is the one span(e_1, ..., e_r), of `config.gen_degenerate` and the maximal
+operator's witnesses.
 """
 
 from __future__ import annotations
@@ -125,6 +119,13 @@ def make_flat(direction: LinearSubspace, point: Vector, field: Field) -> AffineF
     return AffineFlat(direction, _at_free_columns(direction, digits))
 
 
+def coordinate_flat(n: int, r: int, field: Field) -> AffineFlat:
+    """span(e_1, ..., e_r) through the origin: the points of F^n that are
+    zero after their first r coordinates."""
+    basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(r)]
+    return make_flat(span_of(basis, n, field), (0,) * n, field)
+
+
 def gaussian_binomial(n: int, k: int, p: int) -> int:
     """Number of k-dimensional subspaces of F_p^n."""
     if k < 0 or k > n:
@@ -217,7 +218,10 @@ def enumerate_points(flat: AffineFlat, field: Field) -> Iterator[Vector]:
     zero at the pivots and each row has a 1 at its own pivot and 0 at the
     others, so pivot column i is coefficient i (`_pivot_columns`); free
     column j starts at the representative's entry and is expanded by each
-    row, first to last, with that row's multiples row[j] * c mod p."""
+    row, first to last, with that row's multiples row[j] * c mod p.
+    The points come out ascending: row i is zero before its pivot, so two
+    points first differing in coefficient i agree before pivot i, where
+    they hold that coefficient."""
     p = field.p
     basis = flat.direction.basis
     pivot_columns = dict(zip(basis.pivots, _pivot_columns(p, basis.rank)))
@@ -241,12 +245,12 @@ def _digits(point: Vector, rows: Tuple[Vector, ...], p: int) -> List[int]:
 
 
 def _packed_key(point: Vector, rows: Tuple[Vector, ...], p: int) -> int:
-    """The coset key of `point`: the residues a . x mod p of the annihilator
-    rows a, read as the base-p digits of one int.  Two points share a key
-    exactly when their difference lies in the direction."""
+    """The coset key of `point`: its `_digits` read as the base-p digits of
+    one int.  Two points share a key exactly when their difference lies in
+    the direction."""
     key = 0
-    for row in rows:
-        key = key * p + sum(map(mul, row, point)) % p
+    for digit in _digits(point, rows, p):
+        key = key * p + digit
     return key
 
 
@@ -299,25 +303,9 @@ def _lane_tables(p: int) -> Tuple[Tuple[bytes, ...], bytes]:
 _LANE_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 
 
-class CosetKeys:
-    """The coset keys of one fixed point set under any direction, all at once.
-
-    The points are kept sorted and distinct (`points`), with their
-    coordinate columns: `columns[i]` holds the entries x_i, in order, as a
-    `bytes` of one lane a point when p < 128.  `keys(direction)` then reads
-    each annihilator row a as one long int: it maps column i through the
-    table of a_i times a residue mod p (no map where a_i = 1), adds the
-    columns of the nonzero a_i as little-endian ints, whose lanes cannot
-    carry while their sum stays below 256 (it is reduced mod p between adds
-    where the next could carry), and maps the sum back to the residues
-    mod p.  The rows' digit strings are packed into the base-p key
-    in lanes of 1, 2, 4 or 8 bytes, the fewest that hold p^(n-k), and read
-    back by `array`.  At p >= 128, or when p^(n-k) > 2^64, it sums a_i
-    times column i over the same columns point by point, reduces each row's
-    sums mod p once and packs them into the key, `coset_key`'s.  A row is
-    nonzero only at its free column and the k pivots, so either way a
-    direction takes at most (n-k)(k+1) column steps.
-    """
+class _PointSet:
+    """The fixed point set of a coset kernel: its points sorted and distinct
+    (`points`), all in one F^n (`n`; 0 for no points)."""
 
     def __init__(self, points: Iterable[Vector], field: Field):
         self.field = field
@@ -325,17 +313,47 @@ class CosetKeys:
         if len(set(map(len, self.points))) > 1:
             raise ValueError("ambient dimension mismatch")
         self.n = len(self.points[0]) if self.points else 0
+
+    def _rows(self, direction: LinearSubspace) -> Optional[Tuple[Vector, ...]]:
+        """The annihilator rows of `direction`, None for no points; refuses another F^n."""
+        if not self.points:
+            return None
+        if direction.ambient != self.n:
+            raise ValueError(f"direction lives in F^{direction.ambient}, the points in F^{self.n}")
+        return _annihilator(direction, self.field)
+
+
+class CosetKeys(_PointSet):
+    """The coset keys of one fixed point set under any direction, all at once.
+
+    The points (`_PointSet`) are kept with their coordinate columns:
+    `columns[i]` holds the entries x_i, in order, as a `bytes` of one lane a
+    point when p < 128.  `keys(direction)` then reads each annihilator row a
+    as one long int: it maps column i through the table of a_i times a
+    residue mod p (no map where a_i = 1), adds the columns of the nonzero
+    a_i as little-endian ints, whose lanes cannot carry while their sum
+    stays below 256 (it is reduced mod p between adds where the next could
+    carry), and maps the sum back to the residues mod p.  The rows' digit
+    strings are packed into the base-p key in lanes of 1, 2, 4 or 8 bytes,
+    the fewest that hold p^(n-k), and read back by `array`.  At p >= 128,
+    or when p^(n-k) > 2^64, it sums a_i times column i over the same
+    columns point by point, reduces each row's sums mod p once and packs
+    them into the key, `coset_key`'s.  A row is nonzero only at its free
+    column and the k pivots, so either way a direction takes at most
+    (n-k)(k+1) column steps.
+    """
+
+    def __init__(self, points: Iterable[Vector], field: Field):
+        super().__init__(points, field)
         columns = zip(*self.points)
         self.columns = list(map(bytes, columns) if field.p < 128 else columns)
 
     def keys(self, direction: LinearSubspace) -> List[int]:
         """`coset_key(x, direction)` for each x in `points`, in order."""
-        if not self.points:
+        rows = self._rows(direction)
+        if rows is None:
             return []
-        if direction.ambient != self.n:
-            raise ValueError(f"direction lives in F^{direction.ambient}, the points in F^{self.n}")
         p = self.field.p
-        rows = _annihilator(direction, self.field)
         if p < 128 and (cosets := p ** len(rows)) <= 1 << 64:
             width = 1 if cosets <= 1 << 8 else 2 if cosets <= 1 << 16 else 4 if cosets <= 1 << 32 else 8
             return self._lane_keys(rows, width)
@@ -385,14 +403,13 @@ def _bitmask(positions: Iterable[int], size: int) -> int:
     return int.from_bytes(bits, "little")
 
 
-class CosetMasks:
+class CosetMasks(_PointSet):
     """The cosets of any direction in one fixed point set, as int bitmasks.
 
-    The points are kept sorted and distinct (`points`); bit i of a mask
-    stands for points[i].  `columns[i][v]` is the mask of the points whose
-    x_i = v.  `masks(direction)` partitions the points by each annihilator
-    row a in turn: the classes of a . x start as every point in class 0, and
-    each nonzero coordinate a_i folds in as
+    Bit i of a mask stands for points[i] (`_PointSet`).  `columns[i][v]` is
+    the mask of the points whose x_i = v.  `masks(direction)` partitions the
+    points by each annihilator row a in turn: the classes of a . x start as
+    every point in class 0, and each nonzero coordinate a_i folds in as
     new[(c + a_i v) % p] |= cur[c] & columns[i][v], only nonempty classes
     taking part, so the first costs p ANDs and each further one at most p^2.
     The rows' partitions are then met pairwise, and empty meets dropped.  A
@@ -402,11 +419,7 @@ class CosetMasks:
     """
 
     def __init__(self, points: Iterable[Vector], field: Field):
-        self.field = field
-        self.points = sorted(set(points))
-        if len(set(map(len, self.points))) > 1:
-            raise ValueError("ambient dimension mismatch")
-        self.n = len(self.points[0]) if self.points else 0
+        super().__init__(points, field)
         size = (len(self.points) + 7) >> 3
         bits = [[bytearray(size) for _ in range(field.p)] for _ in range(self.n)]
         for position, x in enumerate(self.points):
@@ -418,14 +431,13 @@ class CosetMasks:
     def masks(self, direction: LinearSubspace) -> List[int]:
         """Each nonempty coset of `direction` in `points` as a bitmask: the
         classes of equal `coset_key`, disjoint and covering the points."""
-        if not self.points:
+        rows = self._rows(direction)
+        if rows is None:
             return []
-        if direction.ambient != self.n:
-            raise ValueError(f"direction lives in F^{direction.ambient}, the points in F^{self.n}")
         p = self.field.p
         everything = (1 << len(self.points)) - 1
         cosets = [everything]
-        for row in _annihilator(direction, self.field):
+        for row in rows:
             classes = [everything] + [0] * (p - 1)
             for a, column in zip(row, self.columns):
                 if not a:

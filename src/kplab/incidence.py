@@ -82,17 +82,18 @@ def incidence_count(config: Configuration) -> IncidenceIndex:
     per (point, flat), and the crossover stays as it is, because the
     benchmark tracer's self-test pins 39 `membership` calls inside
     `incidence_count` on `gen_degenerate(4, 2, 1, GF(3))`.
+    Neither side sorts per flat: `enumerate_points` yields ascending points,
+    and the probe side walks P sorted once.
     """
     fld = config.field
-    flat_size = fld.p ** config.k
-    points: Dict[AffineFlat, Tuple[Vector, ...]] = {}
-    for flat in config.flats:
-        if flat_size <= len(config.points):
-            hits = [pt for pt in enumerate_points(flat, fld) if pt in config.points]
-        else:
-            hits = [pt for pt in config.points if membership(pt, flat, fld)]
-        points[flat] = tuple(sorted(hits))
-    return IncidenceIndex(points)
+    if fld.p ** config.k <= len(config.points):
+        return IncidenceIndex(
+            {flat: tuple([pt for pt in enumerate_points(flat, fld) if pt in config.points]) for flat in config.flats}
+        )
+    ordered = sorted(config.points)
+    return IncidenceIndex(
+        {flat: tuple([pt for pt in ordered if membership(pt, flat, fld)]) for flat in config.flats}
+    )
 
 
 def cs_holder_count(config: Configuration, m: int, index: IncidenceIndex) -> int:
@@ -174,23 +175,59 @@ class RefinedConfig:
         return len(self.flats)
 
 
+class _DyadicLevels:
+    """Positive integers bucketed by dyadic level floor(log2 v), with each
+    level's count `size` and sum `mass`: the one pigeonhole of `refine_dyadic`
+    and of `ChainTally`'s plane-point family."""
+
+    def __init__(self):
+        self.size: Dict[int, int] = Counter()
+        self.mass: Dict[int, int] = Counter()
+
+    def add(self, value: int) -> int:
+        """Count `value` at its level, and return the level."""
+        level = value.bit_length() - 1
+        self.size[level] += 1
+        self.mass[level] += value
+        return level
+
+    def heaviest(self) -> int:
+        """The level of largest mass, ties toward the larger; -1 for none."""
+        mass = self.mass
+        return max(mass, key=lambda lvl: (mass[lvl], lvl), default=-1)
+
+
 def refine_dyadic(config: Configuration, index: IncidenceIndex) -> RefinedConfig:
     """Bucket nonempty flats by floor(log2 |P ∩ pi|) and keep the bucket
-    maximizing its incidence contribution, ties toward the larger level."""
+    of the heaviest level (`_DyadicLevels`) by incidence contribution."""
     if index.total == 0:
         raise EmptyRefinementError("no incidences to refine")
+    levels = _DyadicLevels()
     buckets: Dict[int, List[AffineFlat]] = defaultdict(list)
-    contributions: Dict[int, int] = Counter()
     for flat in config.flats:
         c = index.per_flat.get(flat, 0)
-        if c == 0:
-            continue
-        level = c.bit_length() - 1
-        buckets[level].append(flat)
-        contributions[level] += c
-    best_level = max(contributions, key=lambda lvl: (contributions[lvl], lvl))
-    chosen = tuple(buckets[best_level])
-    return RefinedConfig(chosen, best_level, contributions[best_level])
+        if c:
+            buckets[levels.add(c)].append(flat)
+    best = levels.heaviest()
+    return RefinedConfig(tuple(buckets[best]), best, levels.mass[best])
+
+
+def _refuse_unseparated(config: Configuration) -> None:
+    if not config.direction_separated:
+        raise PreconditionError("configuration is not direction separated")
+
+
+def _refined_row(config: Configuration, index: IncidenceIndex) -> Tuple[CountReport, Optional[RefinedConfig]]:
+    """The head of a row on the dyadic refinement (`check_main_bound`,
+    `simplex.simplex_bound_report`): refuse a family that is not direction
+    separated, write num_points, num_flats and incidences, in that order, to
+    a new report, and refine; None for the refinement when |I| = 0."""
+    _refuse_unseparated(config)
+    report = CountReport()
+    report.counts.update(
+        {"num_points": len(config.points), "num_flats": len(config.flats), "incidences": index.total}
+    )
+    return report, (refine_dyadic(config, index) if index.total else None)
 
 
 @dataclass
@@ -216,8 +253,7 @@ def check_max_ic(
     p_exp, q_exp = Fraction(p_exp), Fraction(q_exp)
     if p_exp < 1 or q_exp < 1:
         raise PreconditionError("exponents must be >= 1")
-    if not config.direction_separated:
-        raise PreconditionError("configuration is not direction separated")
+    _refuse_unseparated(config)
     fld = config.field
     # Per-direction sup over cosets: each flat's count is at most the sup of
     # the point counts over all cosets of its direction.
@@ -243,21 +279,11 @@ def check_main_bound(config: Configuration, index: IncidenceIndex) -> CountRepor
     n, k, p = config.n, config.k, config.field.p
     if not 2 <= k <= n - 2:
         raise PreconditionError(f"need 2 <= k <= n-2, got n={n}, k={k}")
-    if not config.direction_separated:
-        raise PreconditionError("configuration is not direction separated")
-    report = CountReport()
-    report.counts.update(
-        {
-            "num_points": len(config.points),
-            "num_flats": len(config.flats),
-            "incidences": index.total,
-        }
-    )
-    if index.total == 0:
+    report, refined = _refined_row(config, index)
+    if refined is None:
         report.ratios["main_bound"] = None
         report.notes["dominant_term"] = "absent"
         return report
-    refined = refine_dyadic(config, index)
     num_points, num_flats = len(config.points), refined.num_flats
     terms = {
         "main": main_term_exponents(k).evaluate(num_points, num_flats, p),
@@ -395,7 +421,8 @@ class ChainTally:
     counts the spine's points.  A kept spine's s heads are all kept and
     shared by every partner on it: each ordered pair adds s to vk,
     s (|P ∩ pi_a| - c) to vkp and s to f(pi_a, x) for every x of the partner
-    off pi_a, and f is bucketed one pi_a at a time."""
+    off pi_a, and f is bucketed one pi_a at a time (`_DyadicLevels`, the
+    pigeonhole rule of `refine_dyadic`)."""
 
     def __init__(self, config: Configuration, index: IncidenceIndex, refined: RefinedConfig):
         self.config, self.index, self.refined = config, index, refined
@@ -403,8 +430,7 @@ class ChainTally:
         self.scale = 10 * refined.num_flats * config.field.p
         self.added = self.spanning = self.kept = self.vk = self.vkp = 0
         self.shared: Dict[Tuple[int, int], int] = {}
-        self.bucket_size: Dict[int, int] = Counter()
-        self.bucket_mass: Dict[int, int] = Counter()
+        self.f_levels = _DyadicLevels()
 
     def add(self, face: Face) -> None:
         """Tally the next refined flat, given its face record."""
@@ -430,11 +456,9 @@ class ChainTally:
                     if x not in off:
                         f_values[x] = f_values.get(x, 0) + s
         orders = math.factorial(self.config.k)
+        add = self.f_levels.add
         for f in f_values.values():
-            f *= orders
-            level = f.bit_length() - 1
-            self.bucket_size[level] += 1
-            self.bucket_mass[level] += f
+            add(f * orders)
 
     def report(self) -> RefinementChainReport:
         """The chain's exact stage counts, once every refined flat is added."""
@@ -446,9 +470,8 @@ class ChainTally:
         orders = math.factorial(k)
         ik = orders * self.kept
         vk = orders * self.vk
-        bucket_mass = self.bucket_mass
-        d_level = max(bucket_mass, key=lambda lvl: (bucket_mass[lvl], lvl), default=-1)
-        d_size = self.bucket_size[d_level]
+        d_level = self.f_levels.heaviest()
+        d_size = self.f_levels.size[d_level]
         holder_tuple_count = sum(self.index.per_flat[flat] ** k for flat in refined.flats)
         # Each kept k-subset on g refined flats adds g^2 = g + g(g-1) orders.
         vk_prime = ik + vk

@@ -17,17 +17,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .config import enumerate_space
+from .config import _kept_points, enumerate_space
 from .exponents import PowerProduct
 from .field import Field
 from .flats import (
     CosetSums,
     LinearSubspace,
+    coordinate_flat,
     enumerate_grassmannian,
     enumerate_points,
     gaussian_binomial,
-    make_flat,
-    span_of,
 )
 from .linalg import Vector
 
@@ -85,11 +84,12 @@ def apply_maximal_many(
     """`apply_maximal` of each function, in one walk over G(n,k).
 
     The sup over all translates x + pi equals the max over the p^{n-k}
-    cosets of pi.  Each function's points are grouped by value, a value
-    read again only where it differs from the previous point's object, and
-    the values scaled to ints by the lcm of their denominators; one
-    `CosetSums` over the family gives every function's largest scaled coset
-    sum once per direction.
+    cosets of pi.  Each distinct function object's points are grouped by
+    value, a value read again only where it differs from the previous
+    point's object, and the values scaled to ints by the lcm of their
+    denominators; one `CosetSums` over those weightings gives every
+    function's largest scaled coset sum once per direction.  A function
+    given twice shares one image.
     """
     if not fs:
         return []
@@ -99,9 +99,10 @@ def apply_maximal_many(
             raise ValueError(f"grid function lives on F^{f.n}, not F^{n}")
         if f.field != fld:
             raise ValueError(f"grid functions over {fld} and {f.field} in one family")
+    distinct = list({id(f): f for f in fs}.values())
     scales = []
     weightings = []
-    for f in fs:
+    for f in distinct:
         classes: Dict[Fraction, List[Vector]] = {}
         last = None
         for pt, v in f.values:
@@ -112,11 +113,12 @@ def apply_maximal_many(
         scales.append(scale)
         weightings.append([(v.numerator * (scale // v.denominator), points) for v, points in classes.items()])
     kernel = CosetSums(weightings, k, fld)
-    out: List[Dict[LinearSubspace, Fraction]] = [{} for _ in fs]
+    images: List[Dict[LinearSubspace, Fraction]] = [{} for _ in distinct]
     for pi in enumerate_grassmannian(n, k, fld):
-        for tf, scale, best in zip(out, scales, kernel.maxima(pi)):
+        for tf, scale, best in zip(images, scales, kernel.maxima(pi)):
             tf[pi] = Fraction(best, scale)
-    return out
+    image_of = {id(f): tf for f, tf in zip(distinct, images)}
+    return [image_of[id(f)] for f in fs]
 
 
 def apply_maximal(f: GridFunction, n: int, k: int) -> Dict[LinearSubspace, Fraction]:
@@ -176,27 +178,21 @@ class SearchResult:
 def default_candidates(
     n: int, k: int, field: Field, seed: int
 ) -> Dict[str, GridFunction]:
-    """Built-in witness family: constant, point spike, r-flat indicators,
-    random dyadic-density sets, and, for 2 <= k <= n-1, the points of the
-    degenerate configuration `gen_degenerate(n, k, k-1)`, which are the
-    (k-1)-flat's: one witness under two names."""
+    """Built-in witness family: constant, point spike, the coordinate r-flat
+    indicators (`flats.coordinate_flat`), random dyadic-density sets (one
+    `Random(seed)` read by `config._kept_points`), and, for 2 <= k <= n-1,
+    `degenerate_points`, the points of `gen_degenerate(n, k, k-1)`: the
+    `flat_dim_{k-1}` object under a second name."""
     rng = random.Random(seed)
     fld = field
     out: Dict[str, GridFunction] = {}
     out["constant"] = GridFunction.constant(fld, n)
-    origin = tuple([0] * n)
-    out["point"] = GridFunction.indicator(fld, n, [origin])
+    out["point"] = GridFunction.indicator(fld, n, [(0,) * n])
     for r in range(1, k + 1):
-        basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(r)]
-        flat = make_flat(span_of(basis, n, fld), origin, fld)
+        flat = coordinate_flat(n, r, fld)
         out[f"flat_dim_{r}"] = GridFunction.indicator(fld, n, enumerate_points(flat, fld))
     for exponent in (1, 2, 3):
-        density = Fraction(1, 2**exponent)
-        pts = [
-            pt
-            for pt in enumerate_space(n, fld)
-            if rng.randrange(density.denominator) < density.numerator
-        ]
+        pts = _kept_points(n, fld, Fraction(1, 2**exponent), rng)
         if pts:
             out[f"random_density_1/{2**exponent}"] = GridFunction.indicator(fld, n, pts)
     if 1 <= k - 1 and k <= n - 1:
@@ -217,9 +213,10 @@ def empirical_norm_search(
 
     ||f||_p counts points; ||Tf||_q weighs each direction of G(n,k) by
     p^{-k(n-k)}, a total mass of [n k]_p / p^{k(n-k)}, above 1.  This is the
-    one place a ratio is formed.  It is a certified lower bound on the
-    operator norm (each witness is exact), not an estimate of the sup over
-    all functions.
+    one place a ratio is formed, once per distinct witness object: a
+    witness under two names has one ratio.  It is a certified lower bound
+    on the operator norm (each witness is exact), not an estimate of the sup
+    over all functions.
     """
     if candidates is None:
         candidates = default_candidates(n, k, field, seed)
@@ -228,9 +225,10 @@ def empirical_norm_search(
     family = {name: f for name, f in sorted(candidates.items()) if not f.is_zero()}
     images = apply_maximal_many(list(family.values()), n, k)
     weight = field.p ** (-k * (n - k))
-    ratios = {
-        name: norm(tf.values(), q_exp, weight) / norm((v for _, v in f.values), p_exp)
-        for (name, f), tf in zip(family.items(), images)
-    }
+    ratio_of: Dict[int, float] = {}
+    for f, tf in zip(family.values(), images):
+        if id(f) not in ratio_of:
+            ratio_of[id(f)] = norm(tf.values(), q_exp, weight) / norm((v for _, v in f.values), p_exp)
+    ratios = {name: ratio_of[id(f)] for name, f in family.items()}
     best_name = max(ratios, key=lambda name: (ratios[name], name))
     return SearchResult(ratios[best_name], best_name, ratios)

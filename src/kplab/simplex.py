@@ -19,8 +19,8 @@ from .incidence import (
     Face,
     IncidenceIndex,
     RefinementChainReport,
+    _refined_row,
     common_points,
-    refine_dyadic,
 )
 from .linalg import Vector
 
@@ -150,24 +150,19 @@ def lambda_flat_counts(config: Configuration, chain: RefinementChainReport) -> T
 def simplex_bound_report(config: Configuration, index: IncidenceIndex) -> CountReport:
     """Exact |S_k|, |V_k|, |I~|, |Pi~| and the three bound expressions: the
     deleted-spine upper bound, the inductive lower bound and the
-    independence heuristic.  Ratios are reported, never asserted.
+    independence heuristic.  Ratios are reported, never asserted.  The
+    refusal, the first three counts and the refinement are
+    `incidence._refined_row`'s, as for `check_main_bound`.
 
     The refined family is walked once (`common_points`): each flat's face
     record goes to the refinement chain's tally (`ChainTally`) and then to
     `count_simplices`, so only one flat's record is held at a time."""
     k, p = config.k, config.field.p
-    report = CountReport()
-    if not config.direction_separated:
-        raise ValueError("configuration is not direction separated")
-    num_points = len(config.points)
-    num_flats = len(config.flats)
-    report.counts.update(
-        {"num_points": num_points, "num_flats": num_flats, "incidences": index.total}
-    )
-    if index.total == 0:
+    report, refined = _refined_row(config, index)
+    if refined is None:
         report.ratios.update({"upper": None, "lower": None, "heuristic": None})
         return report
-    refined = refine_dyadic(config, index)
+    num_points, num_flats = len(config.points), len(config.flats)
     tally = ChainTally(config, index, refined)
 
     def faces():

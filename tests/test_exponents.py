@@ -44,11 +44,13 @@ class TestPowerProduct:
         assert (a ** Fraction(0)) == PowerProduct([])
 
     def test_zero_handling(self):
-        zero = PowerProduct([(0, Fraction(1))])
-        assert zero.is_zero
-        assert zero < PowerProduct.integer(1)
-        with pytest.raises(ZeroDivisionError):
-            PowerProduct([(0, Fraction(-1))])
+        # Every base is positive: a base of 0 or below is refused, whatever
+        # its exponent.
+        for base, exp in ((0, Fraction(1)), (0, Fraction(-1)), (0, Fraction(0)), (-2, Fraction(1))):
+            with pytest.raises(ValueError):
+                PowerProduct([(base, exp)])
+        with pytest.raises(ValueError):
+            PowerProduct.integer(0)
 
     def test_float_rendering(self):
         value = PowerProduct([(2, Fraction(1, 2))])

@@ -13,6 +13,7 @@ from kplab.flats import (
     CosetKeys,
     CosetMasks,
     CosetSums,
+    coordinate_flat,
     coset_key,
     enumerate_grassmannian,
     enumerate_points,
@@ -125,6 +126,33 @@ def test_enumerate_points_product_order(n, k, p):
                 for coeffs in itertools.product(range(p), repeat=len(rows))
             ]
             assert list(enumerate_points(flat, fld)) == expected
+
+
+@pytest.mark.parametrize(
+    "n,k,p",
+    [(2, 1, 5), (3, 1, 3), (3, 2, 3), (3, 2, 7), (4, 1, 3), (4, 2, 3), (4, 2, 5), (4, 3, 2), (5, 2, 2), (5, 3, 3)],
+)
+def test_enumerate_points_ascending(n, k, p):
+    # RREF rows are zero before their pivots, so a flat's points come out
+    # sorted and distinct; incidence_count keeps them in this order.
+    fld = Field(p)
+    rng = random.Random(n * 100 + k * 10 + p)
+    total = gaussian_binomial(n, k, p)
+    for _ in range(60):
+        direction = unrank_grassmannian(n, k, fld, rng.randrange(total))
+        flat = make_flat(direction, tuple(rng.randrange(p) for _ in range(n)), fld)
+        points = list(enumerate_points(flat, fld))
+        assert points == sorted(set(points))
+
+
+@pytest.mark.parametrize("n,r,p", [(3, 1, 7), (3, 2, 3), (4, 2, 3), (5, 3, 2), (4, 4, 3)])
+def test_coordinate_flat_is_span_of_first_unit_vectors(n, r, p):
+    # The points zero after their first r coordinates, found by scanning F^n.
+    fld = Field(p)
+    flat = coordinate_flat(n, r, fld)
+    assert (flat.ambient, flat.dim, flat.representative) == (n, r, (0,) * n)
+    on = {x for x in itertools.product(range(p), repeat=n) if not any(x[r:])}
+    assert set(enumerate_points(flat, fld)) == on
 
 
 def test_enumerate_points_is_a_generator_function():

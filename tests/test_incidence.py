@@ -6,7 +6,7 @@ from operator import mul
 
 import pytest
 
-import kplab.oracles
+import kplab.incidence
 from conftest import planted_simplex_config, random_corpus
 from kplab.config import Configuration, gen_degenerate, gen_random_config
 from kplab.exponents import PowerProduct
@@ -32,6 +32,7 @@ from kplab.incidence import (
     jr_decompose,
     refine_dyadic,
 )
+from kplab.linalg import span
 from kplab.oracles import (
     affine_hull,
     build_refinement_chain_bruteforce,
@@ -161,6 +162,17 @@ class TestRefineDyadic:
         assert refined.bucket_level == 3
         assert refined.flats == (l1,)
         assert refined.refined_total == 8
+
+    def test_tied_levels_go_to_the_larger_level(self):
+        # Per-flat counts {2, 1, 1}: level 1 and level 0 both contribute 2.
+        fld = Field(11)
+        l1 = make_flat(span_of([(1, 0)], 2, fld), (0, 0), fld)
+        l2 = make_flat(span_of([(0, 1)], 2, fld), (9, 0), fld)
+        l3 = make_flat(span_of([(0, 1)], 2, fld), (10, 0), fld)
+        points = frozenset([(0, 0), (1, 0), (9, 1), (10, 2)])
+        cfg = Configuration(fld, 2, 1, points, (l1, l2, l3))
+        refined = refine_dyadic(cfg, incidence_count(cfg))
+        assert (refined.bucket_level, refined.flats, refined.refined_total) == (1, (l1,), 2)
 
     def test_pigeonhole_guarantee_on_corpus(self):
         for _, cfg in random_corpus(4, 2, 3, 30):
@@ -468,13 +480,26 @@ def test_jr_oracle_equivalence(n, k, p):
     assert nonzero_stratum2 * 2 >= high_r
 
 
-def test_jr_decompose_makes_no_hull_call(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("affine_hull called")
+def test_jr_decompose_spans_each_subset_once(monkeypatch):
+    # At r = 3 every 3- and 4-subset of a flat's incident points takes one
+    # rank test, and nothing else does; counting them leaves the strata as
+    # they are.
+    configs = [cfg for _, cfg in random_corpus(5, 3, 2, 2)]
+    unwrapped = [jr_decompose(cfg, 3, incidence_count(cfg)).strata for cfg in configs]
+    calls = []
 
-    monkeypatch.setattr(kplab.oracles, "affine_hull", forbidden)
-    for _, cfg in random_corpus(5, 3, 2, 2):
-        jr_decompose(cfg, 3, incidence_count(cfg))
+    def counted(points, p):
+        calls.append(len(points))
+        return span(points, p)
+
+    monkeypatch.setattr(kplab.incidence, "span", counted)
+    for cfg, strata in zip(configs, unwrapped):
+        calls.clear()
+        index = incidence_count(cfg)
+        assert jr_decompose(cfg, 3, index).strata == strata
+        sizes = [c for c in index.per_flat.values() if c >= 3]
+        assert sizes, "a vacuous corpus: no flat holds three points"
+        assert len(calls) == sum(math.comb(c, 3) + math.comb(c, 4) for c in sizes)
 
 
 def test_jr_oracle_point_guard(f5):

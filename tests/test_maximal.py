@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import kplab.maximal
 from kplab.config import gen_degenerate
 from kplab.exponents import PowerProduct
 from kplab.field import Field
-from kplab.flats import enumerate_grassmannian, enumerate_points, gaussian_binomial, make_flat, span_of
+from kplab.flats import CosetSums, enumerate_grassmannian, enumerate_points, gaussian_binomial, make_flat, span_of
 from kplab.maximal import (
     GridFunction,
     apply_maximal,
@@ -152,6 +153,28 @@ def test_many_matches_oracle_per_function(n, k, p):
         assert tf == apply_maximal_bruteforce(f, n, k) == apply_maximal(f, n, k)
     assert set(images[1].values()) == {0}
     assert apply_maximal_many([], n, k) == []
+
+
+def test_one_weighting_per_distinct_function(monkeypatch):
+    # degenerate_points is the flat_dim_{k-1} object itself: at (3,2,7) the
+    # eight named witnesses are seven functions, weighed once each, and the
+    # two names share one image and one ratio.
+    n, k, fld = 3, 2, Field(7)
+    family = default_candidates(n, k, fld, 0)
+    assert len(family) == 8 and family["degenerate_points"] is family["flat_dim_1"]
+    built = []
+
+    def recorded(weightings, *args):
+        built.append(len(weightings))
+        return CosetSums(weightings, *args)
+
+    monkeypatch.setattr(kplab.maximal, "CosetSums", recorded)
+    images = apply_maximal_many(list(family.values()), n, k)
+    names = list(family)
+    assert images[names.index("degenerate_points")] is images[names.index("flat_dim_1")]
+    result = empirical_norm_search(n, k, fld, Fraction(11, 6), Fraction(22, 5), candidates=family)
+    assert built == [7, 7]
+    assert result.all_ratios["degenerate_points"] == result.all_ratios["flat_dim_1"]
 
 
 def test_many_rejects_mixed_families(f3, f5):

@@ -13,8 +13,10 @@ from kplab.flats import (
 )
 from kplab.incidence import (
     Face,
+    PreconditionError,
     SizeGuardError,
     build_refinement_chain,
+    check_main_bound,
     common_points,
     incidence_count,
     refine_dyadic,
@@ -267,6 +269,16 @@ class TestBoundReport:
         assert report.ratios["lower"] is None
         assert report.ratios["heuristic"] is None
         assert report.verdicts["spine_deletion_lower"] in (True, False)
+
+    def test_refuses_a_family_not_direction_separated(self, f3):
+        # The two refined rows share one refusal, a PreconditionError.
+        direction = span_of([(1, 0, 0, 0), (0, 1, 0, 0)], 4, f3)
+        flats = (make_flat(direction, (0, 0, 0, 0), f3), make_flat(direction, (0, 0, 1, 0), f3))
+        cfg = Configuration(f3, 4, 2, frozenset([(0, 0, 0, 0)]), flats)
+        index = incidence_count(cfg)
+        for row in (simplex_bound_report, check_main_bound):
+            with pytest.raises(PreconditionError):
+                row(cfg, index)
 
     def test_empty_incidences(self, f3):
         cfg = gen_degenerate(4, 2, 1, f3).with_points(frozenset())

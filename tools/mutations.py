@@ -92,6 +92,43 @@ MUTATIONS = [
         "    return jr_decompose_bruteforce\n\n\ndef jr_decompose(",
         ["tests/test_oracles.py::test_fast_modules_neither_import_nor_define_oracles"],
     ),
+    # The one pigeonhole rule of `refine_dyadic` and the chain's tally.
+    Mutation(
+        "heaviest-level-ties-to-smaller",
+        "src/kplab/incidence.py",
+        "key=lambda lvl: (mass[lvl], lvl)",
+        "key=lambda lvl: (mass[lvl], -lvl)",
+        [
+            "tests/test_incidence.py::TestRefineDyadic::test_tied_levels_go_to_the_larger_level",
+            "tests/test_incidence.py::test_chain_oracle_equivalence[4-2-3-8-14]",
+            "tests/test_cli.py::TestRunExperiment::test_rows_match_pinned_digest[incidence-bound]",
+        ],
+    ),
+    # The one seeded keep-draw of point clouds and random-density witnesses.
+    Mutation(
+        "keep-draw-less-or-equal",
+        "src/kplab/config.py",
+        "if draw(denominator) < numerator]",
+        "if draw(denominator) <= numerator]",
+        [
+            "tests/test_cli.py::TestRunExperiment::test_rows_match_pinned_digest[incidence-bound]",
+            "tests/test_cli.py::TestRunExperiment::test_rows_match_pinned_digest[two-ends]",
+            "tests/test_cli.py::TestRunExperiment::test_rows_match_pinned_digest[maximal-ratio]",
+        ],
+    ),
+    # The one coordinate flat.  Counts and maximal ratios are invariant under
+    # permuting coordinates, so only a test of its points can catch this.
+    Mutation(
+        "coordinate-flat-shifted",
+        "src/kplab/flats.py",
+        "for j in range(n)) for i in range(r)]\n",
+        "for j in range(n)) for i in range(1, r + 1)]\n",
+        [
+            "tests/test_flats.py::test_coordinate_flat_is_span_of_first_unit_vectors[3-1-7]",
+            "tests/test_flats.py::test_coordinate_flat_is_span_of_first_unit_vectors[4-2-3]",
+            "tests/test_flats.py::test_coordinate_flat_is_span_of_first_unit_vectors[5-3-2]",
+        ],
+    ),
 ]
 
 
