@@ -153,18 +153,21 @@ def estimate_work(spec: ExperimentSpec) -> int:
 
 def run_experiment(spec: ExperimentSpec, budget: int = DEFAULT_BUDGET) -> List[Dict[str, object]]:
     """The spec's rows: "experiment", the spec's n, k, r and prime, then (for
-    the seeded corpus kinds) "seed", then the kind's own columns."""
+    the seeded corpus kinds) "seed", then the kind's own columns.  This is
+    the one place a float is rendered, to 6 significant digits (`_sig`)."""
     estimate = estimate_work(spec)
     if estimate > budget:
         raise BudgetError(f"estimated work {_magnitude(estimate)} exceeds budget {budget}")
     params, kind = spec.params, KINDS[spec.kind]
     prefix = {"experiment": spec.kind, **{key: params[key] for key in _PREFIX_KEYS if key in params}}
     if "num_directions" in kind.required:
-        return [
+        rows = [
             {**prefix, "seed": seed, **kind.rows(params, cfg, incidence.incidence_count(cfg))}
             for seed, cfg in _corpus(params)
         ]
-    return [{**prefix, **columns} for columns in kind.rows(params)]
+    else:
+        rows = [{**prefix, **columns} for columns in kind.rows(params)]
+    return [{key: _sig(value) if isinstance(value, float) else value for key, value in row.items()} for row in rows]
 
 
 def _corpus(params):
@@ -183,27 +186,19 @@ def _census_rows(params) -> List[Dict[str, object]]:
     return [{"enumerated": enumerated, "formula": formula, "verdict_match": enumerated == formula}]
 
 
-def _main_bound_columns(report) -> Dict[str, object]:
-    return {
-        "ratio_main_bound": _sig(report.ratios["main_bound"]),
-        "dominant_term": report.notes["dominant_term"],
-    }
-
-
 def _degenerate_rows(params) -> List[Dict[str, object]]:
     n, k, r, p = params["n"], params["k"], params["r"], params["prime"]
     cfg = gen_degenerate(n, k, r, Field(p))
     index = incidence.incidence_count(cfg)
     row = {
-        "num_points": len(cfg.points),
-        "num_flats": len(cfg.flats),
-        "incidences": index.total,
+        **incidence._row_head(cfg, index),
         "verdict_worst_case": index.total == len(cfg.points) * len(cfg.flats),
         "expected_flats": gaussian_binomial(n - r, k - r, p),
         "asymptotic_flats": p ** ((k - r) * (n - k)),
     }
     if 2 <= k <= n - 2:
-        row.update(_main_bound_columns(incidence.check_main_bound(cfg, index)))
+        bound = incidence.check_main_bound(cfg, index)
+        row.update({key: bound[key] for key in ("ratio_main_bound", "dominant_term")})
     return [row]
 
 
@@ -231,11 +226,10 @@ def _nk_set_rows(params) -> List[Dict[str, object]]:
 
 
 def _incidence_bound_row(params, cfg, index) -> Dict[str, object]:
-    report = incidence.check_main_bound(cfg, index)
-    row = {**report.counts, **_main_bound_columns(report)}
+    row = incidence.check_main_bound(cfg, index)
     if "p_exp" in params:
         mic = incidence.check_max_ic(cfg, index, params["p_exp"], params["q_exp"])
-        row["ratio_max_ic"] = _sig(mic.ratio_float)
+        row["ratio_max_ic"] = None if mic.ratio is None else float(mic.ratio)
         row["verdict_sup_chain"] = mic.chain_holds
     return row
 
@@ -265,16 +259,6 @@ def _refinement_chain_row(params, cfg, index) -> Dict[str, object]:
     }
 
 
-def _simplex_bounds_row(params, cfg, index) -> Dict[str, object]:
-    report = simplex.simplex_bound_report(cfg, index)
-    return {
-        **report.counts,
-        **{f"ratio_{name}": _sig(value) for name, value in report.ratios.items()},
-        **{f"verdict_{name}": value for name, value in report.verdicts.items()},
-        **report.notes,
-    }
-
-
 def _maximal_ratio_rows(params) -> List[Dict[str, object]]:
     result = maximal.empirical_norm_search(
         params["n"], params["k"], Field(params["prime"]), params["p_exp"], params["q_exp"],
@@ -285,7 +269,7 @@ def _maximal_ratio_rows(params) -> List[Dict[str, object]]:
             "p_exp": _num_den(params["p_exp"]),
             "q_exp": _num_den(params["q_exp"]),
             "candidate": name,
-            "ratio": _sig(result.all_ratios[name]),
+            "ratio": result.all_ratios[name],
             "verdict_best": name == result.best_name,
         }
         for name in sorted(result.all_ratios)
@@ -385,7 +369,8 @@ KINDS: Dict[str, Kind] = {
     "refinement-chain": Kind(_CORPUS_KEYS, {"seeds"}, "1 <= k <= n", lambda n, k, **_: 1 <= k <= n,
                              partial(_corpus_work, lambda k, **_: (k,), 1), _refinement_chain_row),
     "simplex-bounds": Kind(_CORPUS_KEYS, {"seeds"}, "1 <= k <= n", lambda n, k, **_: 1 <= k <= n,
-                           partial(_corpus_work, lambda k, **_: (k, k + 1), 1), _simplex_bounds_row),
+                           partial(_corpus_work, lambda k, **_: (k, k + 1), 1),
+                           lambda params, cfg, index: simplex.simplex_bound_report(cfg, index)),
     "maximal-ratio": Kind({"n", "k", "prime", "p_exp", "q_exp"}, {"seed"},
                           "0 <= k <= n and p_exp, q_exp at most the largest float",
                           lambda n, k, p_exp, q_exp, **_: 0 <= k <= n and max(p_exp, q_exp) <= sys.float_info.max,
@@ -405,13 +390,9 @@ def _num_den(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _sig(value: Optional[float]) -> Optional[float]:
+def _sig(value: float) -> float:
     """Render a ratio to 6 significant digits; exact verdicts live in their
     own columns."""
-    if value is None:
-        return None
-    if value == 0:
-        return 0.0
     return float(f"{value:.6g}")
 
 

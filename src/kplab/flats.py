@@ -455,10 +455,12 @@ class CosetMasks(_PointSet):
 
 # A mask AND costs one step, plus one per MASK_STEP_BITS bits of |points|.
 # The value is fitted to the picks, not to the time of one AND: on the
-# default witness families of `maximal.apply_maximal_many`, timed with each
-# kernel forced, it picks masks at (3,2,7), (3,1,13), (3,1,17), (4,1,7) and
-# (4,2,5) and keys at k = 0, (2,1,61) and (4,1,11), each where it ran faster.
-# Those are times of older kernels (CHANGES.md has them), and the cost
+# default witness families of `maximal.apply_maximal_many` it picks masks at
+# (3,2,7), (3,1,13), (3,1,17), (4,1,7) and (4,2,5) and keys at k = 0,
+# (2,1,61) and (4,1,11).  It was fitted when keys summed columns point by
+# point.  With keys in byte lanes, masks still run faster at (3,2,7) and
+# (4,2,5), but keys now run faster at (3,1,13), (3,1,17), (4,1,7) and
+# (2,1,31), where masks are picked (CHANGES.md has the times).  The cost
 # model's recalibration (ROADMAP.md) refits the value.
 MASK_STEP_BITS = 2048
 
@@ -473,12 +475,14 @@ class CosetSums:
     direction: masks take (n-k)(p + k p^2) ANDs to fold, p per coset to meet
     and one per coset and class to sum, each 1 + |points| // MASK_STEP_BITS
     steps; keys take (n-k)(k+1) column steps per point and one per weighted
-    point.  So masks win on dense families with few cosets, keys on sparse
-    point sets and on many cosets: at k = 0 each point is its own coset, and
-    masks would hold |points|^2 bits.  A coset sum is one AND and popcount
-    per class, or one `Counter` of keys per class.  The key steps are
-    charged at the rate of column sums point by point, which is slower than
-    the byte lanes (see `MASK_STEP_BITS`).
+    point.  So the count puts masks cheaper on dense families with few
+    cosets, keys on sparse point sets and on many cosets: at k = 0 each
+    point is its own coset, and masks would hold |points|^2 bits.  A coset
+    sum is one AND and popcount per class, or one `Counter` of keys per
+    class.  The key steps are charged at the rate of column sums point by
+    point, which is slower than the byte lanes, so the count picks masks at
+    (3,1,13), (3,1,17), (4,1,7) and (2,1,31), where keys run faster (see
+    `MASK_STEP_BITS`).
     """
 
     def __init__(self, weightings: Sequence[Sequence[Tuple[int, Sequence[Vector]]]], k: int, field: Field):
@@ -572,13 +576,13 @@ def flats_through(flat: AffineFlat, field: Field) -> Dict[Vector, AffineFlat]:
     return spans
 
 
-def local_coordinates(points: Iterable[Vector], flat: AffineFlat) -> Dict[Vector, Vector]:
-    """Each point on the flat mapped to its coordinates in F^k: its entries in
-    the pivot columns of the direction.  The representative is zero there,
-    so a point is the representative plus these entries times the basis
-    rows, and the map is an affine bijection of the flat onto F^k."""
+def local_coordinates(points: Iterable[Vector], flat: AffineFlat) -> Tuple[Vector, ...]:
+    """The coordinates in F^k of each point on the flat, in point order: its
+    entries in the pivot columns of the direction.  The representative is
+    zero there, so a point is the representative plus these entries times
+    the basis rows, and the map is an affine bijection of the flat onto F^k."""
     pivots = flat.direction.basis.pivots
-    return {x: tuple(x[j] for j in pivots) for x in points}
+    return tuple([tuple([x[j] for j in pivots]) for x in points])
 
 
 def is_direction_separated(flats: Sequence[AffineFlat]) -> bool:

@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field as default_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -35,21 +35,6 @@ class PreconditionError(ValueError):
 class SizeGuardError(RuntimeError):
     """Work refused before it starts: a brute-force oracle's point limit or
     the CLI's work budget would be exceeded."""
-
-
-@dataclass
-class CountReport:
-    """Exact counts plus the bound they were compared against.
-
-    `counts` hold exact integers; `ratios` are decimal renderings of exact
-    comparisons (None when undefined, e.g. empty input); `verdicts` carry
-    the pass/fail decisions, each computed by exact integer arithmetic.
-    """
-
-    counts: Dict[str, int] = default_field(default_factory=dict)
-    ratios: Dict[str, Optional[float]] = default_field(default_factory=dict)
-    verdicts: Dict[str, object] = default_field(default_factory=dict)
-    notes: Dict[str, object] = default_field(default_factory=dict)
 
 
 @dataclass
@@ -153,7 +138,7 @@ def jr_decompose(config: Configuration, r: int, index: IncidenceIndex) -> JrDeco
         strata[1] += math.comb(c, 2) * onto[2]
         if c < 3 or r < 2:
             continue
-        local = tuple(local_coordinates(pts, flat).values())
+        local = local_coordinates(pts, flat)
         for s in range(3, r + 2):
             for subset in itertools.combinations(local, s):
                 strata[span(subset, p)[0]] += onto[s]
@@ -217,17 +202,19 @@ def _refuse_unseparated(config: Configuration) -> None:
         raise PreconditionError("configuration is not direction separated")
 
 
-def _refined_row(config: Configuration, index: IncidenceIndex) -> Tuple[CountReport, Optional[RefinedConfig]]:
-    """The head of a row on the dyadic refinement (`check_main_bound`,
+def _row_head(config: Configuration, index: IncidenceIndex) -> Dict[str, object]:
+    """The head of every row on a configuration's incidences: num_points,
+    num_flats and incidences, in that order."""
+    return {"num_points": len(config.points), "num_flats": len(config.flats), "incidences": index.total}
+
+
+def _refined_row(config: Configuration, index: IncidenceIndex) -> Tuple[Dict[str, object], Optional[RefinedConfig]]:
+    """The start of a row on the dyadic refinement (`check_main_bound`,
     `simplex.simplex_bound_report`): refuse a family that is not direction
-    separated, write num_points, num_flats and incidences, in that order, to
-    a new report, and refine; None for the refinement when |I| = 0."""
+    separated, write the row head (`_row_head`), and refine; None for the
+    refinement when |I| = 0."""
     _refuse_unseparated(config)
-    report = CountReport()
-    report.counts.update(
-        {"num_points": len(config.points), "num_flats": len(config.flats), "incidences": index.total}
-    )
-    return report, (refine_dyadic(config, index) if index.total else None)
+    return _row_head(config, index), (refine_dyadic(config, index) if index.total else None)
 
 
 @dataclass
@@ -239,10 +226,6 @@ class MaxIcReport:
     chain_holds: bool
     sup_sum: int
     total: int
-
-    @property
-    def ratio_float(self) -> Optional[float]:
-        return None if self.ratio is None else float(self.ratio)
 
 
 def check_max_ic(
@@ -273,17 +256,16 @@ def check_max_ic(
     return MaxIcReport(PowerProduct.integer(index.total) / rhs, chain_holds, sup_sum, index.total)
 
 
-def check_main_bound(config: Configuration, index: IncidenceIndex) -> CountReport:
-    """Evaluate the three-term main incidence bound on the dyadic refinement
-    of the configuration and report |I~| / RHS with the dominant term."""
+def check_main_bound(config: Configuration, index: IncidenceIndex) -> Dict[str, object]:
+    """The main-bound row: the three-term main incidence bound evaluated on
+    the dyadic refinement of the configuration, as |I~| / RHS with the
+    dominant term, after the row head and the refinement's counts."""
     n, k, p = config.n, config.k, config.field.p
     if not 2 <= k <= n - 2:
         raise PreconditionError(f"need 2 <= k <= n-2, got n={n}, k={k}")
-    report, refined = _refined_row(config, index)
+    row, refined = _refined_row(config, index)
     if refined is None:
-        report.ratios["main_bound"] = None
-        report.notes["dominant_term"] = "absent"
-        return report
+        return {**row, "ratio_main_bound": None, "dominant_term": "absent"}
     num_points, num_flats = len(config.points), refined.num_flats
     terms = {
         "main": main_term_exponents(k).evaluate(num_points, num_flats, p),
@@ -293,12 +275,14 @@ def check_main_bound(config: Configuration, index: IncidenceIndex) -> CountRepor
     # The largest term, decided exactly; a tie goes to the larger name.
     dominant = max(sorted(terms, reverse=True), key=functools.cmp_to_key(lambda a, b: terms[a].compare(terms[b])))
     rhs_value = sum(float(t) for t in terms.values())
-    report.counts["refined_incidences"] = refined.refined_total
-    report.counts["refined_flats"] = num_flats
-    report.counts["bucket_level"] = refined.bucket_level
-    report.ratios["main_bound"] = refined.refined_total / rhs_value
-    report.notes["dominant_term"] = dominant
-    return report
+    return {
+        **row,
+        "refined_incidences": refined.refined_total,
+        "refined_flats": num_flats,
+        "bucket_level": refined.bucket_level,
+        "ratio_main_bound": refined.refined_total / rhs_value,
+        "dominant_term": dominant,
+    }
 
 
 class Spine(NamedTuple):
@@ -344,7 +328,7 @@ def common_points(flats: Sequence[AffineFlat], index: IncidenceIndex, field: Fie
     for a, flat in enumerate(flats):
         pts = index.points[flat]
         bits = [1 << i for i in range(len(pts))]
-        corners = itertools.combinations(local_coordinates(pts, flat).values(), k)
+        corners = itertools.combinations(local_coordinates(pts, flat), k)
         spanning: Dict[Tuple[Vector, int], List[Tuple[int, ...]]] = defaultdict(list)
         for vertices, corner in zip(itertools.combinations(bits, k), corners):
             dim, plane = span(corner, p)

@@ -15,7 +15,6 @@ from .config import Configuration
 from .flats import AffineFlat, flats_through
 from .incidence import (
     ChainTally,
-    CountReport,
     Face,
     IncidenceIndex,
     RefinementChainReport,
@@ -147,21 +146,26 @@ def lambda_flat_counts(config: Configuration, chain: RefinementChainReport) -> T
     return tuple(counts)
 
 
-def simplex_bound_report(config: Configuration, index: IncidenceIndex) -> CountReport:
-    """Exact |S_k|, |V_k|, |I~|, |Pi~| and the three bound expressions: the
-    deleted-spine upper bound, the inductive lower bound and the
-    independence heuristic.  Ratios are reported, never asserted.  The
-    refusal, the first three counts and the refinement are
-    `incidence._refined_row`'s, as for `check_main_bound`.
+def _ratio(simplices: int, bound: Fraction) -> Optional[float]:
+    """|S_k| against a bound expression; None where the bound is 0."""
+    return float(Fraction(simplices) / bound) if bound else None
+
+
+def simplex_bound_report(config: Configuration, index: IncidenceIndex) -> Dict[str, object]:
+    """The simplex-bounds row: exact |S_k|, |V_k|, |I~|, |Pi~| and the three
+    bound expressions, the deleted-spine upper bound, the inductive lower
+    bound and the independence heuristic, then the spine-deletion verdict
+    and the largest λ.  Ratios are reported, never asserted.  The refusal,
+    the row head and the refinement are `incidence._refined_row`'s, as for
+    `check_main_bound`.
 
     The refined family is walked once (`common_points`): each flat's face
     record goes to the refinement chain's tally (`ChainTally`) and then to
     `count_simplices`, so only one flat's record is held at a time."""
     k, p = config.k, config.field.p
-    report, refined = _refined_row(config, index)
+    row, refined = _refined_row(config, index)
     if refined is None:
-        report.ratios.update({"upper": None, "lower": None, "heuristic": None})
-        return report
+        return {**row, "ratio_upper": None, "ratio_lower": None, "ratio_heuristic": None}
     num_points, num_flats = len(config.points), len(config.flats)
     tally = ChainTally(config, index, refined)
 
@@ -172,48 +176,37 @@ def simplex_bound_report(config: Configuration, index: IncidenceIndex) -> CountR
 
     simplices = count_simplices(config, index, refined.flats, faces())
     chain = tally.report()
-    ordered = simplices * math.factorial(k + 2)
     deleted = v_k_del(chain)
     i_tilde, m_flats = refined.refined_total, refined.num_flats
-    report.counts.update(
-        {
-            "simplices": simplices,
-            "simplices_ordered": ordered,
-            "vk": chain.vk,
-            "vk_del": deleted,
-            "refined_incidences": i_tilde,
-            "refined_flats": m_flats,
-        }
-    )
     upper = (
         Fraction(chain.vk)
         * Fraction(m_flats * p, i_tilde) ** k
         * Fraction(p) ** (k * k)
     )
-    report.ratios["upper"] = float(Fraction(simplices) / upper) if upper else None
-    report.verdicts["spine_deletion_lower"] = (
-        Fraction(chain.vk) >= Fraction(i_tilde, 10 * m_flats * p) ** k * deleted
-    )
+    lower = heuristic = Fraction(0)
     if chain.vk > 0 and simplices > 0:
         lower = (
             Fraction(chain.vk) ** (k + 1)
             * Fraction(m_flats) ** (k * k - 2 * k - 2)
             / (Fraction(num_points) ** k * Fraction(i_tilde) ** (k * k - k - 2))
         )
-        report.ratios["lower"] = float(Fraction(simplices) / lower) if lower else None
-    else:
-        report.ratios["lower"] = None
     if simplices > 0:
         heuristic = (
             Fraction(num_points) ** (k + 2)
             * Fraction(num_flats) ** (k + 2)
             * Fraction(index.total, num_points * num_flats) ** ((k + 1) * (k + 2))
         )
-        report.ratios["heuristic"] = (
-            float(Fraction(simplices) / heuristic) if heuristic else None
-        )
-    else:
-        report.ratios["heuristic"] = None
-    lam = lambda_flat_counts(config, chain)
-    report.notes["lambda_max_flats"] = max(lam, default=0)
-    return report
+    return {
+        **row,
+        "simplices": simplices,
+        "simplices_ordered": simplices * math.factorial(k + 2),
+        "vk": chain.vk,
+        "vk_del": deleted,
+        "refined_incidences": i_tilde,
+        "refined_flats": m_flats,
+        "ratio_upper": _ratio(simplices, upper),
+        "ratio_lower": _ratio(simplices, lower),
+        "ratio_heuristic": _ratio(simplices, heuristic),
+        "verdict_spine_deletion_lower": Fraction(chain.vk) >= Fraction(i_tilde, 10 * m_flats * p) ** k * deleted,
+        "lambda_max_flats": max(lambda_flat_counts(config, chain), default=0),
+    }

@@ -207,7 +207,7 @@ def test_criterion_09_main_bound_desk_check():
         configs = [cfg for _, cfg in random_corpus(4, 2, p, 30)]
         configs.append(gen_degenerate(4, 2, 1, fld))
         for cfg in configs:
-            ratio = check_main_bound(cfg, incidence_count(cfg)).ratios["main_bound"]
+            ratio = check_main_bound(cfg, incidence_count(cfg))["ratio_main_bound"]
             if ratio is None:
                 continue
             ratios.append(ratio)

@@ -81,6 +81,9 @@ PINNED_ROWS = {
     ),
 }
 
+# The kinds whose rows are a library function's row.
+BOUND_KINDS = ("degenerate", "incidence-bound", "simplex-bounds")
+
 
 # The lines `kplab selftest` prints, in order.
 SELFTEST_LINES = [
@@ -439,6 +442,60 @@ class TestRunExperiment:
         text, digest = PINNED_ROWS[kind]
         rows = cli.run_experiment(cli.parse_spec(text))
         assert hashlib.sha256(json.dumps(rows, indent=2, default=str).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "kind", [kind for kind in sorted(PINNED_ROWS) if kind.split()[0] in BOUND_KINDS]
+    )
+    def test_bound_rows_are_the_library_rows(self, kind):
+        # Each row is its prefix, then the library's row in the library's
+        # column order, with every float rendered by `cli._sig` alone.
+        from kplab.config import gen_degenerate, gen_random_config
+        from kplab.field import Field
+        from kplab.incidence import _row_head, check_main_bound, check_max_ic, incidence_count
+        from kplab.simplex import simplex_bound_report
+
+        spec = cli.parse_spec(PINNED_ROWS[kind][0])
+        params = spec.params
+        n, k, fld = params["n"], params["k"], Field(params["prime"])
+        prefix = {"experiment": spec.kind, **{key: params[key] for key in ("n", "k", "r", "prime") if key in params}}
+        rows = cli.run_experiment(spec)
+        if spec.kind == "degenerate":
+            # The row's own columns sit between the head and the main bound's.
+            cfg = gen_degenerate(n, k, params["r"], fld)
+            index = incidence_count(cfg)
+            bound = check_main_bound(cfg, index)
+            own = ("verdict_worst_case", "expected_flats", "asymptotic_flats")
+            expected = [
+                {
+                    **prefix,
+                    **_row_head(cfg, index),
+                    **{key: rows[0][key] for key in own},
+                    **{key: bound[key] for key in ("ratio_main_bound", "dominant_term")},
+                }
+            ]
+        else:
+            expected = []
+            for seed in params["seeds"]:
+                cfg = gen_random_config(n, k, params["num_directions"], params["density"], fld, seed)
+                index = incidence_count(cfg)
+                if spec.kind == "simplex-bounds":
+                    library = simplex_bound_report(cfg, index)
+                else:
+                    library = check_main_bound(cfg, index)
+                    mic = check_max_ic(cfg, index, params["p_exp"], params["q_exp"])
+                    library["ratio_max_ic"] = None if mic.ratio is None else float(mic.ratio)
+                    library["verdict_sup_chain"] = mic.chain_holds
+                expected.append({**prefix, "seed": seed, **library})
+        assert [list(row) for row in rows] == [list(row) for row in expected]
+        floats = 0
+        for row, want in zip(rows, expected):
+            for key, value in want.items():
+                if isinstance(value, float):
+                    floats += 1
+                    assert row[key] == cli._sig(value)
+                else:
+                    assert row[key] == value
+        assert floats > 0
 
 
 

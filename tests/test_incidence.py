@@ -223,7 +223,7 @@ class TestCheckMaxIc:
     def test_degenerate_endpoint_finite(self, f3):
         cfg = gen_degenerate(4, 2, 1, f3)
         report = check_max_ic(cfg, incidence_count(cfg), Fraction(2), Fraction(4))
-        assert report.ratio_float is not None and report.ratio_float > 0
+        assert report.ratio is not None and float(report.ratio) > 0
 
     def test_requires_direction_separated(self, f3):
         flat = make_flat(span_of([(1, 0)], 2, f3), (0, 0), f3)
@@ -238,8 +238,8 @@ class TestCheckMainBound:
     def test_degenerate_ratio_near_one(self, n, k, p):
         cfg = gen_degenerate(n, k, 1, Field(p))
         report = check_main_bound(cfg, incidence_count(cfg))
-        assert report.notes["dominant_term"] == "Pi_F"
-        assert Fraction(1, 4) <= Fraction(report.ratios["main_bound"]) <= 4
+        assert report["dominant_term"] == "Pi_F"
+        assert Fraction(1, 4) <= Fraction(report["ratio_main_bound"]) <= 4
 
     def test_exact_tie_goes_to_larger_name(self):
         # P is the 343 points of the 3-flat x_3 = 0 in F_7^4 and Pi is 49
@@ -252,14 +252,14 @@ class TestCheckMainBound:
         points = frozenset(x + (0,) for x in itertools.product(range(7), repeat=3))
         cfg = Configuration(f7, 4, 2, points, flats)
         report = check_main_bound(cfg, incidence_count(cfg))
-        assert report.counts["refined_flats"] == 49
-        assert report.notes["dominant_term"] == "main"
+        assert report["refined_flats"] == 49
+        assert report["dominant_term"] == "main"
 
     def test_empty_points_absent(self, f3):
         cfg = single_flat_config(f3, 4, 2, with_points=False)
         report = check_main_bound(cfg, incidence_count(cfg))
-        assert report.ratios["main_bound"] is None
-        assert report.notes["dominant_term"] == "absent"
+        assert report["ratio_main_bound"] is None
+        assert report["dominant_term"] == "absent"
 
     def test_k_range_enforced(self, f3):
         cfg = single_flat_config(f3, 3, 1)
@@ -367,7 +367,7 @@ def test_common_points_match_pointwise_intersection(n, k, p):
             for a, face in enumerate(faces):
                 pts = index.points[family[a]]
                 bit = {x: 1 << i for i, x in enumerate(pts)}
-                local = local_coordinates(pts, family[a])
+                local = dict(zip(pts, local_coordinates(pts, family[a])))
                 spanning = [
                     subset for subset in itertools.combinations(pts, k) if affine_hull(subset, fld)[0] == k - 1
                 ]

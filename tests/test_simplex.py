@@ -134,10 +134,10 @@ def test_bound_report_matches_standalone_counters():
         report = simplex_bound_report(cfg, index)
         chain = build_refinement_chain(cfg, index)
         simplices = count_simplices(cfg, index, refine_dyadic(cfg, index).flats)
-        assert report.counts["simplices"] == simplices
-        assert report.counts["vk"] == chain.vk
-        assert report.counts["vk_del"] == v_k_del(chain)
-        assert report.notes["lambda_max_flats"] == max(lambda_flat_counts(cfg, chain), default=0)
+        assert report["simplices"] == simplices
+        assert report["vk"] == chain.vk
+        assert report["vk_del"] == v_k_del(chain)
+        assert report["lambda_max_flats"] == max(lambda_flat_counts(cfg, chain), default=0)
         with_simplices += simplices > 0
     assert with_simplices >= 6
 
@@ -159,7 +159,7 @@ def test_bound_report_walks_common_points_once(monkeypatch):
         index = incidence_count(cfg)
         walks.clear()
         report = simplex_bound_report(cfg, index)
-        assert walks == [report.counts["refined_flats"]]
+        assert walks == [report["refined_flats"]]
 
 
 def test_count_simplices_reads_a_given_walk():
@@ -264,11 +264,11 @@ class TestBoundReport:
     def test_degenerate_rich_case(self, f3):
         cfg = gen_degenerate(4, 2, 1, f3)
         report = simplex_bound_report(cfg, incidence_count(cfg))
-        assert report.counts["simplices"] == 0
-        assert report.counts["vk"] == 936
-        assert report.ratios["lower"] is None
-        assert report.ratios["heuristic"] is None
-        assert report.verdicts["spine_deletion_lower"] in (True, False)
+        assert report["simplices"] == 0
+        assert report["vk"] == 936
+        assert report["ratio_lower"] is None
+        assert report["ratio_heuristic"] is None
+        assert report["verdict_spine_deletion_lower"] in (True, False)
 
     def test_refuses_a_family_not_direction_separated(self, f3):
         # The two refined rows share one refusal, a PreconditionError.
@@ -283,10 +283,10 @@ class TestBoundReport:
     def test_empty_incidences(self, f3):
         cfg = gen_degenerate(4, 2, 1, f3).with_points(frozenset())
         report = simplex_bound_report(cfg, incidence_count(cfg))
-        assert report.counts["incidences"] == 0
-        assert report.ratios["upper"] is None
+        assert report["incidences"] == 0
+        assert report["ratio_upper"] is None
 
     def test_random_corpus_runs(self):
         for _, cfg in random_corpus(3, 1, 3, 5):
             report = simplex_bound_report(cfg, incidence_count(cfg))
-            assert report.counts["num_flats"] == len(cfg.flats)
+            assert report["num_flats"] == len(cfg.flats)

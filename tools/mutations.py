@@ -129,6 +129,30 @@ MUTATIONS = [
             "tests/test_flats.py::test_coordinate_flat_is_span_of_first_unit_vectors[5-3-2]",
         ],
     ),
+    # The one rendering site of row floats.
+    Mutation(
+        "rows-not-rendered",
+        "src/kplab/cli.py",
+        "{key: _sig(value) if isinstance(value, float) else value for key, value in row.items()}",
+        "{key: value for key, value in row.items()}",
+        [
+            "tests/test_cli.py::TestRunExperiment::test_rows_match_pinned_digest[simplex-bounds]",
+            "tests/test_cli.py::TestRunExperiment::test_rows_match_pinned_digest[incidence-bound]",
+            "tests/test_cli.py::TestRunExperiment::test_rows_match_pinned_digest[maximal-ratio]",
+        ],
+    ),
+    # The one row head of the degenerate and refined rows.
+    Mutation(
+        "row-head-flats-first",
+        "src/kplab/incidence.py",
+        '{"num_points": len(config.points), "num_flats": len(config.flats),',
+        '{"num_flats": len(config.flats), "num_points": len(config.points),',
+        [
+            "tests/test_cli.py::TestRunExperiment::test_rows_match_pinned_digest[degenerate]",
+            "tests/test_cli.py::TestRunExperiment::test_rows_match_pinned_digest[incidence-bound]",
+            "tests/test_cli.py::TestRunExperiment::test_rows_match_pinned_digest[simplex-bounds]",
+        ],
+    ),
 ]
 
 
