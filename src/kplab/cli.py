@@ -392,7 +392,8 @@ def _num_den(value: Fraction) -> str:
 
 def _sig(value: float) -> float:
     """Render a ratio to 6 significant digits; exact verdicts live in their
-    own columns."""
+    own columns, all but `maximal-ratio`'s `verdict_best`, which compares
+    the unrendered float ratios."""
     return float(f"{value:.6g}")
 
 

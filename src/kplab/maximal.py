@@ -33,49 +33,53 @@ from .linalg import Vector
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Nonnegative rational-valued function on F^n, sparse (absent = 0).
-    Every point must be a length-n tuple of residues in range(p)."""
+    """Nonnegative rational-valued function on F^n, sparse (absent = 0),
+    held as its value classes: each distinct positive value in ascending
+    order, paired with its points, sorted.  Every point must be a length-n
+    tuple of residues in range(p).  The direct constructor checks only the
+    points, not that the classes are disjoint; `from_dict`, `indicator` and
+    `constant` build them so."""
 
     field: Field
     n: int
-    values: Tuple[Tuple[Vector, Fraction], ...]
+    classes: Tuple[Tuple[Fraction, Tuple[Vector, ...]], ...]
 
     def __post_init__(self):
-        for pt in self.field.points_outside([pt for pt, _ in self.values], self.n):
+        support = [pt for _, points in self.classes for pt in points]
+        for pt in self.field.points_outside(support, self.n):
             raise ValueError(f"point {pt!r} is not in F_{self.field.p}^{self.n}")
 
     @classmethod
     def from_dict(cls, field: Field, n: int, values: Dict[Vector, Fraction]) -> "GridFunction":
-        items = []
-        for pt, v in sorted(values.items()):
+        """The points of each nonzero value grouped into one class."""
+        classes: Dict[Fraction, List[Vector]] = {}
+        for pt, v in values.items():
             v = Fraction(v)
             if v < 0:
                 raise ValueError("grid function values must be nonnegative")
             if v:
-                items.append((pt, v))
-        return cls(field, n, tuple(items))
+                classes.setdefault(v, []).append(pt)
+        return cls(field, n, tuple((v, tuple(sorted(classes[v]))) for v in sorted(classes)))
 
     @classmethod
     def indicator(cls, field: Field, n: int, points: Iterable[Vector]) -> "GridFunction":
-        """1 on the distinct points, sorted, all sharing one Fraction."""
-        one = Fraction(1)
-        return cls(field, n, tuple([(pt, one) for pt in sorted(set(points))]))
+        """1 on the distinct points: one class, or none for no points."""
+        points = tuple(sorted(set(points)))
+        return cls(field, n, ((Fraction(1), points),) if points else ())
 
     @classmethod
     def constant(cls, field: Field, n: int, value: Fraction = Fraction(1)) -> "GridFunction":
-        """`value` on every point of F^n, in lexicographic order."""
+        """`value` on every point of F^n: one class, or none for the value 0."""
         value = Fraction(value)
         if value < 0:
             raise ValueError("grid function values must be nonnegative")
-        if not value:
-            return cls(field, n, ())
-        return cls(field, n, tuple([(pt, value) for pt in enumerate_space(n, field)]))
+        return cls(field, n, ((value, tuple(enumerate_space(n, field))),) if value else ())
 
     def is_zero(self) -> bool:
-        return not self.values
+        return not self.classes
 
     def as_dict(self) -> Dict[Vector, Fraction]:
-        return dict(self.values)
+        return {pt: v for v, points in self.classes for pt in points}
 
 
 def apply_maximal_many(
@@ -84,10 +88,9 @@ def apply_maximal_many(
     """`apply_maximal` of each function, in one walk over G(n,k).
 
     The sup over all translates x + pi equals the max over the p^{n-k}
-    cosets of pi.  Each distinct function object's points are grouped by
-    value, a value read again only where it differs from the previous
-    point's object, and the values scaled to ints by the lcm of their
-    denominators; one `CosetSums` over those weightings gives every
+    cosets of pi.  Each distinct function object's value classes, scaled
+    to ints by the lcm of their denominators, are its `CosetSums`
+    weighting; one `CosetSums` over those weightings gives every
     function's largest scaled coset sum once per direction.  A function
     given twice shares one image.
     """
@@ -100,18 +103,11 @@ def apply_maximal_many(
         if f.field != fld:
             raise ValueError(f"grid functions over {fld} and {f.field} in one family")
     distinct = list({id(f): f for f in fs}.values())
-    scales = []
-    weightings = []
-    for f in distinct:
-        classes: Dict[Fraction, List[Vector]] = {}
-        last = None
-        for pt, v in f.values:
-            if v is not last:
-                last, points = v, classes.setdefault(v, [])
-            points.append(pt)
-        scale = math.lcm(*{v.denominator for v in classes})
-        scales.append(scale)
-        weightings.append([(v.numerator * (scale // v.denominator), points) for v, points in classes.items()])
+    scales = [math.lcm(*(v.denominator for v, _ in f.classes)) for f in distinct]
+    weightings = [
+        [(v.numerator * (scale // v.denominator), points) for v, points in f.classes]
+        for f, scale in zip(distinct, scales)
+    ]
     kernel = CosetSums(weightings, k, fld)
     images: List[Dict[LinearSubspace, Fraction]] = [{} for _ in distinct]
     for pi in enumerate_grassmannian(n, k, fld):
@@ -170,7 +166,6 @@ def constant_witness_ratio_exact(
 
 @dataclass
 class SearchResult:
-    best_ratio: float
     best_name: str
     all_ratios: Dict[str, float]
 
@@ -184,17 +179,16 @@ def default_candidates(
     `degenerate_points`, the points of `gen_degenerate(n, k, k-1)`: the
     `flat_dim_{k-1}` object under a second name."""
     rng = random.Random(seed)
-    fld = field
     out: Dict[str, GridFunction] = {}
-    out["constant"] = GridFunction.constant(fld, n)
-    out["point"] = GridFunction.indicator(fld, n, [(0,) * n])
+    out["constant"] = GridFunction.constant(field, n)
+    out["point"] = GridFunction.indicator(field, n, [(0,) * n])
     for r in range(1, k + 1):
-        flat = coordinate_flat(n, r, fld)
-        out[f"flat_dim_{r}"] = GridFunction.indicator(fld, n, enumerate_points(flat, fld))
+        flat = coordinate_flat(n, r, field)
+        out[f"flat_dim_{r}"] = GridFunction.indicator(field, n, enumerate_points(flat, field))
     for exponent in (1, 2, 3):
-        pts = _kept_points(n, fld, Fraction(1, 2**exponent), rng)
+        pts = _kept_points(n, field, Fraction(1, 2**exponent), rng)
         if pts:
-            out[f"random_density_1/{2**exponent}"] = GridFunction.indicator(fld, n, pts)
+            out[f"random_density_1/{2**exponent}"] = GridFunction.indicator(field, n, pts)
     if 1 <= k - 1 and k <= n - 1:
         out["degenerate_points"] = out[f"flat_dim_{k - 1}"]
     return out
@@ -228,7 +222,8 @@ def empirical_norm_search(
     ratio_of: Dict[int, float] = {}
     for f, tf in zip(family.values(), images):
         if id(f) not in ratio_of:
-            ratio_of[id(f)] = norm(tf.values(), q_exp, weight) / norm((v for _, v in f.values), p_exp)
+            lp = norm((v for v, points in f.classes for _ in points), p_exp)
+            ratio_of[id(f)] = norm(tf.values(), q_exp, weight) / lp
     ratios = {name: ratio_of[id(f)] for name, f in family.items()}
     best_name = max(ratios, key=lambda name: (ratios[name], name))
-    return SearchResult(ratios[best_name], best_name, ratios)
+    return SearchResult(best_name, ratios)

@@ -23,7 +23,7 @@ from kplab.oracles import apply_maximal_bruteforce
 
 def witness_ratio(f, p_exp, q_exp, n, k):
     """||Tf||_q / ||f||_p of one witness: the search over a one-witness family."""
-    return empirical_norm_search(n, k, f.field, p_exp, q_exp, candidates={"f": f}).best_ratio
+    return empirical_norm_search(n, k, f.field, p_exp, q_exp, candidates={"f": f}).all_ratios["f"]
 
 
 def test_constant_function_hits_every_coset_fully(f3):
@@ -83,6 +83,26 @@ def test_indicator_and_constant_match_from_dict(f3):
     assert GridFunction.constant(f3, 2, 0).is_zero()
     with pytest.raises(ValueError):
         GridFunction.constant(f3, 2, Fraction(-1, 2))
+
+
+def test_from_dict_groups_each_value_into_one_class(f3):
+    # Equal values form one class whether they come as distinct Fraction
+    # objects or as ints; classes ascend, their points are sorted and zeros
+    # are dropped.  The classes are the weighting the operator reads.
+    values = {
+        (2, 1): Fraction(1, 2), (0, 2): 1, (1, 1): Fraction(2, 4), (0, 1): Fraction(1),
+        (2, 0): 2, (2, 2): 0, (1, 0): Fraction(0), (0, 0): Fraction(1, 2),
+    }
+    f = GridFunction.from_dict(f3, 2, values)
+    assert f.classes == (
+        (Fraction(1, 2), ((0, 0), (1, 1), (2, 1))),
+        (Fraction(1), ((0, 1), (0, 2))),
+        (Fraction(2), ((2, 0),)),
+    )
+    assert all(type(v) is Fraction for v, _ in f.classes)
+    assert f.as_dict() == {pt: Fraction(v) for pt, v in values.items() if v}
+    assert GridFunction.indicator(f3, 2, []).is_zero()
+    assert apply_maximal_many([f], 2, 1) == [apply_maximal_bruteforce(f, 2, 1)]
 
 
 def test_oracle_equivalence_small():
@@ -209,7 +229,7 @@ def test_negative_values_rejected(f3):
 
 
 def _values(f):
-    return [v for _, v in f.values]
+    return [v for v, points in f.classes for _ in points]
 
 
 class TestNorms:
@@ -314,12 +334,14 @@ class TestSearch:
         f = GridFunction.constant(f3, 3)
         result = empirical_norm_search(3, 1, f3, 2, 2, candidates={"constant": f})
         assert result.best_name == "constant"
-        assert result.best_ratio == pytest.approx(float(constant_witness_ratio_exact(3, 1, f3, 2, 2)))
+        best = result.all_ratios[result.best_name]
+        assert best == pytest.approx(float(constant_witness_ratio_exact(3, 1, f3, 2, 2)))
 
     def test_max_dominates_members(self, f3):
         result = empirical_norm_search(3, 1, f3, 2, 2)
+        best = result.all_ratios[result.best_name]
         for name, value in result.all_ratios.items():
-            assert result.best_ratio >= value
+            assert best >= value
 
     def test_deterministic(self, f3):
         a = empirical_norm_search(4, 2, f3, Fraction(11, 6), Fraction(22, 5), seed=1)
@@ -336,7 +358,7 @@ class TestSearch:
         for n, k, p in ((3, 2, 7), (4, 2, 5), (5, 3, 3), (5, 4, 2)):
             fld = Field(p)
             family = default_candidates(n, k, fld, seed=0)
-            assert {x for x, _ in family["degenerate_points"].values} == gen_degenerate(n, k, k - 1, fld).points
+            assert set(family["degenerate_points"].as_dict()) == gen_degenerate(n, k, k - 1, fld).points
 
 
 @pytest.mark.parametrize(

@@ -153,6 +153,32 @@ MUTATIONS = [
             "tests/test_cli.py::TestRunExperiment::test_rows_match_pinned_digest[simplex-bounds]",
         ],
     ),
+    # The one scale of a grid function's value classes.  Every default
+    # witness has one class, so only functions of mixed denominators can
+    # catch this.
+    Mutation(
+        "maximal-scale-first-class-only",
+        "src/kplab/maximal.py",
+        "scales = [math.lcm(*(v.denominator for v, _ in f.classes)) for f in distinct]",
+        "scales = [f.classes[0][0].denominator if f.classes else 1 for f in distinct]",
+        [
+            "tests/test_maximal.py::test_oracle_equivalence_mixed_denominators[2-1-5]",
+            "tests/test_maximal.py::test_oracle_equivalence_mixed_denominators[3-2-3]",
+            "tests/test_maximal.py::test_many_matches_oracle_per_function[4-2-3]",
+            "tests/test_maximal.py::test_mixed_denominators_sum_exactly",
+        ],
+    ),
+    # The one grouping of a grid function's values.
+    Mutation(
+        "grid-function-keeps-zero-class",
+        "src/kplab/maximal.py",
+        "            if v:\n                classes.setdefault(v, []).append(pt)\n",
+        "            classes.setdefault(v, []).append(pt)\n",
+        [
+            "tests/test_maximal.py::test_from_dict_groups_each_value_into_one_class",
+            "tests/test_maximal.py::test_indicator_and_constant_match_from_dict",
+        ],
+    ),
 ]
 
 
