@@ -3,13 +3,15 @@ configurations, (n,k) sets, random direction-separated families and random
 point clouds.  All randomness is seeded and single-threaded, so equal seeds
 give byte-identical output.
 The seeded draws have one owner each: points `_kept_points` (also of the
-maximal witnesses), flats `_random_flats`.
+maximal witnesses, its `randrange` draws read in bulk by `_draws_below`),
+flats `_random_flats`.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
@@ -148,12 +150,40 @@ def _random_flats(n: int, k: int, num_directions: int, fld: Field, seed: int) ->
     return tuple(flats)
 
 
+# The most 32-bit words `_draws_below` asks of the generator at once.
+_WORDS_AT_ONCE = 4096
+
+
+def _draws_below(rng: random.Random, bound: int, count: int) -> Iterator[int]:
+    """`count` draws of rng.randrange(bound), the same values, leaving the
+    generator in the same state.
+
+    Below 2^32, randrange takes a 32-bit output w of the generator as
+    w >> (32 - bound.bit_length()) and draws again while that is >= bound.
+    One getrandbits(32 m) gives m such outputs, the first in its lowest
+    bits, so they are read in bulk; at most as many are asked for at once
+    as draws are still missing, none past the last draw.  A larger bound
+    draws by randrange."""
+    if bound >= 1 << 32:
+        for _ in range(count):
+            yield rng.randrange(bound)
+        return
+    shift = 32 - bound.bit_length()
+    while count:
+        words = min(count, _WORDS_AT_ONCE)
+        for w in struct.unpack(f"<{words}I", rng.getrandbits(32 * words).to_bytes(4 * words, "little")):
+            if (draw := w >> shift) < bound:
+                count -= 1
+                yield draw
+
+
 def _kept_points(n: int, fld: Field, density: Fraction, rng: random.Random) -> List[Vector]:
     """The points of F^n in lexicographic order, each kept when
-    rng.randrange(denominator) < numerator of the density: one draw a point."""
-    draw = rng.randrange
-    numerator, denominator = density.numerator, density.denominator
-    return [point for point in enumerate_space(n, fld) if draw(denominator) < numerator]
+    rng.randrange(denominator) < numerator of the density: one draw a point,
+    read in bulk (`_draws_below`)."""
+    numerator = density.numerator
+    draws = _draws_below(rng, density.denominator, fld.p**n)
+    return [point for point, draw in zip(enumerate_space(n, fld), draws) if draw < numerator]
 
 
 def gen_point_cloud(

@@ -19,12 +19,14 @@ a flat's own digits (its representative's) on the flat the first time
 `membership` tests it, and the hash of every subspace and flat the first
 time it is asked for.
 
-`CosetMasks` gives the same partition as int bitmasks; both kernels hold
-their points in a `_PointSet`.  `CosetSums` picks one of them to give the
-largest coset sum of integer weightings of the points under any direction
-(`maximal.apply_maximal_many`, `incidence.check_max_ic`).  `coordinate_flat`
-is the one span(e_1, ..., e_r), of `config.gen_degenerate` and the maximal
-operator's witnesses.
+`CosetMasks` gives the same partition as int bitmasks, folding the
+annihilator rows' classes column by column and resuming each direction's
+fold where its steps first differ from the last direction's; both kernels
+hold their points in a `_PointSet`.  `CosetSums` picks one of them to give
+the largest coset sum of integer weightings of the points under any
+direction (`maximal`'s one walk over G(n,k), `incidence.check_max_ic`).
+`coordinate_flat` is the one span(e_1, ..., e_r), of `config.gen_degenerate`
+and the maximal operator's witnesses.
 """
 
 from __future__ import annotations
@@ -409,13 +411,25 @@ class CosetMasks(_PointSet):
     Bit i of a mask stands for points[i] (`_PointSet`).  `columns[i][v]` is
     the mask of the points whose x_i = v.  `masks(direction)` partitions the
     points by each annihilator row a in turn: the classes of a . x start as
-    every point in class 0, and each nonzero coordinate a_i folds in as
+    the masks of its free column j (a_j = 1), and each pivot coordinate
+    a_i, in basis-row order, folds in as
     new[(c + a_i v) % p] |= cur[c] & columns[i][v], only nonempty classes
-    taking part, so the first costs p ANDs and each further one at most p^2.
-    The rows' partitions are then met pairwise, and empty meets dropped.  A
-    row is nonzero only at its free column and the k pivots, so a direction
-    costs at most (n-k)(p + k p^2) ANDs of |points|-bit ints and its meets,
-    and its masks hold up to |points| bits each, one per nonempty coset.
+    taking part, at most p^2 ANDs, none where a_i = 0.  Each row's classes
+    are then met into the cosets of the rows before it, and empty meets
+    dropped.  A row is nonzero only at its free column and the k pivots, so
+    a direction costs at most (n-k) k p^2 ANDs of |points|-bit ints and its
+    meets, and its masks hold up to |points| bits each, one per nonempty
+    coset.
+
+    The walk is resumed, not redone: the kernel keeps the fold steps of the
+    last direction it partitioned, each a (column, coefficient) or a meet,
+    with the cosets and classes after each, and folds a direction from the
+    end of the longest prefix of steps the two share.  In the order of
+    `enumerate_grassmannian` the last free entry changes fastest, and it is
+    the last pivot coefficient of the last row, so consecutive directions
+    mostly redo one fold and one meet.  The answer does not depend on the
+    order the directions come in; one kernel is not to be shared between
+    threads.
     """
 
     def __init__(self, points: Iterable[Vector], field: Field):
@@ -427,6 +441,10 @@ class CosetMasks(_PointSet):
             for column, v in zip(bits, x):
                 column[v][byte] |= bit
         self.columns = [[int.from_bytes(values, "little") for values in column] for column in bits]
+        # The last walk: its steps, and the (cosets, classes) before the
+        # first and after each.
+        self._steps: List[Optional[Tuple[int, int]]] = []
+        self._states: List[Tuple[List[int], Optional[List[int]]]] = [([(1 << len(self.points)) - 1], None)]
 
     def masks(self, direction: LinearSubspace) -> List[int]:
         """Each nonempty coset of `direction` in `points` as a bitmask: the
@@ -434,23 +452,41 @@ class CosetMasks(_PointSet):
         rows = self._rows(direction)
         if rows is None:
             return []
+        pivots = direction.basis.pivots
+        free = [j for j in range(self.n) if j not in pivots]
+        steps: List[Optional[Tuple[int, int]]] = []
+        for j, row in zip(free, rows):
+            steps.append((j, 1))
+            for i in pivots:
+                steps.append((i, row[i]))
+            steps.append(None)
+        same = 0
+        for step, kept in zip(steps, self._steps):
+            if step != kept:
+                break
+            same += 1
+        states = self._states
+        del states[same + 1 :]
+        cosets, classes = states[-1]
         p = self.field.p
-        everything = (1 << len(self.points)) - 1
-        cosets = [everything]
-        for row in rows:
-            classes = [everything] + [0] * (p - 1)
-            for a, column in zip(row, self.columns):
-                if not a:
-                    continue
+        for step in steps[same:]:
+            if step is None:
+                cosets = [meet for mask in cosets for other in classes if (meet := mask & other)]
+                classes = None
+            elif classes is None:
+                classes = self.columns[step[0]]
+            elif step[1]:
+                i, a = step
                 folded = [0] * p
                 for c, mask in enumerate(classes):
                     if mask:
-                        for v, values in enumerate(column):
+                        for v, values in enumerate(self.columns[i]):
                             if meet := mask & values:
                                 folded[(c + a * v) % p] |= meet
                 classes = folded
-            cosets = [meet for mask in cosets for other in classes if (meet := mask & other)]
-        return cosets
+            states.append((cosets, classes))
+        self._steps = steps
+        return list(cosets)
 
 
 # A mask AND costs one step, plus one per MASK_STEP_BITS bits of |points|.
@@ -458,10 +494,11 @@ class CosetMasks(_PointSet):
 # default witness families of `maximal.apply_maximal_many` it picks masks at
 # (3,2,7), (3,1,13), (3,1,17), (4,1,7) and (4,2,5) and keys at k = 0,
 # (2,1,61) and (4,1,11).  It was fitted when keys summed columns point by
-# point.  With keys in byte lanes, masks still run faster at (3,2,7) and
-# (4,2,5), but keys now run faster at (3,1,13), (3,1,17), (4,1,7) and
-# (2,1,31), where masks are picked (CHANGES.md has the times).  The cost
-# model's recalibration (ROADMAP.md) refits the value.
+# point.  With keys in byte lanes and the masks' fold resumed from the
+# direction before, masks run 2.4-2.9x faster than keys at (3,2,7), (4,2,5)
+# and (4,2,7) and level at (3,1,13), but keys run faster at (3,1,17),
+# (4,1,7) and (2,1,31), where masks are picked (CHANGES.md has the times).
+# The cost model's recalibration (ROADMAP.md) refits the value.
 MASK_STEP_BITS = 2048
 
 
@@ -479,10 +516,12 @@ class CosetSums:
     cosets, keys on sparse point sets and on many cosets: at k = 0 each
     point is its own coset, and masks would hold |points|^2 bits.  A coset
     sum is one AND and popcount per class, or one `Counter` of keys per
-    class.  The key steps are charged at the rate of column sums point by
-    point, which is slower than the byte lanes, so the count picks masks at
-    (3,1,13), (3,1,17), (4,1,7) and (2,1,31), where keys run faster (see
-    `MASK_STEP_BITS`).
+    class.  The count charges every direction a whole fold, though
+    `CosetMasks` resumes the fold of the direction before and, walking
+    G(n,k) in order, mostly redoes one fold and one meet.  The key steps
+    are charged at the rate of column sums point by point, which is slower
+    than the byte lanes.  Both errors stand until the cost model is refit
+    (see `MASK_STEP_BITS`).
     """
 
     def __init__(self, weightings: Sequence[Sequence[Tuple[int, Sequence[Vector]]]], k: int, field: Field):

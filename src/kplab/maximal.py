@@ -3,7 +3,10 @@ one weighted Lebesgue norm, and a seeded witness search lower-bounding the
 operator norm.
 
 Function values are exact rationals; the operator itself (coset sums and
-sups) is exact.  Norms with rational exponents are rendered as floats, with
+sups) is exact.  One walk over G(n,k) (`_coset_sums`) gives each function's
+largest coset sum per direction as an int over the function's scale:
+`apply_maximal_many` renders them as `Fraction`s, and the witness search
+reads the ints.  Norms with rational exponents are rendered as floats, with
 the largest value taken out only where the plain power sum overflows or
 underflows; the exponent identities that matter are checked with
 PowerProduct.
@@ -15,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .config import _kept_points, enumerate_space
@@ -82,20 +86,16 @@ class GridFunction:
         return {pt: v for v, points in self.classes for pt in points}
 
 
-def apply_maximal_many(
-    fs: Sequence[GridFunction], n: int, k: int
-) -> List[Dict[LinearSubspace, Fraction]]:
-    """`apply_maximal` of each function, in one walk over G(n,k).
+def _coset_sums(fs: Sequence[GridFunction], n: int, k: int) -> Tuple[List[GridFunction], List[int], CosetSums]:
+    """What one walk over G(n,k) reads for a nonempty family: its distinct
+    function objects, the scale of each, and the one `CosetSums` whose
+    `maxima(direction)` is each distinct function's largest coset sum times
+    its scale, an int.
 
-    The sup over all translates x + pi equals the max over the p^{n-k}
-    cosets of pi.  Each distinct function object's value classes, scaled
-    to ints by the lcm of their denominators, are its `CosetSums`
-    weighting; one `CosetSums` over those weightings gives every
-    function's largest scaled coset sum once per direction.  A function
-    given twice shares one image.
+    A function's scale is the lcm of its class denominators, and its value
+    classes, scaled to ints, are its weighting.  The family must share one
+    field and one n.
     """
-    if not fs:
-        return []
     fld = fs[0].field
     for f in fs:
         if f.n != n:
@@ -108,10 +108,26 @@ def apply_maximal_many(
         [(v.numerator * (scale // v.denominator), points) for v, points in f.classes]
         for f, scale in zip(distinct, scales)
     ]
-    kernel = CosetSums(weightings, k, fld)
+    return distinct, scales, CosetSums(weightings, k, fld)
+
+
+def apply_maximal_many(
+    fs: Sequence[GridFunction], n: int, k: int
+) -> List[Dict[LinearSubspace, Fraction]]:
+    """`apply_maximal` of each function, in one walk over G(n,k)
+    (`_coset_sums`).
+
+    The sup over all translates x + pi equals the max over the p^{n-k}
+    cosets of pi: each image maps a direction to the function's largest
+    coset sum, the walk's int over the function's scale.  A function given
+    twice shares one image.
+    """
+    if not fs:
+        return []
+    distinct, scales, sums = _coset_sums(fs, n, k)
     images: List[Dict[LinearSubspace, Fraction]] = [{} for _ in distinct]
-    for pi in enumerate_grassmannian(n, k, fld):
-        for tf, scale, best in zip(images, scales, kernel.maxima(pi)):
+    for pi in enumerate_grassmannian(n, k, fs[0].field):
+        for tf, scale, best in zip(images, scales, sums.maxima(pi)):
             tf[pi] = Fraction(best, scale)
     image_of = {id(f): tf for f, tf in zip(distinct, images)}
     return [image_of[id(f)] for f in fs]
@@ -121,6 +137,24 @@ def apply_maximal(f: GridFunction, n: int, k: int) -> Dict[LinearSubspace, Fract
     """For each direction, the maximum coset sum of f (`apply_maximal_many`
     of the one-function family)."""
     return apply_maximal_many([f], n, k)[0]
+
+
+def _exponent(exp) -> float:
+    """A norm's exponent as a float, refused below 1."""
+    exp = Fraction(exp)
+    if exp < 1:
+        raise ValueError("exponent must be >= 1")
+    return float(exp)
+
+
+def _plain_norm(powers: Iterable[float], e: float, weight) -> Optional[float]:
+    """(weight * sum of the powers)^(1/e), the powers summed in order; None
+    where one of them overflows, or the sum comes out inf or 0."""
+    try:
+        total = weight * sum(powers)
+    except OverflowError:
+        return None
+    return total ** (1 / e) if 0 < total < math.inf else None
 
 
 def norm(values: Iterable[Fraction], exp, weight=1) -> float:
@@ -134,16 +168,13 @@ def norm(values: Iterable[Fraction], exp, weight=1) -> float:
     move the last bits of ratios that fit, and with them float ties between
     witnesses.
     """
-    exp = Fraction(exp)
-    if exp < 1:
-        raise ValueError("exponent must be >= 1")
-    values, e = list(values), float(exp)
-    try:
-        total = weight * sum((v.numerator / v.denominator) ** e for v in values)
-        if 0 < total < math.inf or not any(values):
-            return total ** (1 / e)
-    except OverflowError:
-        pass
+    e = _exponent(exp)
+    values = list(values)
+    if not any(values):
+        return 0.0
+    plain = _plain_norm(((v.numerator / v.denominator) ** e for v in values), e, weight)
+    if plain is not None:
+        return plain
     m = max(values)
     return float(m) * (weight * sum(float(v / m) ** e for v in values)) ** (1 / e)
 
@@ -164,10 +195,16 @@ def constant_witness_ratio_exact(
     )
 
 
-@dataclass
 class SearchResult:
-    best_name: str
-    all_ratios: Dict[str, float]
+    """The witness search's ratio of each candidate name, and the name of
+    the largest.  A plain two-slot class, not a dataclass, which would build
+    its methods when the package is imported: the import is timed
+    (`setup_s` of bench/run.py)."""
+
+    __slots__ = ("best_name", "all_ratios")
+
+    def __init__(self, best_name: str, all_ratios: Dict[str, float]):
+        self.best_name, self.all_ratios = best_name, all_ratios
 
 
 def default_candidates(
@@ -211,19 +248,37 @@ def empirical_norm_search(
     witness under two names has one ratio.  It is a certified lower bound
     on the operator norm (each witness is exact), not an estimate of the sup
     over all functions.
+
+    The ratios are `norm`'s, bit for bit, with no `Fraction` or image per
+    direction: ||Tf||_q reads the walk's ints (`_coset_sums`), each direction's
+    term (best / scale)^q_exp, which is what `norm` takes of
+    Fraction(best, scale), as int true division rounds correctly; ||f||_p
+    raises each value class to p_exp once and adds the power once per
+    point, class by class, the terms `norm` adds point by point.  Where a
+    power sum overflows or underflows, `norm` of the values takes over.
     """
     if candidates is None:
         candidates = default_candidates(n, k, field, seed)
     if not candidates:
         raise ValueError("empty candidate family")
+    e_p, e_q = _exponent(p_exp), _exponent(q_exp)
     family = {name: f for name, f in sorted(candidates.items()) if not f.is_zero()}
-    images = apply_maximal_many(list(family.values()), n, k)
+    if not family:
+        raise ValueError("every candidate is zero")
+    distinct, scales, sums = _coset_sums(list(family.values()), n, k)
+    # Each distinct function's scaled maxima over G(n,k), in walk order.
+    columns = zip(*map(sums.maxima, enumerate_grassmannian(n, k, distinct[0].field)))
     weight = field.p ** (-k * (n - k))
     ratio_of: Dict[int, float] = {}
-    for f, tf in zip(family.values(), images):
-        if id(f) not in ratio_of:
+    for f, scale, column in zip(distinct, scales, columns):
+        powers = (repeat((v.numerator / v.denominator) ** e_p, len(points)) for v, points in f.classes)
+        lp = _plain_norm(chain.from_iterable(powers), e_p, 1)
+        if lp is None:
             lp = norm((v for v, points in f.classes for _ in points), p_exp)
-            ratio_of[id(f)] = norm(tf.values(), q_exp, weight) / lp
+        lq = _plain_norm(((best / scale) ** e_q for best in column), e_q, weight)
+        if lq is None:
+            lq = norm((Fraction(best, scale) for best in column), q_exp, weight)
+        ratio_of[id(f)] = lq / lp
     ratios = {name: ratio_of[id(f)] for name, f in family.items()}
     best_name = max(ratios, key=lambda name: (ratios[name], name))
     return SearchResult(best_name, ratios)

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from kplab import config
 from kplab.config import (
     ConfigDomainError,
     Configuration,
+    _draws_below,
     gen_degenerate,
     gen_nk_set,
     gen_point_cloud,
@@ -165,6 +167,19 @@ class TestPointCloud:
             gen_point_cloud(2, f3, Fraction(0), seed=0)
         with pytest.raises(ConfigDomainError):
             gen_point_cloud(2, f3, Fraction(3, 2), seed=0)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 7, 64, 255, 256, 257, 2**31, 2**32 - 1, 2**32])
+def test_bulk_draws_replay_randrange(monkeypatch, bound):
+    # The keep-draw reads the generator's 32-bit outputs in bulk: it gives
+    # the draws of randrange(bound), rejections included, and leaves the
+    # generator where randrange leaves it, whether the draws take one bulk
+    # read, several, or none.  At 2^32 and above it calls randrange.
+    monkeypatch.setattr(config, "_WORDS_AT_ONCE", 64)
+    for count in (0, 1, 5, 300):
+        bulk, plain = random.Random(count), random.Random(count)
+        assert list(_draws_below(bulk, bound, count)) == [plain.randrange(bound) for _ in range(count)]
+        assert bulk.getrandbits(32) == plain.getrandbits(32)
 
 
 def test_configuration_rejects_duplicates_and_mismatches(f3):

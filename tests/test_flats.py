@@ -293,6 +293,43 @@ def test_coset_keys_match_coset_key(p):
                     assert sorted(got) == sorted(classes.values())
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_coset_masks_answer_in_any_order(p):
+    # CosetMasks resumes each direction's fold from the steps it shares
+    # with the direction asked before.  Two kernels, on half of F^n and on
+    # all of it, are asked in turn for their own shuffles of every
+    # direction of G(n,k), k = 0..n, mixed (at most 200 of them), one
+    # direction asked twice running: each answer is the classes of equal
+    # coset_key.  Directions of F^(n-1) and F^(n+1) in the lists are refused
+    # whenever they come, and the walks go on.
+    fld = Field(p)
+    rng = random.Random(20 + p)
+    for n in range(1, 5):
+        space = list(itertools.product(range(p), repeat=n))
+        kernels = [CosetMasks(rng.sample(space, len(space) // 2 + 1), fld), CosetMasks(space, fld)]
+        everything = [d for k in range(n + 1) for d in enumerate_grassmannian(n, k, fld)]
+        strangers = [zero_subspace(n + 1)] + ([unrank_grassmannian(n - 1, 1, fld, 0)] if n > 1 else [])
+        orders = []
+        for _ in kernels:
+            order = rng.sample(everything, min(len(everything), 200))
+            for stranger in strangers:
+                order.insert(rng.randrange(len(order)), stranger)
+            twice = rng.randrange(len(order))
+            order.insert(twice, order[twice])
+            orders.append(order)
+        for asked in zip(*orders):
+            for masks, direction in zip(kernels, asked):
+                if direction.ambient != n:
+                    with pytest.raises(ValueError):
+                        masks.masks(direction)
+                    continue
+                classes = {}
+                for i, x in enumerate(masks.points):
+                    key = coset_key(x, direction, fld)
+                    classes[key] = classes.get(key, 0) | 1 << i
+                assert sorted(masks.masks(direction)) == sorted(classes.values())
+
+
 @pytest.mark.parametrize(
     "n,k,p,width",
     [

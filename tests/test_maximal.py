@@ -216,6 +216,57 @@ def test_search_ratios_equal_operator_ratio(f3):
     }
 
 
+def _plain_sum_fits(values, exp):
+    """Whether the float power sum of the values neither overflows nor
+    comes out 0, so `norm` takes it as it stands."""
+    try:
+        total = sum(float(v) ** float(exp) for v in values)
+    except OverflowError:
+        return False
+    return 0 < total < math.inf
+
+
+@pytest.mark.parametrize(
+    "p_exp, q_exp, plain",
+    [
+        (Fraction(11, 6), Fraction(22, 5), True),
+        (2, 2000, False),
+        (2000, 10**300, False),
+        (10**300, Fraction(7, 2), False),
+    ],
+    ids=["fits", "q_2000", "q_1e300", "p_1e300"],
+)
+def test_search_ratios_are_norms_of_the_images(p_exp, q_exp, plain):
+    # The search reads the walk's ints and each value class's power once,
+    # yet every ratio is norm() of the apply_maximal_many image over norm()
+    # of the values point by point, bit for bit: on the default witnesses
+    # and on functions of several value classes with mixed denominators,
+    # where the power sums fit and where they overflow or underflow and
+    # norm() takes the largest value out.
+    import itertools
+    import random
+
+    n, k, fld = 3, 1, Field(5)
+    rng = random.Random(5)
+    space = list(itertools.product(range(5), repeat=n))
+    palette = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 12), Fraction(1), Fraction(9, 4)]
+    family = dict(default_candidates(n, k, fld, 1))
+    for i in range(3):
+        family[f"mixed_{i}"] = GridFunction.from_dict(
+            fld, n, {pt: rng.choice(palette) for pt in space if rng.random() < 0.5}
+        )
+    family["two_values"] = GridFunction.from_dict(fld, n, {pt: Fraction(1 + i % 2, 3) for i, pt in enumerate(space)})
+    assert all(len(family[name].classes) > 1 for name in ("mixed_0", "mixed_1", "mixed_2", "two_values"))
+    result = empirical_norm_search(n, k, fld, p_exp, q_exp, candidates=family)
+    weight = fld.p ** (-k * (n - k))
+    fits = []
+    for (name, f), tf in zip(family.items(), apply_maximal_many(list(family.values()), n, k)):
+        values = [v for v, points in f.classes for _ in points]
+        assert result.all_ratios[name] == norm(tf.values(), q_exp, weight) / norm(values, p_exp)
+        fits.append(_plain_sum_fits(tf.values(), q_exp) and _plain_sum_fits(values, p_exp))
+    assert all(fits) == plain
+
+
 def test_mixed_denominators_sum_exactly(f3):
     pi = span_of([(1, 0)], 2, f3)
     values = {(0, 1): Fraction(1, 3), (2, 1): Fraction(2, 7), (1, 2): Fraction(5, 12)}

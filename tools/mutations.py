@@ -108,8 +108,8 @@ MUTATIONS = [
     Mutation(
         "keep-draw-less-or-equal",
         "src/kplab/config.py",
-        "if draw(denominator) < numerator]",
-        "if draw(denominator) <= numerator]",
+        "if draw < numerator]",
+        "if draw <= numerator]",
         [
             "tests/test_cli.py::TestRunExperiment::test_rows_match_pinned_digest[incidence-bound]",
             "tests/test_cli.py::TestRunExperiment::test_rows_match_pinned_digest[two-ends]",
@@ -166,6 +166,24 @@ MUTATIONS = [
             "tests/test_maximal.py::test_oracle_equivalence_mixed_denominators[3-2-3]",
             "tests/test_maximal.py::test_many_matches_oracle_per_function[4-2-3]",
             "tests/test_maximal.py::test_mixed_denominators_sum_exactly",
+        ],
+    ),
+    # The resumed fold of the coset masks: a walk resumes where its steps
+    # first differ from the last direction's, and a meet must match only a
+    # meet.  Taken as matching any step, as if every walk met at the same
+    # places, it reuses folds of another dimension k.  Within one k the
+    # meets fall at the same places, and in enumeration order the last
+    # direction of one k and the first of the next differ at their first
+    # step, so only directions of mixed k asked out of order catch it.
+    Mutation(
+        "masks-meet-matches-any-step",
+        "src/kplab/flats.py",
+        "            if step != kept:\n",
+        "            if step != kept and None not in (step, kept):\n",
+        [
+            "tests/test_flats.py::test_coset_masks_answer_in_any_order[2]",
+            "tests/test_flats.py::test_coset_masks_answer_in_any_order[3]",
+            "tests/test_flats.py::test_coset_masks_answer_in_any_order[5]",
         ],
     ),
     # The one grouping of a grid function's values.
