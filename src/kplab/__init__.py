@@ -10,9 +10,15 @@ from .config import (
     gen_nk_set,
     gen_point_cloud,
     gen_random_config,
-    gen_random_direction_separated,
 )
-from .exponents import BoundExpr, PowerProduct
+from .exponents import (
+    BoundExpr,
+    PowerProduct,
+    best_possible_exponents,
+    main_term_abc,
+    max_ick_derive,
+    theorem_exponents,
+)
 from .field import Field
 from .flats import (
     AffineFlat,
@@ -47,6 +53,7 @@ __all__ = [
     "PowerProduct",
     "affine_hull",
     "apply_maximal",
+    "best_possible_exponents",
     "build_refinement_chain",
     "check_main_bound",
     "check_max_ic",
@@ -61,10 +68,12 @@ __all__ = [
     "gen_nk_set",
     "gen_point_cloud",
     "gen_random_config",
-    "gen_random_direction_separated",
     "incidence_count",
     "jr_decompose",
+    "main_term_abc",
     "make_flat",
+    "max_ick_derive",
     "refine_dyadic",
     "simplex_bound_report",
+    "theorem_exponents",
 ]

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from . import exponents, incidence, maximal, oracles, simplex
-from .config import gen_degenerate, gen_nk_set, gen_random_config
+from .config import TRANSLATE_RULES, gen_degenerate, gen_nk_set, gen_random_config
 from .field import Field, NotPrimeError
 from .flats import enumerate_grassmannian, gaussian_binomial
 
@@ -129,8 +129,9 @@ def _check_domain(kind: str, params: Dict[str, object]) -> None:
         total = gaussian_binomial(params["n"], params["k"], params["prime"])
         if not 0 <= params["num_directions"] <= total:
             raise SpecError(f"num_directions must lie in [0, {_magnitude(total)}], the size of G(n,k)")
-    if params.get("translate", "zero") not in ("zero", "random"):
-        raise SpecError(f"translate must be 'zero' or 'random', got {params['translate']!r}")
+    if params.get("translate", "zero") not in TRANSLATE_RULES:
+        rules = " or ".join(map(repr, TRANSLATE_RULES))
+        raise SpecError(f"translate must be {rules}, got {params['translate']!r}")
     if "density" in params and not 0 < params["density"] <= 1:
         raise SpecError(f"density must lie in (0, 1], got {params['density']}")
     for key in ("p_exp", "q_exp"):

@@ -25,7 +25,6 @@ from .flats import (
     enumerate_grassmannian,
     enumerate_points,
     gaussian_binomial,
-    is_direction_separated,
     make_flat,
     unrank_grassmannian,
 )
@@ -57,10 +56,8 @@ class Configuration:
 
     @property
     def direction_separated(self) -> bool:
-        return is_direction_separated(self.flats)
-
-    def with_points(self, points) -> "Configuration":
-        return Configuration(self.field, self.n, self.k, frozenset(points), self.flats)
+        """No two flats share a direction."""
+        return len({f.direction for f in self.flats}) == len(self.flats)
 
 
 def enumerate_space(n: int, fld: Field) -> Iterator[Vector]:
@@ -94,6 +91,10 @@ def _random_coset_representative(
     return _at_free_columns(direction, [rng.randrange(fld.p) for _ in range(free)])
 
 
+# The translate rules of `gen_nk_set`, which the CLI's domain check reads too.
+TRANSLATE_RULES = ("zero", "random")
+
+
 def gen_nk_set(
     n: int,
     k: int,
@@ -108,7 +109,7 @@ def gen_nk_set(
     """
     if not 1 <= k <= n - 1:
         raise ConfigDomainError(f"need 1 <= k <= n-1, got n={n}, k={k}")
-    if translate_rule not in ("zero", "random"):
+    if translate_rule not in TRANSLATE_RULES:
         raise ConfigDomainError(f"unknown translate rule {translate_rule!r}")
     rng = random.Random(seed)
     points = set()
@@ -117,11 +118,6 @@ def gen_nk_set(
         rep = origin if translate_rule == "zero" else _random_coset_representative(pi, fld, rng)
         points.update(enumerate_points(AffineFlat(pi, rep), fld))
     return frozenset(points)
-
-
-def gen_random_direction_separated(n: int, k: int, num_directions: int, fld: Field, seed: int) -> Configuration:
-    """The seeded flats of `_random_flats`, with an empty point set."""
-    return Configuration(fld, n, k, frozenset(), _random_flats(n, k, num_directions, fld, seed))
 
 
 def _random_flats(n: int, k: int, num_directions: int, fld: Field, seed: int) -> Tuple[AffineFlat, ...]:

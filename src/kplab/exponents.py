@@ -244,16 +244,3 @@ def best_possible_exponents(n: int, k: int) -> BoundExpr:
     |P|^{k/n} |Pi|^{(n-1)/n} |F|^{k(n-k)/n}."""
     return BoundExpr(Fraction(k, n), Fraction(n - 1, n), Fraction(k * (n - k), n))
 
-
-def degenerate_coincidence_exponents(n: int, k: int, r: int) -> Tuple[Rational, ...]:
-    """Exponents of |F| for the four incidence quantities evaluated at
-    |P| = |F|^r, |Pi| = |F|^{(k-r)(n-k)}; all four coincide."""
-    if not 1 <= r < k <= n - 1:
-        raise ExponentDomainError(f"need 1 <= r < k <= n-1, got n={n}, k={k}, r={r}")
-    ep = Fraction(r)
-    epi = Fraction((k - r) * (n - k))
-    worst = ep + epi
-    trivial = epi + r
-    two_ends = ep + Fraction(r, r + 1) * epi + Fraction((k - r) * (n - k), r + 1)
-    best = Fraction(k, n) * ep + Fraction(n - 1, n) * epi + Fraction(k * (n - k), n)
-    return (worst, trivial, two_ends, best)

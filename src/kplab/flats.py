@@ -102,10 +102,6 @@ def span_of(vectors: Iterable[Vector], n: int, field: Field) -> LinearSubspace:
     return LinearSubspace(n, basis)
 
 
-def zero_subspace(n: int) -> LinearSubspace:
-    return LinearSubspace(n, RrefBasis((), ()))
-
-
 def _at_free_columns(direction: LinearSubspace, values: Iterable[int]) -> Vector:
     """The vector with `values` in the free (non-pivot) columns of the
     direction, ascending, and zero in its pivot columns."""
@@ -622,8 +618,3 @@ def local_coordinates(points: Iterable[Vector], flat: AffineFlat) -> Tuple[Vecto
     the basis rows, and the map is an affine bijection of the flat onto F^k."""
     pivots = flat.direction.basis.pivots
     return tuple([tuple([x[j] for j in pivots]) for x in points])
-
-
-def is_direction_separated(flats: Sequence[AffineFlat]) -> bool:
-    directions = {f.direction for f in flats}
-    return len(directions) == len(flats)

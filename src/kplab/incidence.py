@@ -81,16 +81,22 @@ def incidence_count(config: Configuration) -> IncidenceIndex:
     )
 
 
+def _power_sum(index: IncidenceIndex, flats: Sequence[AffineFlat], m: int) -> Tuple[int, bool]:
+    """Sum over the flats of |P ∩ pi|^m, the ordered m-tuples of incident
+    points per flat, and whether it meets the exact Hoelder lower bound
+    sum * |Pi|^{m-1} >= |I|^m over them (Cauchy-Schwarz at m = 2)."""
+    counts = [index.per_flat[flat] for flat in flats]
+    power_sum = sum(c**m for c in counts)
+    return power_sum, power_sum * len(counts) ** (m - 1) >= sum(counts) ** m
+
+
 def cs_holder_count(config: Configuration, m: int, index: IncidenceIndex) -> int:
-    """Sum over flats of |P ∩ pi|^m: the count of ordered m-tuples of
-    incident points per flat.  Asserts the exact Hoelder lower bound
-    sum * |Pi|^{m-1} >= |I|^m (Cauchy-Schwarz at m = 2)."""
+    """Sum over flats of |P ∩ pi|^m (`_power_sum`), asserting its Hoelder
+    lower bound."""
     if m < 1:
         raise PreconditionError(f"need m >= 1, got {m}")
-    count = sum(c**m for c in index.per_flat.values())
-    num_flats = len(config.flats)
-    if num_flats > 0:
-        assert count * num_flats ** (m - 1) >= index.total**m
+    count, holds = _power_sum(index, config.flats, m)
+    assert holds
     return count
 
 
@@ -128,7 +134,7 @@ def jr_decompose(config: Configuration, r: int, index: IncidenceIndex) -> JrDeco
     if not 1 <= r <= config.k:
         raise PreconditionError(f"need 1 <= r <= k={config.k}, got r={r}")
     p = config.field.p
-    work = sum(c ** (r + 1) for c in index.per_flat.values())
+    work, _ = _power_sum(index, config.flats, r + 1)
     onto = [_onto(r + 1, s) for s in range(r + 2)]
     strata = [0] * (r + 1)
     for flat in config.flats:
@@ -456,7 +462,7 @@ class ChainTally:
         vk = orders * self.vk
         d_level = self.f_levels.heaviest()
         d_size = self.f_levels.size[d_level]
-        holder_tuple_count = sum(self.index.per_flat[flat] ** k for flat in refined.flats)
+        _, holder_holds = _power_sum(self.index, refined.flats, k)
         # Each kept k-subset on g refined flats adds g^2 = g + g(g-1) orders.
         vk_prime = ik + vk
         return RefinementChainReport(
@@ -469,7 +475,7 @@ class ChainTally:
             d_size=d_size,
             d_bucket_level=d_level,
             d_threshold=Fraction(vk * i_tilde, num_flats * d_size) if d_size and vk else None,
-            holder_lower_holds=holder_tuple_count * num_flats ** (k - 1) >= i_tilde**k,
+            holder_lower_holds=holder_holds,
             cs_lower_holds=vk_prime * len(config.points) ** k >= ik**2,
             shared_pairs=self.shared,
         )

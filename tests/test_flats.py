@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_vectors
-from kplab.config import gen_random_config
+from kplab.config import Configuration, gen_random_config
 from kplab.field import Field
 from kplab.flats import (
     AffineFlat,
@@ -19,12 +19,10 @@ from kplab.flats import (
     enumerate_points,
     flats_through,
     gaussian_binomial,
-    is_direction_separated,
     make_flat,
     membership,
     span_of,
     unrank_grassmannian,
-    zero_subspace,
 )
 from kplab.linalg import normalized, null_space_rows
 from kplab.maximal import default_candidates
@@ -78,7 +76,7 @@ class TestGrassmannianEnumeration:
     def test_extreme_dimensions(self):
         fld = Field(3)
         assert [s.dim for s in enumerate_grassmannian(4, 0, fld)] == [0]
-        assert list(enumerate_grassmannian(4, 0, fld)) == [zero_subspace(4)]
+        assert list(enumerate_grassmannian(4, 0, fld)) == [span_of((), 4, fld)]
         full = list(enumerate_grassmannian(3, 3, fld))
         assert len(full) == 1 and full[0].dim == 3
         for k in (3, -1):
@@ -163,7 +161,7 @@ def test_enumerate_points_is_a_generator_function():
 
 def test_enumerate_points_sizes():
     f3, f5 = Field(3), Field(5)
-    point_flat = make_flat(zero_subspace(2), (1, 2), f3)
+    point_flat = make_flat(span_of((), 2, f3), (1, 2), f3)
     assert list(enumerate_points(point_flat, f3)) == [(1, 2)]
     assert len(set(enumerate_points(line(f3, 2, (1, 1), (0, 0)), f3))) == 3
     plane = make_flat(span_of([(1, 0, 0, 0), (0, 1, 0, 0)], 4, f5), (0, 0, 1, 2), f5)
@@ -227,7 +225,7 @@ def test_packed_key_matches_canonical_representative(p):
     rng = random.Random(p)
     for n in range(1, 5):
         for k in range(n + 1):
-            direction = zero_subspace(n)
+            direction = span_of((), n, fld)
             while direction.dim != k:
                 direction = span_of(random_vectors(n, p, k, rng), n, fld)
 
@@ -308,7 +306,7 @@ def test_coset_masks_answer_in_any_order(p):
         space = list(itertools.product(range(p), repeat=n))
         kernels = [CosetMasks(rng.sample(space, len(space) // 2 + 1), fld), CosetMasks(space, fld)]
         everything = [d for k in range(n + 1) for d in enumerate_grassmannian(n, k, fld)]
-        strangers = [zero_subspace(n + 1)] + ([unrank_grassmannian(n - 1, 1, fld, 0)] if n > 1 else [])
+        strangers = [span_of((), n + 1, fld)] + ([unrank_grassmannian(n - 1, 1, fld, 0)] if n > 1 else [])
         orders = []
         for _ in kernels:
             order = rng.sample(everything, min(len(everything), 200))
@@ -449,7 +447,7 @@ def test_coset_sums_kernel_stays_linear_in_points():
     constant = [[(2, space)]]
     keyed = CosetSums(constant, 0, fld)
     assert isinstance(keyed.kernel, CosetKeys)
-    assert keyed.maxima(zero_subspace(3)) == [2]
+    assert keyed.maxima(span_of((), 3, fld)) == [2]
     masked = CosetSums(constant, 3, fld)
     assert isinstance(masked.kernel, CosetMasks)
     assert max(mask.bit_length() for column in masked.kernel.columns for mask in column) <= len(space)
@@ -485,15 +483,15 @@ def test_coset_keys_reject_mixed_ambient():
     with pytest.raises(ValueError):
         CosetKeys([(0, 0), (1, 1, 1)], f3)
     with pytest.raises(ValueError):
-        CosetKeys([(0, 0), (1, 1)], f3).keys(zero_subspace(3))
+        CosetKeys([(0, 0), (1, 1)], f3).keys(span_of((), 3, f3))
     with pytest.raises(ValueError):
         CosetMasks([(0, 0), (1, 1, 1)], f3)
     with pytest.raises(ValueError):
-        CosetMasks([(0, 0), (1, 1)], f3).masks(zero_subspace(3))
+        CosetMasks([(0, 0), (1, 1)], f3).masks(span_of((), 3, f3))
     with pytest.raises(ValueError):
         CosetSums([[(1, [(0, 0)])], [(1, [(1, 1, 1)])]], 0, f3)
     with pytest.raises(ValueError):
-        CosetSums([[(1, [(0, 0)])]], 0, f3).maxima(zero_subspace(3))
+        CosetSums([[(1, [(0, 0)])]], 0, f3).maxima(span_of((), 3, f3))
 
 
 def _flats_through_by_span(flat, fld):
@@ -596,9 +594,9 @@ def test_direction_separated():
     a = line(f3, 2, (1, 0), (0, 0))
     b = line(f3, 2, (1, 0), (0, 1))
     c = line(f3, 2, (0, 1), (0, 0))
-    assert is_direction_separated([a])
-    assert is_direction_separated([a, c])
-    assert not is_direction_separated([a, b])
+    assert Configuration(f3, 2, 1, frozenset(), (a,)).direction_separated
+    assert Configuration(f3, 2, 1, frozenset(), (a, c)).direction_separated
+    assert not Configuration(f3, 2, 1, frozenset(), (a, b)).direction_separated
 
 
 def test_coset_representatives_partition_space():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -124,7 +125,7 @@ class TestJrDecompose:
 
     def test_single_point_all_constant(self, f3):
         cfg = single_flat_config(f3, 3, 1)
-        cfg = cfg.with_points(frozenset([next(iter(sorted(cfg.points)))]))
+        cfg = dataclasses.replace(cfg, points=frozenset([next(iter(sorted(cfg.points)))]))
         decomp = jr_decompose(cfg, 1, incidence_count(cfg))
         assert decomp.total == 1
         assert decomp.strata == (1, 0)
@@ -454,6 +455,7 @@ def test_chain_oracle_equivalence(n, k, p, extra_flats, extra_points):
         chain = build_refinement_chain(cfg, index)
         brute = build_refinement_chain_bruteforce(cfg)
         assert {name: getattr(chain, name) for name in CHAIN_FIELDS} == brute
+        assert chain.holder_lower_holds
         nonzero += brute["vkp"] > 0 and brute["d_size"] > 0
     assert nonzero >= len(configs) // 2
 

@@ -61,6 +61,17 @@ def test_ambient_mismatch_rejected(f3):
     assert max(apply_maximal(f, 3, 2).values()) == 2
 
 
+def test_field_mismatch_rejected(f3, f5):
+    # A constant over GF(3) searched as over GF(5) was walked over GF(3)'s
+    # G(3,1) but weighed by 5^-2 a direction: a ratio of 0.41633, where the
+    # search over GF(3) gives 0.69389.  The search refuses a candidate over
+    # another field, as it refuses one on another F^n.
+    f = GridFunction.constant(f3, 3)
+    with pytest.raises(ValueError):
+        empirical_norm_search(3, 1, f5, 2, 2, candidates={"c": f})
+    assert witness_ratio(f, 2, 2, 3, 1) == pytest.approx(0.69389, abs=1e-5)
+
+
 def test_points_outside_space_rejected(f3):
     # Kept, {(0,0,2), (0,0,5), (0,0)} gave apply_maximal a max of 3 where the
     # oracle gave 1: the key read 5 as 2 and (0,0) as a shorter dot product.

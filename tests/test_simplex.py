@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -49,9 +50,9 @@ def test_f2_plane_has_four_triangles():
 
 def test_empty_family_and_tiny_point_sets(f3):
     cfg = all_lines_config(3)
-    no_points = cfg.with_points(frozenset())
+    no_points = dataclasses.replace(cfg, points=frozenset())
     assert count_simplices(no_points, incidence_count(no_points), cfg.flats) == 0
-    two = cfg.with_points(frozenset([(0, 0), (1, 1)]))
+    two = dataclasses.replace(cfg, points=frozenset([(0, 0), (1, 1)]))
     assert count_simplices(two, incidence_count(two)) == 0
     empty_family = Configuration(f3, 2, 1, cfg.points, ())
     assert count_simplices(empty_family, incidence_count(empty_family)) == 0
@@ -281,7 +282,7 @@ class TestBoundReport:
                 row(cfg, index)
 
     def test_empty_incidences(self, f3):
-        cfg = gen_degenerate(4, 2, 1, f3).with_points(frozenset())
+        cfg = dataclasses.replace(gen_degenerate(4, 2, 1, f3), points=frozenset())
         report = simplex_bound_report(cfg, incidence_count(cfg))
         assert report["incidences"] == 0
         assert report["ratio_upper"] is None

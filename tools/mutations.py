@@ -1,8 +1,9 @@
 """Replayable mutation checks: each mutation breaks the library on purpose and
 names the tests that must catch it.
 
-For each mutation the script copies `src/`, `tests/` and `pyproject.toml`
-into a temporary directory, replaces one exact snippet of one source file
+For each mutation the script copies `src/`, `tests/`, `bench/`, `tools/` and
+`pyproject.toml` into a temporary directory (the surface test reads the
+benchmark and the tools), replaces one exact snippet of one source file
 there with a broken one, and runs the mutation's pytest node ids against
 that copy.  The mutation is killed when every one of its tests fails, and
 survives when any of them passes.  The named tests first run once on the
@@ -197,12 +198,35 @@ MUTATIONS = [
             "tests/test_maximal.py::test_indicator_and_constant_match_from_dict",
         ],
     ),
+    # The one power sum and Hoelder verdict: jr_decompose's tuple total, the
+    # chain's Hoelder verdict and cs_holder_count all read it.
+    Mutation(
+        "holder-sum-power-off-by-one",
+        "src/kplab/incidence.py",
+        "power_sum = sum(c**m for c in counts)",
+        "power_sum = sum(c ** (m - 1) for c in counts)",
+        [
+            "tests/test_incidence.py::TestJrDecompose::test_degenerate_pinned",
+            "tests/test_incidence.py::test_chain_oracle_equivalence[4-2-3-8-14]",
+            "tests/test_acceptance.py::test_criterion_03_set_cauchy_schwarz_holder",
+        ],
+    ),
+    # A public function that nothing reads: only the surface test sees it.
+    Mutation(
+        "public-name-without-reader",
+        "src/kplab/flats.py",
+        "    return tuple([tuple([x[j] for j in pivots]) for x in points])\n",
+        "    return tuple([tuple([x[j] for j in pivots]) for x in points])\n\n\n"
+        "def flat_count(flats):\n    return len(flats)\n",
+        ["tests/test_oracles.py::test_every_public_name_has_a_reader"],
+    ),
 ]
 
 
 def copy_tree(into: Path) -> None:
     shutil.copytree(ROOT / "src", into / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copytree(ROOT / "tests", into / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+    for tree in ("tests", "bench", "tools"):
+        shutil.copytree(ROOT / tree, into / tree, ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
 
 
