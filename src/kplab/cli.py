@@ -351,17 +351,21 @@ def _maximal_work(n, k, prime, **_) -> int:
     return gaussian_binomial(n, k, prime) * steps // MAXIMAL_STEPS_PER_UNIT + MAXIMAL_POINT_UNITS * prime**n
 
 
-def _points_and_flats_work(n, k, prime, **_) -> int:
-    return gaussian_binomial(n, k, prime) * prime**k + prime**n
+def _flats_work(n, k, prime, r=0, translate="random", **_) -> int:
+    """Per seed, p^n for the points and p^k for each flat built: one per
+    direction of G(n-r, k-r), the degenerate flats (nk-set's random rule
+    at r = 0); the zero rule of nk-set builds none, its set being F^n."""
+    flats = 0 if translate == "zero" else gaussian_binomial(n - r, k - r, prime)
+    return flats * prime**k + prime**n
 
 
 KINDS: Dict[str, Kind] = {
     "grassmann-census": Kind({"n", "k", "prime"}, set(), "0 <= k <= n", lambda n, k, **_: 0 <= k <= n,
                              lambda n, k, prime, **_: gaussian_binomial(n, k, prime) * n * n, _census_rows),
     "degenerate": Kind({"n", "k", "r", "prime"}, set(), "1 <= r < k <= n-1",
-                       lambda n, k, r, **_: 1 <= r < k <= n - 1, _points_and_flats_work, _degenerate_rows),
+                       lambda n, k, r, **_: 1 <= r < k <= n - 1, _flats_work, _degenerate_rows),
     "nk-set": Kind({"n", "k", "prime"}, {"translate", "seeds", "slack"}, "1 <= k <= n-1 and slack >= 1",
-                   lambda n, k, slack=8, **_: 1 <= k <= n - 1 and slack >= 1, _points_and_flats_work, _nk_set_rows),
+                   lambda n, k, slack=8, **_: 1 <= k <= n - 1 and slack >= 1, _flats_work, _nk_set_rows),
     "incidence-bound": Kind(_CORPUS_KEYS, {"seeds", "p_exp", "q_exp"}, "2 <= k <= n-2",
                             lambda n, k, **_: 2 <= k <= n - 2, partial(_corpus_work, lambda **_: (), 0),
                             _incidence_bound_row),

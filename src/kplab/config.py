@@ -25,7 +25,7 @@ from .flats import (
     enumerate_grassmannian,
     enumerate_points,
     gaussian_binomial,
-    make_flat,
+    span_of,
     unrank_grassmannian,
 )
 from .linalg import Vector
@@ -67,19 +67,24 @@ def enumerate_space(n: int, fld: Field) -> Iterator[Vector]:
 
 def gen_degenerate(n: int, k: int, r: int, fld: Field) -> Configuration:
     """Type-(k,r) degenerate configuration: all p^r points of the coordinate
-    r-flat (`coordinate_flat`), and one k-flat per direction containing it.
+    r-flat sigma (`coordinate_flat`), and one k-flat through 0 per direction
+    containing it.
 
-    The point set attains the worst case |I| = |P| * |Pi| exactly; the flat
-    count is gaussian_binomial(n-r, k-r, p).
+    Those directions are span(e_1, ..., e_r) + W, W a (k-r)-subspace of the
+    last n-r coordinates, so they are built from G(n-r, k-r), W's rows
+    padded with r leading zeros, in the order in which they occur in
+    G(n,k); 0 is zero at every pivot, so it is each flat's canonical
+    representative.  The point set attains the worst case |I| = |P| * |Pi|
+    exactly; the flat count is gaussian_binomial(n-r, k-r, p).
     """
     if not 1 <= r < k <= n - 1:
         raise ConfigDomainError(f"need 1 <= r < k <= n-1, got n={n}, k={k}, r={r}")
     sigma = coordinate_flat(n, r, fld)
     points = frozenset(enumerate_points(sigma, fld))
+    lead, pad = sigma.direction.basis.rows, (0,) * r
     flats = tuple(
-        make_flat(pi, sigma.representative, fld)
-        for pi in enumerate_grassmannian(n, k, fld)
-        if pi.contains_subspace(sigma.direction, fld)
+        AffineFlat(span_of(lead + tuple(map(pad.__add__, w.basis.rows)), n, fld), sigma.representative)
+        for w in enumerate_grassmannian(n - r, k - r, fld)
     )
     return Configuration(fld, n, k, points, flats)
 
@@ -104,19 +109,20 @@ def gen_nk_set(
 ) -> FrozenSet[Vector]:
     """Union over every direction in G(n,k) of one affine translate's points.
 
-    translate_rule "zero" takes the subspace itself; "random" samples one
-    coset uniformly per direction (seeded).
+    translate_rule "zero" takes the subspace itself, and every point of F^n
+    lies on a k-subspace (k >= 1), so the union is F^n, returned without a
+    walk; "random" samples one coset uniformly per direction (seeded).
     """
     if not 1 <= k <= n - 1:
         raise ConfigDomainError(f"need 1 <= k <= n-1, got n={n}, k={k}")
     if translate_rule not in TRANSLATE_RULES:
         raise ConfigDomainError(f"unknown translate rule {translate_rule!r}")
+    if translate_rule == "zero":
+        return frozenset(enumerate_space(n, fld))
     rng = random.Random(seed)
     points = set()
-    origin = tuple([0] * n)
     for pi in enumerate_grassmannian(n, k, fld):
-        rep = origin if translate_rule == "zero" else _random_coset_representative(pi, fld, rng)
-        points.update(enumerate_points(AffineFlat(pi, rep), fld))
+        points.update(enumerate_points(AffineFlat(pi, _random_coset_representative(pi, fld, rng)), fld))
     return frozenset(points)
 
 

@@ -6,14 +6,14 @@ equality and hashing are structural throughout.
 
 Which coset of a direction holds a point is answered by one map, the packed
 integer key: the digits a_j . x mod p (`_digits`) of the annihilator rows
-a_j of the direction, one row per free column j.  `coset_key` and
-`LinearSubspace.contains` read it for one point, `membership` compares its
-digits with the flat's one row at a time and stops at the first that
-differs, `CosetKeys` gives it for a fixed point set under any direction at
-once, `make_flat` writes its digits into the free columns of the canonical
-representative (they are the entries that eliminating the pivots by the
-basis rows leaves there), and `flats_through` keys the (k+1)-flats through
-a k-flat by the digits of the vector that extends it.
+a_j of the direction, one row per free column j.  `coset_key` reads it
+for one point, `membership` compares its digits with the flat's one row at
+a time and stops at the first that differs, `CosetKeys` gives it for a
+fixed point set under any direction at once, `make_flat` writes its
+digits into the free columns of the canonical representative (they are the
+entries that eliminating the pivots by the basis rows leaves there), and
+`flats_through` keys the (k+1)-flats through a k-flat by the digits of the
+vector that extends it.
 The rows are kept on the subspace instance the first time they are needed,
 a flat's own digits (its representative's) on the flat the first time
 `membership` tests it, and the hash of every subspace and flat the first
@@ -62,13 +62,6 @@ class LinearSubspace:
     @property
     def dim(self) -> int:
         return self.basis.rank
-
-    def contains(self, v: Vector, field: Field) -> bool:
-        """Whether v lies in the subspace: its coset key is the zero coset's."""
-        return coset_key(v, self, field) == 0
-
-    def contains_subspace(self, other: "LinearSubspace", field: Field) -> bool:
-        return all(self.contains(row, field) for row in other.basis.rows)
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,15 @@ class GridFunction:
         return {pt: v for v, points in self.classes for pt in points}
 
 
+def _check_lives_on(fs: Iterable[GridFunction], n: int, field: Field) -> None:
+    """Refuse any function, zero or not, that does not live on F^n over `field`."""
+    for f in fs:
+        if f.n != n:
+            raise ValueError(f"grid function lives on F^{f.n}, not F^{n}")
+        if f.field != field:
+            raise ValueError(f"grid function over {f.field}, not {field}")
+
+
 def _coset_sums(
     fs: Sequence[GridFunction], n: int, k: int, field: Field
 ) -> Tuple[List[GridFunction], List[int], CosetSums]:
@@ -98,11 +107,7 @@ def _coset_sums(
     classes, scaled to ints, are its weighting.  Every function must live
     on F^n over the walk's field.
     """
-    for f in fs:
-        if f.n != n:
-            raise ValueError(f"grid function lives on F^{f.n}, not F^{n}")
-        if f.field != field:
-            raise ValueError(f"grid function over {f.field}, not {field}")
+    _check_lives_on(fs, n, field)
     distinct = list({id(f): f for f in fs}.values())
     scales = [math.lcm(*(v.denominator for v, _ in f.classes)) for f in distinct]
     weightings = [
@@ -263,6 +268,7 @@ def empirical_norm_search(
     if not candidates:
         raise ValueError("empty candidate family")
     e_p, e_q = _exponent(p_exp), _exponent(q_exp)
+    _check_lives_on(candidates.values(), n, field)
     family = {name: f for name, f in sorted(candidates.items()) if not f.is_zero()}
     if not family:
         raise ValueError("every candidate is zero")

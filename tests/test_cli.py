@@ -351,6 +351,16 @@ class TestRunExperiment:
     def test_pinned_specs_within_default_budget(self, kind):
         assert cli.estimate_work(cli.parse_spec(PINNED_ROWS[kind][0])) < cli.DEFAULT_BUDGET
 
+    def test_degenerate_charges_the_flats_it_builds(self):
+        # The 20 306 flats of (6,3,1,5) come from G(5,2), so the estimate
+        # charges them and not the 2 558 556 directions of G(6,3): the spec
+        # runs at the default budget, and its row is the one that filtering
+        # G(6,3) gave at a raised budget.
+        rows = cli.run_experiment(cli.parse_spec("experiment=degenerate n=6 k=3 r=1 prime=5"))
+        assert rows[0]["num_flats"] == 20306
+        digest = hashlib.sha256(json.dumps(rows, indent=2, default=str).encode()).hexdigest()
+        assert digest == "f80a6e68e7cbed7ba507ca38368a34d2ef02061de7184d900681690f8f71446e"
+
     @pytest.mark.parametrize(
         "text,num_rows",
         [

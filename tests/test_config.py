@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from kplab.config import (
     gen_random_config,
 )
 from kplab.field import Field
-from kplab.flats import enumerate_grassmannian, enumerate_points, gaussian_binomial, make_flat
+from kplab.flats import AffineFlat, coset_key, enumerate_grassmannian, enumerate_points, gaussian_binomial, make_flat
 from kplab.incidence import incidence_count
 
 
@@ -43,6 +44,37 @@ def test_degenerate_is_direction_separated(f3):
     assert gen_degenerate(4, 2, 1, f3).direction_separated
 
 
+# The shapes (n, k, r, p) on which the degenerate flats are held to the filter.
+DEGENERATE_SHAPES = [
+    (3, 2, 1, 3), (4, 2, 1, 3), (4, 3, 1, 5), (4, 3, 2, 3),
+    (5, 3, 1, 3), (5, 4, 2, 2), (5, 3, 2, 7), (6, 4, 2, 3),
+]
+
+
+@pytest.mark.parametrize("n,k,r,p", DEGENERATE_SHAPES)
+def test_degenerate_flats_are_the_filtered_grassmannian(n, k, r, p, monkeypatch):
+    # By definition: every direction of G(n,k) whose zero coset holds
+    # e_1, ..., e_r, through the origin, in G(n,k)'s order.  The generator
+    # builds them from G(n-r, k-r) and never walks G(n,k) itself.
+    fld = Field(p)
+    origin = (0,) * n
+    lead = [tuple(int(j == i) for j in range(n)) for i in range(r)]
+    expected = tuple(
+        make_flat(pi, origin, fld)
+        for pi in enumerate_grassmannian(n, k, fld)
+        if all(coset_key(e, pi, fld) == 0 for e in lead)
+    )
+    walked = []
+
+    def enumerate_logged(m, d, field):
+        walked.append((m, d))
+        return enumerate_grassmannian(m, d, field)
+
+    monkeypatch.setattr(config, "enumerate_grassmannian", enumerate_logged)
+    assert gen_degenerate(n, k, r, fld).flats == expected
+    assert walked == [(n - r, k - r)]
+
+
 def test_degenerate_domain_errors(f3):
     with pytest.raises(ConfigDomainError):
         gen_degenerate(4, 2, 2, f3)  # needs r < k
@@ -58,6 +90,19 @@ class TestNkSet:
 
     def test_zero_rule_contains_origin(self, f3):
         assert (0, 0, 0, 0) in gen_nk_set(4, 2, f3, translate_rule="zero")
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_zero_rule_is_the_whole_space(self, p):
+        # Every point of F^n lies on a k-subspace through the origin, so the
+        # union of G(n,k) is F^n for every 1 <= k <= n-1.
+        fld = Field(p)
+        for n in range(2, 5):
+            space = frozenset(itertools.product(range(p), repeat=n))
+            for k in range(1, n):
+                union = {
+                    x for pi in enumerate_grassmannian(n, k, fld) for x in enumerate_points(AffineFlat(pi, (0,) * n), fld)
+                }
+                assert gen_nk_set(n, k, fld, "zero") == union == space
 
     def test_random_rule_deterministic(self, f3):
         a = gen_nk_set(4, 2, f3, translate_rule="random", seed=1)

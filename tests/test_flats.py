@@ -219,8 +219,7 @@ def test_packed_key_matches_canonical_representative(p):
     # every k, including 0 (one coset per point) and n (a single coset); a
     # subspace's basis alone does not fix its ambient n at k = 0.  The
     # representative make_flat builds from the key's digits is that same
-    # reduce_vector(x), and LinearSubspace.contains (key zero) agrees with
-    # in_span.
+    # reduce_vector(x), and key zero (the zero coset) agrees with in_span.
     fld = Field(p)
     rng = random.Random(p)
     for n in range(1, 5):
@@ -253,7 +252,7 @@ def test_packed_key_matches_canonical_representative(p):
                     x, direction.basis, fld
                 )
                 diff = tuple((a - b) % p for a, b in zip(y, x))
-                assert direction.contains(diff, fld) == in_span(diff, direction.basis, fld) == same
+                assert (coset_key(diff, direction, fld) == 0) == in_span(diff, direction.basis, fld) == same
                 seen.add(same)
             if k < n:
                 assert seen == {True, False}

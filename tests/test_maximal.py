@@ -72,6 +72,20 @@ def test_field_mismatch_rejected(f3, f5):
     assert witness_ratio(f, 2, 2, 3, 1) == pytest.approx(0.69389, abs=1e-5)
 
 
+def test_zero_candidate_off_the_walk_rejected(f3, f5):
+    # A zero candidate is dropped from the family, but only after the check:
+    # a zero over GF(3) on F^4 was once dropped first and the search returned
+    # the ratio of `c` alone.
+    candidates = {"z": GridFunction.constant(f3, 4, 0), "c": GridFunction.constant(f5, 3)}
+    with pytest.raises(ValueError):
+        empirical_norm_search(3, 1, f5, 2, 2, candidates=candidates)
+    candidates["z"] = GridFunction.constant(f5, 4, 0)
+    with pytest.raises(ValueError):
+        empirical_norm_search(3, 1, f5, 2, 2, candidates=candidates)
+    candidates["z"] = GridFunction.constant(f5, 3, 0)
+    assert set(empirical_norm_search(3, 1, f5, 2, 2, candidates=candidates).all_ratios) == {"c"}
+
+
 def test_points_outside_space_rejected(f3):
     # Kept, {(0,0,2), (0,0,5), (0,0)} gave apply_maximal a max of 3 where the
     # oracle gave 1: the key read 5 as 2 and (0,0) as a shorter dot product.

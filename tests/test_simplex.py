@@ -8,6 +8,7 @@ from conftest import planted_simplex_config, random_corpus
 from kplab.config import Configuration, gen_degenerate, gen_random_config
 from kplab.field import Field
 from kplab.flats import (
+    coset_key,
     enumerate_grassmannian,
     make_flat,
     span_of,
@@ -212,8 +213,11 @@ def _lambda_recount(config, chain):
         span = span_of(pi0.direction.basis.rows + pi.direction.basis.rows + (diff,), config.n, fld)
         counts.append(
             sum(
-                span.contains(tuple((x - y) % p for x, y in zip(f.representative, pi0.representative)), fld)
-                and span.contains_subspace(f.direction, fld)
+                all(
+                    coset_key(v, span, fld) == 0
+                    for v in f.direction.basis.rows
+                    + (tuple((x - y) % p for x, y in zip(f.representative, pi0.representative)),)
+                )
                 for f in flats
             )
         )

@@ -211,6 +211,18 @@ MUTATIONS = [
             "tests/test_acceptance.py::test_criterion_03_set_cauchy_schwarz_holder",
         ],
     ),
+    # The degenerate directions without span(e_1, ..., e_r): (k-r)-subspaces
+    # of the last n-r coordinates alone.
+    Mutation(
+        "degenerate-drops-sigma-rows",
+        "src/kplab/config.py",
+        "span_of(lead + tuple(map(pad.__add__, w.basis.rows)), n, fld)",
+        "span_of(tuple(map(pad.__add__, w.basis.rows)), n, fld)",
+        [
+            "tests/test_config.py::test_degenerate_flats_are_the_filtered_grassmannian[4-2-1-3]",
+            "tests/test_config.py::test_degenerate_flats_are_the_filtered_grassmannian[6-4-2-3]",
+        ],
+    ),
     # A public function that nothing reads: only the surface test sees it.
     Mutation(
         "public-name-without-reader",
