@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import partial
@@ -21,6 +20,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from . import exponents, incidence, maximal, oracles, simplex
+from ._value import _Value
 from .config import TRANSLATE_RULES, gen_degenerate, gen_nk_set, gen_random_config
 from .field import Field, NotPrimeError
 from .flats import enumerate_grassmannian, gaussian_binomial
@@ -50,11 +50,11 @@ class BudgetError(incidence.SizeGuardError):
     pass
 
 
-@dataclass
-class ExperimentSpec:
-    kind: str
-    params: Dict[str, object]
-    out: Optional[str] = None
+class ExperimentSpec(_Value):
+    __slots__ = ("kind", "params", "out")
+
+    def __init__(self, kind: str, params: Dict[str, object], out: Optional[str] = None):
+        self.kind, self.params, self.out = kind, params, out
 
 
 def _parse_seeds(text: str) -> Sequence[int]:

@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 import random
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
+from ._value import _Value, _set
 from .field import Field
 from .flats import (
     AffineFlat,
@@ -35,24 +35,25 @@ class ConfigDomainError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """A point set P in F^n together with a family of affine k-flats."""
+class Configuration(_Value, frozen=True):
+    """A point set P in F^n together with a family of affine k-flats,
+    checked on construction."""
 
-    field: Field
-    n: int
-    k: int
-    points: FrozenSet[Vector]
-    flats: Tuple[AffineFlat, ...]
+    __slots__ = ("field", "n", "k", "points", "flats")
 
-    def __post_init__(self):
-        for pt in self.field.points_outside(self.points, self.n):
-            raise ConfigDomainError(f"point {pt!r} is not in F_{self.field.p}^{self.n}")
-        if len(set(self.flats)) != len(self.flats):
+    def __init__(self, field: Field, n: int, k: int, points: FrozenSet[Vector], flats: Tuple[AffineFlat, ...]):
+        for pt in field.points_outside(points, n):
+            raise ConfigDomainError(f"point {pt!r} is not in F_{field.p}^{n}")
+        if len(set(flats)) != len(flats):
             raise ConfigDomainError("duplicate flats in configuration")
-        for f in self.flats:
-            if f.ambient != self.n or f.dim != self.k:
+        for f in flats:
+            if f.ambient != n or f.dim != k:
                 raise ConfigDomainError("flat with wrong ambient dimension or dim")
+        _set(self, "field", field)
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "points", points)
+        _set(self, "flats", flats)
 
     @property
     def direction_separated(self) -> bool:

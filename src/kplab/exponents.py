@@ -9,10 +9,11 @@ comparisons via integer cross-multiplication.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Tuple
+
+from ._value import _Value, _set
 
 Rational = Fraction
 
@@ -100,13 +101,15 @@ class PowerProduct:
         return f"PowerProduct({parts or '1'})"
 
 
-@dataclass(frozen=True)
-class BoundExpr:
+class BoundExpr(_Value, frozen=True):
     """Exponent triple for an expression |P|^a |Pi|^b |F|^c."""
 
-    a: Rational
-    b: Rational
-    c: Rational
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: Rational, b: Rational, c: Rational):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
     def evaluate(self, num_points: int, num_flats: int, p: int) -> PowerProduct:
         return PowerProduct([(num_points, self.a), (num_flats, self.b), (p, self.c)])

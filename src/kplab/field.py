@@ -43,6 +43,10 @@ class Field:
     def __setattr__(self, name, value):
         raise AttributeError("Field is immutable")
 
+    def __reduce__(self):
+        # Rebuilt by the constructor: the default would set `p` by setattr.
+        return Field, (self.p,)
+
     def elements(self) -> range:
         """Residues 0, 1, ..., p-1 in ascending order."""
         return range(self.p)

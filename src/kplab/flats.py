@@ -36,48 +36,42 @@ import itertools
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from operator import mul
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ._value import _Value, _set
 from .field import Field
 from .linalg import RrefBasis, Vector, null_space_rows, rref
 
 
-@dataclass(frozen=True)
-class LinearSubspace:
-    """A k-dimensional subspace of F^n in canonical RREF form."""
+class LinearSubspace(_Value, frozen=True):
+    """A k-dimensional subspace of F^n in canonical RREF form.  Its hash
+    (the hash of its field tuple) and its annihilator rows (`_annihilator`)
+    are kept on the instance."""
 
-    ambient: int
-    basis: RrefBasis
+    __slots__ = ("ambient", "basis", "_hash", "_annihilator")
 
-    def __hash__(self) -> int:
-        # The dataclass hash of the fields, kept on the instance.
-        kept = self.__dict__
-        value = kept.get("_hash")
-        if value is None:
-            value = kept["_hash"] = hash((self.ambient, self.basis))
-        return value
+    def __init__(self, ambient: int, basis: RrefBasis):
+        _set(self, "ambient", ambient)
+        _set(self, "basis", basis)
+        _set(self, "_hash", None)
 
     @property
     def dim(self) -> int:
         return self.basis.rank
 
 
-@dataclass(frozen=True)
-class AffineFlat:
-    """Direction + canonical coset representative, as `make_flat` builds it."""
+class AffineFlat(_Value, frozen=True):
+    """Direction + canonical coset representative, as `make_flat` builds it.
+    Its hash (the hash of its field tuple) and its annihilator digits
+    (`membership`) are kept on the instance."""
 
-    direction: LinearSubspace
-    representative: Vector
+    __slots__ = ("direction", "representative", "_hash", "_digits")
 
-    def __hash__(self) -> int:
-        # The dataclass hash of the fields, kept on the instance.
-        kept = self.__dict__
-        value = kept.get("_hash")
-        if value is None:
-            value = kept["_hash"] = hash((self.direction, self.representative))
-        return value
+    def __init__(self, direction: LinearSubspace, representative: Vector):
+        _set(self, "direction", direction)
+        _set(self, "representative", representative)
+        _set(self, "_hash", None)
 
     @property
     def ambient(self) -> int:
@@ -248,10 +242,10 @@ def _packed_key(point: Vector, rows: Tuple[Vector, ...], p: int) -> int:
 def _annihilator(direction: LinearSubspace, field: Field) -> Tuple[Vector, ...]:
     """Independent rows of the functionals vanishing on `direction`, computed
     once per subspace instance (which, unlike its basis, fixes the ambient n)."""
-    cached = direction.__dict__.get("_annihilator")
+    cached = getattr(direction, "_annihilator", None)
     if cached is None or cached[0] != field.p:
         cached = (field.p, null_space_rows(direction.basis, direction.ambient, field))
-        object.__setattr__(direction, "_annihilator", cached)
+        _set(direction, "_annihilator", cached)
     return cached[1]
 
 
@@ -267,11 +261,12 @@ def membership(point: Vector, flat: AffineFlat, field: Field) -> bool:
     The rows with their digits are kept on the flat at its first test,
     whether or not `make_flat` built it, and the test stops at the first row
     whose digit differs."""
-    kept = flat.__dict__.get("_digits")
+    kept = getattr(flat, "_digits", None)
     if kept is None:
         rows = _annihilator(flat.direction, field)
         digits = _digits(flat.representative, rows, field.p)
-        kept = flat.__dict__["_digits"] = (field.p, tuple(zip(rows, digits)))
+        kept = (field.p, tuple(zip(rows, digits)))
+        _set(flat, "_digits", kept)
     p, rows_and_digits = kept
     if p != field.p:
         raise ValueError(f"flat built over GF({p}) tested over GF({field.p})")

@@ -13,10 +13,10 @@ import functools
 import itertools
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
+from ._value import _Value
 from .config import Configuration
 from .exponents import PowerProduct, main_term_exponents
 from .field import Field
@@ -37,12 +37,14 @@ class SizeGuardError(RuntimeError):
     the CLI's work budget would be exceeded."""
 
 
-@dataclass
-class IncidenceIndex:
+class IncidenceIndex(_Value):
     """The sorted incident points of every flat; the per-flat marginal and
     the exact total are read from them, once each."""
 
-    points: Dict[AffineFlat, Tuple[Vector, ...]]
+    __slots__ = ("points", "__dict__")  # the instance dict holds the cached properties
+
+    def __init__(self, points: Dict[AffineFlat, Tuple[Vector, ...]]):
+        self.points = points
 
     @functools.cached_property
     def per_flat(self) -> Dict[AffineFlat, int]:
@@ -100,13 +102,14 @@ def cs_holder_count(config: Configuration, m: int, index: IncidenceIndex) -> int
     return count
 
 
-@dataclass
-class JrDecomposition:
-    """|J_r| and its partition by affine-hull dimension of the point tuple."""
+class JrDecomposition(_Value):
+    """|J_r| and its partition by affine-hull dimension of the point tuple:
+    `strata[j]` counts the tuples of hull dimension j, j = 0..r."""
 
-    r: int
-    total: int
-    strata: Tuple[int, ...]  # index j = hull dimension, j = 0..r
+    __slots__ = ("r", "total", "strata")
+
+    def __init__(self, r: int, total: int, strata: Tuple[int, ...]):
+        self.r, self.total, self.strata = r, total, strata
 
 
 def _onto(slots: int, size: int) -> int:
@@ -153,13 +156,13 @@ def jr_decompose(config: Configuration, r: int, index: IncidenceIndex) -> JrDeco
     return JrDecomposition(r, total, tuple(strata))
 
 
-@dataclass
-class RefinedConfig:
+class RefinedConfig(_Value):
     """The dyadic bucket of flats carrying the largest share of incidences."""
 
-    flats: Tuple[AffineFlat, ...]
-    bucket_level: int
-    refined_total: int
+    __slots__ = ("flats", "bucket_level", "refined_total")
+
+    def __init__(self, flats: Tuple[AffineFlat, ...], bucket_level: int, refined_total: int):
+        self.flats, self.bucket_level, self.refined_total = flats, bucket_level, refined_total
 
     @property
     def num_flats(self) -> int:
@@ -223,15 +226,14 @@ def _refined_row(config: Configuration, index: IncidenceIndex) -> Tuple[Dict[str
     return _row_head(config, index), (refine_dyadic(config, index) if index.total else None)
 
 
-@dataclass
-class MaxIcReport:
+class MaxIcReport(_Value):
     """Exact ratio of |I| against the duality-side incidence bound, plus the
     per-direction sup-chain check from the proof."""
 
-    ratio: Optional[PowerProduct]
-    chain_holds: bool
-    sup_sum: int
-    total: int
+    __slots__ = ("ratio", "chain_holds", "sup_sum", "total")
+
+    def __init__(self, ratio: Optional[PowerProduct], chain_holds: bool, sup_sum: int, total: int):
+        self.ratio, self.chain_holds, self.sup_sum, self.total = ratio, chain_holds, sup_sum, total
 
 
 def check_max_ic(
@@ -356,26 +358,27 @@ def common_points(flats: Sequence[AffineFlat], index: IncidenceIndex, field: Fie
         yield spines
 
 
-@dataclass
-class RefinementChainReport:
+class RefinementChainReport(_Value):
     """Exact cardinalities of every stage of the refinement chain.
     `shared_pairs` counts, for each pair of positions a < b in
     `refined.flats`, the kept spanning k-subsets the two flats share (pairs
     sharing none are absent); its pairs, in both orders, are the
     deleted-spine plane pairs."""
 
-    refined: RefinedConfig
-    ik_prime: int
-    ik: int
-    vk_prime: int
-    vk: int
-    vkp: int
-    d_size: int
-    d_bucket_level: int
-    d_threshold: Optional[Fraction]
-    holder_lower_holds: bool
-    cs_lower_holds: bool
-    shared_pairs: Dict[Tuple[int, int], int]
+    __slots__ = (
+        "refined", "ik_prime", "ik", "vk_prime", "vk", "vkp", "d_size", "d_bucket_level",
+        "d_threshold", "holder_lower_holds", "cs_lower_holds", "shared_pairs",
+    )
+
+    def __init__(
+        self, refined: RefinedConfig, ik_prime: int, ik: int, vk_prime: int, vk: int, vkp: int, d_size: int,
+        d_bucket_level: int, d_threshold: Optional[Fraction], holder_lower_holds: bool, cs_lower_holds: bool,
+        shared_pairs: Dict[Tuple[int, int], int],
+    ):
+        self.refined, self.ik_prime, self.ik, self.vk_prime = refined, ik_prime, ik, vk_prime
+        self.vk, self.vkp, self.d_size, self.d_bucket_level = vk, vkp, d_size, d_bucket_level
+        self.d_threshold, self.holder_lower_holds = d_threshold, holder_lower_holds
+        self.cs_lower_holds, self.shared_pairs = cs_lower_holds, shared_pairs
 
 
 def build_refinement_chain(config: Configuration, index: IncidenceIndex) -> RefinementChainReport:

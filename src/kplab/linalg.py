@@ -10,20 +10,22 @@ compared structurally everywhere else in the library.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
+from ._value import _Value, _set
 from .field import Field
 
 Vector = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RrefBasis:
+class RrefBasis(_Value, frozen=True):
     """Rows in reduced row echelon form plus their pivot columns."""
 
-    rows: Tuple[Vector, ...]
-    pivots: Tuple[int, ...]
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self, rows: Tuple[Vector, ...], pivots: Tuple[int, ...]):
+        _set(self, "rows", rows)
+        _set(self, "pivots", pivots)
 
     @property
     def rank(self) -> int:

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ._value import _Value, _set
 from .config import _kept_points, enumerate_space
 from .exponents import PowerProduct
 from .field import Field
@@ -35,8 +35,7 @@ from .flats import (
 from .linalg import Vector
 
 
-@dataclass(frozen=True)
-class GridFunction:
+class GridFunction(_Value, frozen=True):
     """Nonnegative rational-valued function on F^n, sparse (absent = 0),
     held as its value classes: each distinct positive value in ascending
     order, paired with its points, sorted.  Every point must be a length-n
@@ -44,14 +43,15 @@ class GridFunction:
     points, not that the classes are disjoint; `from_dict`, `indicator` and
     `constant` build them so."""
 
-    field: Field
-    n: int
-    classes: Tuple[Tuple[Fraction, Tuple[Vector, ...]], ...]
+    __slots__ = ("field", "n", "classes")
 
-    def __post_init__(self):
-        support = [pt for _, points in self.classes for pt in points]
-        for pt in self.field.points_outside(support, self.n):
-            raise ValueError(f"point {pt!r} is not in F_{self.field.p}^{self.n}")
+    def __init__(self, field: Field, n: int, classes: Tuple[Tuple[Fraction, Tuple[Vector, ...]], ...]):
+        support = [pt for _, points in classes for pt in points]
+        for pt in field.points_outside(support, n):
+            raise ValueError(f"point {pt!r} is not in F_{field.p}^{n}")
+        _set(self, "field", field)
+        _set(self, "n", n)
+        _set(self, "classes", classes)
 
     @classmethod
     def from_dict(cls, field: Field, n: int, values: Dict[Vector, Fraction]) -> "GridFunction":
@@ -203,9 +203,7 @@ def constant_witness_ratio_exact(
 
 class SearchResult:
     """The witness search's ratio of each candidate name, and the name of
-    the largest.  A plain two-slot class, not a dataclass, which would build
-    its methods when the package is imported: the import is timed
-    (`setup_s` of bench/run.py)."""
+    the largest."""
 
     __slots__ = ("best_name", "all_ratios")
 

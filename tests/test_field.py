@@ -44,3 +44,12 @@ def test_field_is_immutable():
     with pytest.raises(AttributeError):
         fld.p = 5
 
+
+
+def test_field_pickles_and_copies():
+    import copy
+    import pickle
+
+    fld = Field(7)
+    for twin in (pickle.loads(pickle.dumps(fld)), copy.deepcopy(fld)):
+        assert twin == fld and hash(twin) == hash(fld) and twin.p == 7

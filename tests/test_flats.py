@@ -540,7 +540,7 @@ def test_equal_flats_hash_equal():
     b = make_flat(span_of([(1, 3, 1), (2, 2, 3)], 3, f5), (2, 4, 2), f5)
     assert a == b and a is not b
     assert hash(a) == hash(b) and hash(a.direction) == hash(b.direction)
-    # The kept hash is the dataclass hash of the fields, so set and dict
+    # The kept hash is the hash of the field tuple, so set and dict
     # orders are those of structural hashing.
     assert hash(a) == hash(a) == hash((a.direction, a.representative))
     assert hash(a.direction) == hash((a.direction.ambient, a.direction.basis))

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -125,7 +124,7 @@ class TestJrDecompose:
 
     def test_single_point_all_constant(self, f3):
         cfg = single_flat_config(f3, 3, 1)
-        cfg = dataclasses.replace(cfg, points=frozenset([next(iter(sorted(cfg.points)))]))
+        cfg = Configuration(cfg.field, cfg.n, cfg.k, frozenset([next(iter(sorted(cfg.points)))]), cfg.flats)
         decomp = jr_decompose(cfg, 1, incidence_count(cfg))
         assert decomp.total == 1
         assert decomp.strata == (1, 0)

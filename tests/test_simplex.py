@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -51,9 +50,9 @@ def test_f2_plane_has_four_triangles():
 
 def test_empty_family_and_tiny_point_sets(f3):
     cfg = all_lines_config(3)
-    no_points = dataclasses.replace(cfg, points=frozenset())
+    no_points = Configuration(cfg.field, cfg.n, cfg.k, frozenset(), cfg.flats)
     assert count_simplices(no_points, incidence_count(no_points), cfg.flats) == 0
-    two = dataclasses.replace(cfg, points=frozenset([(0, 0), (1, 1)]))
+    two = Configuration(cfg.field, cfg.n, cfg.k, frozenset([(0, 0), (1, 1)]), cfg.flats)
     assert count_simplices(two, incidence_count(two)) == 0
     empty_family = Configuration(f3, 2, 1, cfg.points, ())
     assert count_simplices(empty_family, incidence_count(empty_family)) == 0
@@ -286,7 +285,7 @@ class TestBoundReport:
                 row(cfg, index)
 
     def test_empty_incidences(self, f3):
-        cfg = dataclasses.replace(gen_degenerate(4, 2, 1, f3), points=frozenset())
+        cfg = Configuration(f3, 4, 2, frozenset(), gen_degenerate(4, 2, 1, f3).flats)
         report = simplex_bound_report(cfg, incidence_count(cfg))
         assert report["incidences"] == 0
         assert report["ratio_upper"] is None
