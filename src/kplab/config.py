@@ -3,12 +3,16 @@ configurations, (n,k) sets, random direction-separated families and random
 point clouds.  All randomness is seeded and single-threaded, so equal seeds
 give byte-identical output.
 The seeded draws have one owner each: points `_kept_points` (also of the
-maximal witnesses, its `randrange` draws read in bulk by `_draws_below`),
-flats `_random_flats`.
+maximal witnesses; below a denominator of 256 it reads each draw off the
+top byte of a 32-bit output, otherwise through `_draws_below`), flats
+`_random_flats` (directions by `randrange`, translates by `_draws_below`),
+and the random (n,k)-set's translates `gen_nk_set` (by `_draws_below`).
+`_draws_below` replays `randrange` draws from bulk reads of the generator.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import struct
@@ -19,7 +23,6 @@ from ._value import _Value, _set
 from .field import Field
 from .flats import (
     AffineFlat,
-    LinearSubspace,
     _at_free_columns,
     coordinate_flat,
     enumerate_grassmannian,
@@ -90,13 +93,6 @@ def gen_degenerate(n: int, k: int, r: int, fld: Field) -> Configuration:
     return Configuration(fld, n, k, points, flats)
 
 
-def _random_coset_representative(
-    direction: LinearSubspace, fld: Field, rng: random.Random
-) -> Vector:
-    free = direction.ambient - direction.dim
-    return _at_free_columns(direction, [rng.randrange(fld.p) for _ in range(free)])
-
-
 # The translate rules of `gen_nk_set`, which the CLI's domain check reads too.
 TRANSLATE_RULES = ("zero", "random")
 
@@ -112,7 +108,9 @@ def gen_nk_set(
 
     translate_rule "zero" takes the subspace itself, and every point of F^n
     lies on a k-subspace (k >= 1), so the union is F^n, returned without a
-    walk; "random" samples one coset uniformly per direction (seeded).
+    walk; "random" samples one coset uniformly per direction (seeded): the
+    n-k free entries of each translate, direction by direction, are one
+    read of `_draws_below`.
     """
     if not 1 <= k <= n - 1:
         raise ConfigDomainError(f"need 1 <= k <= n-1, got n={n}, k={k}")
@@ -120,10 +118,10 @@ def gen_nk_set(
         raise ConfigDomainError(f"unknown translate rule {translate_rule!r}")
     if translate_rule == "zero":
         return frozenset(enumerate_space(n, fld))
-    rng = random.Random(seed)
+    draws = _draws_below(random.Random(seed), fld.p, gaussian_binomial(n, k, fld.p) * (n - k))
     points = set()
     for pi in enumerate_grassmannian(n, k, fld):
-        points.update(enumerate_points(AffineFlat(pi, _random_coset_representative(pi, fld, rng)), fld))
+        points.update(enumerate_points(AffineFlat(pi, _at_free_columns(pi, draws)), fld))
     return frozenset(points)
 
 
@@ -135,7 +133,8 @@ def _random_flats(n: int, k: int, num_directions: int, fld: Field, seed: int) ->
     Fisher-Yates shuffle of G(n,k)'s enumeration order, taken in ascending
     position.  Only the swapped slots are stored, and each pick is unranked
     (`unrank_grassmannian`) rather than enumerated, so the work is
-    O(num_directions) and not O(|G(n,k)|)."""
+    O(num_directions) and not O(|G(n,k)|).  The translates' n-k free
+    entries each, flat by flat, are then one read of `_draws_below`."""
     total = gaussian_binomial(n, k, fld.p)
     if num_directions > total:
         raise ConfigDomainError(
@@ -146,14 +145,16 @@ def _random_flats(n: int, k: int, num_directions: int, fld: Field, seed: int) ->
     for i in range(num_directions):
         j = rng.randrange(i, total)
         swapped[i], swapped[j] = swapped.get(j, j), swapped.get(i, i)
+    draws = _draws_below(rng, fld.p, num_directions * (n - k))
     flats = []
     for target in sorted(swapped.get(i, i) for i in range(num_directions)):
         pi = unrank_grassmannian(n, k, fld, target)
-        flats.append(AffineFlat(pi, _random_coset_representative(pi, fld, rng)))
+        flats.append(AffineFlat(pi, _at_free_columns(pi, draws)))
     return tuple(flats)
 
 
-# The most 32-bit words `_draws_below` asks of the generator at once.
+# The most 32-bit words `_draws_below` and `_kept_points` ask of the
+# generator at once.
 _WORDS_AT_ONCE = 4096
 
 
@@ -180,13 +181,37 @@ def _draws_below(rng: random.Random, bound: int, count: int) -> Iterator[int]:
                 yield draw
 
 
+@functools.lru_cache(maxsize=None)
+def _top_byte_tables(bound: int, numerator: int) -> Tuple[bytes, bytes]:
+    """For a bound below 256, whose draw t >> (8 - bound.bit_length()) is
+    read off the top byte t of a 32-bit output: the top bytes whose draw
+    randrange rejects (>= bound), and the `bytes.translate` table writing
+    1 for a top byte whose draw keeps its point (< numerator), else 0."""
+    shift = 8 - bound.bit_length()
+    rejected = bytes([t for t in range(256) if t >> shift >= bound])
+    return rejected, bytes([t >> shift < numerator for t in range(256)])
+
+
 def _kept_points(n: int, fld: Field, density: Fraction, rng: random.Random) -> List[Vector]:
     """The points of F^n in lexicographic order, each kept when
-    rng.randrange(denominator) < numerator of the density: one draw a point,
-    read in bulk (`_draws_below`)."""
-    numerator = density.numerator
-    draws = _draws_below(rng, density.denominator, fld.p**n)
-    return [point for point, draw in zip(enumerate_space(n, fld), draws) if draw < numerator]
+    rng.randrange(denominator) < numerator of the density: one draw a
+    point, leaving the generator where those randrange calls leave it.
+
+    The 32-bit outputs are read in bulk as in `_draws_below`.  Below 256,
+    each output's draw is its top byte's (`_top_byte_tables`): every fourth
+    byte of a read, rejected draws deleted and the rest written as keep
+    flags by one `bytes.translate`, and `itertools.compress` keeps the
+    points.  A larger denominator draws through `_draws_below`."""
+    numerator, bound, count = density.numerator, density.denominator, fld.p**n
+    if bound >= 256:
+        draws = _draws_below(rng, bound, count)
+        return [point for point, draw in zip(enumerate_space(n, fld), draws) if draw < numerator]
+    rejected, keep = _top_byte_tables(bound, numerator)
+    flags = bytearray()
+    while len(flags) < count:
+        words = min(count - len(flags), _WORDS_AT_ONCE)
+        flags += rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(keep, rejected)
+    return list(itertools.compress(enumerate_space(n, fld), flags))
 
 
 def gen_point_cloud(

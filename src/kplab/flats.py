@@ -186,14 +186,13 @@ def unrank_grassmannian(n: int, k: int, field: Field, index: int) -> LinearSubsp
 
 
 @functools.lru_cache(maxsize=None)
-def _pivot_columns(p: int, k: int) -> Tuple[Tuple[int, ...], ...]:
+def _pivot_columns(p: int, k: int) -> Tuple[Sequence[int], ...]:
     """Coordinate i of each point of F^k in `itertools.product` order, for
-    i < k: each value repeated p^(k-1-i) times, the run repeated p^i times.
-    Computed once per (p, k) for `enumerate_points`."""
-    return tuple(
-        tuple([a for a in range(p) for _ in range(p ** (k - 1 - i))] * p**i)
-        for i in range(k)
-    )
+    i < k: each value repeated p^(k-1-i) times, the run repeated p^i times,
+    as a `bytes` of one lane a point when p < 128.  Computed once per (p, k)
+    for `enumerate_points`."""
+    columns = (tuple([a for a in range(p) for _ in range(p ** (k - 1 - i))] * p**i) for i in range(k))
+    return tuple(map(bytes, columns) if p < 128 else columns)
 
 
 def enumerate_points(flat: AffineFlat, field: Field) -> Iterator[Vector]:
@@ -202,24 +201,30 @@ def enumerate_points(flat: AffineFlat, field: Field) -> Iterator[Vector]:
     slowest.  Built one column at a time and zipped: the representative is
     zero at the pivots and each row has a 1 at its own pivot and 0 at the
     others, so pivot column i is coefficient i (`_pivot_columns`); free
-    column j starts at the representative's entry and is expanded by each
-    row, first to last, with that row's multiples row[j] * c mod p.
+    column j is the representative's entry x_j plus the sum over the rows
+    of row[j] times pivot column i, mod p.  When p < 128 that is one
+    `_lane_sum` of the pivot columns; otherwise column j starts at x_j and
+    is expanded by each row, first to last, with that row's multiples
+    row[j] * c mod p.
     The points come out ascending: row i is zero before its pivot, so two
     points first differing in coefficient i agree before pivot i, where
     they hold that coefficient."""
     p = field.p
     basis = flat.direction.basis
-    pivot_columns = dict(zip(basis.pivots, _pivot_columns(p, basis.rank)))
+    pivot_columns, size = _pivot_columns(p, basis.rank), p**basis.rank
+    at_pivot = dict(zip(basis.pivots, pivot_columns))
     columns = []
     for j, x in enumerate(flat.representative):
-        if j in pivot_columns:
-            columns.append(pivot_columns[j])
-            continue
-        values = [x]
-        for row in basis.rows:
-            steps = [row[j] * c % p for c in range(p)]
-            values = [(v + s) % p for v in values for s in steps]
-        columns.append(values)
+        if j in at_pivot:
+            columns.append(at_pivot[j])
+        elif p < 128:
+            columns.append(_lane_sum(zip([row[j] for row in basis.rows], pivot_columns), size, p, x))
+        else:
+            values = [x]
+            for row in basis.rows:
+                steps = [row[j] * c % p for c in range(p)]
+                values = [(v + s) % p for v in values for s in steps]
+            columns.append(values)
     yield from zip(*columns)
 
 
@@ -278,11 +283,32 @@ def membership(point: Vector, flat: AffineFlat, field: Field) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _lane_tables(p: int) -> Tuple[Tuple[bytes, ...], bytes]:
-    """The `bytes.translate` tables of the byte lanes of `CosetKeys` over
-    GF(p): `times[a]` maps a residue v to a v mod p, `residue` any byte to
-    itself mod p."""
+    """The `bytes.translate` tables of the byte lanes over GF(p):
+    `times[a]` maps a residue v to a v mod p, `residue` any byte to itself
+    mod p."""
     times = tuple(bytes([a * v % p for v in range(256)]) for a in range(p))
     return times, bytes([v % p for v in range(256)])
+
+
+def _lane_sum(terms: Iterable[Tuple[int, bytes]], size: int, p: int, start: int = 0) -> bytes:
+    """Lane by lane, start plus the sum of a times column over the terms
+    (a, column), mod p: `size` lanes of one byte, every lane of a column a
+    residue mod p, and p < 128.  Each column is mapped through the table of
+    a times a residue (no map where a = 1, none added where a = 0) and added
+    as a little-endian int; lanes cannot carry while their sum stays below
+    256, so the sum is reduced mod p between adds where the next could
+    carry, and once at the end."""
+    times, residue = _lane_tables(p)
+    sums = int.from_bytes(bytes([start]) * size, "little")
+    top = start  # the largest lane of sums
+    for a, column in terms:
+        if a:
+            if top + p > 256:  # the next column could carry: reduce first
+                sums = int.from_bytes(sums.to_bytes(size, "little").translate(residue), "little")
+                top = p - 1
+            sums += int.from_bytes(column if a == 1 else column.translate(times[a]), "little")
+            top += p - 1
+    return sums.to_bytes(size, "little").translate(residue)
 
 
 # The array typecode of each lane width in bytes.
@@ -315,13 +341,10 @@ class CosetKeys(_PointSet):
     The points (`_PointSet`) are kept with their coordinate columns:
     `columns[i]` holds the entries x_i, in order, as a `bytes` of one lane a
     point when p < 128.  `keys(direction)` then reads each annihilator row a
-    as one long int: it maps column i through the table of a_i times a
-    residue mod p (no map where a_i = 1), adds the columns of the nonzero
-    a_i as little-endian ints, whose lanes cannot carry while their sum
-    stays below 256 (it is reduced mod p between adds where the next could
-    carry), and maps the sum back to the residues mod p.  The rows' digit
-    strings are packed into the base-p key in lanes of 1, 2, 4 or 8 bytes,
-    the fewest that hold p^(n-k), and read back by `array`.  At p >= 128,
+    as one lane sum of a_i times column i (`_lane_sum`), the row's digit of
+    every point at once.  The rows' digit strings are packed into the
+    base-p key in lanes of 1, 2, 4 or 8 bytes, the fewest that hold
+    p^(n-k), and read back by `array`.  At p >= 128,
     or when p^(n-k) > 2^64, it sums a_i times column i over the same
     columns point by point, reduces each row's sums mod p once and packs
     them into the key, `coset_key`'s.  A row is nonzero only at its free
@@ -356,18 +379,9 @@ class CosetKeys(_PointSet):
         """The keys of `keys` in byte lanes, `width` bytes a key: p < 128 and
         p^len(rows) <= 2^64."""
         p, size = self.field.p, len(self.points)
-        times, residue = _lane_tables(p)
         key = 0
         for row in rows:
-            sums = top = 0  # top: the largest lane of sums
-            for a, column in zip(row, self.columns):
-                if a:
-                    if top + p > 256:  # the next column could carry: reduce first
-                        sums = int.from_bytes(sums.to_bytes(size, "little").translate(residue), "little")
-                        top = p - 1
-                    sums += int.from_bytes(column if a == 1 else column.translate(times[a]), "little")
-                    top += p - 1
-            digits = sums.to_bytes(size, "little").translate(residue)
+            digits = _lane_sum(zip(row, self.columns), size, p)
             if width > 1:
                 lanes = bytearray(width * size)
                 lanes[::width] = digits
@@ -382,18 +396,30 @@ class CosetKeys(_PointSet):
 def _bitmask(positions: Iterable[int], size: int) -> int:
     """The int whose set bits are `positions`, all below `size`, in time and
     space linear in `size` (or-ing the bits in one at a time would copy the
-    growing int once per bit)."""
-    bits = bytearray((size + 7) >> 3)
+    growing int once per bit): a string of `size` binary digits, bit i at
+    digit size-1-i, read by int(_, 2), which no limit on the length of int
+    strings applies to."""
+    digits = bytearray(b"0") * size
     for i in positions:
-        bits[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(bits, "little")
+        digits[i] = 49  # b"1"
+    return int(digits[::-1] or b"0", 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _value_digits(p: int) -> Tuple[bytes, ...]:
+    """The `bytes.translate` tables of `CosetMasks` over GF(p), p < 256:
+    table v writes the binary digit 1 for the residue v, 0 for any other."""
+    return tuple(bytes([49 if t == v else 48 for t in range(256)]) for v in range(p))
 
 
 class CosetMasks(_PointSet):
     """The cosets of any direction in one fixed point set, as int bitmasks.
 
     Bit i of a mask stands for points[i] (`_PointSet`).  `columns[i][v]` is
-    the mask of the points whose x_i = v.  `masks(direction)` partitions the
+    the mask of the points whose x_i = v: when p < 256, coordinate i of
+    every point, the last first, as one `bytes`, mapped to binary digits by
+    the table of v (`_value_digits`) and read by int(_, 2); otherwise each
+    value's positions through `_bitmask`.  `masks(direction)` partitions the
     points by each annihilator row a in turn: the classes of a . x start as
     the masks of its free column j (a_j = 1), and each pivot coordinate
     a_i, in basis-row order, folds in as
@@ -418,13 +444,17 @@ class CosetMasks(_PointSet):
 
     def __init__(self, points: Iterable[Vector], field: Field):
         super().__init__(points, field)
-        size = (len(self.points) + 7) >> 3
-        bits = [[bytearray(size) for _ in range(field.p)] for _ in range(self.n)]
-        for position, x in enumerate(self.points):
-            byte, bit = position >> 3, 1 << (position & 7)
-            for column, v in zip(bits, x):
-                column[v][byte] |= bit
-        self.columns = [[int.from_bytes(values, "little") for values in column] for column in bits]
+        p = field.p
+        self.columns = []
+        for column in zip(*self.points):
+            if p < 256:  # one binary digit string a value, last point first
+                column = bytes(reversed(column))
+                self.columns.append([int(column.translate(digits), 2) for digits in _value_digits(p)])
+            else:
+                positions: List[List[int]] = [[] for _ in range(p)]
+                for i, v in enumerate(column):
+                    positions[v].append(i)
+                self.columns.append([_bitmask(at, len(self.points)) for at in positions])
         # The last walk: its steps, and the (cosets, classes) before the
         # first and after each.
         self._steps: List[Optional[Tuple[int, int]]] = []

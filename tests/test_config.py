@@ -253,3 +253,22 @@ def test_gen_random_config_deterministic(f3):
     a = gen_random_config(4, 2, 6, Fraction(1, 2), f3, seed=3)
     b = gen_random_config(4, 2, 6, Fraction(1, 2), f3, seed=3)
     assert a == b
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 16, 127, 128, 255, 256, 257])
+def test_kept_points_replay_randrange(monkeypatch, bound):
+    # Below 256 the keep-draw is read off each output's top byte and the
+    # points kept by a table; at 256 a draw needs nine bits and takes
+    # `_draws_below`.  Either way the kept points are those of one
+    # randrange per point, and the generator is left where that loop
+    # leaves it, over several bulk reads.
+    monkeypatch.setattr(config, "_WORDS_AT_ONCE", 64)
+    fld = Field(3)
+    for numerator in sorted({1, max(bound - 1, 1)}):
+        for n in (0, 1, 4, 5):
+            bulk, plain = random.Random(bound * 10 + n), random.Random(bound * 10 + n)
+            kept = config._kept_points(n, fld, Fraction(numerator, bound), bulk)
+            expected = [x for x in itertools.product(range(3), repeat=n) if plain.randrange(bound) < numerator]
+            assert kept == expected
+            assert bulk.getrandbits(32) == plain.getrandbits(32)
+

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from kplab.flats import (
     CosetKeys,
     CosetMasks,
     CosetSums,
+    _bitmask,
     coordinate_flat,
     coset_key,
     enumerate_grassmannian,
@@ -157,6 +159,32 @@ def test_enumerate_points_is_a_generator_function():
     # The benchmark tracer counts `flats.enumerate_points.yielded` only for
     # generator functions, so the points must be yielded, not returned.
     assert inspect.isgeneratorfunction(enumerate_points)
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 127, 131])
+def test_enumerate_points_lanes_match_expansion(p, k):
+    # The plain column expansion: x_j plus each row's multiples, row by row.
+    # At p = 127 and k >= 2 a lane sum runs past 255 and is reduced before it
+    # carries; at p = 131 enumerate_points expands the columns itself.  Flats
+    # of more than 10^5 points are held to it once, in F^(k+1).
+    fld = Field(p)
+    rng = random.Random(p * 10 + k)
+    n = k + 1 if p**k > 10**5 else k + 2
+    total = gaussian_binomial(n, k, p)
+    for _ in range(1 if p**k > 10**5 else 4):
+        direction = unrank_grassmannian(n, k, fld, rng.randrange(total))
+        flat = make_flat(direction, tuple(rng.randrange(p) for _ in range(n)), fld)
+        basis = direction.basis
+        columns = []
+        for j, x in enumerate(flat.representative):
+            values = [x]
+            for row in basis.rows:
+                values = [(v + row[j] * c) % p for v in values for c in range(p)]
+            columns.append(values)
+        points = list(enumerate_points(flat, fld))
+        assert points == list(zip(*columns))
+        assert points == sorted(points) and len(set(points)) == p**k
 
 
 def test_enumerate_points_sizes():
@@ -609,3 +637,46 @@ def test_coset_representatives_partition_space():
         assert not (pts & covered)
         covered |= pts
     assert len(covered) == 27
+
+
+def bytearray_bitmask(positions, size):
+    """The int whose set bits are `positions`, one bit or-ed in at a time."""
+    bits = bytearray((size + 7) >> 3)
+    for i in positions:
+        bits[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bits, "little")
+
+
+def bytearray_masks(points, p, n):
+    """The masks of each coordinate value, one bit or-ed in per point."""
+    return [
+        [bytearray_bitmask([i for i, x in enumerate(points) if x[j] == v], len(points)) for v in range(p)]
+        for j in range(n)
+    ]
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 7**5])
+def test_masks_match_bytearray_construction(size):
+    # CosetMasks reads its columns, and _bitmask its positions, as binary
+    # digit strings.  F_7^5 has 16 807 points, more digits than the default
+    # limit on int strings (4300), which base 2 is exempt from.
+    fld = Field(7)
+    space = list(itertools.product(range(7), repeat=5))
+    points = sorted(random.Random(size).sample(space, size))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        kernel = CosetMasks(points, fld)
+        assert kernel.columns == (bytearray_masks(points, 7, 5) if points else [])
+        positions = [i for i in range(size) if i % 3 != 1]
+        assert _bitmask(positions, size) == bytearray_bitmask(positions, size)
+        assert _bitmask([], size) == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_masks_of_a_large_field_match_bytearray_construction():
+    # At p >= 256 a column's masks come from each value's positions.
+    fld = Field(257)
+    points = sorted(set(random_vectors(2, 257, 300, random.Random(0))))
+    assert CosetMasks(points, fld).columns == bytearray_masks(points, 257, 2)

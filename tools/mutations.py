@@ -105,16 +105,32 @@ MUTATIONS = [
             "tests/test_cli.py::TestRunExperiment::test_rows_match_pinned_digest[incidence-bound]",
         ],
     ),
-    # The one seeded keep-draw of point clouds and random-density witnesses.
+    # The one seeded keep-draw of point clouds and random-density witnesses,
+    # in the keep table of the densities below 1/255, which every pinned
+    # spec draws through.
     Mutation(
         "keep-draw-less-or-equal",
         "src/kplab/config.py",
-        "if draw < numerator]",
-        "if draw <= numerator]",
+        "t >> shift < numerator for t",
+        "t >> shift <= numerator for t",
         [
+            "tests/test_config.py::test_kept_points_replay_randrange[16]",
             "tests/test_cli.py::TestRunExperiment::test_rows_match_pinned_digest[incidence-bound]",
             "tests/test_cli.py::TestRunExperiment::test_rows_match_pinned_digest[two-ends]",
             "tests/test_cli.py::TestRunExperiment::test_rows_match_pinned_digest[maximal-ratio]",
+        ],
+    ),
+    # The byte lanes' reduction before a carry.  Lanes of p - 1 or less add
+    # up past 255 only at large p: of the lane tests only p = 127 gets there.
+    Mutation(
+        "lanes-carry-unreduced",
+        "src/kplab/flats.py",
+        "            if top + p > 256:  # the next column could carry: reduce first\n",
+        "            if False:\n",
+        [
+            "tests/test_flats.py::test_enumerate_points_lanes_match_expansion[127-2]",
+            "tests/test_flats.py::test_enumerate_points_lanes_match_expansion[127-3]",
+            "tests/test_flats.py::test_coset_keys_lanes_match_coset_key[4-2-127-2]",
         ],
     ),
     # The one coordinate flat.  Counts and maximal ratios are invariant under
