@@ -126,8 +126,11 @@ def _check_domain(kind: str, params: Dict[str, object]) -> None:
         got = ", ".join(f"{key}={_magnitude(params[key])}" for key in keys if key in params)
         raise SpecError(f"{kind} needs {KINDS[kind].domain}, got {got}")
     if "num_directions" in params:
-        total = gaussian_binomial(params["n"], params["k"], params["prime"])
-        if not 0 <= params["num_directions"] <= total:
+        n, k, p, count = (params[key] for key in ("n", "k", "prime", "num_directions"))
+        if count < 0:
+            raise SpecError(f"num_directions must be >= 0, got {count}")
+        # |G(n,k)| >= 2^_grassmannian_floor_bits: only a count past that needs the size itself.
+        if count.bit_length() > _grassmannian_floor_bits(n, k, p) and count > (total := gaussian_binomial(n, k, p)):
             raise SpecError(f"num_directions must lie in [0, {_magnitude(total)}], the size of G(n,k)")
     if params.get("translate", "zero") not in TRANSLATE_RULES:
         rules = " or ".join(map(repr, TRANSLATE_RULES))
@@ -143,6 +146,23 @@ def _check_domain(kind: str, params: Dict[str, object]) -> None:
         raise SpecError("empty seed list")
 
 
+def _grassmannian_floor_bits(n: int, k: int, p: int) -> int:
+    """A b with 2^b <= |G(n,k)| over GF(p), found without big ints:
+    |G(n,k)| >= p^(k(n-k)), and p >= 2^(bits of p - 1)."""
+    return k * (n - k) * (p.bit_length() - 1)
+
+
+def _work_floor_bits(kind: str, params: Dict[str, object]) -> int:
+    """A b with 2^b at most the spec's work per seed, found without big
+    ints, so a spec far over the budget is refused before its exact
+    estimate is computed: the census charges |G(n,k)| n^2 and every other
+    kind with a prime at least p^n (its points, or F^n's)."""
+    if "prime" not in params:
+        return 0
+    n, k, p = params["n"], params["k"], params["prime"]
+    return _grassmannian_floor_bits(n, k, p) if kind == "grassmann-census" else n * (p.bit_length() - 1)
+
+
 def estimate_work(spec: ExperimentSpec) -> int:
     """Estimated work units of a spec, the budget's one measure: its kind's
     per-seed `work` times the number of seeds.  A range is counted as
@@ -156,6 +176,9 @@ def run_experiment(spec: ExperimentSpec, budget: int = DEFAULT_BUDGET) -> List[D
     """The spec's rows: "experiment", the spec's n, k, r and prime, then (for
     the seeded corpus kinds) "seed", then the kind's own columns.  This is
     the one place a float is rendered, to 6 significant digits (`_sig`)."""
+    floor = _work_floor_bits(spec.kind, spec.params)
+    if floor > budget.bit_length():  # then 2^floor > budget
+        raise BudgetError(f"estimated work at least 2^{floor} exceeds budget {budget}")
     estimate = estimate_work(spec)
     if estimate > budget:
         raise BudgetError(f"estimated work {_magnitude(estimate)} exceeds budget {budget}")
@@ -346,7 +369,7 @@ def _maximal_work(n, k, prime, **_) -> int:
     MAXIMAL_STEPS_PER_UNIT steps a unit; and once, MAXIMAL_POINT_UNITS per
     point of F^n for the witnesses, which a run builds on all of F^n however
     few directions it has."""
-    prefixes = sum(prime**i for i in range(1, n + 1))
+    prefixes = (prime ** (n + 1) - prime) // (prime - 1)
     steps = (n - k) * prefixes + 2 * prime**n + MAXIMAL_DIRECTION_STEPS
     return gaussian_binomial(n, k, prime) * steps // MAXIMAL_STEPS_PER_UNIT + MAXIMAL_POINT_UNITS * prime**n
 

@@ -17,7 +17,7 @@ import itertools
 import random
 import struct
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from ._value import _Value, _set
 from .field import Field
@@ -102,15 +102,15 @@ def gen_nk_set(
     k: int,
     fld: Field,
     translate_rule: str = "zero",
-    seed: Optional[int] = None,
+    seed: int = 0,
 ) -> FrozenSet[Vector]:
     """Union over every direction in G(n,k) of one affine translate's points.
 
     translate_rule "zero" takes the subspace itself, and every point of F^n
     lies on a k-subspace (k >= 1), so the union is F^n, returned without a
-    walk; "random" samples one coset uniformly per direction (seeded): the
-    n-k free entries of each translate, direction by direction, are one
-    read of `_draws_below`.
+    walk; "random" samples one coset uniformly per direction, seeded by
+    `seed` (0 unless given): the n-k free entries of each translate,
+    direction by direction, are one read of `_draws_below`.
     """
     if not 1 <= k <= n - 1:
         raise ConfigDomainError(f"need 1 <= k <= n-1, got n={n}, k={k}")

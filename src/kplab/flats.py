@@ -22,9 +22,12 @@ time it is asked for.
 `CosetMasks` gives the same partition as int bitmasks, folding the
 annihilator rows' classes column by column and resuming each direction's
 fold where its steps first differ from the last direction's; both kernels
-hold their points in a `_PointSet`.  `CosetSums` picks one of them to give
-the largest coset sum of integer weightings of the points under any
-direction (`maximal`'s one walk over G(n,k), `incidence.check_max_ic`).
+hold their points and coordinate columns in a `_PointSet`.  `CosetSums`
+picks one of them to give the largest coset sum of integer weightings of
+the points under any direction (`maximal`'s one walk over G(n,k),
+`incidence.check_max_ic`).  A coordinate column has one form (`_column`)
+and one sum mod p (`_column_sum`), which `enumerate_points` and
+`CosetKeys` both read.
 `coordinate_flat` is the one span(e_1, ..., e_r), of `config.gen_degenerate`
 and the maximal operator's witnesses.
 """
@@ -36,7 +39,7 @@ import itertools
 import sys
 from array import array
 from collections import Counter
-from operator import mul
+from operator import add, mod, mul
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._value import _Value, _set
@@ -115,12 +118,14 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     """Number of k-dimensional subspaces of F_p^n."""
     if k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+    k = min(k, n - k)  # [n k]_p = [n n-k]_p, with fewer factors
     num = den = 1
     for i in range(k):
         num *= p ** (n - i) - 1
         den *= p ** (k - i) - 1
-    assert num % den == 0
-    return num // den
+    quotient, remainder = divmod(num, den)
+    assert remainder == 0
+    return quotient
 
 
 @functools.lru_cache(maxsize=None)
@@ -188,11 +193,9 @@ def unrank_grassmannian(n: int, k: int, field: Field, index: int) -> LinearSubsp
 @functools.lru_cache(maxsize=None)
 def _pivot_columns(p: int, k: int) -> Tuple[Sequence[int], ...]:
     """Coordinate i of each point of F^k in `itertools.product` order, for
-    i < k: each value repeated p^(k-1-i) times, the run repeated p^i times,
-    as a `bytes` of one lane a point when p < 128.  Computed once per (p, k)
-    for `enumerate_points`."""
-    columns = (tuple([a for a in range(p) for _ in range(p ** (k - 1 - i))] * p**i) for i in range(k))
-    return tuple(map(bytes, columns) if p < 128 else columns)
+    i < k, as a `_column`: each value repeated p^(k-1-i) times, the run
+    repeated p^i times.  Computed once per (p, k) for `enumerate_points`."""
+    return tuple(_column([a for a in range(p) for _ in range(p ** (k - 1 - i))] * p**i, p) for i in range(k))
 
 
 def enumerate_points(flat: AffineFlat, field: Field) -> Iterator[Vector]:
@@ -201,11 +204,8 @@ def enumerate_points(flat: AffineFlat, field: Field) -> Iterator[Vector]:
     slowest.  Built one column at a time and zipped: the representative is
     zero at the pivots and each row has a 1 at its own pivot and 0 at the
     others, so pivot column i is coefficient i (`_pivot_columns`); free
-    column j is the representative's entry x_j plus the sum over the rows
-    of row[j] times pivot column i, mod p.  When p < 128 that is one
-    `_lane_sum` of the pivot columns; otherwise column j starts at x_j and
-    is expanded by each row, first to last, with that row's multiples
-    row[j] * c mod p.
+    column j is the `_column_sum` of the representative's entry x_j and
+    row[j] times pivot column i over the rows.
     The points come out ascending: row i is zero before its pivot, so two
     points first differing in coefficient i agree before pivot i, where
     they hold that coefficient."""
@@ -217,14 +217,8 @@ def enumerate_points(flat: AffineFlat, field: Field) -> Iterator[Vector]:
     for j, x in enumerate(flat.representative):
         if j in at_pivot:
             columns.append(at_pivot[j])
-        elif p < 128:
-            columns.append(_lane_sum(zip([row[j] for row in basis.rows], pivot_columns), size, p, x))
         else:
-            values = [x]
-            for row in basis.rows:
-                steps = [row[j] * c % p for c in range(p)]
-                values = [(v + s) % p for v in values for s in steps]
-            columns.append(values)
+            columns.append(_column_sum(zip([row[j] for row in basis.rows], pivot_columns), size, p, x))
     yield from zip(*columns)
 
 
@@ -281,24 +275,39 @@ def membership(point: Vector, flat: AffineFlat, field: Field) -> bool:
     return True
 
 
+def _column(values: Iterable[int], p: int) -> Sequence[int]:
+    """Residues mod p in the one form of a coordinate column: a `bytes`, one
+    lane an entry, below p = 256, and an `array('H')` above (p <= 2^16)."""
+    return bytes(values) if p < 256 else array("H", values)
+
+
 @functools.lru_cache(maxsize=None)
-def _lane_tables(p: int) -> Tuple[Tuple[bytes, ...], bytes]:
-    """The `bytes.translate` tables of the byte lanes over GF(p):
-    `times[a]` maps a residue v to a v mod p, `residue` any byte to itself
-    mod p."""
+def _byte_tables(p: int) -> Tuple[Tuple[bytes, ...], bytes, Tuple[bytes, ...]]:
+    """The `bytes.translate` tables over GF(p), p < 256: `times[a]` maps a
+    residue v to a v mod p and `residue` any byte to itself mod p (the byte
+    lanes of `_column_sum`), and `ones[v]` writes the binary digit 1 for the
+    residue v and 0 for any other byte (`CosetMasks`)."""
     times = tuple(bytes([a * v % p for v in range(256)]) for a in range(p))
-    return times, bytes([v % p for v in range(256)])
+    ones = tuple(b"0" * v + b"1" + b"0" * (255 - v) for v in range(p))
+    return times, bytes([v % p for v in range(256)]), ones
 
 
-def _lane_sum(terms: Iterable[Tuple[int, bytes]], size: int, p: int, start: int = 0) -> bytes:
-    """Lane by lane, start plus the sum of a times column over the terms
-    (a, column), mod p: `size` lanes of one byte, every lane of a column a
-    residue mod p, and p < 128.  Each column is mapped through the table of
-    a times a residue (no map where a = 1, none added where a = 0) and added
-    as a little-endian int; lanes cannot carry while their sum stays below
-    256, so the sum is reduced mod p between adds where the next could
-    carry, and once at the end."""
-    times, residue = _lane_tables(p)
+def _column_sum(terms: Iterable[Tuple[int, Sequence[int]]], size: int, p: int, start: int = 0) -> Sequence[int]:
+    """Start plus the sum of a times column over the terms (a, column), mod
+    p, entry by entry: a `_column` of `size` entries, every column one of
+    residues mod p, none added where a = 0.  Below p = 128 it works in byte
+    lanes: each column is mapped through the table of a times a residue (no
+    map where a = 1) and added as a little-endian int; lanes cannot carry
+    while their sum stays below 256, so the sum is reduced mod p between
+    adds where the next could carry, and once at the end.  Above, the
+    entries are summed one by one and reduced once."""
+    if p >= 128:  # chained maps, one pass; comprehensions would make a and p cells here
+        sums = itertools.repeat(start, size)
+        for a, column in terms:
+            if a:
+                sums = map(add, sums, map(mul, itertools.repeat(a), column))
+        return _column(map(mod, sums, itertools.repeat(p)), p)
+    times, residue, _ = _byte_tables(p)
     sums = int.from_bytes(bytes([start]) * size, "little")
     top = start  # the largest lane of sums
     for a, column in terms:
@@ -317,7 +326,9 @@ _LANE_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
 
 class _PointSet:
     """The fixed point set of a coset kernel: its points sorted and distinct
-    (`points`), all in one F^n (`n`; 0 for no points)."""
+    (`points`), all in one F^n (`n`; 0 for no points), and their coordinate
+    columns, built once: `columns[i]` holds the entries x_i, in order, as a
+    `_column`."""
 
     def __init__(self, points: Iterable[Vector], field: Field):
         self.field = field
@@ -325,6 +336,7 @@ class _PointSet:
         if len(set(map(len, self.points))) > 1:
             raise ValueError("ambient dimension mismatch")
         self.n = len(self.points[0]) if self.points else 0
+        self.columns = [_column(column, field.p) for column in zip(*self.points)]
 
     def _rows(self, direction: LinearSubspace) -> Optional[Tuple[Vector, ...]]:
         """The annihilator rows of `direction`, None for no points; refuses another F^n."""
@@ -338,24 +350,18 @@ class _PointSet:
 class CosetKeys(_PointSet):
     """The coset keys of one fixed point set under any direction, all at once.
 
-    The points (`_PointSet`) are kept with their coordinate columns:
-    `columns[i]` holds the entries x_i, in order, as a `bytes` of one lane a
-    point when p < 128.  `keys(direction)` then reads each annihilator row a
-    as one lane sum of a_i times column i (`_lane_sum`), the row's digit of
-    every point at once.  The rows' digit strings are packed into the
-    base-p key in lanes of 1, 2, 4 or 8 bytes, the fewest that hold
-    p^(n-k), and read back by `array`.  At p >= 128,
-    or when p^(n-k) > 2^64, it sums a_i times column i over the same
-    columns point by point, reduces each row's sums mod p once and packs
-    them into the key, `coset_key`'s.  A row is nonzero only at its free
-    column and the k pivots, so either way a direction takes at most
-    (n-k)(k+1) column steps.
+    `keys(direction)` reads each annihilator row a as one `_column_sum` of
+    a_i times coordinate column i (`_PointSet`), the row's digit of every
+    point at once.  The rows' digit columns are packed into the base-p key
+    in lanes of 1, 2, 4 or 8 bytes, the fewest that hold p^(n-k), and read
+    back by `array`, when the columns are `bytes` and p^(n-k) <= 2^64, and
+    point by point otherwise.  A row is nonzero only at its free column and
+    the k pivots, so a direction takes at most (n-k)(k+1) column steps.
     """
 
     def __init__(self, points: Iterable[Vector], field: Field):
         super().__init__(points, field)
-        columns = zip(*self.points)
-        self.columns = list(map(bytes, columns) if field.p < 128 else columns)
+        self._bytes = all(isinstance(column, bytes) for column in self.columns)
 
     def keys(self, direction: LinearSubspace) -> List[int]:
         """`coset_key(x, direction)` for each x in `points`, in order."""
@@ -363,25 +369,21 @@ class CosetKeys(_PointSet):
         if rows is None:
             return []
         p = self.field.p
-        if p < 128 and (cosets := p ** len(rows)) <= 1 << 64:
+        if self._bytes and (cosets := p ** len(rows)) <= 1 << 64:
             width = 1 if cosets <= 1 << 8 else 2 if cosets <= 1 << 16 else 4 if cosets <= 1 << 32 else 8
             return self._lane_keys(rows, width)
-        keys: Optional[List[int]] = None
-        for row in rows:
-            sums: Optional[List[int]] = None  # set: a row has a 1 at its free column
-            for a, column in zip(row, self.columns):
-                if a:
-                    sums = [a * x for x in column] if sums is None else [s + a * x for s, x in zip(sums, column)]
-            keys = [s % p for s in sums] if keys is None else [key * p + s % p for key, s in zip(keys, sums)]
-        return [0] * len(self.points) if keys is None else keys
+        keys, size = [0] * len(self.points), len(self.points)
+        for row in rows:  # key * p + digit, by map: a comprehension would make p a cell here
+            keys = list(map(add, map(mul, keys, itertools.repeat(p)), _column_sum(zip(row, self.columns), size, p)))
+        return keys
 
     def _lane_keys(self, rows: Tuple[Vector, ...], width: int) -> List[int]:
-        """The keys of `keys` in byte lanes, `width` bytes a key: p < 128 and
-        p^len(rows) <= 2^64."""
+        """The keys of `keys` in byte lanes, `width` bytes a key: the columns
+        are `bytes` and p^len(rows) <= 2^(8 width)."""
         p, size = self.field.p, len(self.points)
         key = 0
         for row in rows:
-            digits = _lane_sum(zip(row, self.columns), size, p)
+            digits = _column_sum(zip(row, self.columns), size, p)
             if width > 1:
                 lanes = bytearray(width * size)
                 lanes[::width] = digits
@@ -405,25 +407,18 @@ def _bitmask(positions: Iterable[int], size: int) -> int:
     return int(digits[::-1] or b"0", 2)
 
 
-@functools.lru_cache(maxsize=None)
-def _value_digits(p: int) -> Tuple[bytes, ...]:
-    """The `bytes.translate` tables of `CosetMasks` over GF(p), p < 256:
-    table v writes the binary digit 1 for the residue v, 0 for any other."""
-    return tuple(bytes([49 if t == v else 48 for t in range(256)]) for v in range(p))
-
-
 class CosetMasks(_PointSet):
     """The cosets of any direction in one fixed point set, as int bitmasks.
 
-    Bit i of a mask stands for points[i] (`_PointSet`).  `columns[i][v]` is
-    the mask of the points whose x_i = v: when p < 256, coordinate i of
-    every point, the last first, as one `bytes`, mapped to binary digits by
-    the table of v (`_value_digits`) and read by int(_, 2); otherwise each
-    value's positions through `_bitmask`.  `masks(direction)` partitions the
-    points by each annihilator row a in turn: the classes of a . x start as
-    the masks of its free column j (a_j = 1), and each pivot coordinate
-    a_i, in basis-row order, folds in as
-    new[(c + a_i v) % p] |= cur[c] & columns[i][v], only nonempty classes
+    Bit i of a mask stands for points[i] (`_PointSet`).
+    `value_masks[i][v]` is the mask of the points whose x_i = v: coordinate
+    column i (`_PointSet.columns`), the last point first, mapped to binary
+    digits by the table of v (`_byte_tables`) and read by int(_, 2).  The
+    columns are `bytes`, so the kernel refuses p >= 256, where `CosetSums`
+    keys.  `masks(direction)` partitions the points by each annihilator row
+    a in turn: the classes of a . x start as the masks of its free column j
+    (a_j = 1), and each pivot coordinate a_i, in basis-row order, folds in as
+    new[(c + a_i v) % p] |= cur[c] & value_masks[i][v], only nonempty classes
     taking part, at most p^2 ANDs, none where a_i = 0.  Each row's classes
     are then met into the cosets of the rows before it, and empty meets
     dropped.  A row is nonzero only at its free column and the k pivots, so
@@ -443,18 +438,12 @@ class CosetMasks(_PointSet):
     """
 
     def __init__(self, points: Iterable[Vector], field: Field):
+        if field.p >= 256:
+            raise ValueError(f"coset masks need p < 256, got p = {field.p}")
         super().__init__(points, field)
-        p = field.p
-        self.columns = []
-        for column in zip(*self.points):
-            if p < 256:  # one binary digit string a value, last point first
-                column = bytes(reversed(column))
-                self.columns.append([int(column.translate(digits), 2) for digits in _value_digits(p)])
-            else:
-                positions: List[List[int]] = [[] for _ in range(p)]
-                for i, v in enumerate(column):
-                    positions[v].append(i)
-                self.columns.append([_bitmask(at, len(self.points)) for at in positions])
+        ones = _byte_tables(field.p)[2]
+        # Coordinate i of every point, the last first, as binary digits.
+        self.value_masks = [[int(column[::-1].translate(digits), 2) for digits in ones] for column in self.columns]
         # The last walk: its steps, and the (cosets, classes) before the
         # first and after each.
         self._steps: List[Optional[Tuple[int, int]]] = []
@@ -488,13 +477,13 @@ class CosetMasks(_PointSet):
                 cosets = [meet for mask in cosets for other in classes if (meet := mask & other)]
                 classes = None
             elif classes is None:
-                classes = self.columns[step[0]]
+                classes = self.value_masks[step[0]]
             elif step[1]:
                 i, a = step
                 folded = [0] * p
                 for c, mask in enumerate(classes):
                     if mask:
-                        for v, values in enumerate(self.columns[i]):
+                        for v, values in enumerate(self.value_masks[i]):
                             if meet := mask & values:
                                 folded[(c + a * v) % p] |= meet
                 classes = folded
@@ -512,7 +501,8 @@ class CosetMasks(_PointSet):
 # direction before, masks run 2.4-2.9x faster than keys at (3,2,7), (4,2,5)
 # and (4,2,7) and level at (3,1,13), but keys run faster at (3,1,17),
 # (4,1,7) and (2,1,31), where masks are picked (CHANGES.md has the times).
-# The cost model's recalibration (ROADMAP.md) refits the value.
+# The cost model's recalibration (ROADMAP.md) refits the value.  At p >= 256
+# the keys are picked whatever the count, since `CosetMasks` refuses there.
 MASK_STEP_BITS = 2048
 
 
@@ -523,17 +513,18 @@ class CosetSums:
     A weighting is a sequence of (value, points) classes, no point in two of
     them.  The kernel is built once, over the union of the supports, and is
     a `CosetMasks` or a `CosetKeys`, whichever costs fewer steps a
-    direction: masks take (n-k)(p + k p^2) ANDs to fold, p per coset to meet
-    and one per coset and class to sum, each 1 + |points| // MASK_STEP_BITS
-    steps; keys take (n-k)(k+1) column steps per point and one per weighted
-    point.  So the count puts masks cheaper on dense families with few
-    cosets, keys on sparse point sets and on many cosets: at k = 0 each
-    point is its own coset, and masks would hold |points|^2 bits.  A coset
+    direction, and keys at p >= 256, where masks are refused: masks take
+    (n-k)(p + k p^2) ANDs to fold, p per coset to meet and one per coset
+    and class to sum, each 1 + |points| // MASK_STEP_BITS steps; keys take
+    (n-k)(k+1) column steps per point and one per weighted point.  So the
+    count puts masks cheaper on dense families with few cosets, keys on
+    sparse point sets and on many cosets: at k = 0 each point is its own
+    coset, and masks would hold |points|^2 bits.  A coset
     sum is one AND and popcount per class, or one `Counter` of keys per
     class.  The count charges every direction a whole fold, though
     `CosetMasks` resumes the fold of the direction before and, walking
     G(n,k) in order, mostly redoes one fold and one meet.  The key steps
-    are charged at the rate of column sums point by point, which is slower
+    are charged at the rate of column sums entry by entry, which is slower
     than the byte lanes.  Both errors stand until the cost model is refit
     (see `MASK_STEP_BITS`).
     """
@@ -545,7 +536,7 @@ class CosetSums:
         ands = rows * (p + k * p * p) + p**rows * (p + sum(map(len, weightings)))
         weighted = sum(len(points) for weighting in weightings for _, points in weighting)
         steps = rows * (k + 1) * size + weighted
-        masks = ands * (1 + size // MASK_STEP_BITS) <= steps
+        masks = p < 256 and ands * (1 + size // MASK_STEP_BITS) <= steps
         self.kernel = CosetMasks(union, field) if masks else CosetKeys(union, field)
         del union  # before the position map, so the two never share the peak
         position = {pt: i for i, pt in enumerate(self.kernel.points)}.__getitem__

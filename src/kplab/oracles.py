@@ -11,7 +11,9 @@ coset sums by adding up the points of every coset.  The fast modules
 The oracles still share fast code: `linalg.rref`, and through it
 `linalg._eliminate`, and `flats.make_flat`, besides the enumerations
 `enumerate_grassmannian` and `enumerate_points`, which `selftest` checks
-against the counting formula and the definition.  The sharing is no
+against the counting formula and the definition; `design_moments` reads
+`gaussian_binomial` and `linalg.normalized`, and its closed forms are held
+to counted tuples in the tests.  The sharing is no
 common-mode fault.  RREF output is what makes flats canonical, so a
 mutation of `_eliminate` that skips back-substitution fails 40 tests, the
 chain and simplex oracle comparisons and the selftest among them; the
@@ -35,6 +37,7 @@ from .field import Field
 from .flats import (
     AffineFlat,
     CosetKeys,
+    CosetMasks,
     LinearSubspace,
     coset_key,
     enumerate_grassmannian,
@@ -44,7 +47,7 @@ from .flats import (
     unrank_grassmannian,
 )
 from .incidence import EmptyRefinementError, JrDecomposition, PreconditionError, SizeGuardError
-from .linalg import RrefBasis, Vector, _eliminate, null_space_rows, rref
+from .linalg import RrefBasis, Vector, _eliminate, normalized, null_space_rows, rref
 
 JR_ORACLE_POINT_GUARD = 64
 CHAIN_ORACLE_POINT_GUARD = 64
@@ -277,6 +280,37 @@ def apply_maximal_bruteforce(f: maximal.GridFunction, n: int, k: int) -> Dict[Li
     return out
 
 
+def design_moments(points: Sequence[Vector], n: int, k: int, field: Field, m: int) -> int:
+    """The sum over every direction pi of G(n,k) and every coset of pi of
+    c^m, c the number of the points on the coset, m = 2 or 3, from closed
+    forms that hold at any size.  An ordered m-tuple of the points lies in
+    one coset of pi exactly when pi holds the span of its differences, and
+    [n-d k-d]_p directions (0 when d > k) hold a given d-subspace, so the
+    sum is that count summed over the tuples by the dimension d of their
+    affine span:
+    m = 2: [n k] |E| + [n-1 k-1] |E|(|E|-1);
+    m = 3: [n k] |E| + [n-1 k-1] (3|E|(|E|-1) + L) + [n-2 k-2] (|E|(|E|-1)(|E|-2) - L),
+    with L the ordered triples of distinct collinear points: for each point
+    x, the other points y grouped by the direction of y - x, normalized
+    (`linalg.normalized`), a line through x with g of them giving g(g-1)."""
+    if m not in (2, 3):
+        raise ValueError(f"design moments are written down for m = 2 and 3, got m = {m}")
+    p, on = field.p, set(points)
+    size = len(on)
+
+    def holding(d: int) -> int:
+        return gaussian_binomial(n - d, k - d, p) if d <= k else 0
+
+    if m == 2:
+        return holding(0) * size + holding(1) * size * (size - 1)
+    collinear = 0
+    for x in on:
+        lines = Counter(normalized([b - a for a, b in zip(x, y)], p) for y in on if y != x)
+        collinear += sum(g * (g - 1) for g in lines.values())
+    pairs = size * (size - 1)
+    return holding(0) * size + holding(1) * (3 * pairs + collinear) + holding(2) * (pairs * (size - 2) - collinear)
+
+
 def selftest() -> int:
     """Compare the fast paths with the oracles on small seeded inputs, one
     PASS or FAIL line each; 3 if any line fails, else 0."""
@@ -370,6 +404,22 @@ def selftest() -> int:
             kernel.keys(pi) == [coset_key(x, pi, fld) for x in kernel.points]
             for pi in enumerate_grassmannian(4, 2, fld)
         ),
+    )
+    # Both coset kernels on a point cloud of F_5^3 under planes, against the
+    # closed forms of sum c^2 and sum c^3 over every coset of every plane.
+    fld = Field(5)
+    cloud = gen_point_cloud(3, fld, Fraction(1, 3), 0)
+
+    def moments(counts_of) -> List[int]:
+        counts = [c for pi in enumerate_grassmannian(3, 2, fld) for c in counts_of(pi)]
+        return [sum(c**m for c in counts) for m in (2, 3)]
+
+    keys, masks = CosetKeys(cloud, fld), CosetMasks(cloud, fld)
+    check(
+        "design moments G(3,2) p=5",
+        lambda: moments(lambda pi: Counter(keys.keys(pi)).values())
+        == moments(lambda pi: [mask.bit_count() for mask in masks.masks(pi)])
+        == [design_moments(cloud, 3, 2, fld, m) for m in (2, 3)],
     )
     # The default witnesses, one function of mixed denominators and one
     # constant 3/2 on a point cloud, over lines (two annihilator rows) and

@@ -2,8 +2,12 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +128,7 @@ SELFTEST_LINES = [
     "flat points by definition (4,2,7)",
     "degenerate worst case (4,2,1,3)",
     "coset keys oracle G(4,2) p=3",
+    "design moments G(3,2) p=5",
     "maximal family oracle (3,1,3)",
     "maximal family oracle (3,2,3)",
 ]
@@ -601,6 +606,52 @@ class TestMainEntryPoint:
         # work refusal here.
         assert cli.main(argv) == code
         assert "usage:" in "".join(capsys.readouterr())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "experiment=maximal-ratio n=20000 k=1 prime=65521 p_exp=2 q_exp=2"],
+            ["run", "experiment=maximal-ratio n=60000 k=1 prime=65521 p_exp=2 q_exp=2"],
+            ["census", "-n", "1000", "-k", "500", "-p", "65521"],
+            ["census", "-n", "600", "-k", "300", "-p", "65521"],
+            ["run", "experiment=incidence-bound n=1000 k=500 prime=65521 num_directions=1 density=1"],
+            ["run", "experiment=refinement-chain n=60000 k=1 prime=65521 num_directions=70000 density=1"],
+            ["run", "experiment=degenerate n=1000 k=500 r=1 prime=65521"],
+            ["run", "experiment=nk-set n=20000 k=1 prime=65521"],
+        ],
+        ids=["maximal_20000", "maximal_60000", "census_1000", "census_600", "corpus_1000", "corpus_60000",
+             "degenerate_1000", "nk_set_20000"],
+    )
+    def test_far_over_budget_is_refused_cheaply(self, tmp_path, argv):
+        # Specs whose exact estimates are integers of a million bits and more
+        # are refused from a lower bound on their work, in a fresh process,
+        # well within the timeout: the exact estimates took 44 s and more.
+        if argv[0] == "run":
+            spec = tmp_path / "s.spec"
+            spec.write_text(argv[1] + "\n")
+            argv = ["run", str(spec)]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+        done = subprocess.run(
+            [sys.executable, "-m", "kplab.cli", *argv], env=env, capture_output=True, text=True, timeout=10
+        )
+        assert done.returncode == 2, done.stderr
+        assert "exceeds budget" in done.stderr
+
+    def test_work_floor_is_at_most_the_estimate(self):
+        # The cheap refusal changes no exit code only if 2^floor is at most
+        # the exact per-seed work: checked on every pinned spec and on each
+        # kind over small n, k and primes on both sides of a power of two.
+        specs = [cli.parse_spec(text) for text, _ in PINNED_ROWS.values()]
+        for n, k, p in itertools.product(range(1, 6), range(0, 6), (2, 3, 5, 7, 31, 127, 131, 257)):
+            if k <= n:
+                specs.append(cli.parse_spec(f"experiment=grassmann-census n={n} k={k} prime={p}"))
+                specs.append(cli.parse_spec(f"experiment=maximal-ratio n={n} k={k} prime={p} p_exp=2 q_exp=2"))
+            if 1 <= k <= n - 1:
+                specs.append(cli.parse_spec(f"experiment=nk-set n={n} k={k} prime={p}"))
+                specs.append(cli.parse_spec(f"experiment=refinement-chain n={n} k={k} prime={p} "
+                                            "num_directions=1 density=1/64"))
+        for spec in specs:
+            assert 2 ** cli._work_floor_bits(spec.kind, spec.params) <= cli.KINDS[spec.kind].work(**spec.params)
 
     def test_budget_exits_2(self, tmp_path):
         spec = tmp_path / "census.spec"

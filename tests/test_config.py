@@ -108,6 +108,13 @@ class TestNkSet:
         b = gen_nk_set(4, 2, f3, translate_rule="random", seed=1)
         assert a == b
 
+    def test_random_rule_seeded_by_default(self):
+        # Without a seed the draws are seed 0's, as in every other generator
+        # of the module: two default calls agree, and agree with seed=0.
+        f5 = Field(5)
+        default = gen_nk_set(3, 1, f5, translate_rule="random")
+        assert default == gen_nk_set(3, 1, f5, translate_rule="random") == gen_nk_set(3, 1, f5, "random", seed=0)
+
     def test_unknown_rule_rejected(self, f3):
         with pytest.raises(ConfigDomainError):
             gen_nk_set(4, 2, f3, translate_rule="middle")

@@ -2,6 +2,8 @@ import inspect
 import itertools
 import random
 import sys
+from array import array
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,8 @@ from kplab.flats import (
     CosetMasks,
     CosetSums,
     _bitmask,
+    _column,
+    _column_sum,
     coordinate_flat,
     coset_key,
     enumerate_grassmannian,
@@ -28,7 +32,7 @@ from kplab.flats import (
 )
 from kplab.linalg import normalized, null_space_rows
 from kplab.maximal import default_candidates
-from kplab.oracles import affine_hull, enumerate_coset_representatives, in_span, reduce_vector
+from kplab.oracles import affine_hull, design_moments, enumerate_coset_representatives, in_span, reduce_vector
 
 
 def line(fld, n, direction, point):
@@ -166,7 +170,7 @@ def test_enumerate_points_is_a_generator_function():
 def test_enumerate_points_lanes_match_expansion(p, k):
     # The plain column expansion: x_j plus each row's multiples, row by row.
     # At p = 127 and k >= 2 a lane sum runs past 255 and is reduced before it
-    # carries; at p = 131 enumerate_points expands the columns itself.  Flats
+    # carries; at p = 131 the columns are summed entry by entry.  Flats
     # of more than 10^5 points are held to it once, in F^(k+1).
     fld = Field(p)
     rng = random.Random(p * 10 + k)
@@ -366,16 +370,17 @@ def test_coset_masks_answer_in_any_order(p):
         (9, 1, 2, 1),  # 2^8 keys: a full 1-byte lane
         (6, 1, 31, 4),  # 31^5 > 2^24: four bytes, not three
         (65, 1, 2, 8),  # 2^64 keys
-        (66, 1, 2, None),  # 2^65 keys: column sums
-        (3, 1, 131, None),  # p >= 128: column sums
-        (45, 1, 3, None),  # 3^44 > 2^64: column sums
+        (66, 1, 2, None),  # 2^65 keys: packed point by point
+        (3, 1, 131, 2),  # 128 <= p < 256: digits summed entry by entry, packed in lanes
+        (3, 1, 257, None),  # p >= 256: array('H') columns, keys packed point by point
+        (45, 1, 3, None),  # 3^44 > 2^64: packed point by point
     ],
 )
 def test_coset_keys_lanes_match_coset_key(monkeypatch, n, k, p, width):
-    # Each path of CosetKeys.keys, byte lanes of 1, 2, 4 and 8 bytes a key
-    # or column sums, gives coset_key of each point on empty, one-point,
-    # duplicate-laden and drawn inputs, under every direction of G(n,k) or,
-    # where it is too large to enumerate, under sampled ones.
+    # Each path of CosetKeys.keys, keys packed in lanes of 1, 2, 4 and 8
+    # bytes or point by point, gives coset_key of each point on empty,
+    # one-point, duplicate-laden and drawn inputs, under every direction of
+    # G(n,k) or, where it is too large to enumerate, under sampled ones.
     widths = []
     lane_keys = CosetKeys._lane_keys
 
@@ -398,6 +403,59 @@ def test_coset_keys_lanes_match_coset_key(monkeypatch, n, k, p, width):
         for kernel in kernels:
             assert kernel.keys(direction) == [coset_key(x, direction, fld) for x in kernel.points]
     assert set(widths) == ({width} if width else set())
+
+
+@pytest.mark.parametrize(
+    "n,k,p,count,kernels",
+    [
+        (3, 2, 5, 60, "keys masks"),  # byte lanes, keys 1 byte wide
+        (4, 2, 7, 150, "keys masks"),  # byte lanes, keys 1 byte wide
+        (4, 1, 7, 120, "keys masks"),  # keys 2 bytes wide
+        (3, 2, 127, 40, "keys"),  # three columns a row: lanes reduced before they carry
+        (4, 1, 41, 12, "keys"),  # 41^3 > 2^16: keys 4 bytes wide
+        (2, 1, 131, 60, "keys masks"),  # digits summed entry by entry
+        (2, 1, 257, 60, "keys"),  # array('H') columns, keys packed point by point
+        (4, 1, 11, 400, "keys"),  # many cosets, where CosetSums keys
+    ],
+)
+def test_coset_kernels_meet_design_moments(n, k, p, count, kernels):
+    # Past every point guard: sum c^2 and sum c^3 over every coset of every
+    # direction of G(n,k), from each kernel, equal the closed forms of
+    # oracles.design_moments on a seeded point set.
+    fld = Field(p)
+    points = sorted(set(random_vectors(n, p, count, random.Random(n * 1000 + k * 100 + p))))
+    want = [design_moments(points, n, k, fld, m) for m in (2, 3)]
+    for name in kernels.split():
+        if name == "keys":
+            kernel = CosetKeys(points, fld)
+            counts = [c for pi in enumerate_grassmannian(n, k, fld) for c in Counter(kernel.keys(pi)).values()]
+        else:
+            kernel = CosetMasks(points, fld)
+            counts = [mask.bit_count() for pi in enumerate_grassmannian(n, k, fld) for mask in kernel.masks(pi)]
+        assert [sum(c**m for c in counts) for m in (2, 3)] == want, name
+    if (n, k, p) == (4, 1, 11):
+        family = [[(1, points)]]
+        assert isinstance(CosetSums(family, k, fld).kernel, CosetKeys)
+
+
+def test_design_moments_by_definition():
+    # The closed forms against the tuples themselves: every ordered pair and
+    # triple of the points counted once per direction holding the span of
+    # its differences, on small sets where that walk is cheap, k = 0..n.
+    for n, p in ((3, 3), (2, 5), (4, 2)):
+        fld = Field(p)
+        points = sorted(set(random_vectors(n, p, 9, random.Random(n + p))))
+        for k in range(n + 1):
+            directions = list(enumerate_grassmannian(n, k, fld))
+            for m in (2, 3):
+                tuples = sum(
+                    len({coset_key(x, pi, fld) for x in chosen}) == 1
+                    for chosen in itertools.product(points, repeat=m)
+                    for pi in directions
+                )
+                assert design_moments(points, n, k, fld, m) == tuples
+    with pytest.raises(ValueError):
+        design_moments(points, 4, 2, Field(2), 4)
 
 
 def test_membership_stops_only_at_a_differing_digit():
@@ -477,7 +535,7 @@ def test_coset_sums_kernel_stays_linear_in_points():
     assert keyed.maxima(span_of((), 3, fld)) == [2]
     masked = CosetSums(constant, 3, fld)
     assert isinstance(masked.kernel, CosetMasks)
-    assert max(mask.bit_length() for column in masked.kernel.columns for mask in column) <= len(space)
+    assert max(mask.bit_length() for column in masked.kernel.value_masks for mask in column) <= len(space)
     (whole,) = enumerate_grassmannian(3, 3, fld)
     assert masked.maxima(whole) == [2 * len(space)]
     # The step count's picks on the default witness families of the maximal
@@ -657,7 +715,7 @@ def bytearray_masks(points, p, n):
 
 @pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 7**5])
 def test_masks_match_bytearray_construction(size):
-    # CosetMasks reads its columns, and _bitmask its positions, as binary
+    # CosetMasks reads its value masks, and _bitmask its positions, as binary
     # digit strings.  F_7^5 has 16 807 points, more digits than the default
     # limit on int strings (4300), which base 2 is exempt from.
     fld = Field(7)
@@ -667,7 +725,7 @@ def test_masks_match_bytearray_construction(size):
     sys.set_int_max_str_digits(4300)
     try:
         kernel = CosetMasks(points, fld)
-        assert kernel.columns == (bytearray_masks(points, 7, 5) if points else [])
+        assert kernel.value_masks == (bytearray_masks(points, 7, 5) if points else [])
         positions = [i for i in range(size) if i % 3 != 1]
         assert _bitmask(positions, size) == bytearray_bitmask(positions, size)
         assert _bitmask([], size) == 0
@@ -675,8 +733,35 @@ def test_masks_match_bytearray_construction(size):
         sys.set_int_max_str_digits(limit)
 
 
-def test_masks_of_a_large_field_match_bytearray_construction():
-    # At p >= 256 a column's masks come from each value's positions.
+def test_masks_refuse_a_large_field_and_sums_key_it():
+    # A coordinate column is a `bytes` only below p = 256, so the masks
+    # refuse p >= 256, and CosetSums keys there even where its step count
+    # would put masks cheaper: 100 dense weightings of F_257^2 under lines.
     fld = Field(257)
     points = sorted(set(random_vectors(2, 257, 300, random.Random(0))))
-    assert CosetMasks(points, fld).columns == bytearray_masks(points, 257, 2)
+    with pytest.raises(ValueError):
+        CosetMasks(points, fld)
+    space = list(itertools.product(range(257), repeat=2))
+    weightings = [[(1 + i, space)] for i in range(100)]
+    sums = CosetSums(weightings, 1, fld)
+    assert isinstance(sums.kernel, CosetKeys)
+    direction = unrank_grassmannian(2, 1, fld, 5)
+    assert sums.maxima(direction) == [257 * (1 + i) for i in range(100)]
+
+
+@pytest.mark.parametrize("p", [2, 7, 127, 131, 257])
+def test_column_sum_matches_entry_by_entry(p):
+    # The one column sum, in byte lanes below p = 128 and entry by entry
+    # above, is start + sum of a * column mod p per entry, in the one column
+    # form: starts 0 and p - 1, coefficients 0, 1 and p - 1 and drawn ones,
+    # up to nine columns (p = 127 reduces its lanes before they carry).
+    rng = random.Random(p)
+    size = 300
+    columns = [_column([rng.randrange(p) for _ in range(size)], p) for _ in range(9)]
+    assert type(columns[0]) is (bytes if p < 256 else array)
+    for start in (0, p - 1):
+        for coefficients in ([], [0], [1], [p - 1], [0, 1, p - 1], [p - 1] * 9, [rng.randrange(p) for _ in range(9)]):
+            terms = list(zip(coefficients, columns))
+            got = _column_sum(terms, size, p, start)
+            assert type(got) is type(columns[0])
+            assert list(got) == [(start + sum(a * c[i] for a, c in terms)) % p for i in range(size)]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from operator import mul
@@ -14,6 +15,7 @@ from kplab.field import Field
 from kplab.flats import (
     enumerate_grassmannian,
     enumerate_points,
+    gaussian_binomial,
     local_coordinates,
     make_flat,
     membership,
@@ -91,6 +93,25 @@ class TestIncidenceCount:
                     assert index.per_flat[flat] == len(on)
         assert sides == {(4, 2, 3, True), (4, 2, 3, False), (4, 2, 7, True), (3, 3, 3, True)}
 
+
+    @pytest.mark.parametrize("n,k,p", [(3, 2, 5), (4, 2, 3), (3, 1, 7)])
+    def test_all_of_ag_holds_each_point_gaussian_binomial_times(self, n, k, p):
+        # Every point lies on [n k]_p flats of AG(n,k), one coset of each
+        # direction, so the flats of all of AG(n,k) hold sum |P ∩ flat| =
+        # [n k]_p |P| incidences: on the probe side (|P| < p^k) and on the
+        # enumerate side (|P| >= p^k) alike.
+        fld = Field(p)
+        flats = tuple(
+            make_flat(pi, rep, fld)
+            for pi in enumerate_grassmannian(n, k, fld)
+            for rep in enumerate_coset_representatives(pi, fld)
+        )
+        space = list(itertools.product(range(p), repeat=n))
+        rng = random.Random(n * 100 + k * 10 + p)
+        for size in (p**k - 1, p**k, len(space) // 2):
+            points = frozenset(rng.sample(space, size))
+            index = incidence_count(Configuration(fld, n, k, points, flats))
+            assert index.total == gaussian_binomial(n, k, p) * len(points)
 
 class TestCsHolder:
     def test_m1_is_incidence_count(self, f3):

@@ -131,7 +131,35 @@ MUTATIONS = [
             "tests/test_flats.py::test_enumerate_points_lanes_match_expansion[127-2]",
             "tests/test_flats.py::test_enumerate_points_lanes_match_expansion[127-3]",
             "tests/test_flats.py::test_coset_keys_lanes_match_coset_key[4-2-127-2]",
+            "tests/test_flats.py::test_column_sum_matches_entry_by_entry[127]",
+            "tests/test_flats.py::test_coset_kernels_meet_design_moments[3-2-127-40-keys]",
         ],
+    ),
+    # The column sum entry by entry, at p >= 128, with each column added
+    # once whatever its coefficient.
+    Mutation(
+        "column-sum-entries-drop-coefficient",
+        "src/kplab/flats.py",
+        "                sums = map(add, sums, map(mul, itertools.repeat(a), column))\n",
+        "                sums = map(add, sums, column)\n",
+        [
+            "tests/test_flats.py::test_column_sum_matches_entry_by_entry[131]",
+            "tests/test_flats.py::test_column_sum_matches_entry_by_entry[257]",
+            "tests/test_flats.py::test_enumerate_points_lanes_match_expansion[131-2]",
+            "tests/test_flats.py::test_coset_keys_lanes_match_coset_key[3-1-131-2]",
+            "tests/test_flats.py::test_coset_keys_lanes_match_coset_key[3-1-257-None]",
+            "tests/test_flats.py::test_coset_kernels_meet_design_moments[2-1-257-60-keys]",
+        ],
+    ),
+    # A lane width too narrow for its keys: two bytes for up to 2^17 cosets.
+    # Only a walk with p^(n-k) in (2^16, 2^17] reaches it, and of the tests
+    # only the design-moment walk over G(4,1) of F_41 (41^3 = 68 921) does.
+    Mutation(
+        "lane-width-two-bytes-past-2^16",
+        "src/kplab/flats.py",
+        "2 if cosets <= 1 << 16 else",
+        "2 if cosets <= 1 << 17 else",
+        ["tests/test_flats.py::test_coset_kernels_meet_design_moments[4-1-41-12-keys]"],
     ),
     # The one coordinate flat.  Counts and maximal ratios are invariant under
     # permuting coordinates, so only a test of its points can catch this.
