@@ -132,7 +132,8 @@ def _random_flats(n: int, k: int, num_directions: int, fld: Field, seed: int) ->
     The directions are the first num_directions slots of a partial
     Fisher-Yates shuffle of G(n,k)'s enumeration order, taken in ascending
     position.  Only the swapped slots are stored, and each pick is unranked
-    (`unrank_grassmannian`) rather than enumerated, so the work is
+    (`unrank_grassmannian`, which writes the pick's base-p digits into its
+    pivot pattern's row templates) rather than enumerated, so the work is
     O(num_directions) and not O(|G(n,k)|).  The translates' n-k free
     entries each, flat by flat, are then one read of `_draws_below`."""
     total = gaussian_binomial(n, k, fld.p)

@@ -39,7 +39,7 @@ import itertools
 import sys
 from array import array
 from collections import Counter
-from operator import add, mod, mul
+from operator import add, itemgetter, mod, mul
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._value import _Value, _set
@@ -131,31 +131,40 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
 @functools.lru_cache(maxsize=None)
 def _pattern_blocks(
     n: int, k: int, p: int
-) -> Tuple[int, Tuple[Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...], int], ...]]:
+) -> Tuple[int, Tuple[Tuple[Tuple[int, ...], Tuple[Any, ...], int, int], ...]]:
     """|G(n,k)| over GF(p) and each RREF pivot pattern of a k-subspace of F^n,
-    lexicographically, with the (row, column) positions of its free entries
-    and its block size p^free; computed once per (n, k, p) for enumeration
-    and unranking alike."""
+    lexicographically, as (pivots, rows, free, block); computed once per
+    (n, k, p) for enumeration and unranking alike.
+
+    A pattern's free entries, row by row and left to right in a row, hold
+    the digits d_0, ..., d_{free-1}, and its block is the p^free subspaces
+    they give.  `rows` holds each basis row's template as an itemgetter of
+    the values (0, 1, d_0, ..., d_{free-1}): index 1 at the row's pivot, the
+    digit slot 2 + s at its s-th free entry and 0 elsewhere, so one call
+    writes the row as a tuple.  A row's free entries are the columns after
+    its pivot that the complement of the pivot set holds, so a pattern
+    takes O(kn) steps, also at k = n."""
     total = gaussian_binomial(n, k, p)
     blocks = []
     for pivots in itertools.combinations(range(n), k):
-        free_positions = tuple(
-            (i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots
-        )
-        blocks.append((pivots, free_positions, p ** len(free_positions)))
+        free_columns = set(range(n)).difference(pivots)
+        rows, slot = [], 2
+        for pivot in pivots:
+            template = [0] * n
+            template[pivot] = 1
+            for j in range(pivot + 1, n):
+                if j in free_columns:
+                    template[j], slot = slot, slot + 1
+            # An itemgetter of one index gives a bare value; at n = 1 the row is (1,).
+            rows.append(itemgetter(*template) if n > 1 else lambda values: (1,))
+        blocks.append((pivots, tuple(rows), slot - 2, p ** (slot - 2)))
     return total, tuple(blocks)
 
 
-def _pattern_subspace(
-    n: int, pivots: Tuple[int, ...], free_positions: Sequence[Tuple[int, int]], values: Sequence[int]
-) -> LinearSubspace:
-    """The subspace of the pivot pattern with these values in its free entries."""
-    rows = [[0] * n for _ in pivots]
-    for i, piv in enumerate(pivots):
-        rows[i][piv] = 1
-    for (i, j), v in zip(free_positions, values):
-        rows[i][j] = v
-    return LinearSubspace(n, RrefBasis(tuple(tuple(r) for r in rows), tuple(pivots)))
+def _pattern_subspace(n: int, pivots: Tuple[int, ...], rows: Tuple[Any, ...], values: Sequence[int]) -> LinearSubspace:
+    """The subspace of the pivot pattern whose row templates (`_pattern_blocks`)
+    read these values, (0, 1, d_0, ..., d_{free-1})."""
+    return LinearSubspace(n, RrefBasis(tuple([row(values) for row in rows]), pivots))
 
 
 def enumerate_grassmannian(n: int, k: int, field: Field) -> Iterator[LinearSubspace]:
@@ -163,31 +172,34 @@ def enumerate_grassmannian(n: int, k: int, field: Field) -> Iterator[LinearSubsp
 
     Pivot patterns are visited lexicographically (`_pattern_blocks`); for
     each pattern the free entries (RREF shape) run through all field values
-    in ascending order.  At k = 0 the one empty pattern gives the zero
-    subspace.
+    in ascending order, the last fastest.  At k = 0 the one empty pattern
+    gives the zero subspace.
     """
-    for pivots, free_positions, _ in _pattern_blocks(n, k, field.p)[1]:
-        for values in itertools.product(field.elements(), repeat=len(free_positions)):
-            yield _pattern_subspace(n, pivots, free_positions, values)
+    for pivots, rows, free, _ in _pattern_blocks(n, k, field.p)[1]:
+        for digits in itertools.product(field.elements(), repeat=free):
+            yield _pattern_subspace(n, pivots, rows, (0, 1, *digits))
 
 
 def unrank_grassmannian(n: int, k: int, field: Field, index: int) -> LinearSubspace:
     """The subspace at position `index` of `enumerate_grassmannian`'s order.
 
     Each pivot pattern is a block of p^free subspaces; within it the free
-    entries are the base-p digits of the offset, the last position fastest.
+    entries are the base-p digits of the offset, the last entry the lowest
+    digit, written straight into the digit slots of the pattern's row
+    templates (`_pattern_blocks`).
     """
-    total, blocks = _pattern_blocks(n, k, field.p)
+    p = field.p
+    total, blocks = _pattern_blocks(n, k, p)
     if not 0 <= index < total:
         raise IndexError(f"index {index} outside G({n},{k}) of size {total}")
-    for pivots, free_positions, block in blocks:
+    for pivots, rows, free, block in blocks:
         if index < block:
             break
         index -= block
-    values = [0] * len(free_positions)
-    for pos in reversed(range(len(values))):
-        index, values[pos] = divmod(index, field.p)
-    return _pattern_subspace(n, pivots, free_positions, values)
+    values = [0, 1] + [0] * free
+    for slot in range(free + 1, 1, -1):
+        index, values[slot] = divmod(index, p)
+    return _pattern_subspace(n, pivots, rows, values)
 
 
 @functools.lru_cache(maxsize=None)

@@ -61,23 +61,28 @@ def incidence_count(config: Configuration) -> IncidenceIndex:
     incidences takes this index as an argument, so a caller builds it once
     per configuration.
 
-    When p^k <= |P| a flat is counted from its p^k points, zipped column by
-    column by `enumerate_points` (in byte lanes below p = 128), each looked
-    up in the point set.  Otherwise every point of P is probed with one
-    `membership` call per (point, flat), which stops at the first
-    annihilator digit of the point that differs from the flat's (at p = 7
-    mostly the first).  On (4,2,7) with 200 flats, probing costs about
-    0.45-0.5 us per point and flat and enumerating about 10 us per flat
-    (Xeon, CPython 3.11), so enumeration would win from |P| of about 20,
-    and at the |P| = 37 of the benchmark's `incidence-bound` it takes
-    about 0.55x the time.  The probe side and the crossover stay as they
-    are, because the benchmark tracer's self-test pins 39 `membership`
-    calls inside `incidence_count` on `gen_degenerate(4, 2, 1, GF(3))`.
+    A flat is counted from its p^k points, zipped column by column by
+    `enumerate_points` (in byte lanes below p = 128) and each looked up in
+    the point set, when p^k + 12 <= 4|P|.  Otherwise every point of P is
+    probed with one `membership` call per (point, flat), which stops at the
+    first annihilator digit of the point that differs from the flat's.  The
+    rule is where the two costs cross: timed per flat on flats with their
+    annihilator rows already kept (CPython 3.11, a shared 2-CPU host),
+    enumeration costs about 7-9 us at p^k <= 9, 10-13 us at p^k = 25-49
+    and 22-26 us at p^k = 125, and probing about 4.5 us plus 0.5-0.8 us a
+    point, so enumeration wins from |P| of about p^k/4 + 3 (|P| = 6 at
+    (4,2,3), 15 at (4,2,7), where the benchmark's `incidence-bound` has
+    |P| = 37 and enumeration takes about half the time of probing).  A
+    corpus flat that no kernel has met yet also pays for its annihilator
+    rows on the probe side, so there enumeration wins earlier still.  Below
+    the crossover a few points are cheaper to probe than p^k to build and
+    look up, and `gen_degenerate(4, 2, 1, GF(3))` (3 points, p^k = 9) stays
+    there, with its 39 `membership` calls.
     Neither side sorts per flat: `enumerate_points` yields ascending points,
     and the probe side walks P sorted once.
     """
     fld = config.field
-    if fld.p ** config.k <= len(config.points):
+    if fld.p ** config.k + 12 <= 4 * len(config.points):
         return IncidenceIndex(
             {flat: tuple(filter(config.points.__contains__, enumerate_points(flat, fld))) for flat in config.flats}
         )

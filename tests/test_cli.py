@@ -35,8 +35,9 @@ PINNED_ROWS = {
         "p_exp=11/6 q_exp=22/5 seeds=0..5",
         "dafaa71ebc5e3eabe3e317513c41b03cdc5e37614539ef45b9563c35c14517cd",
     ),
-    # 23, 32 and 26 points, fewer than 7^2: the probe side of incidence_count,
-    # and CosetKeys in 2-byte lanes (7^3 = 343 cosets a plane) for the max IC.
+    # 23, 32 and 26 points against 7^2 a plane, past the crossover of
+    # incidence_count (p^k + 12 <= 4|P|), so it enumerates each plane, and
+    # CosetKeys in 2-byte lanes (7^3 = 343 cosets a plane) for the max IC.
     "incidence-bound lanes": (
         "experiment=incidence-bound n=5 k=2 prime=7 num_directions=60 density=1/512 "
         "p_exp=13/6 q_exp=39/7 seeds=0..2",
@@ -636,6 +637,19 @@ class TestMainEntryPoint:
         )
         assert done.returncode == 2, done.stderr
         assert "exceeds budget" in done.stderr
+
+    def test_census_at_k_equal_n_is_quadratic(self):
+        # The one pivot pattern of G(800, 800) has no free entry; finding
+        # that took about n^3/2 steps (about 2 s in a fresh process) before the
+        # pattern table took the complement of the pivot set.
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+        done = subprocess.run(
+            [sys.executable, "-m", "kplab.cli", "--json", "census", "-n", "800", "-k", "800", "-p", "2"],
+            env=env, capture_output=True, text=True, timeout=2,
+        )
+        assert done.returncode == 0, done.stderr
+        (row,) = json.loads(done.stdout)
+        assert (row["enumerated"], row["formula"], row["verdict_match"]) == (1, 1, True)
 
     def test_work_floor_is_at_most_the_estimate(self):
         # The cheap refusal changes no exit code only if 2^floor is at most

@@ -50,13 +50,37 @@ def single_flat_config(fld, n, k, with_points=True):
     return Configuration(fld, n, k, points, (flat,))
 
 
+def counted_probes(monkeypatch):
+    """The `membership` calls `incidence_count` makes from now on, one entry
+    each: the name it reads is replaced by a counting wrapper."""
+    calls = []
+
+    def counted(point, flat, field):
+        calls.append(point)
+        return membership(point, flat, field)
+
+    monkeypatch.setattr(kplab.incidence, "membership", counted)
+    return calls
+
+
+def fewest_enumerated(p, k):
+    """The fewest points of P from which `incidence_count` enumerates each
+    flat, by its rule p^k + 12 <= 4|P|; it probes below."""
+    return -(-(p**k + 12) // 4)
+
+
 class TestIncidenceCount:
     def test_full_flat(self, f3):
         cfg = single_flat_config(f3, 3, 2)
         assert incidence_count(cfg).total == 9
 
-    def test_degenerate_pinned(self, f3):
+    def test_degenerate_pinned(self, f3, monkeypatch):
+        # 3 points against p^k = 9, below the crossover: each of the 13
+        # flats probes each point once, the 39 membership calls the
+        # benchmark tracer's self-test pins.
+        calls = counted_probes(monkeypatch)
         assert incidence_count(gen_degenerate(4, 2, 1, f3)).total == 39
+        assert len(calls) == 39
 
     def test_empty_points(self, f3):
         cfg = single_flat_config(f3, 3, 2, with_points=False)
@@ -64,26 +88,34 @@ class TestIncidenceCount:
         assert index.total == 0
         assert index.per_flat[cfg.flats[0]] == 0
 
-    def test_marginals_agree(self):
-        # Every flat's stored points are a sorted membership scan of P.
-        # (4,2,3) at density 1/2 gives |P| >= p^k (enumerate side), at 1/16
-        # |P| < p^k (probe side).  (4,2,7) is the two-ends bench size, 200
-        # planes of F_7^4 at density 1/16: about 150 points against 49 a
-        # plane (enumerate side).  (3,3,3) has k = n: its one flat is F^3,
-        # every column a pivot column, and at density 1 |P| = p^k (enumerate
-        # side).
+    def test_marginals_agree(self, monkeypatch):
+        # Every flat's stored points are a sorted membership scan of P, on
+        # the side the rule picks, seen by whether incidence_count probed.
+        # (4,2,3) at density 1/2 has 32-51 points (enumerate side); at 1/16
+        # it has 1-8, on both sides of the crossover at 6.  (4,2,7) is the
+        # two-ends bench size, 200 planes of F_7^4 at density 1/16, 137-174
+        # points against 49 a plane, and at density 1/64 the
+        # incidence-bound bench size, 31-38 points: both enumerate (1/64
+        # probed while the rule was p^k <= |P|).  (3,3,3) has k = n: its one
+        # flat is F^3, every column a pivot column, and at density 1 it
+        # holds all 27 points (enumerate side).
         cases = [
             (4, 2, 3, None, Fraction(1, 2), 10),
             (4, 2, 3, None, Fraction(1, 16), 10),
             (4, 2, 7, 200, Fraction(1, 16), 3),
+            (4, 2, 7, 200, Fraction(1, 64), 3),
             (3, 3, 3, None, Fraction(1), 3),
         ]
+        calls = counted_probes(monkeypatch)
         sides = set()
         for n, k, p, num_directions, density, count in cases:
             fld = Field(p)
             for _, cfg in random_corpus(n, k, p, count, num_directions=num_directions, density=density):
+                before = len(calls)
                 index = incidence_count(cfg)
-                sides.add((n, k, p, len(cfg.points) >= p**k))
+                probed = len(calls) > before
+                assert probed == (len(cfg.points) < fewest_enumerated(p, k))
+                sides.add((n, k, p, density, probed))
                 assert index.total == sum(index.per_flat.values())
                 degrees = Counter(x for pts in index.points.values() for x in pts)
                 assert index.total == sum(degrees.values())
@@ -91,15 +123,21 @@ class TestIncidenceCount:
                     on = tuple(sorted(pt for pt in cfg.points if membership(pt, flat, fld)))
                     assert index.points[flat] == on
                     assert index.per_flat[flat] == len(on)
-        assert sides == {(4, 2, 3, True), (4, 2, 3, False), (4, 2, 7, True), (3, 3, 3, True)}
-
+        assert sides == {
+            (4, 2, 3, Fraction(1, 2), False),
+            (4, 2, 3, Fraction(1, 16), True),
+            (4, 2, 3, Fraction(1, 16), False),
+            (4, 2, 7, Fraction(1, 16), False),
+            (4, 2, 7, Fraction(1, 64), False),
+            (3, 3, 3, Fraction(1), False),
+        }
 
     @pytest.mark.parametrize("n,k,p", [(3, 2, 5), (4, 2, 3), (3, 1, 7)])
-    def test_all_of_ag_holds_each_point_gaussian_binomial_times(self, n, k, p):
+    def test_all_of_ag_holds_each_point_gaussian_binomial_times(self, n, k, p, monkeypatch):
         # Every point lies on [n k]_p flats of AG(n,k), one coset of each
         # direction, so the flats of all of AG(n,k) hold sum |P ∩ flat| =
-        # [n k]_p |P| incidences: on the probe side (|P| < p^k) and on the
-        # enumerate side (|P| >= p^k) alike.
+        # [n k]_p |P| incidences: on the probe side, just below the
+        # crossover, and on the enumerate side, at it and at half of F^n.
         fld = Field(p)
         flats = tuple(
             make_flat(pi, rep, fld)
@@ -108,10 +146,14 @@ class TestIncidenceCount:
         )
         space = list(itertools.product(range(p), repeat=n))
         rng = random.Random(n * 100 + k * 10 + p)
-        for size in (p**k - 1, p**k, len(space) // 2):
+        crossover = fewest_enumerated(p, k)
+        calls = counted_probes(monkeypatch)
+        for size in (crossover - 1, crossover, len(space) // 2):
             points = frozenset(rng.sample(space, size))
+            before = len(calls)
             index = incidence_count(Configuration(fld, n, k, points, flats))
             assert index.total == gaussian_binomial(n, k, p) * len(points)
+            assert (len(calls) > before) == (size < crossover)
 
 class TestCsHolder:
     def test_m1_is_incidence_count(self, f3):

@@ -56,6 +56,8 @@ MUTATIONS = [
             "tests/test_cli.py::TestMainEntryPoint::test_selftest",
         ],
     ),
+    # Membership's one test of a point.  incidence_count probes with it only
+    # below its crossover, which the all-of-AG test straddles at (4,2,3).
     Mutation(
         "membership-first-row-only",
         "src/kplab/flats.py",
@@ -66,7 +68,7 @@ MUTATIONS = [
             "tests/test_flats.py::test_membership_matches_span_definition",
             "tests/test_incidence.py::TestIncidenceCount::test_marginals_agree",
             "tests/test_cli.py::TestRunExperiment::test_rows_match_pinned_digest[incidence-bound]",
-            "tests/test_simplex.py::test_oracle_equivalence_planted[5-3-3-20-12]",
+            "tests/test_incidence.py::TestIncidenceCount::test_all_of_ag_holds_each_point_gaussian_binomial_times[4-2-3]",
         ],
     ),
     Mutation(
