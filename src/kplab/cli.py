@@ -15,7 +15,7 @@ import math
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
@@ -364,11 +364,13 @@ def _maximal_work(n, k, prime, **_) -> int:
     """Work units of `maximal-ratio`: for each direction of G(n,k), one step
     per annihilator row and prefix of F^n (p + p^2 + ... + p^n of them, a
     proxy of about one step per point, not a count of what either coset
-    kernel does), one per binned point (the default family bins about
-    2 p^n) and MAXIMAL_DIRECTION_STEPS for the direction itself,
+    kernel does), one per binned point (2 p^n, what the whole default
+    family bins) and MAXIMAL_DIRECTION_STEPS for the direction itself,
     MAXIMAL_STEPS_PER_UNIT steps a unit; and once, MAXIMAL_POINT_UNITS per
-    point of F^n for the witnesses, which a run builds on all of F^n however
-    few directions it has."""
+    point of F^n for the witnesses, which a run draws on all of F^n however
+    few directions it has.  The search now walks only the random witnesses,
+    about 7/8 p^n binned points, and builds no constant on F^n, so both
+    terms overstate it; the work model's recalibration refits them."""
     prefixes = (prime ** (n + 1) - prime) // (prime - 1)
     steps = (n - k) * prefixes + 2 * prime**n + MAXIMAL_DIRECTION_STEPS
     return gaussian_binomial(n, k, prime) * steps // MAXIMAL_STEPS_PER_UNIT + MAXIMAL_POINT_UNITS * prime**n
@@ -444,7 +446,12 @@ def write_json(rows: Sequence[Dict[str, object]], path: Path) -> None:
     path.write_text(json.dumps(list(rows), indent=2, default=str) + "\n")
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first `main` call and kept:
+    building it costs about 20 times what parsing one command line does,
+    and a process running many specs calls `main` once per spec.  Parsing
+    leaves the parser as it was, so the calls share nothing through it."""
     parser = argparse.ArgumentParser(prog="kplab", description=__doc__)
     parser.add_argument("--threads", type=int, default=0, help="worker hint (results are identical for any value)")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="work guard in estimated operations")
@@ -464,9 +471,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     verify_p.add_argument("--kmax", type=int, default=50)
 
     sub.add_parser("selftest", help="run the oracle-equivalence suite")
+    return parser
 
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return 1 if exc.code else 0
     try:

@@ -506,15 +506,18 @@ class CosetMasks(_PointSet):
 
 # A mask AND costs one step, plus one per MASK_STEP_BITS bits of |points|.
 # The value is fitted to the picks, not to the time of one AND: on the
-# default witness families of `maximal.apply_maximal_many` it picks masks at
-# (3,2,7), (3,1,13), (3,1,17), (4,1,7) and (4,2,5) and keys at k = 0,
-# (2,1,61) and (4,1,11).  It was fitted when keys summed columns point by
-# point.  With keys in byte lanes and the masks' fold resumed from the
-# direction before, masks run 2.4-2.9x faster than keys at (3,2,7), (4,2,5)
-# and (4,2,7) and level at (3,1,13), but keys run faster at (3,1,17),
-# (4,1,7) and (2,1,31), where masks are picked (CHANGES.md has the times).
-# The cost model's recalibration (ROADMAP.md) refits the value.  At p >= 256
-# the keys are picked whatever the count, since `CosetMasks` refuses there.
+# default witness family of `maximal.default_candidates`, and on its random
+# witnesses alone, which are all `maximal.empirical_norm_search` walks by
+# default, it picks masks at (3,2,7), (3,1,13), (3,1,17), (4,1,7), (4,2,5)
+# and (2,1,31) and keys at k = 0, (2,1,61) and (4,1,11)
+# (`test_walked_family_kernel_pick`).  It was fitted when keys summed
+# columns point by point.  With keys in byte lanes and the masks' fold
+# resumed from the direction before, masks run 2.4-2.9x faster than keys at
+# (3,2,7), (4,2,5) and (4,2,7) and level at (3,1,13), but keys run faster
+# at (3,1,17), (4,1,7) and (2,1,31), where masks are picked (CHANGES.md has
+# the times).  The cost model's recalibration (ROADMAP.md) refits the
+# value.  At p >= 256 the keys are picked whatever the count, since
+# `CosetMasks` refuses there.
 MASK_STEP_BITS = 2048
 
 

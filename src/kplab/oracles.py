@@ -434,4 +434,16 @@ def selftest() -> int:
             f"maximal family oracle (3,{k},3)",
             lambda: maximal.apply_maximal_many(family, 3, k) == [apply_maximal_bruteforce(f, 3, k) for f in family],
         )
+    # The images the witness search reads in closed form, with no walk,
+    # against the per-coset sums of the witnesses themselves.
+    fld = Field(3)
+    witnesses = maximal.default_candidates(3, 1, fld, 0)
+    check(
+        "maximal closed forms (3,1,3)",
+        lambda: all(
+            len(witnesses[name].classes[0][1]) == support
+            and list(apply_maximal_bruteforce(witnesses[name], 3, 1).values()) == list(column)
+            for name, (support, column) in maximal.closed_form_images(3, 1, fld).items()
+        ),
+    )
     return 3 if failures else 0

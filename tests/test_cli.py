@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import itertools
 import json
@@ -132,6 +133,7 @@ SELFTEST_LINES = [
     "design moments G(3,2) p=5",
     "maximal family oracle (3,1,3)",
     "maximal family oracle (3,2,3)",
+    "maximal closed forms (3,1,3)",
 ]
 
 
@@ -596,6 +598,22 @@ class TestMainEntryPoint:
         )
         assert cli.main(["--seed", "9", "--json", "run", str(spec)]) == 0
         assert [row["seed"] for row in json.loads(capsys.readouterr().out)] == [9]
+
+    def test_calls_share_no_parser_state(self, tmp_path, capsys):
+        # One parser serves every call: the first call's --seed and --json
+        # do not reach the second, and a usage error still exits 1.
+        spec = tmp_path / "s.spec"
+        spec.write_text("experiment=two-ends n=3 k=1 r=1 prime=3 num_directions=4 density=1/2 seeds=1..3\n")
+        assert cli.main(["--seed", "9", "--json", "run", str(spec)]) == 0
+        assert [row["seed"] for row in json.loads(capsys.readouterr().out)] == [9]
+        assert cli.main(["run", str(spec)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [ast.literal_eval(line)["seed"] for line in printed] == [1, 2, 3]
+        assert cli.main(["--seed", "x", "run", str(spec)]) == 1
+        assert "usage:" in capsys.readouterr().err
+        assert cli.main(["--json", "run", str(spec)]) == 0
+        assert [row["seed"] for row in json.loads(capsys.readouterr().out)] == [1, 2, 3]
+        assert cli._parser() is cli._parser()
 
     @pytest.mark.parametrize(
         "argv,code",

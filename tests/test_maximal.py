@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -8,11 +9,23 @@ import kplab.maximal
 from kplab.config import gen_degenerate
 from kplab.exponents import PowerProduct
 from kplab.field import Field
-from kplab.flats import CosetSums, enumerate_grassmannian, enumerate_points, gaussian_binomial, make_flat, span_of
+from kplab.flats import (
+    CosetKeys,
+    CosetMasks,
+    CosetSums,
+    enumerate_grassmannian,
+    enumerate_points,
+    gaussian_binomial,
+    make_flat,
+    span_of,
+)
 from kplab.maximal import (
     GridFunction,
+    _coset_sums,
+    _random_witnesses,
     apply_maximal,
     apply_maximal_many,
+    closed_form_images,
     constant_witness_ratio_exact,
     default_candidates,
     empirical_norm_search,
@@ -468,3 +481,116 @@ def test_flat_indicator_closed_form(n, k, p, r, p_exp, q_exp):
     assert math.isclose(norm(tf.values(), q_exp, p ** (-k * (n - k))), lq, rel_tol=1e-12)
     ratio = lq / p ** (r / float(p_exp))
     assert math.isclose(witness_ratio(f, p_exp, q_exp, n, k), ratio, rel_tol=1e-12)
+
+
+# Every (n, k, p) the maximal tests above and the maximal-ratio pins walk,
+# k = 0 and k = n included.
+MAXIMAL_SIZES = [
+    (2, 1, 2), (2, 1, 5), (3, 0, 2), (3, 3, 2), (3, 1, 3), (3, 2, 3), (3, 1, 5), (3, 2, 5), (3, 0, 7),
+    (3, 3, 7), (3, 2, 7), (4, 2, 3), (4, 3, 3), (4, 2, 5), (4, 2, 7), (5, 2, 3), (5, 3, 3), (5, 4, 2),
+]
+# The exponents of the pins, and two where `norm` takes the largest value
+# out: 2^2000 overflows, and at q_exp = 10^300 so does every value above 1.
+SEARCH_EXPONENTS = [
+    (Fraction(11, 6), Fraction(22, 5)),
+    (Fraction(3, 2), Fraction(3)),
+    (Fraction(2), Fraction(2000)),
+    (Fraction(2000), Fraction(10**300)),
+]
+
+
+def _same_search(got, want):
+    """Equal ratios, bit for bit and in the same name order, and the same best name."""
+    return list(got.all_ratios.items()) == list(want.all_ratios.items()) and got.best_name == want.best_name
+
+
+@pytest.mark.parametrize("n, k, p", MAXIMAL_SIZES + [(6, 3, 2)])
+def test_closed_forms_search_equals_the_whole_walk(n, k, p):
+    # With no candidates, the constant, the point and the r-flats are read
+    # in closed form and only the random witnesses are walked; walking the
+    # whole default family is the oracle.  (6,3,2) is the one size whose
+    # meet blocks reach three rows and three columns, which are eliminated.
+    # Past 20 000 points times directions, one seed and one pair of
+    # exponents keep the walks short.
+    fld = Field(p)
+    small = p**n * gaussian_binomial(n, k, p) <= 20_000
+    cases = itertools.product((0, 1), SEARCH_EXPONENTS) if small else [(0, SEARCH_EXPONENTS[0])]
+    for seed, (p_exp, q_exp) in cases:
+        family = default_candidates(n, k, fld, seed)
+        got = empirical_norm_search(n, k, fld, p_exp, q_exp, seed=seed)
+        assert _same_search(got, empirical_norm_search(n, k, fld, p_exp, q_exp, candidates=family))
+        assert set(got.all_ratios) == set(family)
+
+
+def test_closed_forms_keep_the_tie_pin():
+    # The `maximal-ratio tie` pin: five witnesses, four of them now read in
+    # closed form, print one float ratio, and `point` wins by its name alone.
+    fld = Field(5)
+    result = empirical_norm_search(3, 2, fld, Fraction(3, 2), Fraction(3), seed=1)
+    tied = ("constant", "degenerate_points", "flat_dim_1", "flat_dim_2", "point")
+    assert len({result.all_ratios[name] for name in tied}) == 1
+    assert result.best_name == "point"
+    assert result.all_ratios["point"] == max(result.all_ratios.values())
+
+
+@pytest.mark.parametrize("n, k, p, seed", [(0, 0, 2, 7), (1, 0, 2, 11), (1, 1, 2, 11), (1, 1, 3, 11)])
+def test_closed_forms_alone(n, k, p, seed):
+    # Fⁿ so small that every random draw is empty: the walk bins no point,
+    # and the closed forms still give the whole family's ratios.
+    fld = Field(p)
+    assert _random_witnesses(n, fld, seed) == {}
+    family = default_candidates(n, k, fld, seed)
+    for p_exp, q_exp in SEARCH_EXPONENTS:
+        got = empirical_norm_search(n, k, fld, p_exp, q_exp, seed=seed)
+        assert _same_search(got, empirical_norm_search(n, k, fld, p_exp, q_exp, candidates=family))
+    assert set(got.all_ratios) == {"constant", "point"} | {f"flat_dim_{r}" for r in range(1, k + 1)}
+
+
+def test_default_search_walks_only_the_random_witnesses(monkeypatch):
+    # At (3,2,7) the default family names eight witnesses, seven objects;
+    # the search walks the three random ones.
+    built = []
+
+    def recorded(weightings, *args):
+        built.append(len(weightings))
+        return CosetSums(weightings, *args)
+
+    monkeypatch.setattr(kplab.maximal, "CosetSums", recorded)
+    result = empirical_norm_search(3, 2, Field(7), Fraction(11, 6), Fraction(22, 5))
+    assert built == [3] and len(result.all_ratios) == 8
+
+
+@pytest.mark.parametrize("n, k, p", [size for size in MAXIMAL_SIZES if size[2] <= 7])
+def test_closed_form_images_are_the_operator(n, k, p):
+    # Each closed form is the image `apply_maximal_many` walks for the
+    # witness itself, in walk order, on a support of the stated size; where
+    # the per-coset sums stay small, `apply_maximal_bruteforce` too.
+    fld = Field(p)
+    family = default_candidates(n, k, fld, 0)
+    forms = closed_form_images(n, k, fld)
+    assert set(forms) == set(family) - set(_random_witnesses(n, fld, 0))
+    images = apply_maximal_many([family[name] for name in forms], n, k)
+    small = p**n * gaussian_binomial(n, k, p) <= 2000
+    for (name, (support, column)), image in zip(forms.items(), images):
+        f = family[name]
+        assert f.classes == ((1, f.classes[0][1]),) and len(f.classes[0][1]) == support
+        assert list(image.values()) == list(column)
+        if small:
+            assert apply_maximal_bruteforce(f, n, k) == image
+
+
+# The kernel `CosetSums` picks for the random witnesses, which the default
+# search walks alone: the picks `flats.MASK_STEP_BITS` states for the whole
+# default family hold for them.
+@pytest.mark.parametrize(
+    "n, k, p, kernel",
+    [
+        (3, 2, 7, CosetMasks), (3, 1, 13, CosetMasks), (3, 1, 17, CosetMasks), (4, 1, 7, CosetMasks),
+        (4, 2, 5, CosetMasks), (2, 1, 31, CosetMasks), (2, 1, 61, CosetKeys), (4, 1, 11, CosetKeys),
+        (3, 0, 31, CosetKeys),
+    ],
+)
+def test_walked_family_kernel_pick(n, k, p, kernel):
+    fld = Field(p)
+    for family in (_random_witnesses(n, fld, 0), default_candidates(n, k, fld, 0)):
+        assert type(_coset_sums(list(family.values()), n, k, fld)[2].kernel) is kernel

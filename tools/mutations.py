@@ -233,6 +233,20 @@ MUTATIONS = [
             "tests/test_flats.py::test_coset_masks_answer_in_any_order[5]",
         ],
     ),
+    # The meet dimension of the closed-form r-flat witnesses counts the
+    # basis rows whose pivots lie below r.  Only the search held to the walk
+    # of the whole default family reads the flats' images.
+    Mutation(
+        "meet-dimension-pivots-up-to-r",
+        "src/kplab/maximal.py",
+        "m = sum(pivot < r for pivot in pivots)",
+        "m = sum(pivot <= r for pivot in pivots)",
+        [
+            "tests/test_maximal.py::test_closed_forms_search_equals_the_whole_walk[3-2-3]",
+            "tests/test_maximal.py::test_closed_forms_search_equals_the_whole_walk[4-2-7]",
+            "tests/test_maximal.py::test_closed_forms_search_equals_the_whole_walk[6-3-2]",
+        ],
+    ),
     # The one grouping of a grid function's values.
     Mutation(
         "grid-function-keeps-zero-class",
