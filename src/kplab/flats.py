@@ -28,6 +28,10 @@ the points under any direction (`maximal`'s one walk over G(n,k),
 `incidence.check_max_ic`).  A coordinate column has one form (`_column`)
 and one sum mod p (`_column_sum`), which `enumerate_points` and
 `CosetKeys` both read.
+`FlatLanes` gives the same digits for a fixed point set under every flat of
+a family at once, in byte lanes: the points on each flat
+(`incidence.incidence_count`) and each flat direction's largest coset
+(`incidence.check_max_ic`).
 `coordinate_flat` is the one span(e_1, ..., e_r), of `config.gen_degenerate`
 and the maximal operator's witnesses.
 """
@@ -39,7 +43,7 @@ import itertools
 import sys
 from array import array
 from collections import Counter
-from operator import add, itemgetter, mod, mul
+from operator import add, attrgetter, itemgetter, mod, mul
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._value import _Value, _set
@@ -334,6 +338,8 @@ def _column_sum(terms: Iterable[Tuple[int, Sequence[int]]], size: int, p: int, s
 
 # The array typecode of each lane width in bytes.
 _LANE_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
+# Maps a lane of 0 to 1 and any other to 0.
+_ZERO_FLAGS = b"\x01" + bytes(255)
 
 
 class _PointSet:
@@ -381,8 +387,7 @@ class CosetKeys(_PointSet):
         if rows is None:
             return []
         p = self.field.p
-        if self._bytes and (cosets := p ** len(rows)) <= 1 << 64:
-            width = 1 if cosets <= 1 << 8 else 2 if cosets <= 1 << 16 else 4 if cosets <= 1 << 32 else 8
+        if self._bytes and (width := _lane_width(p ** len(rows))):
             return self._lane_keys(rows, width)
         keys, size = [0] * len(self.points), len(self.points)
         for row in rows:  # key * p + digit, by map: a comprehension would make p a cell here
@@ -393,18 +398,134 @@ class CosetKeys(_PointSet):
         """The keys of `keys` in byte lanes, `width` bytes a key: the columns
         are `bytes` and p^len(rows) <= 2^(8 width)."""
         p, size = self.field.p, len(self.points)
-        key = 0
-        for row in rows:
-            digits = _column_sum(zip(row, self.columns), size, p)
-            if width > 1:
-                lanes = bytearray(width * size)
-                lanes[::width] = digits
-                digits = lanes
-            key = key * p + int.from_bytes(digits, "little")
-        keys = array(_LANE_TYPECODES[width], key.to_bytes(width * size, "little"))
-        if sys.byteorder == "big":
-            keys.byteswap()
-        return keys.tolist()
+        return _packed_keys([_column_sum(zip(row, self.columns), size, p) for row in rows], size, p, width).tolist()
+
+
+def _lane_width(cosets: int) -> int:
+    """The bytes a packed key below `cosets` takes in a lane: the fewest of
+    1, 2, 4 and 8 that hold it, and 0 above 2^64, where keys are not packed
+    in lanes."""
+    return 1 if cosets <= 1 << 8 else 2 if cosets <= 1 << 16 else 4 if cosets <= 1 << 32 else 8 if cosets <= 1 << 64 else 0
+
+
+def _packed_keys(digit_columns: Sequence[bytes], size: int, p: int, width: int) -> array:
+    """The base-p keys of `size` entries whose digits, first most
+    significant, are the byte columns, packed in lanes of `width` bytes
+    (`_lane_width` of p^len(digit_columns)) and read back by `array`."""
+    key = 0
+    for digits in digit_columns:
+        if width > 1:
+            lanes = bytearray(width * size)
+            lanes[::width] = digits
+            digits = lanes
+        key = key * p + int.from_bytes(digits, "little")
+    keys = array(_LANE_TYPECODES[width], key.to_bytes(width * size, "little"))
+    if sys.byteorder == "big":
+        keys.byteswap()
+    return keys
+
+
+# The most lanes, |P| a flat, that `FlatLanes` sums at once in a free slot:
+# it takes the flats in chunks below it, so its memory does not grow with
+# the family.
+_LANE_CAP = 1 << 16
+
+
+class FlatLanes(_PointSet):
+    """The coset digits of every point of a fixed point set under every flat
+    of a family at once, in byte lanes (so p < 128, as in `_column_sum`).
+
+    Lane F |P| + x of free slot s holds x_f - sum_i row_i[f] x_{pivot_i} mod
+    p, where f is the s-th free column of flat F's direction and row_i and
+    pivot_i are its RREF basis rows and pivots: the digit of its annihilator
+    row s (`_digits`).  Each of those terms is one `b"".join` of per-flat
+    pieces, and one `_column_sum` adds them.  The flats are grouped by pivot
+    pattern, which fixes f and the pivots, so a group's piece of the first
+    term is column f repeated, and its pieces of pivot term i are read by
+    one `map` from a table of column pivot_i times -row_i[f] mod p
+    (`_byte_tables`' `times`), kept per (column, coefficient) once read.
+    The flats are taken in chunks of at most `_LANE_CAP` lanes a slot, each
+    with its own table, so the table holds no more pieces than the chunk's
+    terms do.
+
+    `incident` adds each representative's -c_f as one more term, so a point
+    lies on F exactly when every slot's lane is 0.  `largest_cosets` packs
+    the digits into keys as `CosetKeys` lanes them and counts each flat's
+    segment."""
+
+    def __init__(self, points: Iterable[Vector], field: Field):
+        if field.p >= 128:
+            raise ValueError(f"flat lanes need p < 128, got p = {field.p}")
+        super().__init__(points, field)
+
+    def _lanes(self, flats: Sequence[AffineFlat], constant: bool) -> Iterator[Tuple[List[AffineFlat], List[bytes]]]:
+        """Each chunk of the flats in lane order, with the lanes of each free
+        slot; with `constant`, each flat's lanes less its representative's
+        digits; no chunks for no points.  The flats all have one dimension
+        in F^n."""
+        n, p, size = self.n, self.field.p, len(self.points)
+        if not size:
+            return
+        times = _byte_tables(p)[0]
+        columns = self.columns + [b"\x01" * size]  # and a column of ones
+        pivots_of, rows_of = attrgetter("direction.basis.pivots"), attrgetter("direction.basis.rows")
+        representative = attrgetter("representative")
+        ordered = sorted(flats, key=pivots_of)
+        step = max(_LANE_CAP // size, 1)
+        for start in range(0, len(ordered), step):
+            chunk = ordered[start : start + step]
+            # Per free slot, each term's pieces: the free column's, then
+            # each pivot's, then the constants'.
+            k = chunk[0].dim
+            slots = [[[] for _ in range(k + 1 + constant)] for _ in range(n - k)]
+            # Column j times -a mod p at [j][a], filled as first read.
+            scaled: List[List[Optional[bytes]]] = [[None] * p for _ in columns]
+            for pivots, group in itertools.groupby(chunk, pivots_of):
+                group = list(group)
+                free = [j for j in range(n) if j not in pivots]
+                # The column of each term after the first, with its rows
+                # flat by flat: the pivots with the basis rows, and the ones
+                # with the representatives.
+                scaled_columns, rows = pivots, list(zip(*map(rows_of, group)))
+                if constant:
+                    scaled_columns, rows = pivots + (n,), rows + [list(map(representative, group))]
+                for terms, f in zip(slots, free):
+                    terms[0].append(columns[f] * len(group))
+                    for term, j, row in zip(terms[1:], scaled_columns, rows):
+                        coefficients, table = list(map(itemgetter(f), row)), scaled[j]
+                        for a in set(coefficients):
+                            if table[a] is None:
+                                table[a] = columns[j].translate(times[-a % p])
+                        term.append(b"".join(map(table.__getitem__, coefficients)))
+            yield chunk, [_column_sum([(1, b"".join(term)) for term in terms], len(chunk) * size, p) for terms in slots]
+
+    def incident(self, flats: Sequence[AffineFlat]) -> Dict[AffineFlat, Tuple[Vector, ...]]:
+        """The sorted points on each flat, in the flats' order."""
+        points, size = self.points, len(self.points)
+        on: Dict[AffineFlat, Tuple[Vector, ...]] = dict.fromkeys(flats, ())
+        for chunk, slots in self._lanes(flats, True):
+            off = 0
+            for lanes in slots:
+                off |= int.from_bytes(lanes, "little")
+            flags = off.to_bytes(len(chunk) * size, "little").translate(_ZERO_FLAGS)
+            # Only the segments of flats with a point on them are read.
+            start = flags.find(1)
+            while start >= 0:
+                end = (start // size + 1) * size
+                on[chunk[end // size - 1]] = tuple(itertools.compress(points, flags[end - size : end]))
+                start = flags.find(1, end)
+        return on
+
+    def largest_cosets(self, flats: Sequence[AffineFlat]) -> Dict[AffineFlat, int]:
+        """The most points in one coset of each flat's direction, in the
+        flats' order, 0 for no points; p^(n-k) <= 2^64."""
+        p, size = self.field.p, len(self.points)
+        largest = dict.fromkeys(flats, 0)
+        for chunk, slots in self._lanes(flats, False):
+            keys = _packed_keys(slots, len(chunk) * size, p, _lane_width(p ** len(slots)))
+            for start, flat in zip(range(0, len(keys), size), chunk):
+                largest[flat] = max(Counter(keys[start : start + size]).values())
+        return largest
 
 
 def _bitmask(positions: Iterable[int], size: int) -> int:

@@ -20,7 +20,7 @@ from ._value import _Value
 from .config import Configuration
 from .exponents import PowerProduct, main_term_exponents
 from .field import Field
-from .flats import AffineFlat, CosetSums, enumerate_points, local_coordinates, membership
+from .flats import AffineFlat, CosetSums, FlatLanes, enumerate_points, local_coordinates, membership
 from .linalg import Vector, span
 
 
@@ -61,34 +61,48 @@ def incidence_count(config: Configuration) -> IncidenceIndex:
     incidences takes this index as an argument, so a caller builds it once
     per configuration.
 
-    A flat is counted from its p^k points, zipped column by column by
-    `enumerate_points` (in byte lanes below p = 128) and each looked up in
-    the point set, when p^k + 12 <= 4|P|.  Otherwise every point of P is
-    probed with one `membership` call per (point, flat), which stops at the
-    first annihilator digit of the point that differs from the flat's.  The
-    rule is where the two costs cross: timed per flat on flats with their
-    annihilator rows already kept (CPython 3.11, a shared 2-CPU host),
-    enumeration costs about 7-9 us at p^k <= 9, 10-13 us at p^k = 25-49
-    and 22-26 us at p^k = 125, and probing about 4.5 us plus 0.5-0.8 us a
-    point, so enumeration wins from |P| of about p^k/4 + 3 (|P| = 6 at
-    (4,2,3), 15 at (4,2,7), where the benchmark's `incidence-bound` has
-    |P| = 37 and enumeration takes about half the time of probing).  A
-    corpus flat that no kernel has met yet also pays for its annihilator
-    rows on the probe side, so there enumeration wins earlier still.  Below
-    the crossover a few points are cheaper to probe than p^k to build and
-    look up, and `gen_degenerate(4, 2, 1, GF(3))` (3 points, p^k = 9) stays
-    there, with its 39 `membership` calls.
-    Neither side sorts per flat: `enumerate_points` yields ascending points,
-    and the probe side walks P sorted once.
+    Three sides count the flats, each where per-flat timings show it wins
+    (CPython 3.11, a shared 2-CPU host, best of 15 on fresh flats):
+    - Probe, when p^k + 12 > 4|P|: every point of P is probed with one
+      `membership` call per (point, flat), which stops at the first
+      annihilator digit of the point that differs from the flat's.  Probing
+      costs about 4.5 us plus 0.5-0.8 us a point, so it loses to enumeration
+      from |P| of about p^k/4 + 3 (|P| = 6 at (4,2,3), 15 at (4,2,7)).
+      Below that a few points are cheaper to probe than p^k to build, and
+      `gen_degenerate(4, 2, 1, GF(3))` (3 points, p^k = 9) stays here, with
+      its 39 `membership` calls.
+    - Lanes, below p = 128 when |Pi| (4 p^k + 130 - |P|) > 12 |P| + 1400:
+      `FlatLanes.incident` takes every coset digit of every point under
+      every flat at once, in byte lanes.  Fitted on eight shapes from
+      (4,1,7) to (4,3,5) at 1 to 64 flats and p^k/2 to 4 p^k points, it
+      costs about 3.5 us plus 0.045 us a point per flat, and once per call
+      about 50 us plus 0.6 us a point (sorting P, tables and sums), against
+      about 10 us plus 0.2 us·p^k a flat to enumerate (12-48 us on those
+      shapes): the rule is that comparison, times 20, with the once-per-
+      call cost rounded up.  So sparse P on a family of more than a few
+      flats takes the lanes: the benchmark's `incidence-bound` (|P| = 37
+      at (4,2,7)) counts in 0.26-0.34 of the time of enumeration, and
+      `two-ends` (|P| = 150) in 0.53-0.69, 200 flats each.  Lanes lose
+      from |P| of about 4 p^k + 130 whatever the family (at (4,2,7) from
+      about 350 points; with all 2 401 points on 2 850 flats they take
+      0.33 s against 0.065 s), and below about 10 flats to the
+      once-per-call cost.
+    - Enumerate otherwise (dense P, small families and p >= 128): a flat's
+      p^k points, zipped column by column by `enumerate_points` (in byte
+      lanes below p = 128), are each looked up in the point set.
+    No side sorts per flat: `enumerate_points` yields ascending points, and
+    the other two walk P sorted once.
     """
-    fld = config.field
-    if fld.p ** config.k + 12 <= 4 * len(config.points):
+    fld, size, flat_size = config.field, len(config.points), config.field.p**config.k
+    if flat_size + 12 > 4 * size:
+        ordered = sorted(config.points)
         return IncidenceIndex(
-            {flat: tuple(filter(config.points.__contains__, enumerate_points(flat, fld))) for flat in config.flats}
+            {flat: tuple([pt for pt in ordered if membership(pt, flat, fld)]) for flat in config.flats}
         )
-    ordered = sorted(config.points)
+    if fld.p < 128 and len(config.flats) * (4 * flat_size + 130 - size) > 12 * size + 1400:
+        return IncidenceIndex(FlatLanes(config.points, fld).incident(config.flats))
     return IncidenceIndex(
-        {flat: tuple([pt for pt in ordered if membership(pt, flat, fld)]) for flat in config.flats}
+        {flat: tuple(filter(config.points.__contains__, enumerate_points(flat, fld))) for flat in config.flats}
     )
 
 
@@ -249,16 +263,37 @@ def check_max_ic(
     config: Configuration, index: IncidenceIndex, p_exp: Fraction, q_exp: Fraction
 ) -> MaxIcReport:
     """Compare |I| with |P|^{1/p} |Pi|^{1/q'} |F|^{k(n-k)/q} exactly, and
-    verify |I| <= sum over directions of the sup coset count."""
+    verify |I| <= sum over directions of the sup coset count.
+
+    Each flat's sup is the most points of P in one coset of its direction.
+    Below p = 128, with p^(n-k) <= 2^64, they come from the packed coset
+    keys of every point under every flat at once (`FlatLanes.
+    largest_cosets`, one `Counter` a flat) when |Pi| (200 - |P|) > 400, and
+    from one `CosetSums.maxima` call a flat otherwise.  Timed per flat
+    (CPython 3.11, a shared 2-CPU host, best of 15 on fresh flats, the
+    shapes of `incidence_count`'s fit), the lanes cost about 8 us plus
+    0.065 us a point, and a `CosetSums` direction at least about 20 us,
+    flat in |P| where the directions have few cosets ((4,3,5), 5 cosets)
+    and rising with |P| where they have many ((4,2,7), 49 cosets: 64 us at
+    223 points); each side's once-per-call set-up is 50-150 us.  So the
+    lanes win below about 200 points on a family of more than a few flats,
+    and the rule keeps a margin there: the benchmark's `incidence-bound`
+    (|P| = 37, 200 flats at (4,2,7)) takes 0.44-0.57 of the time of
+    `CosetSums`.
+    Dense P stays on `CosetSums` ((4,2,7) with all 2 401 points on 2 850
+    directions: 0.11-0.20 s there, 0.62 s in lanes)."""
     p_exp, q_exp = Fraction(p_exp), Fraction(q_exp)
     if p_exp < 1 or q_exp < 1:
         raise PreconditionError("exponents must be >= 1")
     _refuse_unseparated(config)
-    fld = config.field
+    fld, size = config.field, len(config.points)
     # Per-direction sup over cosets: each flat's count is at most the sup of
     # the point counts over all cosets of its direction.
-    kernel = CosetSums([[(1, config.points)]], config.k, fld)
-    sup_sum = sum(kernel.maxima(flat.direction)[0] for flat in config.flats)
+    if fld.p < 128 and fld.p ** (config.n - config.k) <= 1 << 64 and len(config.flats) * (200 - size) > 400:
+        sup_sum = sum(FlatLanes(config.points, fld).largest_cosets(config.flats).values())
+    else:
+        kernel = CosetSums([[(1, config.points)]], config.k, fld)
+        sup_sum = sum(kernel.maxima(flat.direction)[0] for flat in config.flats)
     chain_holds = index.total <= sup_sum
     if index.total == 0 or not config.points or not config.flats:
         return MaxIcReport(None, chain_holds, sup_sum, index.total)

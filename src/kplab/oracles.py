@@ -38,6 +38,7 @@ from .flats import (
     AffineFlat,
     CosetKeys,
     CosetMasks,
+    CosetSums,
     LinearSubspace,
     coset_key,
     enumerate_grassmannian,
@@ -422,8 +423,9 @@ def selftest() -> int:
         == [design_moments(cloud, 3, 2, fld, m) for m in (2, 3)],
     )
     # The default witnesses, one function of mixed denominators and one
-    # constant 3/2 on a point cloud, over lines (two annihilator rows) and
-    # planes (one row, the path of the maximal-ratio benchmark).
+    # constant 3/2 on a point cloud of F_3^3, over lines (two annihilator
+    # rows) and planes (one row, the path of the maximal-ratio benchmark).
+    fld = Field(3)
     family = list(maximal.default_candidates(3, 1, fld, 0).values())
     cloud = sorted(gen_point_cloud(3, fld, Fraction(1, 2), 1))
     weights = {x: Fraction(1 + i % 3, 1 + i % 4) for i, x in enumerate(cloud)}
@@ -436,7 +438,6 @@ def selftest() -> int:
         )
     # The images the witness search reads in closed form, with no walk,
     # against the per-coset sums of the witnesses themselves.
-    fld = Field(3)
     witnesses = maximal.default_candidates(3, 1, fld, 0)
     check(
         "maximal closed forms (3,1,3)",
@@ -445,5 +446,17 @@ def selftest() -> int:
             and list(apply_maximal_bruteforce(witnesses[name], 3, 1).values()) == list(column)
             for name, (support, column) in maximal.closed_form_images(3, 1, fld).items()
         ),
+    )
+    # The benchmark's incidence-bound size, where both readers take the byte
+    # lanes: the incidences against the scan of P, the sup sum against one
+    # `CosetSums` walk of the directions.
+    cfg = gen_random_config(4, 2, 200, Fraction(1, 64), Field(7), 0)
+    index = incidence.incidence_count(cfg)
+    kernel = CosetSums([[(1, cfg.points)]], 2, cfg.field)
+    check(
+        "incidence lanes (4,2,7)",
+        lambda: {flat: list(points) for flat, points in index.points.items()} == _incidences(cfg)
+        and incidence.check_max_ic(cfg, index, Fraction(2), Fraction(4)).sup_sum
+        == sum(kernel.maxima(flat.direction)[0] for flat in cfg.flats),
     )
     return 3 if failures else 0

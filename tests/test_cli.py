@@ -36,9 +36,9 @@ PINNED_ROWS = {
         "p_exp=11/6 q_exp=22/5 seeds=0..5",
         "dafaa71ebc5e3eabe3e317513c41b03cdc5e37614539ef45b9563c35c14517cd",
     ),
-    # 23, 32 and 26 points against 7^2 a plane, past the crossover of
-    # incidence_count (p^k + 12 <= 4|P|), so it enumerates each plane, and
-    # CosetKeys in 2-byte lanes (7^3 = 343 cosets a plane) for the max IC.
+    # 23, 32 and 26 points against 7^2 a plane on 60 planes, so both
+    # incidence_count and check_max_ic take the flat lanes, the max IC's
+    # keys in 2-byte lanes (7^3 = 343 cosets a plane).
     "incidence-bound lanes": (
         "experiment=incidence-bound n=5 k=2 prime=7 num_directions=60 density=1/512 "
         "p_exp=13/6 q_exp=39/7 seeds=0..2",
@@ -134,6 +134,7 @@ SELFTEST_LINES = [
     "maximal family oracle (3,1,3)",
     "maximal family oracle (3,2,3)",
     "maximal closed forms (3,1,3)",
+    "incidence lanes (4,2,7)",
 ]
 
 

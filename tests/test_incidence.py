@@ -8,11 +8,14 @@ from operator import mul
 import pytest
 
 import kplab.incidence
-from conftest import planted_simplex_config, random_corpus
+from conftest import planted_simplex_config, random_corpus, random_vectors
 from kplab.config import Configuration, gen_degenerate, gen_random_config
 from kplab.exponents import PowerProduct
 from kplab.field import Field
 from kplab.flats import (
+    CosetSums,
+    FlatLanes,
+    _lane_width,
     enumerate_grassmannian,
     enumerate_points,
     gaussian_binomial,
@@ -20,6 +23,7 @@ from kplab.flats import (
     make_flat,
     membership,
     span_of,
+    unrank_grassmannian,
 )
 from kplab.incidence import (
     EmptyRefinementError,
@@ -64,9 +68,85 @@ def counted_probes(monkeypatch):
 
 
 def fewest_enumerated(p, k):
-    """The fewest points of P from which `incidence_count` enumerates each
-    flat, by its rule p^k + 12 <= 4|P|; it probes below."""
+    """The fewest points of P from which `incidence_count` counts each flat
+    in lanes or by enumeration, by its rule p^k + 12 <= 4|P|; it probes
+    below."""
     return -(-(p**k + 12) // 4)
+
+
+def counting_side(cfg):
+    """The side `incidence_count`'s rule picks for the configuration."""
+    size, flat_size = len(cfg.points), cfg.field.p**cfg.k
+    if size < fewest_enumerated(cfg.field.p, cfg.k):
+        return "probe"
+    if cfg.field.p < 128 and len(cfg.flats) * (4 * flat_size + 130 - size) > 12 * size + 1400:
+        return "lanes"
+    return "enumerate"
+
+
+def side_spy(monkeypatch):
+    """The set of sides `incidence_count` and `check_max_ic` take from now
+    on: "probe" (`membership`), "enumerate" (`enumerate_points`), "lanes"
+    (`FlatLanes`) and "sums" (`CosetSums`), each name they read wrapped to
+    record its side.  Clear it before the call to watch."""
+    seen = set()
+
+    def spy(side, original):
+        def wrapper(*args):
+            seen.add(side)
+            return original(*args)
+
+        return wrapper
+
+    for name, side in (("membership", "probe"), ("enumerate_points", "enumerate"), ("FlatLanes", "lanes"), ("CosetSums", "sums")):
+        monkeypatch.setattr(kplab.incidence, name, spy(side, getattr(kplab.incidence, name)))
+    return seen
+
+
+def membership_scan(cfg):
+    """The sorted points of P on each flat, in the flats' order, by one
+    `membership` test per (point, flat)."""
+    ordered = sorted(cfg.points)
+    return {flat: tuple(x for x in ordered if membership(x, flat, cfg.field)) for flat in cfg.flats}
+
+
+def coset_sums_sups(cfg):
+    """The most points of P in one coset of each flat's direction, by one
+    `CosetSums.maxima` call a flat."""
+    kernel = CosetSums([[(1, cfg.points)]], cfg.k, cfg.field)
+    return {flat: kernel.maxima(flat.direction)[0] for flat in cfg.flats}
+
+
+def enumerated_sups(cfg):
+    """The most points of P in one coset of each flat's direction, by
+    enumerating the points of every coset."""
+    fld = cfg.field
+    return {
+        flat: max(
+            sum(pt in cfg.points for pt in enumerate_points(make_flat(flat.direction, rep, fld), fld))
+            for rep in enumerate_coset_representatives(flat.direction, fld)
+        )
+        for flat in cfg.flats
+    }
+
+
+def lane_config(n, k, p, num_points, num_flats, seed):
+    """Seeded distinct random points of F_p^n and flats of distinct random
+    directions, every other flat through a point of P, so most of those
+    hold points and most of the others none; drawn without enumerating F^n."""
+    fld = Field(p)
+    rng = random.Random(seed)
+    points = sorted(set(random_vectors(n, p, num_points, rng)))
+    ranks = rng.sample(range(gaussian_binomial(n, k, p)), num_flats)
+    flats = tuple(
+        make_flat(
+            unrank_grassmannian(n, k, fld, rank),
+            rng.choice(points) if points and i % 2 == 0 else random_vectors(n, p, 1, rng)[0],
+            fld,
+        )
+        for i, rank in enumerate(ranks)
+    )
+    return Configuration(fld, n, k, frozenset(points), flats)
 
 
 class TestIncidenceCount:
@@ -90,15 +170,15 @@ class TestIncidenceCount:
 
     def test_marginals_agree(self, monkeypatch):
         # Every flat's stored points are a sorted membership scan of P, on
-        # the side the rule picks, seen by whether incidence_count probed.
-        # (4,2,3) at density 1/2 has 32-51 points (enumerate side); at 1/16
-        # it has 1-8, on both sides of the crossover at 6.  (4,2,7) is the
-        # two-ends bench size, 200 planes of F_7^4 at density 1/16, 137-174
-        # points against 49 a plane, and at density 1/64 the
-        # incidence-bound bench size, 31-38 points: both enumerate (1/64
-        # probed while the rule was p^k <= |P|).  (3,3,3) has k = n: its one
-        # flat is F^3, every column a pivot column, and at density 1 it
-        # holds all 27 points (enumerate side).
+        # the side the rule picks, seen by the names incidence_count read.
+        # (4,2,3) at density 1/2 has 32-51 points on 8 planes (enumerate
+        # side); at 1/16 it has 1-8, on both sides of the probe crossover
+        # at 6, and enumerates above it, 8 flats being too few for lanes.
+        # (4,2,7) is the two-ends bench size, 200 planes of F_7^4 at density
+        # 1/16, 137-174 points against 49 a plane, and at density 1/64 the
+        # incidence-bound bench size, 31-38 points: both take the lanes.
+        # (3,3,3) has k = n: its one flat is F^3, every column a pivot
+        # column, and at density 1 it holds all 27 points (enumerate side).
         cases = [
             (4, 2, 3, None, Fraction(1, 2), 10),
             (4, 2, 3, None, Fraction(1, 16), 10),
@@ -106,30 +186,26 @@ class TestIncidenceCount:
             (4, 2, 7, 200, Fraction(1, 64), 3),
             (3, 3, 3, None, Fraction(1), 3),
         ]
-        calls = counted_probes(monkeypatch)
+        seen = side_spy(monkeypatch)
         sides = set()
         for n, k, p, num_directions, density, count in cases:
-            fld = Field(p)
             for _, cfg in random_corpus(n, k, p, count, num_directions=num_directions, density=density):
-                before = len(calls)
+                seen.clear()
                 index = incidence_count(cfg)
-                probed = len(calls) > before
-                assert probed == (len(cfg.points) < fewest_enumerated(p, k))
-                sides.add((n, k, p, density, probed))
+                assert seen == {counting_side(cfg)}
+                sides.add((n, k, p, density, counting_side(cfg)))
                 assert index.total == sum(index.per_flat.values())
                 degrees = Counter(x for pts in index.points.values() for x in pts)
                 assert index.total == sum(degrees.values())
-                for flat in cfg.flats:
-                    on = tuple(sorted(pt for pt in cfg.points if membership(pt, flat, fld)))
-                    assert index.points[flat] == on
-                    assert index.per_flat[flat] == len(on)
+                assert index.points == membership_scan(cfg)
+                assert index.per_flat == {flat: len(on) for flat, on in membership_scan(cfg).items()}
         assert sides == {
-            (4, 2, 3, Fraction(1, 2), False),
-            (4, 2, 3, Fraction(1, 16), True),
-            (4, 2, 3, Fraction(1, 16), False),
-            (4, 2, 7, Fraction(1, 16), False),
-            (4, 2, 7, Fraction(1, 64), False),
-            (3, 3, 3, Fraction(1), False),
+            (4, 2, 3, Fraction(1, 2), "enumerate"),
+            (4, 2, 3, Fraction(1, 16), "probe"),
+            (4, 2, 3, Fraction(1, 16), "enumerate"),
+            (4, 2, 7, Fraction(1, 16), "lanes"),
+            (4, 2, 7, Fraction(1, 64), "lanes"),
+            (3, 3, 3, Fraction(1), "enumerate"),
         }
 
     @pytest.mark.parametrize("n,k,p", [(3, 2, 5), (4, 2, 3), (3, 1, 7)])
@@ -137,7 +213,8 @@ class TestIncidenceCount:
         # Every point lies on [n k]_p flats of AG(n,k), one coset of each
         # direction, so the flats of all of AG(n,k) hold sum |P ∩ flat| =
         # [n k]_p |P| incidences: on the probe side, just below the
-        # crossover, and on the enumerate side, at it and at half of F^n.
+        # crossover, in lanes at it, and at half of F^n in lanes too, or
+        # enumerated at (3,1,7), where 171 points pass 4 p^k + 130.
         fld = Field(p)
         flats = tuple(
             make_flat(pi, rep, fld)
@@ -147,13 +224,114 @@ class TestIncidenceCount:
         space = list(itertools.product(range(p), repeat=n))
         rng = random.Random(n * 100 + k * 10 + p)
         crossover = fewest_enumerated(p, k)
-        calls = counted_probes(monkeypatch)
+        seen = side_spy(monkeypatch)
         for size in (crossover - 1, crossover, len(space) // 2):
             points = frozenset(rng.sample(space, size))
-            before = len(calls)
+            seen.clear()
             index = incidence_count(Configuration(fld, n, k, points, flats))
             assert index.total == gaussian_binomial(n, k, p) * len(points)
-            assert (len(calls) > before) == (size < crossover)
+            cfg = Configuration(fld, n, k, points, flats)
+            assert seen == {counting_side(cfg)} == {"probe" if size < crossover else "lanes" if size < 150 else "enumerate"}
+
+# (id, n, k, p, points drawn, flats): the regimes of the lane kernel.
+LANE_REGIMES = [
+    ("p2", 5, 2, 2, 12, 60),
+    ("p3", 4, 2, 3, 20, 40),
+    ("p7", 4, 2, 7, 37, 200),  # the incidence-bound bench size
+    # Three and four terms of up to 126 a lane: the sums are reduced between adds.
+    ("p127-k1", 2, 1, 127, 300, 100),
+    ("p127-k2", 3, 2, 127, 200, 60),
+    ("k=n", 3, 3, 5, 40, 1),  # no free slot: every point is on F^3
+    ("k=0", 3, 0, 5, 30, 1),  # three slots, no pivot term
+    ("slots3", 5, 2, 3, 30, 80),
+    ("slots3-lines", 4, 1, 7, 60, 150),
+    ("one-flat", 4, 2, 7, 37, 1),
+    ("empty", 4, 2, 3, 0, 10),
+]
+
+
+class TestFlatLanes:
+    @pytest.mark.parametrize("n,k,p,num_points,num_flats", [r[1:] for r in LANE_REGIMES], ids=[r[0] for r in LANE_REGIMES])
+    def test_lanes_match_membership_scan(self, n, k, p, num_points, num_flats, monkeypatch):
+        # The lane side of incidence_count against a sorted membership scan
+        # of P, flat by flat and in the flats' order, and the lane sups
+        # against CosetSums; through incidence_count and check_max_ic too,
+        # whichever sides their rules pick.
+        seen = side_spy(monkeypatch)
+        for seed in range(3):
+            cfg = lane_config(n, k, p, num_points, num_flats, seed)
+            expected = membership_scan(cfg)
+            incident = FlatLanes(cfg.points, cfg.field).incident(cfg.flats)
+            assert incident == expected and list(incident) == list(cfg.flats)
+            if cfg.points:
+                assert any(expected.values())
+            if k == n:
+                assert all(len(on) == len(cfg.points) for on in expected.values())
+            largest = FlatLanes(cfg.points, cfg.field).largest_cosets(cfg.flats)
+            assert largest == coset_sums_sups(cfg) and list(largest) == list(cfg.flats)
+            seen.clear()
+            index = incidence_count(cfg)
+            # No points: the probe side makes no membership call.
+            assert index.points == expected and seen == ({counting_side(cfg)} if cfg.points else set())
+            assert check_max_ic(cfg, index, Fraction(2), Fraction(4)).sup_sum == sum(largest.values())
+
+    @pytest.mark.parametrize("cap", [1, 50, 3 * 37 + 1])
+    def test_chunked_run_equals_unchunked(self, cap, monkeypatch):
+        # Chunks of one flat, under a cap below |P| and under one between
+        # |P| and 2|P|, and of three flats, which split pivot-pattern
+        # groups, give the answers of one chunk of all 200 flats.
+        cfg = lane_config(4, 2, 7, 37, 200, 0)
+        size = len(cfg.points)
+        whole = FlatLanes(cfg.points, cfg.field)
+        incident, largest = whole.incident(cfg.flats), whole.largest_cosets(cfg.flats)
+        assert len(list(whole._lanes(cfg.flats, True))) == 1
+        monkeypatch.setattr(kplab.flats, "_LANE_CAP", cap)
+        chunked = FlatLanes(cfg.points, cfg.field)
+        assert len(list(chunked._lanes(cfg.flats, True))) == -(-200 // max(cap // size, 1))
+        assert chunked.incident(cfg.flats) == incident == membership_scan(cfg)
+        assert chunked.largest_cosets(cfg.flats) == largest == coset_sums_sups(cfg)
+        index = incidence_count(cfg)
+        assert index.points == incident
+        assert check_max_ic(cfg, index, Fraction(2), Fraction(4)).sup_sum == sum(largest.values())
+
+    def test_p131_takes_todays_sides(self, monkeypatch):
+        # Byte lanes need p < 128: the kernel refuses p = 131, and
+        # incidence_count and check_max_ic count by enumeration and
+        # CosetSums there, whatever the sizes.
+        cfg = lane_config(2, 1, 131, 300, 100, 0)
+        with pytest.raises(ValueError):
+            FlatLanes(cfg.points, cfg.field)
+        seen = side_spy(monkeypatch)
+        index = incidence_count(cfg)
+        assert seen == {"enumerate"} and index.points == membership_scan(cfg)
+        seen.clear()
+        report = check_max_ic(cfg, index, Fraction(2), Fraction(4))
+        assert seen == {"sums"} and report.sup_sum == sum(coset_sums_sups(cfg).values())
+
+    def test_bench_configurations_take_their_sides(self, monkeypatch):
+        # The corpus workload's sizes: incidence-bound (37 points, 200
+        # planes of F_7^4) on lanes in both readers, two-ends (150 points)
+        # on lanes, refinement-chain (about 312 points on 20 planes of
+        # F_5^4) on enumeration, and the degenerate (4,2,1,GF(3)) on
+        # membership, with the 39 calls the bench tracer pins.
+        seen = side_spy(monkeypatch)
+        for n, k, p, num_directions, density, side in (
+            (4, 2, 7, 200, Fraction(1, 64), "lanes"),
+            (4, 2, 7, 200, Fraction(1, 16), "lanes"),
+            (4, 2, 5, 20, Fraction(1, 2), "enumerate"),
+        ):
+            for _, cfg in random_corpus(n, k, p, 2, num_directions=num_directions, density=density):
+                seen.clear()
+                index = incidence_count(cfg)
+                assert seen == {side}
+                if density == Fraction(1, 64):
+                    seen.clear()
+                    check_max_ic(cfg, index, Fraction(11, 6), Fraction(22, 5))
+                    assert seen == {"lanes"}
+        calls = counted_probes(monkeypatch)
+        assert incidence_count(gen_degenerate(4, 2, 1, Field(3))).total == 39
+        assert len(calls) == 39
+
 
 class TestCsHolder:
     def test_m1_is_incidence_count(self, f3):
@@ -272,16 +450,46 @@ class TestCheckMaxIc:
             report = check_max_ic(cfg, incidence_count(cfg), Fraction(2), Fraction(4))
             assert report.chain_holds
             # sup_sum against point counts over every coset, enumerated.
-            fld = cfg.field
-            explicit = sum(
-                max(
-                    sum(pt in cfg.points for pt in enumerate_points(make_flat(flat.direction, rep, fld), fld))
-                    for rep in enumerate_coset_representatives(flat.direction, fld)
-                )
-                for flat in cfg.flats
-            )
+            explicit = sum(enumerated_sups(cfg).values())
             assert explicit > 0
             assert report.sup_sum == explicit
+
+    @pytest.mark.parametrize(
+        "n,k,p,num_directions,density,side,width",
+        [
+            (4, 2, 7, 60, Fraction(1, 64), "lanes", 1),  # 49 cosets: keys in 1-byte lanes
+            (4, 1, 7, 60, Fraction(1, 49), "lanes", 2),  # 343 cosets: 2-byte lanes
+            (4, 2, 5, 20, Fraction(1, 2), "sums", 1),  # about 312 points: CosetSums
+        ],
+        ids=["lanes-1-byte", "lanes-2-byte", "sums"],
+    )
+    def test_sup_sum_on_each_side(self, n, k, p, num_directions, density, side, width, monkeypatch):
+        # The sup sum on the side the rule picks against CosetSums.maxima
+        # and against point counts over every coset, enumerated, flat by flat.
+        assert _lane_width(p ** (n - k)) == width
+        seen = side_spy(monkeypatch)
+        for _, cfg in random_corpus(n, k, p, 2, num_directions=num_directions, density=density):
+            index = incidence_count(cfg)
+            seen.clear()
+            report = check_max_ic(cfg, index, Fraction(2), Fraction(4))
+            assert seen == {side}
+            explicit = enumerated_sups(cfg)
+            assert coset_sums_sups(cfg) == explicit
+            if side == "lanes":
+                assert FlatLanes(cfg.points, cfg.field).largest_cosets(cfg.flats) == explicit
+            assert report.sup_sum == sum(explicit.values()) >= index.total > 0
+
+    def test_sups_past_2_to_the_64_cosets_take_coset_sums(self, f2, monkeypatch):
+        # Lines of F_2^66 have 2^65 cosets, past the 8-byte key lanes, so the
+        # sup chain goes to CosetSums, which packs such keys point by point.
+        rng = random.Random(0)
+        points = frozenset(random_vectors(66, 2, 3, rng))
+        flats = tuple(make_flat(unrank_grassmannian(66, 1, f2, rank), min(points), f2) for rank in range(5))
+        cfg = Configuration(f2, 66, 1, points, flats)
+        seen = side_spy(monkeypatch)
+        report = check_max_ic(cfg, incidence_count(cfg), Fraction(2), Fraction(4))
+        assert "sums" in seen and "lanes" not in seen
+        assert report.sup_sum == sum(coset_sums_sups(cfg).values()) >= 5
 
     def test_degenerate_endpoint_finite(self, f3):
         cfg = gen_degenerate(4, 2, 1, f3)

@@ -135,6 +135,8 @@ MUTATIONS = [
             "tests/test_flats.py::test_coset_keys_lanes_match_coset_key[4-2-127-2]",
             "tests/test_flats.py::test_column_sum_matches_entry_by_entry[127]",
             "tests/test_flats.py::test_coset_kernels_meet_design_moments[3-2-127-40-keys]",
+            "tests/test_incidence.py::TestFlatLanes::test_lanes_match_membership_scan[p127-k1]",
+            "tests/test_incidence.py::TestFlatLanes::test_lanes_match_membership_scan[p127-k2]",
         ],
     ),
     # The column sum entry by entry, at p >= 128, with each column added
@@ -162,6 +164,44 @@ MUTATIONS = [
         "2 if cosets <= 1 << 16 else",
         "2 if cosets <= 1 << 17 else",
         ["tests/test_flats.py::test_coset_kernels_meet_design_moments[4-1-41-12-keys]"],
+    ),
+    # The flat lanes without the representatives' constant term: each flat
+    # gets the points of the coset of its direction through the origin.
+    Mutation(
+        "flat-lanes-no-constant-term",
+        "src/kplab/flats.py",
+        "                if constant:\n                    scaled_columns, rows =",
+        "                if False:\n                    scaled_columns, rows =",
+        [
+            "tests/test_incidence.py::TestFlatLanes::test_lanes_match_membership_scan[p3]",
+            "tests/test_incidence.py::TestFlatLanes::test_lanes_match_membership_scan[p7]",
+            "tests/test_incidence.py::TestFlatLanes::test_lanes_match_membership_scan[slots3]",
+            "tests/test_incidence.py::TestFlatLanes::test_chunked_run_equals_unchunked[1]",
+        ],
+    ),
+    # The lane sups' keys one slot too narrow: 343 cosets in 1-byte lanes.
+    # Only directions of more than 256 cosets reach a wider lane.
+    Mutation(
+        "flat-lanes-sup-key-width-short",
+        "src/kplab/flats.py",
+        "_lane_width(p ** len(slots))",
+        "_lane_width(p ** (len(slots) - 1))",
+        [
+            "tests/test_incidence.py::TestFlatLanes::test_lanes_match_membership_scan[slots3-lines]",
+            "tests/test_incidence.py::TestCheckMaxIc::test_sup_sum_on_each_side[lanes-2-byte]",
+        ],
+    ),
+    # A chunk one flat short: the flats it skips keep no points.  A cap of
+    # one flat a chunk skips every flat.
+    Mutation(
+        "flat-lanes-chunk-short",
+        "src/kplab/flats.py",
+        "chunk = ordered[start : start + step]",
+        "chunk = ordered[start : start + step - 1]",
+        [
+            "tests/test_incidence.py::TestFlatLanes::test_chunked_run_equals_unchunked[1]",
+            "tests/test_incidence.py::TestFlatLanes::test_chunked_run_equals_unchunked[112]",
+        ],
     ),
     # The one coordinate flat.  Counts and maximal ratios are invariant under
     # permuting coordinates, so only a test of its points can catch this.
