@@ -17,7 +17,7 @@ import itertools
 import random
 import struct
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Collection, Dict, FrozenSet, Iterator, List, Tuple
 
 from ._value import _Value, _set
 from .field import Field
@@ -40,11 +40,12 @@ class ConfigDomainError(ValueError):
 
 class Configuration(_Value, frozen=True):
     """A point set P in F^n together with a family of affine k-flats,
-    checked on construction."""
+    checked on construction.  P is kept as a frozenset, so points given
+    with repeats count once."""
 
     __slots__ = ("field", "n", "k", "points", "flats")
 
-    def __init__(self, field: Field, n: int, k: int, points: FrozenSet[Vector], flats: Tuple[AffineFlat, ...]):
+    def __init__(self, field: Field, n: int, k: int, points: Collection[Vector], flats: Tuple[AffineFlat, ...]):
         for pt in field.points_outside(points, n):
             raise ConfigDomainError(f"point {pt!r} is not in F_{field.p}^{n}")
         if len(set(flats)) != len(flats):
@@ -55,7 +56,7 @@ class Configuration(_Value, frozen=True):
         _set(self, "field", field)
         _set(self, "n", n)
         _set(self, "k", k)
-        _set(self, "points", points)
+        _set(self, "points", frozenset(points))
         _set(self, "flats", flats)
 
     @property

@@ -9,7 +9,9 @@ integer key: the digits a_j . x mod p (`_digits`) of the annihilator rows
 a_j of the direction, one row per free column j.  `coset_key` reads it
 for one point, `membership` compares its digits with the flat's one row at
 a time and stops at the first that differs, `CosetKeys` gives it for a
-fixed point set under any direction at once, `make_flat` writes its
+fixed point set under any direction, or under every flat of a family at
+once in byte lanes (`incidence.incidence_count`'s points on each flat and
+`incidence.check_max_ic`'s largest cosets), `make_flat` writes its
 digits into the free columns of the canonical representative (they are the
 entries that eliminating the pivots by the basis rows leaves there), and
 `flats_through` keys the (k+1)-flats through a k-flat by the digits of the
@@ -28,10 +30,6 @@ the points under any direction (`maximal`'s one walk over G(n,k),
 `incidence.check_max_ic`).  A coordinate column has one form (`_column`)
 and one sum mod p (`_column_sum`), which `enumerate_points` and
 `CosetKeys` both read.
-`FlatLanes` gives the same digits for a fixed point set under every flat of
-a family at once, in byte lanes: the points on each flat
-(`incidence.incidence_count`) and each flat direction's largest coset
-(`incidence.check_max_ic`).
 `coordinate_flat` is the one span(e_1, ..., e_r), of `config.gen_degenerate`
 and the maximal operator's witnesses.
 """
@@ -106,7 +104,10 @@ def _at_free_columns(direction: LinearSubspace, values: Iterable[int]) -> Vector
 
 def make_flat(direction: LinearSubspace, point: Vector, field: Field) -> AffineFlat:
     """Canonical affine flat through `point` with the given direction: the
-    digits of the point's coset key in the free columns, zero at the pivots."""
+    digits of the point's coset key in the free columns, zero at the pivots.
+    Refuses a point that is not in the direction's F^n."""
+    for pt in field.points_outside((point,), direction.ambient):
+        raise ValueError(f"point {pt!r} is not in F_{field.p}^{direction.ambient}")
     digits = _digits(point, _annihilator(direction, field), field.p)
     return AffineFlat(direction, _at_free_columns(direction, digits))
 
@@ -365,42 +366,6 @@ class _PointSet:
         return _annihilator(direction, self.field)
 
 
-class CosetKeys(_PointSet):
-    """The coset keys of one fixed point set under any direction, all at once.
-
-    `keys(direction)` reads each annihilator row a as one `_column_sum` of
-    a_i times coordinate column i (`_PointSet`), the row's digit of every
-    point at once.  The rows' digit columns are packed into the base-p key
-    in lanes of 1, 2, 4 or 8 bytes, the fewest that hold p^(n-k), and read
-    back by `array`, when the columns are `bytes` and p^(n-k) <= 2^64, and
-    point by point otherwise.  A row is nonzero only at its free column and
-    the k pivots, so a direction takes at most (n-k)(k+1) column steps.
-    """
-
-    def __init__(self, points: Iterable[Vector], field: Field):
-        super().__init__(points, field)
-        self._bytes = all(isinstance(column, bytes) for column in self.columns)
-
-    def keys(self, direction: LinearSubspace) -> List[int]:
-        """`coset_key(x, direction)` for each x in `points`, in order."""
-        rows = self._rows(direction)
-        if rows is None:
-            return []
-        p = self.field.p
-        if self._bytes and (width := _lane_width(p ** len(rows))):
-            return self._lane_keys(rows, width)
-        keys, size = [0] * len(self.points), len(self.points)
-        for row in rows:  # key * p + digit, by map: a comprehension would make p a cell here
-            keys = list(map(add, map(mul, keys, itertools.repeat(p)), _column_sum(zip(row, self.columns), size, p)))
-        return keys
-
-    def _lane_keys(self, rows: Tuple[Vector, ...], width: int) -> List[int]:
-        """The keys of `keys` in byte lanes, `width` bytes a key: the columns
-        are `bytes` and p^len(rows) <= 2^(8 width)."""
-        p, size = self.field.p, len(self.points)
-        return _packed_keys([_column_sum(zip(row, self.columns), size, p) for row in rows], size, p, width).tolist()
-
-
 def _lane_width(cosets: int) -> int:
     """The bytes a packed key below `cosets` takes in a lane: the fewest of
     1, 2, 4 and 8 that hold it, and 0 above 2^64, where keys are not packed
@@ -425,18 +390,29 @@ def _packed_keys(digit_columns: Sequence[bytes], size: int, p: int, width: int) 
     return keys
 
 
-# The most lanes, |P| a flat, that `FlatLanes` sums at once in a free slot:
-# it takes the flats in chunks below it, so its memory does not grow with
-# the family.
+# The most lanes, |P| a flat, that `CosetKeys` sums at once in a free slot
+# of its flat lanes: it takes the flats in chunks below it, so its memory
+# does not grow with the family.
 _LANE_CAP = 1 << 16
 
 
-class FlatLanes(_PointSet):
-    """The coset digits of every point of a fixed point set under every flat
-    of a family at once, in byte lanes (so p < 128, as in `_column_sum`).
+class CosetKeys(_PointSet):
+    """The coset keys of one fixed point set: under one direction, all
+    points at once (`keys`), or under every flat of a family at once, in
+    byte lanes (`incident`, `largest_cosets`).
 
-    Lane F |P| + x of free slot s holds x_f - sum_i row_i[f] x_{pivot_i} mod
-    p, where f is the s-th free column of flat F's direction and row_i and
+    `keys(direction)` reads each annihilator row a as one `_column_sum` of
+    a_i times coordinate column i (`_PointSet`), the row's digit of every
+    point at once.  The rows' digit columns are packed into the base-p key
+    in lanes of 1, 2, 4 or 8 bytes, the fewest that hold p^(n-k), and read
+    back by `array` (`_packed_keys`), when the columns are `bytes` and
+    p^(n-k) <= 2^64, and point by point otherwise.  A row is nonzero only
+    at its free column and the k pivots, so a direction takes at most
+    (n-k)(k+1) column steps.
+
+    The flat lanes hold the same digits for every flat of a family.  Lane
+    F |P| + x of free slot s holds x_f - sum_i row_i[f] x_{pivot_i} mod p,
+    where f is the s-th free column of flat F's direction and row_i and
     pivot_i are its RREF basis rows and pivots: the digit of its annihilator
     row s (`_digits`).  Each of those terms is one `b"".join` of per-flat
     pieces, and one `_column_sum` adds them.  The flats are grouped by pivot
@@ -446,24 +422,41 @@ class FlatLanes(_PointSet):
     (`_byte_tables`' `times`), kept per (column, coefficient) once read.
     The flats are taken in chunks of at most `_LANE_CAP` lanes a slot, each
     with its own table, so the table holds no more pieces than the chunk's
-    terms do.
+    terms do.  The lanes are bytes, so the lane methods refuse a point set
+    whose columns are not (p >= 256); from p = 128 `_column_sum` adds them
+    entry by entry.
 
     `incident` adds each representative's -c_f as one more term, so a point
     lies on F exactly when every slot's lane is 0.  `largest_cosets` packs
-    the digits into keys as `CosetKeys` lanes them and counts each flat's
-    segment."""
+    the digits into keys as `keys` does and counts each flat's segment.
+    """
 
     def __init__(self, points: Iterable[Vector], field: Field):
-        if field.p >= 128:
-            raise ValueError(f"flat lanes need p < 128, got p = {field.p}")
         super().__init__(points, field)
+        self._bytes = all(isinstance(column, bytes) for column in self.columns)
+
+    def keys(self, direction: LinearSubspace) -> List[int]:
+        """`coset_key(x, direction)` for each x in `points`, in order."""
+        rows = self._rows(direction)
+        if rows is None:
+            return []
+        p, size = self.field.p, len(self.points)
+        digit_columns = [_column_sum(zip(row, self.columns), size, p) for row in rows]
+        if self._bytes and (width := _lane_width(p ** len(rows))):
+            return _packed_keys(digit_columns, size, p, width).tolist()
+        keys = [0] * size
+        for digits in digit_columns:  # key * p + digit, by map: a comprehension would make p a cell here
+            keys = list(map(add, map(mul, keys, itertools.repeat(p)), digits))
+        return keys
 
     def _lanes(self, flats: Sequence[AffineFlat], constant: bool) -> Iterator[Tuple[List[AffineFlat], List[bytes]]]:
         """Each chunk of the flats in lane order, with the lanes of each free
         slot; with `constant`, each flat's lanes less its representative's
         digits; no chunks for no points.  The flats all have one dimension
-        in F^n."""
+        in F^n; refuses columns that are not `bytes`."""
         n, p, size = self.n, self.field.p, len(self.points)
+        if not self._bytes:
+            raise ValueError(f"flat lanes need byte columns, p < 256, got p = {p}")
         if not size:
             return
         times = _byte_tables(p)[0]

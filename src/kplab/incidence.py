@@ -20,7 +20,7 @@ from ._value import _Value
 from .config import Configuration
 from .exponents import PowerProduct, main_term_exponents
 from .field import Field
-from .flats import AffineFlat, CosetSums, FlatLanes, enumerate_points, local_coordinates, membership
+from .flats import AffineFlat, CosetKeys, CosetSums, _lane_width, enumerate_points, local_coordinates, membership
 from .linalg import Vector, span
 
 
@@ -72,7 +72,7 @@ def incidence_count(config: Configuration) -> IncidenceIndex:
       `gen_degenerate(4, 2, 1, GF(3))` (3 points, p^k = 9) stays here, with
       its 39 `membership` calls.
     - Lanes, below p = 128 when |Pi| (4 p^k + 130 - |P|) > 12 |P| + 1400:
-      `FlatLanes.incident` takes every coset digit of every point under
+      `CosetKeys.incident` takes every coset digit of every point under
       every flat at once, in byte lanes.  Fitted on eight shapes from
       (4,1,7) to (4,3,5) at 1 to 64 flats and p^k/2 to 4 p^k points, it
       costs about 3.5 us plus 0.045 us a point per flat, and once per call
@@ -86,7 +86,10 @@ def incidence_count(config: Configuration) -> IncidenceIndex:
       from |P| of about 4 p^k + 130 whatever the family (at (4,2,7) from
       about 350 points; with all 2 401 points on 2 850 flats they take
       0.33 s against 0.065 s), and below about 10 flats to the
-      once-per-call cost.
+      once-per-call cost.  The lanes answer up to p = 255, but the fit
+      covers only p < 128, where `_column_sum` adds them in byte lanes;
+      from p = 128 it adds them entry by entry, and this rule has no
+      timings there.
     - Enumerate otherwise (dense P, small families and p >= 128): a flat's
       p^k points, zipped column by column by `enumerate_points` (in byte
       lanes below p = 128), are each looked up in the point set.
@@ -99,8 +102,9 @@ def incidence_count(config: Configuration) -> IncidenceIndex:
         return IncidenceIndex(
             {flat: tuple([pt for pt in ordered if membership(pt, flat, fld)]) for flat in config.flats}
         )
+    # p < 128: the fitted speed condition, not a limit of the lanes.
     if fld.p < 128 and len(config.flats) * (4 * flat_size + 130 - size) > 12 * size + 1400:
-        return IncidenceIndex(FlatLanes(config.points, fld).incident(config.flats))
+        return IncidenceIndex(CosetKeys(config.points, fld).incident(config.flats))
     return IncidenceIndex(
         {flat: tuple(filter(config.points.__contains__, enumerate_points(flat, fld))) for flat in config.flats}
     )
@@ -266,9 +270,10 @@ def check_max_ic(
     verify |I| <= sum over directions of the sup coset count.
 
     Each flat's sup is the most points of P in one coset of its direction.
-    Below p = 128, with p^(n-k) <= 2^64, they come from the packed coset
-    keys of every point under every flat at once (`FlatLanes.
-    largest_cosets`, one `Counter` a flat) when |Pi| (200 - |P|) > 400, and
+    Below p = 128, with p^(n-k) keys in a lane (`_lane_width`: at most
+    2^64), they come from the packed coset keys of every point under every
+    flat at once (`CosetKeys.largest_cosets`, one `Counter` a flat) when
+    |Pi| (200 - |P|) > 400, and
     from one `CosetSums.maxima` call a flat otherwise.  Timed per flat
     (CPython 3.11, a shared 2-CPU host, best of 15 on fresh flats, the
     shapes of `incidence_count`'s fit), the lanes cost about 8 us plus
@@ -281,7 +286,9 @@ def check_max_ic(
     (|P| = 37, 200 flats at (4,2,7)) takes 0.44-0.57 of the time of
     `CosetSums`.
     Dense P stays on `CosetSums` ((4,2,7) with all 2 401 points on 2 850
-    directions: 0.11-0.20 s there, 0.62 s in lanes)."""
+    directions: 0.11-0.20 s there, 0.62 s in lanes).  As in
+    `incidence_count`, p < 128 is the range the timings cover: the lanes
+    answer up to p = 255, summed entry by entry from p = 128."""
     p_exp, q_exp = Fraction(p_exp), Fraction(q_exp)
     if p_exp < 1 or q_exp < 1:
         raise PreconditionError("exponents must be >= 1")
@@ -289,8 +296,9 @@ def check_max_ic(
     fld, size = config.field, len(config.points)
     # Per-direction sup over cosets: each flat's count is at most the sup of
     # the point counts over all cosets of its direction.
-    if fld.p < 128 and fld.p ** (config.n - config.k) <= 1 << 64 and len(config.flats) * (200 - size) > 400:
-        sup_sum = sum(FlatLanes(config.points, fld).largest_cosets(config.flats).values())
+    # p < 128: the fitted speed condition, not a limit of the lanes.
+    if fld.p < 128 and _lane_width(fld.p ** (config.n - config.k)) and len(config.flats) * (200 - size) > 400:
+        sup_sum = sum(CosetKeys(config.points, fld).largest_cosets(config.flats).values())
     else:
         kernel = CosetSums([[(1, config.points)]], config.k, fld)
         sup_sum = sum(kernel.maxima(flat.direction)[0] for flat in config.flats)

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import kplab.flats
 from conftest import random_vectors
 from kplab.config import Configuration, gen_random_config
 from kplab.field import Field
@@ -200,6 +201,16 @@ def test_enumerate_points_sizes():
     assert len(set(enumerate_points(plane, f5))) == 25
 
 
+def test_make_flat_refuses_points_outside_the_space(f5):
+    # A point of the wrong length would be padded or cut by the digits'
+    # zip, and an entry outside range(p) read mod p: both are refused.
+    direction = span_of([(1, 0, 0)], 3, f5)
+    assert make_flat(direction, (1, 2, 3), f5).representative == (0, 2, 3)
+    for point in [(1, 2), (1, 2, 3, 4), (1, 2, 5), (1, -1, 3)]:
+        with pytest.raises(ValueError, match="not in F_5"):
+            make_flat(direction, point, f5)
+
+
 def test_membership():
     f3 = Field(3)
     diag = line(f3, 2, (1, 1), (0, 0))
@@ -382,13 +393,13 @@ def test_coset_keys_lanes_match_coset_key(monkeypatch, n, k, p, width):
     # one-point, duplicate-laden and drawn inputs, under every direction of
     # G(n,k) or, where it is too large to enumerate, under sampled ones.
     widths = []
-    lane_keys = CosetKeys._lane_keys
+    packed_keys = kplab.flats._packed_keys
 
-    def recorded(self, rows, lanes):
+    def recorded(digit_columns, size, p, lanes):
         widths.append(lanes)
-        return lane_keys(self, rows, lanes)
+        return packed_keys(digit_columns, size, p, lanes)
 
-    monkeypatch.setattr(CosetKeys, "_lane_keys", recorded)
+    monkeypatch.setattr(kplab.flats, "_packed_keys", recorded)
     fld = Field(p)
     rng = random.Random(n * p + k)
     drawn = random_vectors(n, p, 40, rng)

@@ -13,9 +13,10 @@ from kplab.config import Configuration, gen_degenerate, gen_random_config
 from kplab.exponents import PowerProduct
 from kplab.field import Field
 from kplab.flats import (
+    CosetKeys,
     CosetSums,
-    FlatLanes,
     _lane_width,
+    coset_key,
     enumerate_grassmannian,
     enumerate_points,
     gaussian_binomial,
@@ -31,6 +32,7 @@ from kplab.incidence import (
     SizeGuardError,
     build_refinement_chain,
     check_main_bound,
+    _row_head,
     check_max_ic,
     common_points,
     cs_holder_count,
@@ -87,7 +89,7 @@ def counting_side(cfg):
 def side_spy(monkeypatch):
     """The set of sides `incidence_count` and `check_max_ic` take from now
     on: "probe" (`membership`), "enumerate" (`enumerate_points`), "lanes"
-    (`FlatLanes`) and "sums" (`CosetSums`), each name they read wrapped to
+    (`CosetKeys`) and "sums" (`CosetSums`), each name they read wrapped to
     record its side.  Clear it before the call to watch."""
     seen = set()
 
@@ -98,7 +100,7 @@ def side_spy(monkeypatch):
 
         return wrapper
 
-    for name, side in (("membership", "probe"), ("enumerate_points", "enumerate"), ("FlatLanes", "lanes"), ("CosetSums", "sums")):
+    for name, side in (("membership", "probe"), ("enumerate_points", "enumerate"), ("CosetKeys", "lanes"), ("CosetSums", "sums")):
         monkeypatch.setattr(kplab.incidence, name, spy(side, getattr(kplab.incidence, name)))
     return seen
 
@@ -153,6 +155,34 @@ class TestIncidenceCount:
     def test_full_flat(self, f3):
         cfg = single_flat_config(f3, 3, 2)
         assert incidence_count(cfg).total == 9
+
+    @pytest.mark.parametrize("side", ["probe", "lanes", "enumerate"])
+    def test_repeated_points_count_once(self, side, monkeypatch):
+        # P given as a list with repeats is the set of its points: each
+        # side counts a point once, and so does the row head.  The probe
+        # case is the lines of F_3^2 through the origin against (0,0) twice
+        # and (1,1): 5 incidences, not 9.
+        if side == "probe":
+            fld = Field(3)
+            flats = tuple(make_flat(d, (0, 0), fld) for d in enumerate_grassmannian(2, 1, fld))
+            listed = [(0, 0), (0, 0), (1, 1)]
+        else:
+            cfg = lane_config(4, 2, 7, 37, 200 if side == "lanes" else 5, 0)
+            fld, flats = cfg.field, cfg.flats
+            ordered = sorted(cfg.points)
+            listed = ordered + ordered[::3]
+        n, k = flats[0].ambient, flats[0].dim
+        as_set = Configuration(fld, n, k, frozenset(listed), flats)
+        as_list = Configuration(fld, n, k, listed, flats)
+        assert as_list.points == as_set.points
+        expected = incidence_count(as_set)
+        seen = side_spy(monkeypatch)
+        index = incidence_count(as_list)
+        assert seen == {side} == {counting_side(as_set)}
+        assert index.points == expected.points == membership_scan(as_set)
+        assert _row_head(as_list, index) == _row_head(as_set, expected)
+        if side == "probe":
+            assert index.total == 5
 
     def test_degenerate_pinned(self, f3, monkeypatch):
         # 3 points against p^k = 9, below the crossover: each of the 13
@@ -241,6 +271,9 @@ LANE_REGIMES = [
     # Three and four terms of up to 126 a lane: the sums are reduced between adds.
     ("p127-k1", 2, 1, 127, 300, 100),
     ("p127-k2", 3, 2, 127, 200, 60),
+    # 128 <= p < 256: the lanes are still bytes, summed entry by entry.
+    ("p131", 2, 1, 131, 300, 100),
+    ("p251", 3, 2, 251, 200, 60),
     ("k=n", 3, 3, 5, 40, 1),  # no free slot: every point is on F^3
     ("k=0", 3, 0, 5, 30, 1),  # three slots, no pivot term
     ("slots3", 5, 2, 3, 30, 80),
@@ -251,6 +284,8 @@ LANE_REGIMES = [
 
 
 class TestFlatLanes:
+    """The flat lanes of `CosetKeys`: `incident` and `largest_cosets`."""
+
     @pytest.mark.parametrize("n,k,p,num_points,num_flats", [r[1:] for r in LANE_REGIMES], ids=[r[0] for r in LANE_REGIMES])
     def test_lanes_match_membership_scan(self, n, k, p, num_points, num_flats, monkeypatch):
         # The lane side of incidence_count against a sorted membership scan
@@ -261,13 +296,13 @@ class TestFlatLanes:
         for seed in range(3):
             cfg = lane_config(n, k, p, num_points, num_flats, seed)
             expected = membership_scan(cfg)
-            incident = FlatLanes(cfg.points, cfg.field).incident(cfg.flats)
+            incident = CosetKeys(cfg.points, cfg.field).incident(cfg.flats)
             assert incident == expected and list(incident) == list(cfg.flats)
             if cfg.points:
                 assert any(expected.values())
             if k == n:
                 assert all(len(on) == len(cfg.points) for on in expected.values())
-            largest = FlatLanes(cfg.points, cfg.field).largest_cosets(cfg.flats)
+            largest = CosetKeys(cfg.points, cfg.field).largest_cosets(cfg.flats)
             assert largest == coset_sums_sups(cfg) and list(largest) == list(cfg.flats)
             seen.clear()
             index = incidence_count(cfg)
@@ -282,11 +317,11 @@ class TestFlatLanes:
         # groups, give the answers of one chunk of all 200 flats.
         cfg = lane_config(4, 2, 7, 37, 200, 0)
         size = len(cfg.points)
-        whole = FlatLanes(cfg.points, cfg.field)
+        whole = CosetKeys(cfg.points, cfg.field)
         incident, largest = whole.incident(cfg.flats), whole.largest_cosets(cfg.flats)
         assert len(list(whole._lanes(cfg.flats, True))) == 1
         monkeypatch.setattr(kplab.flats, "_LANE_CAP", cap)
-        chunked = FlatLanes(cfg.points, cfg.field)
+        chunked = CosetKeys(cfg.points, cfg.field)
         assert len(list(chunked._lanes(cfg.flats, True))) == -(-200 // max(cap // size, 1))
         assert chunked.incident(cfg.flats) == incident == membership_scan(cfg)
         assert chunked.largest_cosets(cfg.flats) == largest == coset_sums_sups(cfg)
@@ -295,18 +330,28 @@ class TestFlatLanes:
         assert check_max_ic(cfg, index, Fraction(2), Fraction(4)).sup_sum == sum(largest.values())
 
     def test_p131_takes_todays_sides(self, monkeypatch):
-        # Byte lanes need p < 128: the kernel refuses p = 131, and
-        # incidence_count and check_max_ic count by enumeration and
-        # CosetSums there, whatever the sizes.
+        # The lanes answer at p = 131 (LANE_REGIMES), but the rules' timings
+        # cover only p < 128: incidence_count and check_max_ic count by
+        # enumeration and CosetSums there, whatever the sizes.
         cfg = lane_config(2, 1, 131, 300, 100, 0)
-        with pytest.raises(ValueError):
-            FlatLanes(cfg.points, cfg.field)
         seen = side_spy(monkeypatch)
         index = incidence_count(cfg)
         assert seen == {"enumerate"} and index.points == membership_scan(cfg)
         seen.clear()
         report = check_max_ic(cfg, index, Fraction(2), Fraction(4))
         assert seen == {"sums"} and report.sup_sum == sum(coset_sums_sups(cfg).values())
+
+    def test_lanes_refuse_p257(self):
+        # p >= 256: the columns are array('H'), not bytes, so the lanes
+        # refuse, while one direction's keys are still packed point by point.
+        cfg = lane_config(2, 1, 257, 300, 100, 0)
+        kernel = CosetKeys(cfg.points, cfg.field)
+        with pytest.raises(ValueError, match="byte columns"):
+            kernel.incident(cfg.flats)
+        with pytest.raises(ValueError, match="byte columns"):
+            kernel.largest_cosets(cfg.flats)
+        direction = cfg.flats[0].direction
+        assert kernel.keys(direction) == [coset_key(x, direction, cfg.field) for x in kernel.points]
 
     def test_bench_configurations_take_their_sides(self, monkeypatch):
         # The corpus workload's sizes: incidence-bound (37 points, 200
@@ -476,7 +521,7 @@ class TestCheckMaxIc:
             explicit = enumerated_sups(cfg)
             assert coset_sums_sups(cfg) == explicit
             if side == "lanes":
-                assert FlatLanes(cfg.points, cfg.field).largest_cosets(cfg.flats) == explicit
+                assert CosetKeys(cfg.points, cfg.field).largest_cosets(cfg.flats) == explicit
             assert report.sup_sum == sum(explicit.values()) >= index.total > 0
 
     def test_sups_past_2_to_the_64_cosets_take_coset_sums(self, f2, monkeypatch):

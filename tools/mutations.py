@@ -203,6 +203,32 @@ MUTATIONS = [
             "tests/test_incidence.py::TestFlatLanes::test_chunked_run_equals_unchunked[112]",
         ],
     ),
+    # The flat lanes refused where `_column_sum` leaves byte lanes, as if
+    # they needed p < 128: only the lane regimes of 128 <= p < 256 call
+    # them there, since the rules keep p < 128.
+    Mutation(
+        "flat-lanes-refuse-from-p128",
+        "src/kplab/flats.py",
+        "        if not self._bytes:\n            raise ValueError(f\"flat lanes need byte columns",
+        "        if p >= 128:\n            raise ValueError(f\"flat lanes need byte columns",
+        [
+            "tests/test_incidence.py::TestFlatLanes::test_lanes_match_membership_scan[p131]",
+            "tests/test_incidence.py::TestFlatLanes::test_lanes_match_membership_scan[p251]",
+        ],
+    ),
+    # A configuration keeping P as given: a list with repeats counts a
+    # repeated point twice on the probe side and in the row head.
+    Mutation(
+        "configuration-keeps-repeated-points",
+        "src/kplab/config.py",
+        '_set(self, "points", frozenset(points))',
+        '_set(self, "points", points)',
+        [
+            "tests/test_incidence.py::TestIncidenceCount::test_repeated_points_count_once[probe]",
+            "tests/test_incidence.py::TestIncidenceCount::test_repeated_points_count_once[lanes]",
+            "tests/test_incidence.py::TestIncidenceCount::test_repeated_points_count_once[enumerate]",
+        ],
+    ),
     # The one coordinate flat.  Counts and maximal ratios are invariant under
     # permuting coordinates, so only a test of its points can catch this.
     Mutation(
